@@ -20,7 +20,6 @@ from .analysis import (  # noqa: E402,F401
 from .dynamics import (  # noqa: E402,F401
     Trajectory,
     evolve,
-    lindblad_rhs,
     liouvillian_matrix,
     steady_state,
 )

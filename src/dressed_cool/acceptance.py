@@ -86,7 +86,6 @@ def _c1_runs():
             rho0,
             t_grid,
             observables={"sx": _sx_operator(p)},
-            store_states=False,
             track_conservation=True,
         )
         fit = fit_exponential(traj.times, traj.expectations["sx"])
@@ -113,7 +112,6 @@ def _c3_run():
         rho0,
         t_grid,
         observables={"sx": _sx_operator(p)},
-        store_states=False,
         track_conservation=True,
     )
     return p, traj
@@ -150,7 +148,6 @@ def _c6_frame_runs():
             rho0,
             t_grid,
             observables=obs,
-            store_states=False,
             track_conservation=True,
         )
     return p, frame, runs

@@ -10,6 +10,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import dynamics, model, rates
+from .integrate import StiffnessError
 from .operators import HilbertSpace, expect_real, reduced_qubit, pauli
 
 __all__ = [
@@ -20,6 +21,7 @@ __all__ = [
     "FitNonConvergedError",
     "NonMonotonicDataError",
     "NoSpectralPeakError",
+    "NUMERICAL_ERRORS",
     "fit_exponential",
     "dominant_frequency",
     "bloch_vector",
@@ -43,6 +45,16 @@ class NonMonotonicDataError(FitError):
 
 class NoSpectralPeakError(RuntimeError):
     pass
+
+
+# Failures with a named numerical cause.  A sweep records them as a failed
+# point and the CLI exits 2 on them; any other exception is a bug or bad input.
+NUMERICAL_ERRORS = (
+    StiffnessError,
+    dynamics.MultipleSteadyStatesError,
+    FitError,
+    NoSpectralPeakError,
+)
 
 
 @dataclass(frozen=True)
@@ -84,9 +96,12 @@ def _noise_scale(y):
     return 1.4826 * float(np.median(np.abs(d2))) / math.sqrt(6.0)
 
 
-def _raise_structured_or(cost, t, y, y_range, stuck_message):
-    """Tell oscillatory data apart from a merely stuck optimizer."""
-    rms = math.sqrt(cost / len(t))
+def _reject_structured_residual(cost, y, y_range):
+    """Raise NonMonotonicDataError when the residual is far above both the
+    noise floor and a few percent of the range: not a single exponential.
+    Mild, smooth model error (for example the fast cavity ring-up at turn-on)
+    stays below this.  Returns the rms residual otherwise."""
+    rms = math.sqrt(cost / len(y))
     noise = _noise_scale(y)
     if rms > 5.0 * noise and rms > 0.05 * y_range:
         raise NonMonotonicDataError(
@@ -94,7 +109,7 @@ def _raise_structured_or(cost, t, y, y_range, stuck_message):
             " floor; data is not a single exponential"
             " (possible strong-coupling oscillation)"
         )
-    raise FitNonConvergedError(stuck_message)
+    return rms
 
 
 def fit_exponential(times, values, max_iter: int = 200) -> ExpFit:
@@ -138,8 +153,11 @@ def fit_exponential(times, values, max_iter: int = 200) -> ExpFit:
                 lam *= 10.0
                 continue
             trial = p + delta
-            trial_resid = _model(t, *trial) - y
-            trial_cost = float(trial_resid @ trial_resid)
+            # A step to a large negative rate overflows exp; the resulting
+            # inf or nan cost fails the comparison below and is rejected.
+            with np.errstate(over="ignore", invalid="ignore"):
+                trial_resid = _model(t, *trial) - y
+                trial_cost = float(trial_resid @ trial_resid)
             if trial_cost <= cost:
                 step = delta
                 p = trial
@@ -148,13 +166,13 @@ def fit_exponential(times, values, max_iter: int = 200) -> ExpFit:
                 break
             lam *= 10.0
         if step is None:
-            _raise_structured_or(cost, t, y, y_range,
-                                 "damping exhausted without a downhill step")
+            _reject_structured_residual(cost, y, y_range)
+            raise FitNonConvergedError("damping exhausted without a downhill step")
         if float(np.linalg.norm(step)) < 1e-10:
             break
     else:
-        _raise_structured_or(cost, t, y, y_range,
-                             f"no convergence after {max_iter} iterations")
+        _reject_structured_residual(cost, y, y_range)
+        raise FitNonConvergedError(f"no convergence after {max_iter} iterations")
 
     y_inf, y_0, rate = (float(v) for v in p)
     if rate <= 0:
@@ -163,16 +181,7 @@ def fit_exponential(times, values, max_iter: int = 200) -> ExpFit:
         raise FitError(
             f"window {span:.3g} us covers less than two decay times of the fitted rate {rate:.3g}/us"
         )
-    rms = math.sqrt(cost / len(t))
-    noise = _noise_scale(y)
-    # Structured residual far above both the noise floor and a few percent of
-    # the range: not a single exponential.  Mild, smooth model error (for
-    # example the fast cavity ring-up at turn-on) stays below this.
-    if rms > 5.0 * noise and rms > 0.05 * y_range:
-        raise NonMonotonicDataError(
-            f"residual rms {rms:.3g} is {rms / max(noise, 1e-300):.1f}x the noise floor;"
-            " data is not a single exponential (possible strong-coupling oscillation)"
-        )
+    rms = _reject_structured_residual(cost, y, y_range)
     return ExpFit(rate=rate, y_inf=y_inf, y_0=y_0, rms_residual=rms, iterations=iterations)
 
 
@@ -314,7 +323,7 @@ def compare_sim_analytic(
     """
     n_bar = model.n_bar_of(p)
     ratio = model.coupling_ratio(p)
-    pair = rates.rates_resonant(p) if p.delta_q_prime == 0 else rates.rates_general(p)
+    pair = rates.rates_general(p)
     gamma_analytic = pair.total
     theta = math.atan2(p.omega_r_rabi, p.delta_q_prime)
     pred = rates.steady_bloch(pair, theta=theta)

@@ -18,19 +18,11 @@ import numpy as np
 
 from . import __version__
 from . import analysis, config, dynamics, model, rates, sweep
-from .integrate import StiffnessError
 from .operators import HilbertSpace
 
 TWO_PI = 2.0 * math.pi
 
 CSV_COLUMNS = ("p_d_db", "delta_q_mhz", "n_bar", "sx", "sy", "sz", "s_theta", "gamma_fit", "converged")
-
-_NUMERICAL_ERRORS = (
-    StiffnessError,
-    dynamics.MultipleSteadyStatesError,
-    analysis.FitError,
-    analysis.NoSpectralPeakError,
-)
 
 
 class _UsageError(Exception):
@@ -192,7 +184,7 @@ def _emit(text: str, args) -> None:
 def _cmd_rates(args) -> int:
     cfg = _load_config(args)
     p = config.to_system_params(cfg)
-    pair = rates.rates_resonant(p) if p.delta_q_prime == 0 else rates.rates_general(p)
+    pair = rates.rates_general(p)
     theta = math.atan2(p.omega_r_rabi, p.delta_q_prime)
     omega_tilde = math.hypot(p.omega_r_rabi, p.delta_q_prime)
     pred = rates.steady_bloch(pair, theta, omega_tilde)
@@ -232,14 +224,19 @@ def _config_metadata(cfg: config.Config) -> dict:
     }
 
 
-def _cmd_evolve(args) -> int:
-    cfg = _load_config(args)
-    p = config.to_system_params(cfg)
+def _frame_model(cfg: config.Config, p: model.SystemParams):
+    """Hamiltonian and collapse operators in the configured frame."""
     if cfg.frame == "displaced":
         h = model.build_hamiltonian_displaced(p)
     else:
         h = model.build_hamiltonian_undisplaced(p)
-    ls = model.collapse_ops(p, frame=cfg.frame)
+    return h, model.collapse_ops(p, frame=cfg.frame)
+
+
+def _cmd_evolve(args) -> int:
+    cfg = _load_config(args)
+    p = config.to_system_params(cfg)
+    h, ls = _frame_model(cfg, p)
     if cfg.initial_state == "turn_on":
         rho0 = model.turn_on_state(p, frame=cfg.frame)
     else:
@@ -248,8 +245,7 @@ def _cmd_evolve(args) -> int:
     if cfg.t_max_us is not None:
         t_max = cfg.t_max_us
     else:
-        pair = rates.rates_resonant(p) if p.delta_q_prime == 0 else rates.rates_general(p)
-        t_max = 10.0 / pair.total
+        t_max = 10.0 / rates.rates_general(p).total
     hs = HilbertSpace(p.n_fock)
     a = hs.a
     obs = {"sx": hs.sx, "sy": hs.sy, "sz": hs.sz, "n_cav": a.conj().T @ a}
@@ -266,11 +262,7 @@ def _cmd_evolve(args) -> int:
 def _cmd_steady(args) -> int:
     cfg = _load_config(args)
     p = config.to_system_params(cfg)
-    if cfg.frame == "displaced":
-        h = model.build_hamiltonian_displaced(p)
-    else:
-        h = model.build_hamiltonian_undisplaced(p)
-    rho = dynamics.steady_state(h, model.collapse_ops(p, frame=cfg.frame))
+    rho = dynamics.steady_state(*_frame_model(cfg, p))
     v = analysis.bloch_vector(rho)
     theta = math.radians(cfg.theta_deg)
     s = cfg.tomography_scale
@@ -388,7 +380,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _NUMERICAL_ERRORS as exc:
+    except analysis.NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -18,11 +18,11 @@ from .model import (
     choose_fock_cutoff,
     drive_for_photons,
 )
+from .sweep import MODES
 
 TWO_PI = 2.0 * math.pi
 
 _FRAMES = ("displaced", "undisplaced")
-_MODES = ("steady_tomography", "cooling_rate", "rates_analytic_map")
 _INITIAL_STATES = ("turn_on", "ground", "excited", "plus", "minus")
 
 
@@ -83,8 +83,8 @@ def _validate(c: Config) -> None:
         _fail("n_fock", f"must be at least 2, got {c.n_fock}")
     if c.frame not in _FRAMES:
         _fail("frame", f"must be one of {_FRAMES}, got {c.frame!r}")
-    if c.mode not in _MODES:
-        _fail("mode", f"must be one of {_MODES}, got {c.mode!r}")
+    if c.mode not in MODES:
+        _fail("mode", f"must be one of {MODES}, got {c.mode!r}")
     if c.initial_state not in _INITIAL_STATES:
         _fail("initial_state", f"must be one of {_INITIAL_STATES}, got {c.initial_state!r}")
     if not 0 < c.rtol < 1:

@@ -5,9 +5,10 @@ The master equation is
     drho/dt = -i [H, rho] + sum_k D[L_k] rho,
     D[L] rho = L rho L+ - (L+ L rho + rho L+ L) / 2,
 
-with the collapse operators L_k carrying their sqrt(rate) prefactor.  Time
-evolution runs on the column-stacked state vec(rho) against a sparse
-Liouvillian; the density matrix is symmetrized after every accepted step.
+with the collapse operators L_k carrying their sqrt(rate) prefactor.  Both
+time evolution and the steady-state solve act on the column-stacked state
+vec(rho) through one sparse Liouvillian; the density matrix is symmetrized
+after every accepted step.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "Trajectory",
     "ConservationReport",
     "MultipleSteadyStatesError",
-    "lindblad_rhs",
     "liouvillian_matrix",
     "evolve",
     "steady_state",
@@ -36,38 +36,20 @@ class MultipleSteadyStatesError(RuntimeError):
     """The Liouvillian null space is degenerate beyond the trace constraint."""
 
 
-def lindblad_rhs(h: np.ndarray, collapse: list[CollapseOp], rho: np.ndarray) -> np.ndarray:
-    """Right-hand side of the master equation for one state."""
-    out = -1j * (h @ rho - rho @ h)
-    for c in collapse:
-        l = c.operator
-        ldl = l.conj().T @ l
-        out += l @ rho @ l.conj().T - 0.5 * (ldl @ rho + rho @ ldl)
-    return out
+def liouvillian_matrix(h: np.ndarray, collapse: list[CollapseOp]) -> sp.csr_matrix:
+    """Sparse d^2 x d^2 generator acting on column-stacked density matrices.
 
-
-def _liouvillian(h: np.ndarray, collapse: list[CollapseOp], sparse: bool):
-    """Column-stacking superoperator: vec(A rho B) = (B^T kron A) vec(rho)."""
+    Column stacking gives vec(A rho B) = (B^T kron A) vec(rho).
+    """
     d = h.shape[0]
-    if sparse:
-        eye = sp.identity(d, dtype=complex, format="csr")
-        kron = sp.kron
-        hm = sp.csr_matrix(h)
-    else:
-        eye = np.eye(d, dtype=complex)
-        kron = np.kron
-        hm = h
-    liou = -1j * (kron(eye, hm) - kron(hm.T, eye))
+    eye = sp.identity(d, dtype=complex, format="csr")
+    hm = sp.csr_matrix(h)
+    liou = -1j * (sp.kron(eye, hm) - sp.kron(hm.T, eye))
     for c in collapse:
-        l = sp.csr_matrix(c.operator) if sparse else c.operator
-        ldl = (l.conj().T @ l)
-        liou = liou + kron(l.conj(), l) - 0.5 * (kron(eye, ldl) + kron(ldl.T, eye))
-    return liou.tocsr() if sparse else liou
-
-
-def liouvillian_matrix(h: np.ndarray, collapse: list[CollapseOp]) -> np.ndarray:
-    """Dense d^2 x d^2 generator acting on column-stacked density matrices."""
-    return _liouvillian(h, collapse, sparse=False)
+        l = sp.csr_matrix(c.operator)
+        ldl = l.conj().T @ l
+        liou = liou + sp.kron(l.conj(), l) - 0.5 * (sp.kron(eye, ldl) + sp.kron(ldl.T, eye))
+    return liou.tocsr()
 
 
 @dataclass(frozen=True)
@@ -105,7 +87,6 @@ def evolve(
     observables: dict[str, np.ndarray] | None = None,
     store_states: bool | None = None,
     track_conservation: bool = False,
-    fixed_step: float | None = None,
 ) -> Trajectory:
     """Integrate the master equation over t_grid.
 
@@ -118,7 +99,7 @@ def evolve(
     if store_states is None:
         store_states = observables is None
 
-    liou = _liouvillian(h, collapse, sparse=True)
+    liou = liouvillian_matrix(h, collapse)
 
     def rhs(_t, v):
         return liou.dot(v)
@@ -126,7 +107,7 @@ def evolve(
     v0 = np.asarray(rho0, dtype=complex).ravel(order="F")
     vs = integrate_adaptive(
         rhs, v0, t_grid, rtol=rtol, atol=atol,
-        post_step=lambda v: _symmetrize(v, d), fixed_step=fixed_step,
+        post_step=lambda v: _symmetrize(v, d),
     )
 
     times = np.asarray(t_grid, dtype=float)
@@ -157,12 +138,10 @@ def steady_state(h: np.ndarray, collapse: list[CollapseOp], residual_tol: float 
         raise ValueError("steady state needs at least one collapse channel")
     d = h.shape[0]
     liou = liouvillian_matrix(h, collapse)
-    trace_row = np.zeros(d * d, dtype=complex)
-    trace_row[:: d + 1] = 1.0
-
-    sys = liou.copy()
+    sys = liou.toarray()
+    sys[0, :] = 0.0
+    sys[0, :: d + 1] = 1.0
     rhs = np.zeros(d * d, dtype=complex)
-    sys[0, :] = trace_row
     rhs[0] = 1.0
     try:
         v = np.linalg.solve(sys, rhs)

@@ -176,9 +176,6 @@ class HilbertSpace:
     def cavity(self, opn: np.ndarray) -> np.ndarray:
         return kron(identity(2), opn)
 
-    def both(self, op2: np.ndarray, opn: np.ndarray) -> np.ndarray:
-        return kron(op2, opn)
-
     # frequently used full-space operators
     @property
     def a(self) -> np.ndarray:

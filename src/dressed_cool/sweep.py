@@ -19,6 +19,7 @@ from . import __version__
 from . import analysis, dynamics, model, rates
 
 __all__ = [
+    "MODES",
     "SweepGrid",
     "SweepRow",
     "SweepTable",
@@ -29,7 +30,7 @@ __all__ = [
 ]
 
 WORKERS_ENV = "DRESSED_COOL_WORKERS"
-_MODES = ("steady_tomography", "cooling_rate", "rates_analytic_map")
+MODES = ("steady_tomography", "cooling_rate", "rates_analytic_map")
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,8 @@ class SweepGrid:
             axis = getattr(self, name)
             if axis.size > 1 and np.any(np.diff(axis) <= 0):
                 raise ValueError(f"{name} axis must be strictly increasing")
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown sweep mode {self.mode!r}; expected one of {_MODES}")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown sweep mode {self.mode!r}; expected one of {MODES}")
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError("theta must lie in [0, pi]")
 
@@ -134,7 +135,7 @@ def _evaluate_point(args: tuple[SweepGrid, float, float]) -> SweepRow:
             gamma_fit=gamma,
             converged=True,
         )
-    except Exception:
+    except analysis.NUMERICAL_ERRORS:
         return SweepRow(
             p_d_db=p_d_db, delta_q=delta_q, n_bar=n_bar, eps_d=p.eps_d,
             sx=nan, sy=nan, sz=nan, s_theta=nan, gamma_fit=nan, converged=False,
@@ -159,8 +160,10 @@ def resolve_workers(requested: int | None) -> int:
 def run_sweep(grid: SweepGrid, workers: int | None = 1) -> SweepTable:
     """Evaluate the grid row-major over (power, detuning).
 
-    Results are identical for any worker count; failed points are recorded
-    with converged = False rather than aborting the sweep.
+    Results are identical for any worker count; points that fail for a
+    numerical reason (analysis.NUMERICAL_ERRORS) are recorded with
+    converged = False rather than aborting the sweep.  Any other exception
+    propagates.
     """
     n_workers = resolve_workers(workers)
     tasks = [(grid, p_d, dq) for p_d in grid.power_db for dq in grid.detuning]

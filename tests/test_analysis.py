@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,10 +63,19 @@ def test_fit_noise_robustness_monte_carlo():
 
 
 def test_fit_rejects_oscillation():
-    t = np.linspace(0.0, 5.0, 200)
-    y = np.cos(2.0 * np.pi * 2.0 * t) * np.exp(-0.3 * t)
-    with pytest.raises(NonMonotonicDataError):
-        fit_exponential(t, y)
+    t_short = np.linspace(0.0, 5.0, 200)
+    # A ringing turn-on, as at tilted-axis cooling points: Gauss-Newton tries
+    # steps whose exp overflows, and rejecting them must stay silent.
+    t_long = np.linspace(0.0, 68.0, 401)
+    cases = [
+        (t_short, np.cos(2.0 * np.pi * 2.0 * t_short) * np.exp(-0.3 * t_short)),
+        (t_long, 0.47 * (1.0 - np.exp(-0.1 * t_long) * np.cos(3.0 * t_long))),
+    ]
+    for t, y in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonMonotonicDataError):
+                fit_exponential(t, y)
 
 
 def test_fit_rejects_tiny_sample():

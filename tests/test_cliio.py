@@ -226,7 +226,22 @@ def test_cli_rates_defaults(capsys):
     assert float(values["gamma_minus_per_us"]) == pytest.approx(2.593, abs=1e-3)
     assert float(values["gamma_plus_per_us"]) == pytest.approx(0.0830, abs=1e-4)
     assert float(values["sigma_theta_ss"]) == pytest.approx(0.938, abs=1e-3)
-    assert values["regime"] == "resonant"
+    assert values["regime"] == "general"
+
+
+def test_cli_rates_agree_with_steady_on_the_blue_side(capsys, tmp_path):
+    # delta_c = +Omega_R inverts the dressed state; the rate formula must see
+    # that at every detuning, not only where delta_c = -Omega_R
+    cfg = tmp_path / "blue.json"
+    cfg.write_text('{"delta_c_mhz": 9}')
+    assert main(["rates", "-c", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    values = dict(line.split(" = ") for line in out.strip().split("\n") if " = " in line)
+    assert main(["steady", "-c", str(cfg)]) == 0
+    steady_sx = json.loads(capsys.readouterr().out)["sx"]
+    sigma_theta = float(values["sigma_theta_ss"])
+    assert sigma_theta < 0
+    assert sigma_theta == pytest.approx(steady_sx, abs=0.03)
 
 
 def test_cli_steady_json(capsys):

@@ -7,7 +7,6 @@ from dressed_cool.config import Config, to_system_params
 from dressed_cool.dynamics import (
     MultipleSteadyStatesError,
     evolve,
-    lindblad_rhs,
     liouvillian_matrix,
     steady_state,
 )
@@ -41,6 +40,17 @@ EXCITED = np.array([0.0, 1.0])
 def reference_params(**overrides) -> SystemParams:
     overrides.setdefault("thermal_qubit", False)
     return to_system_params(Config(**overrides))
+
+
+def lindblad_rhs(h, collapse, rho):
+    """Reference right-hand side of the master equation, applied to one state
+    with plain matrix products (the oracle for the Liouvillian)."""
+    out = -1j * (h @ rho - rho @ h)
+    for c in collapse:
+        l = c.operator
+        ldl = l.conj().T @ l
+        out += l @ rho @ l.conj().T - 0.5 * (ldl @ rho + rho @ ldl)
+    return out
 
 
 def random_density(rng, d):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dressed_cool import __version__
+from dressed_cool import __version__, sweep
 from dressed_cool.config import Config, to_system_params
 from dressed_cool.model import SystemParams, drive_for_photons
 from dressed_cool.rates import rates_general, steady_bloch
@@ -146,6 +146,18 @@ def test_failed_point_is_isolated():
     assert math.isnan(rows[0].sx)
     assert rows[1].converged
     assert not math.isnan(rows[1].sx)
+
+
+def test_programming_error_is_not_a_failed_point(monkeypatch):
+    # only named numerical failures become NaN rows; a bug must surface
+    def broken(p):
+        raise TypeError("broken builder")
+
+    monkeypatch.delenv("DRESSED_COOL_WORKERS", raising=False)
+    monkeypatch.setattr(sweep.model, "build_hamiltonian_displaced", broken)
+    grid = SweepGrid(power_db=[0.0], detuning=[0.0], fixed=reference_params())
+    with pytest.raises(TypeError, match="broken builder"):
+        run_sweep(grid, workers=1)
 
 
 def test_resolve_workers(monkeypatch):

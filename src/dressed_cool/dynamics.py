@@ -39,17 +39,37 @@ class MultipleSteadyStatesError(RuntimeError):
 def liouvillian_matrix(h: np.ndarray, collapse: list[CollapseOp]) -> sp.csr_matrix:
     """Sparse d^2 x d^2 generator acting on column-stacked density matrices.
 
-    Column stacking gives vec(A rho B) = (B^T kron A) vec(rho).
+    Column stacking gives vec(A rho B) = (B^T kron A) vec(rho), so for a
+    Hermitian H
+
+        L = I kron Heff + conj(Heff) kron I + sum_k conj(L_k) kron L_k,
+        Heff = -i H - (1/2) sum_k L_k+ L_k.
+
+    Each Kronecker product is written down as (row, col, value) triplets from
+    the nonzeros of its factors, using (A kron B)[p d + q, r d + s] =
+    A[p, r] B[q, s]; one conversion to CSR sums the duplicates.
     """
     d = h.shape[0]
-    eye = sp.identity(d, dtype=complex, format="csr")
-    hm = sp.csr_matrix(h)
-    liou = -1j * (sp.kron(eye, hm) - sp.kron(hm.T, eye))
-    for c in collapse:
-        l = sp.csr_matrix(c.operator)
-        ldl = l.conj().T @ l
-        liou = liou + sp.kron(l.conj(), l) - 0.5 * (sp.kron(eye, ldl) + sp.kron(ldl.T, eye))
-    return liou.tocsr()
+    ops = [c.operator for c in collapse]
+    heff = -1j * h
+    for l in ops:
+        heff -= 0.5 * (l.conj().T @ l)
+    i, j = np.nonzero(heff)
+    v = heff[i, j]
+    k = np.arange(d)[:, None]
+    rows = [(k * d + i).ravel(), (i * d + k).ravel()]
+    cols = [(k * d + j).ravel(), (j * d + k).ravel()]
+    vals = [np.tile(v, d), np.tile(v.conj(), d)]
+    for l in ops:
+        i, j = np.nonzero(l)
+        v = l[i, j]
+        rows.append((i[:, None] * d + i).ravel())
+        cols.append((j[:, None] * d + j).ravel())
+        vals.append(np.outer(v.conj(), v).ravel())
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(d * d, d * d),
+    )
 
 
 @dataclass(frozen=True)
@@ -132,19 +152,40 @@ def evolve(
     return traj
 
 
+def _hermitian_basis(d: int) -> sp.csc_matrix:
+    """Unitary d^2 x d^2 matrix whose columns are vec(G_k) for the orthonormal
+    Hermitian basis: the d diagonal units E_aa, then (E_ab + E_ba)/sqrt(2) and
+    i (E_ab - E_ba)/sqrt(2) for a < b.  Hermitian states have real coordinates."""
+    a, b = np.triu_indices(d, 1)
+    pair_rows = np.column_stack([a + b * d, b + a * d]).ravel()  # E_ab, E_ba
+    s = np.sqrt(0.5)
+    rows = np.concatenate([np.arange(d) * (d + 1), pair_rows, pair_rows])
+    vals = np.concatenate([np.ones(d), np.full(2 * a.size, s), np.tile([1j * s, -1j * s], a.size)])
+    starts = np.concatenate([np.arange(d), d + 2 * np.arange(2 * a.size + 1)])
+    return sp.csc_matrix((vals, rows, starts), shape=(d * d, d * d))
+
+
 def steady_state(h: np.ndarray, collapse: list[CollapseOp], residual_tol: float = 1e-9) -> np.ndarray:
-    """Unique steady state by dense LU, replacing one row with Tr rho = 1."""
+    """Unique steady state by a real dense solve in a Hermitian basis.
+
+    The generator maps Hermitian matrices to Hermitian matrices, so in the
+    orthonormal Hermitian basis T (see _hermitian_basis) M = T+ L T is real.
+    Its first row, the equation for rho[0, 0], is replaced by Tr rho = 1 (the
+    sum of the diagonal coordinates), and the real system is solved by LU.
+    The state is accepted only if it also nulls the complex L.
+    """
     if not collapse:
         raise ValueError("steady state needs at least one collapse channel")
     d = h.shape[0]
     liou = liouvillian_matrix(h, collapse)
-    sys = liou.toarray()
+    basis = _hermitian_basis(d)
+    sys = (basis.conj().T @ liou @ basis).toarray().real
     sys[0, :] = 0.0
-    sys[0, :: d + 1] = 1.0
-    rhs = np.zeros(d * d, dtype=complex)
+    sys[0, :d] = 1.0
+    rhs = np.zeros(d * d)
     rhs[0] = 1.0
     try:
-        v = np.linalg.solve(sys, rhs)
+        v = basis @ np.linalg.solve(sys, rhs)
     except np.linalg.LinAlgError as exc:
         raise MultipleSteadyStatesError(f"singular steady-state system: {exc}") from exc
 

@@ -115,18 +115,31 @@ def rates_resonant(p: SystemParams) -> RatePair:
     return RatePair(gamma_minus=gm, gamma_plus=gp, regime="resonant")
 
 
-def rates_general(p: SystemParams) -> RatePair:
-    """Rates for an arbitrary dressed angle, sampling S_nn at -+ omega_tilde."""
-    theta, sin_t, omega_tilde = _dressed_angle(p)
+def _photon_rates(p: SystemParams) -> tuple[float, float]:
+    """Engineered-bath parts chi^2 S_nn(-+ omega_tilde) sin^2(theta) of
+    (gamma_minus, gamma_plus) at an arbitrary dressed angle."""
+    _, sin_t, omega_tilde = _dressed_angle(p)
     sin2 = sin_t * sin_t
-    cos2 = 1.0 - sin2
     chi2 = p.chi ** 2
     n_bar = n_bar_of(p)
+    gm = chi2 * s_nn(+omega_tilde, n_bar, p.kappa, p.delta_c) * sin2
+    gp = chi2 * s_nn(-omega_tilde, n_bar, p.kappa, p.delta_c) * sin2
+    return gm, gp
+
+
+def rates_general(p: SystemParams) -> RatePair:
+    """Rates for an arbitrary dressed angle, sampling S_nn at -+ omega_tilde."""
+    _, sin_t, _ = _dressed_angle(p)
+    sin2 = sin_t * sin_t
+    cos2 = 1.0 - sin2
     intrinsic_phi = 0.5 * p.gamma_phi * sin2
     intrinsic_1 = 0.25 * p.gamma_1 * (1.0 + cos2)
-    gm = chi2 * s_nn(+omega_tilde, n_bar, p.kappa, p.delta_c) * sin2 + intrinsic_phi + intrinsic_1
-    gp = chi2 * s_nn(-omega_tilde, n_bar, p.kappa, p.delta_c) * sin2 + intrinsic_phi + intrinsic_1
-    return RatePair(gamma_minus=gm, gamma_plus=gp, regime="general")
+    gm, gp = _photon_rates(p)
+    return RatePair(
+        gamma_minus=gm + intrinsic_phi + intrinsic_1,
+        gamma_plus=gp + intrinsic_phi + intrinsic_1,
+        regime="general",
+    )
 
 
 def _raman_photon_parts(p: SystemParams) -> tuple[float, float]:
@@ -199,11 +212,13 @@ def effective_temperature(purity_plus: float, omega_tilde: float) -> float:
 
 
 def cooling_condition(p: SystemParams, threshold: float = 10.0) -> tuple[float, bool]:
-    """Ratio of the engineered cooling rate to the intrinsic rate floor,
-    (4 chi^2 n_bar / kappa) / (gamma_phi/2 + gamma_1/4), and whether it
-    clears the requested threshold."""
+    """Ratio of the engineered cooling rate, the photon part
+    chi^2 S_nn(+omega_tilde) sin^2(theta) of gamma_minus, to the intrinsic
+    rate floor gamma_phi/2 + gamma_1/4, and whether it clears the requested
+    threshold.  At delta_q' = 0, delta_c = -omega_r the numerator is the
+    golden-rule rate 4 chi^2 n_bar / kappa; on the heating side it is small."""
     intrinsic = _intrinsic_rate(p)
     if intrinsic == 0:
         return math.inf, True
-    ratio = golden_rule_rate(p) / intrinsic
+    ratio = _photon_rates(p)[0] / intrinsic
     return ratio, ratio >= threshold

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dressed_cool.config import Config, to_system_params
 from dressed_cool.dynamics import (
@@ -53,10 +58,51 @@ def lindblad_rhs(h, collapse, rho):
     return out
 
 
+def kron_liouvillian(h, collapse):
+    """Reference generator assembled densely with np.kron (the oracle for the
+    index-arithmetic assembly): vec(A rho B) = (B^T kron A) vec(rho)."""
+    eye = np.eye(h.shape[0])
+    liou = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for c in collapse:
+        l = c.operator
+        ldl = l.conj().T @ l
+        liou = liou + np.kron(l.conj(), l) - 0.5 * (np.kron(eye, ldl) + np.kron(ldl.T, eye))
+    return liou
+
+
+def dense_lu_steady_state(h, collapse):
+    """Reference steady state: complex dense LU of the full generator with its
+    first row replaced by Tr rho = 1 (the oracle for the Hermitian-basis solve)."""
+    d = h.shape[0]
+    system = kron_liouvillian(h, collapse)
+    system[0, :] = 0.0
+    system[0, :: d + 1] = 1.0
+    rhs = np.zeros(d * d, dtype=complex)
+    rhs[0] = 1.0
+    return np.linalg.solve(system, rhs).reshape((d, d), order="F")
+
+
 def random_density(rng, d):
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = m @ dagger(m)
     return rho / np.trace(rho)
+
+
+def random_hamiltonian(rng, d):
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (h + dagger(h)) / 2
+
+
+def random_collapse(rng, d, kind):
+    """A dense random operator, one with a single nonzero entry, or zero."""
+    if kind == "dense":
+        l_op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    else:
+        l_op = np.zeros((d, d), dtype=complex)
+        if kind == "single":
+            i, j = rng.integers(0, d, size=2)
+            l_op[i, j] = rng.normal() + 1j * rng.normal()
+    return CollapseOp(operator=l_op, rate=1.0, label=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -96,16 +142,8 @@ def test_rhs_trace_free_random_models():
     rng = np.random.default_rng(23)
     for _ in range(25):
         d = int(rng.integers(2, 7))
-        h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        h = (h + dagger(h)) / 2
-        ops = [
-            CollapseOp(
-                operator=rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)),
-                rate=1.0,
-                label=f"random_{i}",
-            )
-            for i in range(int(rng.integers(0, 3)))
-        ]
+        h = random_hamiltonian(rng, d)
+        ops = [random_collapse(rng, d, "dense") for _ in range(int(rng.integers(0, 3)))]
         rho = random_density(rng, d)
         out = lindblad_rhs(h, ops, rho)
         assert abs(np.trace(out)) <= 1e-12
@@ -128,17 +166,40 @@ def test_liouvillian_zero_model():
 
 def test_liouvillian_matches_direct_apply():
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        d = int(rng.integers(2, 5))
-        h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        h = (h + dagger(h)) / 2
-        l_op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        ops = [CollapseOp(operator=l_op, rate=1.0, label="test")]
-        liou = liouvillian_matrix(h, ops)
-        rho = random_density(rng, d)
-        lhs = (liou @ rho.ravel(order="F")).reshape((d, d), order="F")
-        rhs = lindblad_rhs(h, ops, rho)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
+    channel_sets = [
+        ("dense",),
+        ("single",),
+        ("zero",),
+        ("dense", "single"),
+        ("single", "zero"),
+        ("dense", "single", "zero"),
+        ("dense", "dense", "dense"),
+    ]
+    for kinds in channel_sets:
+        for _ in range(5):
+            d = int(rng.integers(2, 5))
+            h = random_hamiltonian(rng, d)
+            ops = [random_collapse(rng, d, kind) for kind in kinds]
+            liou = liouvillian_matrix(h, ops)
+            rho = random_density(rng, d)
+            lhs = (liou @ rho.ravel(order="F")).reshape((d, d), order="F")
+            rhs = lindblad_rhs(h, ops, rho)
+            assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:n_fock")
+@pytest.mark.parametrize("frame", ["displaced", "undisplaced"])
+@pytest.mark.parametrize("n_fock", [3, 8])
+def test_liouvillian_matches_kron_reference(n_fock, frame):
+    p = reference_params(n_bar=1.0, n_fock=n_fock, frame=frame, thermal_qubit=True)
+    build = build_hamiltonian_displaced if frame == "displaced" else build_hamiltonian_undisplaced
+    h = build(p)
+    ops = collapse_ops(p, frame)
+    assert len(ops) == 4
+    liou = liouvillian_matrix(h, ops)
+    assert isinstance(liou, sp.csr_matrix)
+    ref = kron_liouvillian(h, ops)
+    assert np.max(np.abs(liou.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_liouvillian_trace_left_null_vector():
@@ -299,6 +360,35 @@ def test_steady_reference_point_sigma_x():
     sy = expect_real(hs.sy, rho)
     assert sx == pytest.approx(0.94, abs=0.02)
     assert abs(sy) <= 0.02
+
+
+def test_steady_matches_dense_lu_oracle():
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        d = int(rng.integers(2, 7))
+        h = random_hamiltonian(rng, d)
+        ops = [random_collapse(rng, d, "dense") for _ in range(int(rng.integers(1, 4)))]
+        rho = steady_state(h, ops)
+        assert np.max(np.abs(rho - dense_lu_steady_state(h, ops))) <= 1e-10
+        assert np.max(np.abs(rho - dagger(rho))) == 0.0
+        assert np.trace(rho) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_steady_state_leaves_scipy_linalg_unimported():
+    # scipy.linalg and scipy.sparse.linalg each cost more resident memory than
+    # the steady-state path may add; the dense real solve needs neither
+    code = (
+        "import sys\n"
+        "import dressed_cool.cli\n"
+        "from dressed_cool import config, dynamics, model\n"
+        "p = config.to_system_params(config.Config())\n"
+        "dynamics.steady_state(model.build_hamiltonian_displaced(p), model.collapse_ops(p))\n"
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_steady_degenerate_system_is_detected():

@@ -332,6 +332,18 @@ def test_cooling_ratio_reference_point():
     assert ok
 
 
+def test_cooling_ratio_on_the_heating_side():
+    # with the cavity on the blue side the engineered bath heats the dressed
+    # qubit: its cooling part samples the shot noise 2 omega_r off its peak
+    p = reference_params(n_bar=1.0, delta_c_mhz=9.0)
+    ratio, ok = cooling_condition(p)
+    assert ratio == pytest.approx(53.9753089 * (0.5 * 4.3) ** 2 / ((0.5 * 4.3) ** 2 + 18.0 ** 2), rel=1e-8)
+    assert not ok
+    floor = 0.5 * p.gamma_phi + 0.25 * p.gamma_1
+    r = rates_general(p)
+    assert ratio * floor < r.gamma_plus
+
+
 def test_cooling_ratio_dark_cavity():
     ratio, ok = cooling_condition(reference_params(n_bar=0.0))
     assert ratio == 0.0

@@ -26,13 +26,13 @@ from .dynamics import (  # noqa: E402,F401
 from .model import (  # noqa: E402,F401
     CollapseOp,
     DisplacedFrame,
+    FRAMES,
     SystemParams,
-    build_effective_jc,
     build_hamiltonian_displaced,
     build_hamiltonian_undisplaced,
+    build_model,
     choose_fock_cutoff,
     collapse_ops,
-    dispersive_map,
     displacement,
     drive_for_photons,
 )
@@ -55,5 +55,4 @@ from .sweep import (  # noqa: E402,F401
     apply_tomography_scale,
     optimal_theta_detuning,
     run_sweep,
-    stark_line,
 )

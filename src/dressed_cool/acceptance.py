@@ -17,18 +17,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analysis import bloch_vector, dominant_frequency, fit_exponential
+from .analysis import bloch_vector, cooling_trajectory, dominant_frequency, fit_exponential
 from .config import Config, to_system_params
 from .dynamics import evolve, steady_state
-from .model import (
-    TWO_PI,
-    build_hamiltonian_displaced,
-    build_hamiltonian_undisplaced,
-    collapse_ops,
-    displacement,
-    qubit_axis_state,
-    turn_on_state,
-)
+from .model import FRAMES, TWO_PI, build_model, displacement, turn_on_state
+from .operators import HilbertSpace
 from .rates import (
     effective_temperature,
     golden_rule_rate,
@@ -37,7 +30,7 @@ from .rates import (
     rates_sideband_limit,
     raman_rates,
 )
-from .sweep import SweepGrid, apply_tomography_scale, run_sweep
+from .sweep import SweepGrid, apply_tomography_scale, optimal_theta_detuning, run_sweep
 
 
 @dataclass(frozen=True)
@@ -50,12 +43,6 @@ class CriterionResult:
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
         return f"ACCEPTANCE {self.index} [{self.name}]: {verdict} - {self.detail}"
-
-
-def _theory_config(**overrides) -> Config:
-    """Baseline theory configuration: thermal qubit excitation switched off."""
-    cfg = Config(thermal_qubit=False, **overrides)
-    return cfg
 
 
 def _rel_err(value: float, target: float) -> float:
@@ -74,82 +61,35 @@ def _c1_runs():
     """
     out = []
     for n_bar in (0.25, 0.5, 1.0):
-        p = to_system_params(_theory_config(n_bar=n_bar))
+        p = to_system_params(Config(n_bar=n_bar))
         pair = rates_general(p)
-        t_max = 10.0 / pair.total
-        h = build_hamiltonian_displaced(p)
-        rho0 = turn_on_state(p, frame="displaced")
-        t_grid = np.linspace(0.0, t_max, 501)
-        traj = evolve(
-            h,
-            collapse_ops(p, frame="displaced"),
-            rho0,
-            t_grid,
-            observables={"sx": _sx_operator(p)},
-            track_conservation=True,
-        )
+        traj = cooling_trajectory(p, 10.0 / pair.total, n_times=501, track_conservation=True)
         fit = fit_exponential(traj.times, traj.expectations["sx"])
         out.append((n_bar, p, traj, fit, pair))
     return out
 
 
-def _sx_operator(p) -> np.ndarray:
-    from .operators import HilbertSpace
-
-    return HilbertSpace(p.n_fock).sx
-
-
 @lru_cache(maxsize=None)
 def _c3_run():
     """Strong-coupling trajectory: narrow cavity, n_bar = 3.31, from |g>."""
-    p = to_system_params(_theory_config(kappa_mhz=0.2, n_bar=3.31))
-    h = build_hamiltonian_displaced(p)
-    rho0 = qubit_axis_state(p, "ground")
-    t_grid = np.linspace(0.0, 20.0, 2001)
-    traj = evolve(
-        h,
-        collapse_ops(p, frame="displaced"),
-        rho0,
-        t_grid,
-        observables={"sx": _sx_operator(p)},
-        track_conservation=True,
-    )
+    p = to_system_params(Config(kappa_mhz=0.2, n_bar=3.31))
+    traj = cooling_trajectory(p, 20.0, n_times=2001, initial="ground", track_conservation=True)
     return p, traj
 
 
 @lru_cache(maxsize=None)
 def _c6_frame_runs():
     """The same physical evolution in the displaced and lab frames."""
-    cfg = _theory_config(n_bar=3.6, n_fock=24)
-    p = to_system_params(cfg)
+    p = to_system_params(Config(n_bar=3.6, n_fock=24))
     frame = displacement(p.eps_d, p.delta_c, p.kappa)
     t_grid = np.linspace(0.0, 10.0, 501)
-
-    from .operators import HilbertSpace
-
     hs = HilbertSpace(p.n_fock)
-    obs = {
-        "sx": hs.sx,
-        "sz": hs.sz,
-        "re_a": (hs.a + hs.a.conj().T) / 2.0,
-        "im_a": (hs.a - hs.a.conj().T) / 2.0j,
+    obs = {"sx": hs.sx, "sz": hs.sz, "a": hs.a}
+    runs = {
+        fr: evolve(*build_model(p, fr), turn_on_state(p, frame=fr), t_grid,
+                   observables=obs, track_conservation=True)
+        for fr in FRAMES
     }
-
-    runs = {}
-    for fr, builder in (
-        ("displaced", build_hamiltonian_displaced),
-        ("undisplaced", build_hamiltonian_undisplaced),
-    ):
-        h = builder(p)
-        rho0 = turn_on_state(p, frame=fr)
-        runs[fr] = evolve(
-            h,
-            collapse_ops(p, frame=fr),
-            rho0,
-            t_grid,
-            observables=obs,
-            track_conservation=True,
-        )
     return p, frame, runs
 
 
@@ -169,7 +109,7 @@ def criterion_1() -> CriterionResult:
         fitted.append(fit.rate)
     slope = np.polyfit(n_bars, fitted, 1)[0]
     # Slope of rate vs photon number: the golden-rule value at one photon.
-    golden_slope = golden_rule_rate(to_system_params(_theory_config(n_bar=1.0)))
+    golden_slope = golden_rule_rate(to_system_params(Config(n_bar=1.0)))
     slope_err = _rel_err(slope, golden_slope)
     ok = worst <= 0.10 and slope_err <= 0.10
     detail = (
@@ -182,10 +122,8 @@ def criterion_1() -> CriterionResult:
 
 def criterion_2() -> CriterionResult:
     """Steady-state <sigma_x> at one photon, raw and with tomography scale."""
-    p = to_system_params(_theory_config(n_bar=1.0))
-    h = build_hamiltonian_displaced(p)
-    rho = steady_state(h, collapse_ops(p, frame="displaced"))
-    v = bloch_vector(rho)
+    p = to_system_params(Config(n_bar=1.0))
+    v = bloch_vector(steady_state(*build_model(p)))
     raw_ok = abs(v.x - 0.94) <= 0.03
 
     grid = SweepGrid(
@@ -224,15 +162,13 @@ def criterion_3() -> CriterionResult:
 
 def criterion_4() -> CriterionResult:
     """Blue-detuned drive inverts the qubit; red/blue maps are antisymmetric."""
-    p_blue = to_system_params(_theory_config(n_bar=1.0, delta_c_mhz=9.0))
-    h = build_hamiltonian_displaced(p_blue)
-    rho = steady_state(h, collapse_ops(p_blue, frame="displaced"))
-    sx_blue = bloch_vector(rho).x
+    p_blue = to_system_params(Config(n_bar=1.0, delta_c_mhz=9.0))
+    sx_blue = bloch_vector(steady_state(*build_model(p_blue))).x
     invert_ok = sx_blue <= -0.85
 
     # Pure photon-induced rates: strip the intrinsic qubit channels so the
     # two detunings are exact mirror images.
-    base = to_system_params(_theory_config(n_bar=1.0))
+    base = to_system_params(Config(n_bar=1.0))
     p_red0 = replace(base, gamma_down=0.0, gamma_up=0.0, gamma_phi=0.0)
     p_blue0 = replace(p_red0, delta_c=-p_red0.delta_c)
     powers = np.linspace(-10.0, 0.0, 5)
@@ -268,10 +204,10 @@ def criterion_5() -> CriterionResult:
     """Optimal qubit detuning for a tilted measurement axis."""
     delta_c_mhz = -15.0
     omega_r_mhz = 9.0
-    star = math.sqrt(delta_c_mhz**2 - omega_r_mhz**2)
+    star = optimal_theta_detuning(delta_c_mhz, omega_r_mhz)
     theta = math.atan2(omega_r_mhz, star)
     base = to_system_params(
-        _theory_config(n_bar=1.0, delta_c_mhz=delta_c_mhz, omega_r_mhz=omega_r_mhz)
+        Config(n_bar=1.0, delta_c_mhz=delta_c_mhz, omega_r_mhz=omega_r_mhz)
     )
     dq_prime_grid = np.arange(6.0, 18.0 + 1e-9, 0.5)
     # The sweep axis carries the bare detuning; shift so the per-point
@@ -299,7 +235,7 @@ def criterion_5() -> CriterionResult:
 def criterion_6() -> CriterionResult:
     """Internal consistency: rate formula limits and frame equivalence."""
     # General formula collapses to the resonant one on resonance.
-    p = to_system_params(_theory_config(n_bar=1.0))
+    p = to_system_params(Config(n_bar=1.0))
     gen = rates_general(p)
     res = rates_resonant(p)
     limit_err = max(
@@ -310,7 +246,7 @@ def criterion_6() -> CriterionResult:
 
     # Sideband limit with no intrinsic decoherence is the Raman result.
     p_sb = to_system_params(
-        _theory_config(n_bar=1.0, delta_q_prime_mhz=15.0, omega_r_mhz=0.5)
+        Config(n_bar=1.0, delta_q_prime_mhz=15.0, omega_r_mhz=0.5)
     )
     p_sb = replace(p_sb, gamma_down=0.0, gamma_up=0.0, gamma_phi=0.0)
     sb = rates_sideband_limit(p_sb)
@@ -325,9 +261,7 @@ def criterion_6() -> CriterionResult:
     disp, lab = runs["displaced"], runs["undisplaced"]
     dx = np.max(np.abs(disp.expectations["sx"] - lab.expectations["sx"]))
     dz = np.max(np.abs(disp.expectations["sz"] - lab.expectations["sz"]))
-    a_disp = disp.expectations["re_a"] + 1j * disp.expectations["im_a"]
-    a_lab = lab.expectations["re_a"] + 1j * lab.expectations["im_a"]
-    dfield = np.max(np.abs(a_lab - (frame.a_bar + a_disp)))
+    dfield = np.max(np.abs(lab.expectations["a"] - (frame.a_bar + disp.expectations["a"])))
     frame_err = float(max(dx, dz))
     frame_ok = frame_err <= 2e-3 and dfield <= 2e-3
 

@@ -289,23 +289,24 @@ def cooling_trajectory(
     t_max: float,
     n_times: int = 401,
     initial: str = "turn_on",
+    frame: str = "displaced",
     rtol: float = 1e-8,
     atol: float = 1e-10,
     track_conservation: bool = False,
 ) -> dynamics.Trajectory:
-    """<sx>(t) after switching the drives on at t = 0 (displaced frame)."""
+    """<sx>, <sy>, <sz> and the cavity photon number n_cav at n_times points
+    on [0, t_max] in the given frame, starting from the pre-turn-on
+    equilibrium (initial="turn_on") or from a named qubit axis state."""
     if initial == "turn_on":
-        rho0 = model.turn_on_state(p, frame="displaced")
+        rho0 = model.turn_on_state(p, frame=frame)
     else:
         rho0 = model.qubit_axis_state(p, initial)
-    h = model.build_hamiltonian_displaced(p)
-    ls = model.collapse_ops(p, frame="displaced")
     hs = HilbertSpace(p.n_fock)
+    observables = {"sx": hs.sx, "sy": hs.sy, "sz": hs.sz, "n_cav": hs.a.conj().T @ hs.a}
     t_grid = np.linspace(0.0, t_max, n_times)
     return dynamics.evolve(
-        h, ls, rho0, t_grid, rtol=rtol, atol=atol,
-        observables={"sx": hs.sx, "sy": hs.sy, "sz": hs.sz},
-        track_conservation=track_conservation,
+        *model.build_model(p, frame), rho0, t_grid, rtol=rtol, atol=atol,
+        observables=observables, track_conservation=track_conservation,
     )
 
 
@@ -325,14 +326,11 @@ def compare_sim_analytic(
     ratio = model.coupling_ratio(p)
     pair = rates.rates_general(p)
     gamma_analytic = pair.total
-    theta = math.atan2(p.omega_r_rabi, p.delta_q_prime)
+    theta = rates.dressed_angle(p)[0]
     pred = rates.steady_bloch(pair, theta=theta)
     sx_analytic = pred.sigma_theta_ss * math.sin(theta)
 
-    rho_ss = dynamics.steady_state(
-        model.build_hamiltonian_displaced(p), model.collapse_ops(p)
-    )
-    sx_sim = bloch_vector(rho_ss).x
+    sx_sim = bloch_vector(dynamics.steady_state(*model.build_model(p))).x
 
     t_max = 10.0 / gamma_analytic
     non_exponential = ratio >= 1.0

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import __version__
 from . import analysis, config, dynamics, model, rates, sweep
-from .operators import HilbertSpace
 
 TWO_PI = 2.0 * math.pi
 
@@ -185,8 +184,7 @@ def _cmd_rates(args) -> int:
     cfg = _load_config(args)
     p = config.to_system_params(cfg)
     pair = rates.rates_general(p)
-    theta = math.atan2(p.omega_r_rabi, p.delta_q_prime)
-    omega_tilde = math.hypot(p.omega_r_rabi, p.delta_q_prime)
+    theta, _, omega_tilde = rates.dressed_angle(p)
     pred = rates.steady_bloch(pair, theta, omega_tilde)
     t_eff = rates.effective_temperature(pred.purity_plus, omega_tilde)
     ratio, ok = rates.cooling_condition(p)
@@ -224,33 +222,17 @@ def _config_metadata(cfg: config.Config) -> dict:
     }
 
 
-def _frame_model(cfg: config.Config, p: model.SystemParams):
-    """Hamiltonian and collapse operators in the configured frame."""
-    if cfg.frame == "displaced":
-        h = model.build_hamiltonian_displaced(p)
-    else:
-        h = model.build_hamiltonian_undisplaced(p)
-    return h, model.collapse_ops(p, frame=cfg.frame)
-
-
 def _cmd_evolve(args) -> int:
     cfg = _load_config(args)
     p = config.to_system_params(cfg)
-    h, ls = _frame_model(cfg, p)
-    if cfg.initial_state == "turn_on":
-        rho0 = model.turn_on_state(p, frame=cfg.frame)
-    else:
-        rho0 = model.qubit_axis_state(p, cfg.initial_state)
-
     if cfg.t_max_us is not None:
         t_max = cfg.t_max_us
     else:
         t_max = 10.0 / rates.rates_general(p).total
-    hs = HilbertSpace(p.n_fock)
-    a = hs.a
-    obs = {"sx": hs.sx, "sy": hs.sy, "sz": hs.sz, "n_cav": a.conj().T @ a}
-    t_grid = np.linspace(0.0, t_max, cfg.n_times)
-    traj = dynamics.evolve(h, ls, rho0, t_grid, rtol=cfg.rtol, atol=cfg.atol, observables=obs)
+    traj = analysis.cooling_trajectory(
+        p, t_max, n_times=cfg.n_times, initial=cfg.initial_state, frame=cfg.frame,
+        rtol=cfg.rtol, atol=cfg.atol,
+    )
 
     out = args.output or "trajectory.csv"
     write_trajectory_csv(traj.times, traj.expectations, _config_metadata(cfg), out,
@@ -262,7 +244,7 @@ def _cmd_evolve(args) -> int:
 def _cmd_steady(args) -> int:
     cfg = _load_config(args)
     p = config.to_system_params(cfg)
-    rho = dynamics.steady_state(*_frame_model(cfg, p))
+    rho = dynamics.steady_state(*model.build_model(p, cfg.frame))
     v = analysis.bloch_vector(rho)
     theta = math.radians(cfg.theta_deg)
     s = cfg.tomography_scale

@@ -13,6 +13,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 from .model import (
+    FRAMES,
     THERMAL_UP_DOWN_RATIO,
     SystemParams,
     choose_fock_cutoff,
@@ -22,7 +23,6 @@ from .sweep import MODES
 
 TWO_PI = 2.0 * math.pi
 
-_FRAMES = ("displaced", "undisplaced")
 _INITIAL_STATES = ("turn_on", "ground", "excited", "plus", "minus")
 
 
@@ -81,8 +81,8 @@ def _validate(c: Config) -> None:
         _fail("t2_us", f"cannot exceed 2 * t1_us = {2 * c.t1_us}")
     if c.n_fock is not None and c.n_fock < 2:
         _fail("n_fock", f"must be at least 2, got {c.n_fock}")
-    if c.frame not in _FRAMES:
-        _fail("frame", f"must be one of {_FRAMES}, got {c.frame!r}")
+    if c.frame not in FRAMES:
+        _fail("frame", f"must be one of {FRAMES}, got {c.frame!r}")
     if c.mode not in MODES:
         _fail("mode", f"must be one of {MODES}, got {c.mode!r}")
     if c.initial_state not in _INITIAL_STATES:

@@ -36,6 +36,9 @@ from .operators import (
 
 TWO_PI = 2.0 * math.pi
 
+# Frames the builders can write the model in; build_model dispatches on them.
+FRAMES = ("displaced", "undisplaced")
+
 # Qubit equilibrium populations 77% / 14% (ground / excited) restricted to two
 # levels set the default up/down rate ratio for thermal-qubit runs.
 THERMAL_UP_DOWN_RATIO = 14.0 / 77.0
@@ -99,14 +102,6 @@ class DisplacedFrame:
 
     a_bar: complex
     n_bar: float
-
-
-def dispersive_map(g: float, delta: float, eps_r: float) -> tuple[float, float]:
-    """Map (coupling g, qubit-cavity detuning delta, qubit drive eps_r) to
-    (chi, omega_r_rabi) = (g^2/delta, -2 eps_r g / delta)."""
-    if delta == 0:
-        raise ValueError("qubit-cavity detuning must be nonzero in the dispersive regime")
-    return g * g / delta, -2.0 * eps_r * g / delta
 
 
 def displacement(eps_d: float, delta_c: float, kappa: float) -> DisplacedFrame:
@@ -183,23 +178,6 @@ def build_hamiltonian_undisplaced(p: SystemParams) -> np.ndarray:
     return h
 
 
-def build_effective_jc(p: SystemParams) -> np.ndarray:
-    """Rotating-frame Jaynes-Cummings Hamiltonian of the engineered bath.
-
-    Valid near delta_q_prime = 0; conserves d+d + s+s- and exhibits the
-    single-excitation splitting 2 |chi a_bar| at delta_c = -omega_r_rabi.
-    """
-    hs = HilbertSpace(p.n_fock)
-    a = annihilation(p.n_fock)
-    a_bar = displacement(p.eps_d, p.delta_c, p.kappa).a_bar
-    h = (
-        -p.delta_c * hs.cavity(a.conj().T @ a)
-        - 0.5 * p.omega_r_rabi * hs.sz
-        - p.chi * (np.conj(a_bar) * kron(pauli("+"), a) + a_bar * kron(pauli("-"), a.conj().T))
-    )
-    return h
-
-
 @dataclass(frozen=True)
 class CollapseOp:
     """One Lindblad channel: operator already carries sqrt(rate), the rate
@@ -217,8 +195,8 @@ def collapse_ops(p: SystemParams, frame: str = "displaced") -> list[CollapseOp]:
     in both frames (d and a truncate to the same ladder matrix); the frame
     argument only validates intent.
     """
-    if frame not in ("displaced", "undisplaced"):
-        raise ValueError(f"unknown frame {frame!r}")
+    if frame not in FRAMES:
+        raise ValueError(f"unknown frame {frame!r}; expected one of {FRAMES}")
     hs = HilbertSpace(p.n_fock)
     out = []
     pairs = [
@@ -231,6 +209,17 @@ def collapse_ops(p: SystemParams, frame: str = "displaced") -> list[CollapseOp]:
         if rate > 0:
             out.append(CollapseOp(operator=math.sqrt(rate) * op, rate=rate, label=label))
     return out
+
+
+def build_model(p: SystemParams, frame: str = "displaced") -> tuple[np.ndarray, list[CollapseOp]]:
+    """Hamiltonian and collapse channels of one operating point in one frame."""
+    if frame == "displaced":
+        h = build_hamiltonian_displaced(p)
+    elif frame == "undisplaced":
+        h = build_hamiltonian_undisplaced(p)
+    else:
+        raise ValueError(f"unknown frame {frame!r}; expected one of {FRAMES}")
+    return h, collapse_ops(p, frame=frame)
 
 
 def choose_fock_cutoff(p: SystemParams, frame: str = "displaced") -> int:

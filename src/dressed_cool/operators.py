@@ -121,32 +121,6 @@ def smallest_eigenvalue(rho: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0])
 
 
-def validate_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = 1e-10,
-    trace_tol: float = 1e-9,
-    positive_tol: float | None = 1e-8,
-) -> None:
-    """Raise ValueError unless rho is Hermitian, unit trace, and (optionally) positive.
-
-    The positivity check costs an eigendecomposition, so it can be skipped by
-    passing positive_tol=None.
-    """
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("density matrix must be square")
-    h = hermiticity_residual(rho)
-    if h > herm_tol:
-        raise ValueError(f"not Hermitian: residual {h:.3e} > {herm_tol:.1e}")
-    t = complex(np.trace(rho))
-    if abs(t - 1.0) > trace_tol:
-        raise ValueError(f"trace {t} deviates from 1 by more than {trace_tol:.1e}")
-    if positive_tol is not None:
-        lo = smallest_eigenvalue(rho)
-        if lo < -positive_tol:
-            raise ValueError(f"not positive: smallest eigenvalue {lo:.3e}")
-
-
 def reduced_qubit(rho: np.ndarray) -> np.ndarray:
     """Trace out the cavity factor of a qubit-major composite state."""
     d = rho.shape[0]

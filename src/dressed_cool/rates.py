@@ -29,7 +29,7 @@ __all__ = [
     "RatePair",
     "BlochPrediction",
     "s_nn",
-    "cavity_density_of_states",
+    "dressed_angle",
     "rates_resonant",
     "rates_general",
     "rates_sideband_limit",
@@ -72,18 +72,12 @@ def s_nn(omega: float, n_bar: float, kappa: float, delta_c: float) -> float:
     return n_bar * kappa / ((0.5 * kappa) ** 2 + (omega + delta_c) ** 2)
 
 
-def cavity_density_of_states(omega: float, delta_q_prime: float, kappa: float) -> float:
-    """Lorentzian density of states the Raman picture sums over;
-    peaks at 2/(pi kappa) when omega = delta_q_prime."""
-    return -(1.0 / math.pi) * (-0.5 * kappa) / ((omega - delta_q_prime) ** 2 + (0.5 * kappa) ** 2)
-
-
 def _intrinsic_rate(p: SystemParams) -> float:
     """1/(2 T2) = gamma_phi/2 + gamma_1/4, the drive-independent floor."""
     return 0.5 * p.gamma_phi + 0.25 * p.gamma_1
 
 
-def _dressed_angle(p: SystemParams) -> tuple[float, float, float]:
+def dressed_angle(p: SystemParams) -> tuple[float, float, float]:
     """(theta, sin theta, omega_tilde) with tan(theta) = omega_r / delta_q'."""
     if p.omega_r_rabi == 0 and p.delta_q_prime == 0:
         raise ValueError("dressed axis undefined: omega_r_rabi and delta_q_prime both zero")
@@ -118,7 +112,7 @@ def rates_resonant(p: SystemParams) -> RatePair:
 def _photon_rates(p: SystemParams) -> tuple[float, float]:
     """Engineered-bath parts chi^2 S_nn(-+ omega_tilde) sin^2(theta) of
     (gamma_minus, gamma_plus) at an arbitrary dressed angle."""
-    _, sin_t, omega_tilde = _dressed_angle(p)
+    _, sin_t, omega_tilde = dressed_angle(p)
     sin2 = sin_t * sin_t
     chi2 = p.chi ** 2
     n_bar = n_bar_of(p)
@@ -129,7 +123,7 @@ def _photon_rates(p: SystemParams) -> tuple[float, float]:
 
 def rates_general(p: SystemParams) -> RatePair:
     """Rates for an arbitrary dressed angle, sampling S_nn at -+ omega_tilde."""
-    _, sin_t, _ = _dressed_angle(p)
+    _, sin_t, _ = dressed_angle(p)
     sin2 = sin_t * sin_t
     cos2 = 1.0 - sin2
     intrinsic_phi = 0.5 * p.gamma_phi * sin2

@@ -24,12 +24,10 @@ __all__ = [
     "SweepRow",
     "SweepTable",
     "run_sweep",
-    "stark_line",
     "optimal_theta_detuning",
     "apply_tomography_scale",
 ]
 
-WORKERS_ENV = "DRESSED_COOL_WORKERS"
 MODES = ("steady_tomography", "cooling_rate", "rates_analytic_map")
 
 
@@ -94,7 +92,7 @@ def _point_params(grid: SweepGrid, p_d_db: float, delta_q: float) -> tuple[model
         delta_q_prime=delta_q + 2.0 * base.chi * n_bar,
     )
     if grid.auto_n_fock:
-        p = p.with_n_fock(model.choose_fock_cutoff(p, frame="displaced"))
+        p = p.with_n_fock(model.choose_fock_cutoff(p))
     return p, n_bar
 
 
@@ -105,7 +103,7 @@ def _evaluate_point(args: tuple[SweepGrid, float, float]) -> SweepRow:
     try:
         if grid.mode == "rates_analytic_map":
             pair = rates.rates_general(p)
-            theta_pt = math.atan2(p.omega_r_rabi, p.delta_q_prime)
+            theta_pt = rates.dressed_angle(p)[0]
             pred = rates.steady_bloch(pair, theta_pt)
             v = analysis.BlochVector(
                 x=pred.sigma_theta_ss * math.sin(theta_pt),
@@ -114,10 +112,7 @@ def _evaluate_point(args: tuple[SweepGrid, float, float]) -> SweepRow:
             )
             gamma = pair.total
         else:
-            h = model.build_hamiltonian_displaced(p)
-            ls = model.collapse_ops(p, frame="displaced")
-            rho = dynamics.steady_state(h, ls)
-            v = analysis.bloch_vector(rho)
+            v = analysis.bloch_vector(dynamics.steady_state(*model.build_model(p)))
             gamma = nan
             if grid.mode == "cooling_rate":
                 pair = rates.rates_general(p)
@@ -143,14 +138,8 @@ def _evaluate_point(args: tuple[SweepGrid, float, float]) -> SweepRow:
 
 
 def resolve_workers(requested: int | None) -> int:
-    """Worker count; the DRESSED_COOL_WORKERS environment variable wins."""
-    env = os.environ.get(WORKERS_ENV)
-    if env is not None:
-        n = int(env)
-        if n < 1:
-            raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {env!r}")
-        return n
-    if requested is None or requested == 0:
+    """Worker count; None or 0 means one worker per CPU."""
+    if not requested:
         return os.cpu_count() or 1
     if requested < 1:
         raise ValueError(f"worker count must be positive, got {requested}")
@@ -194,15 +183,6 @@ def _grid_metadata(grid: SweepGrid) -> dict:
         "n_fock": "auto" if grid.auto_n_fock else p.n_fock,
         "tomography_scale": 1.0,
     }
-
-
-def stark_line(grid: SweepGrid, chi: float) -> list[tuple[float, float]]:
-    """(P_d, delta_q) points where the Stark-shifted detuning vanishes:
-    delta_q = -2 chi n_bar(P_d)."""
-    return [
-        (float(p_d), -2.0 * chi * 10.0 ** (p_d / 10.0))
-        for p_d in np.atleast_1d(grid.power_db)
-    ]
 
 
 def optimal_theta_detuning(delta_c: float, omega_r_rabi: float) -> float:

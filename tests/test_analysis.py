@@ -18,8 +18,17 @@ from dressed_cool.analysis import (
     sigma_theta_projection,
 )
 from dressed_cool.config import Config, to_system_params
-from dressed_cool.model import SystemParams
-from dressed_cool.operators import coherent_vector, kron, qubit_state
+from dressed_cool.dynamics import evolve
+from dressed_cool.model import (
+    FRAMES,
+    SystemParams,
+    build_hamiltonian_displaced,
+    build_hamiltonian_undisplaced,
+    collapse_ops,
+    qubit_axis_state,
+    turn_on_state,
+)
+from dressed_cool.operators import HilbertSpace, coherent_vector, kron, qubit_state
 from dressed_cool.rates import rates_resonant
 
 TWO_PI = 2.0 * math.pi
@@ -98,6 +107,29 @@ def test_fit_simulated_cooling_rate():
     f = fit_exponential(traj.times, traj.expectations["sx"])
     assert f.rate == pytest.approx(total, rel=0.10)
     assert total == pytest.approx(2.68, abs=0.01)
+
+
+def test_cooling_trajectory_is_the_hand_assembled_evolve():
+    p = reference_params(n_bar=0.05, n_fock=7)
+    hs = HilbertSpace(p.n_fock)
+    obs = {"sx": hs.sx, "sy": hs.sy, "sz": hs.sz, "n_cav": hs.a.conj().T @ hs.a}
+    builders = {"displaced": build_hamiltonian_displaced, "undisplaced": build_hamiltonian_undisplaced}
+    t_grid = np.linspace(0.0, 0.5, 11)
+    for frame in FRAMES:
+        for initial in ("turn_on", "ground"):
+            if initial == "turn_on":
+                rho0 = turn_on_state(p, frame=frame)
+            else:
+                rho0 = qubit_axis_state(p, initial)
+            ref = evolve(builders[frame](p), collapse_ops(p, frame=frame), rho0, t_grid,
+                         rtol=1e-7, atol=1e-9, observables=obs, track_conservation=True)
+            traj = cooling_trajectory(p, 0.5, n_times=11, initial=initial, frame=frame,
+                                      rtol=1e-7, atol=1e-9, track_conservation=True)
+            assert np.array_equal(traj.times, ref.times)
+            assert list(traj.expectations) == list(ref.expectations)
+            for name, series in ref.expectations.items():
+                assert np.array_equal(traj.expectations[name], series), (frame, initial, name)
+            assert traj.conservation == ref.conservation
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from dressed_cool import model
 from dressed_cool.cli import (
     CSV_COLUMNS,
     main,
@@ -67,6 +69,11 @@ def test_config_range_errors_name_the_key():
         parse_config('{"t1_us": 5, "t2_us": 11}')
     with pytest.raises(ValueError, match="theta_deg"):
         parse_config('{"theta_deg": 200}')
+
+
+def test_config_frame_error_lists_the_model_frames():
+    with pytest.raises(ValueError, match=re.escape(f"must be one of {model.FRAMES}")):
+        parse_config('{"frame": "lab"}')
 
 
 def test_config_drive_keys_are_exclusive():

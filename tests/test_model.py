@@ -6,13 +6,13 @@ import pytest
 from dressed_cool.config import Config, to_system_params
 from dressed_cool.model import (
     TWO_PI,
+    FRAMES,
     SystemParams,
-    build_effective_jc,
     build_hamiltonian_displaced,
     build_hamiltonian_undisplaced,
+    build_model,
     choose_fock_cutoff,
     collapse_ops,
-    dispersive_map,
     displacement,
     drive_for_photons,
     n_bar_of,
@@ -28,13 +28,37 @@ from dressed_cool.operators import (
     identity,
     kron,
     pauli,
-    validate_density_matrix,
 )
+from test_operators import validate_density_matrix
 
 
 def reference_params(**overrides) -> SystemParams:
     overrides.setdefault("thermal_qubit", False)
     return to_system_params(Config(**overrides))
+
+
+def dispersive_map(g: float, delta: float, eps_r: float) -> tuple[float, float]:
+    """Oracle: map (coupling g, qubit-cavity detuning delta, qubit drive eps_r)
+    to (chi, omega_r_rabi) = (g^2/delta, -2 eps_r g / delta)."""
+    if delta == 0:
+        raise ValueError("qubit-cavity detuning must be nonzero in the dispersive regime")
+    return g * g / delta, -2.0 * eps_r * g / delta
+
+
+def build_effective_jc(p: SystemParams) -> np.ndarray:
+    """Oracle: rotating-frame Jaynes-Cummings Hamiltonian of the engineered bath.
+
+    Valid near delta_q_prime = 0; conserves d+d + s+s- and exhibits the
+    single-excitation splitting 2 |chi a_bar| at delta_c = -omega_r_rabi.
+    """
+    hs = HilbertSpace(p.n_fock)
+    a = annihilation(p.n_fock)
+    a_bar = displacement(p.eps_d, p.delta_c, p.kappa).a_bar
+    return (
+        -p.delta_c * hs.cavity(a.conj().T @ a)
+        - 0.5 * p.omega_r_rabi * hs.sz
+        - p.chi * (np.conj(a_bar) * kron(pauli("+"), a) + a_bar * kron(pauli("-"), a.conj().T))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +262,20 @@ def test_collapse_ops_omit_zero_rates():
 def test_collapse_ops_rejects_unknown_frame():
     with pytest.raises(ValueError):
         collapse_ops(reference_params(), frame="lab")
+
+
+def test_build_model_dispatches_on_frame():
+    p = reference_params(n_bar=0.5, n_fock=12)
+    builders = {"displaced": build_hamiltonian_displaced, "undisplaced": build_hamiltonian_undisplaced}
+    assert set(builders) == set(FRAMES)
+    for frame, build in builders.items():
+        h, ops = build_model(p, frame)
+        assert np.array_equal(h, build(p))
+        expected = collapse_ops(p, frame=frame)
+        assert [c.label for c in ops] == [c.label for c in expected]
+        assert all(np.array_equal(c.operator, e.operator) for c, e in zip(ops, expected))
+    with pytest.raises(ValueError):
+        build_model(p, "lab")
 
 
 def test_thermal_rates_from_config():

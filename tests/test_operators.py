@@ -18,12 +18,38 @@ from dressed_cool.operators import (
     qubit_state,
     reduced_qubit,
     smallest_eigenvalue,
-    validate_density_matrix,
 )
 
 GROUND = np.array([1.0, 0.0])
 EXCITED = np.array([0.0, 1.0])
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
+
+
+def validate_density_matrix(
+    rho: np.ndarray,
+    herm_tol: float = 1e-10,
+    trace_tol: float = 1e-9,
+    positive_tol: float | None = 1e-8,
+) -> None:
+    """Oracle: raise ValueError unless rho is Hermitian, unit trace, and
+    (optionally) positive.
+
+    The positivity check costs an eigendecomposition, so it can be skipped by
+    passing positive_tol=None.
+    """
+    rho = np.asarray(rho)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError("density matrix must be square")
+    h = hermiticity_residual(rho)
+    if h > herm_tol:
+        raise ValueError(f"not Hermitian: residual {h:.3e} > {herm_tol:.1e}")
+    t = complex(np.trace(rho))
+    if abs(t - 1.0) > trace_tol:
+        raise ValueError(f"trace {t} deviates from 1 by more than {trace_tol:.1e}")
+    if positive_tol is not None:
+        lo = smallest_eigenvalue(rho)
+        if lo < -positive_tol:
+            raise ValueError(f"not positive: smallest eigenvalue {lo:.3e}")
 
 
 def test_kron_identities():

@@ -6,7 +6,6 @@ import pytest
 from dressed_cool.config import Config, to_system_params
 from dressed_cool.model import SystemParams, n_bar_of
 from dressed_cool.rates import (
-    cavity_density_of_states,
     cooling_condition,
     effective_temperature,
     golden_rule_rate,
@@ -59,6 +58,12 @@ def test_s_nn_linear_in_photon_number():
     assert s_nn(args[0], 3.0, args[1], args[2]) == pytest.approx(
         3.0 * s_nn(args[0], 1.0, args[1], args[2]), rel=1e-14
     )
+
+
+def cavity_density_of_states(omega: float, delta_q_prime: float, kappa: float) -> float:
+    """Oracle: Lorentzian density of states the Raman picture sums over;
+    peaks at 2/(pi kappa) when omega = delta_q_prime."""
+    return -(1.0 / math.pi) * (-0.5 * kappa) / ((omega - delta_q_prime) ** 2 + (0.5 * kappa) ** 2)
 
 
 def test_density_of_states_peak():

@@ -14,7 +14,6 @@ from dressed_cool.sweep import (
     optimal_theta_detuning,
     resolve_workers,
     run_sweep,
-    stark_line,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -23,6 +22,15 @@ TWO_PI = 2.0 * math.pi
 def reference_params(**overrides) -> SystemParams:
     overrides.setdefault("thermal_qubit", False)
     return to_system_params(Config(**overrides))
+
+
+def stark_line(grid: SweepGrid, chi: float) -> list[tuple[float, float]]:
+    """Oracle: (P_d, delta_q) points where the Stark-shifted detuning
+    vanishes, delta_q = -2 chi n_bar(P_d)."""
+    return [
+        (float(p_d), -2.0 * chi * 10.0 ** (p_d / 10.0))
+        for p_d in np.atleast_1d(grid.power_db)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +131,7 @@ def test_cooling_rate_mode_fits_near_formula():
 # determinism and failure isolation
 
 
-def test_worker_count_does_not_change_results(monkeypatch):
-    monkeypatch.delenv("DRESSED_COOL_WORKERS", raising=False)
+def test_worker_count_does_not_change_results():
     base = reference_params()
     grid = SweepGrid(
         power_db=[-3.0, 0.0], detuning=[0.0, TWO_PI], fixed=base,
@@ -153,25 +160,18 @@ def test_programming_error_is_not_a_failed_point(monkeypatch):
     def broken(p):
         raise TypeError("broken builder")
 
-    monkeypatch.delenv("DRESSED_COOL_WORKERS", raising=False)
     monkeypatch.setattr(sweep.model, "build_hamiltonian_displaced", broken)
     grid = SweepGrid(power_db=[0.0], detuning=[0.0], fixed=reference_params())
     with pytest.raises(TypeError, match="broken builder"):
         run_sweep(grid, workers=1)
 
 
-def test_resolve_workers(monkeypatch):
-    monkeypatch.delenv("DRESSED_COOL_WORKERS", raising=False)
+def test_resolve_workers():
     assert resolve_workers(3) == 3
     assert resolve_workers(None) >= 1
     assert resolve_workers(0) >= 1
     with pytest.raises(ValueError):
         resolve_workers(-2)
-    monkeypatch.setenv("DRESSED_COOL_WORKERS", "5")
-    assert resolve_workers(1) == 5
-    monkeypatch.setenv("DRESSED_COOL_WORKERS", "0")
-    with pytest.raises(ValueError):
-        resolve_workers(1)
 
 
 # ---------------------------------------------------------------------------

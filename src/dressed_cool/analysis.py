@@ -3,9 +3,8 @@ extraction, Bloch-vector reduction, and simulation-vs-formula comparison."""
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -280,9 +279,6 @@ class ComparisonReport:
     tolerance: float
     passed: bool
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
 
 def cooling_trajectory(
     p: model.SystemParams,
@@ -290,8 +286,6 @@ def cooling_trajectory(
     n_times: int = 401,
     initial: str = "turn_on",
     frame: str = "displaced",
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
     track_conservation: bool = False,
 ) -> dynamics.Trajectory:
     """<sx>, <sy>, <sz> and the cavity photon number n_cav at n_times points
@@ -305,8 +299,8 @@ def cooling_trajectory(
     observables = {"sx": hs.sx, "sy": hs.sy, "sz": hs.sz, "n_cav": hs.a.conj().T @ hs.a}
     t_grid = np.linspace(0.0, t_max, n_times)
     return dynamics.evolve(
-        *model.build_model(p, frame), rho0, t_grid, rtol=rtol, atol=atol,
-        observables=observables, track_conservation=track_conservation,
+        *model.build_model(p, frame), rho0, t_grid, observables=observables,
+        track_conservation=track_conservation,
     )
 
 

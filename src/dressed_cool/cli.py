@@ -45,35 +45,27 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _metadata_lines(metadata: dict, no_timestamp: bool) -> list[str]:
+def _write_table(path: str, metadata: dict, header, rows, no_timestamp: bool) -> None:
+    """The one CSV layout: '#' metadata lines, the header, then one line per
+    row with floats at 9 significant digits, LF line endings."""
     lines = [f"# dressed-cool {__version__}"]
-    for key, value in metadata.items():
-        lines.append(f"# {key}={_fmt(value)}")
+    lines += [f"# {key}={_fmt(value)}" for key, value in metadata.items()]
     if not no_timestamp:
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         lines.append(f"# written={stamp}")
-    return lines
+    lines.append(",".join(header))
+    lines += [",".join(_fmt(x) for x in row) for row in rows]
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_csv(table: sweep.SweepTable, path: str, no_timestamp: bool = False) -> None:
-    """Serialize a sweep table: '#' metadata lines, a fixed header, then one
-    row per grid point with floats at 9 significant digits, LF line endings."""
-    lines = _metadata_lines(table.metadata, no_timestamp)
-    lines.append(",".join(CSV_COLUMNS))
-    for r in table.rows:
-        lines.append(",".join([
-            _fmt(r.p_d_db),
-            _fmt(r.delta_q / TWO_PI),
-            _fmt(r.n_bar),
-            _fmt(r.sx),
-            _fmt(r.sy),
-            _fmt(r.sz),
-            _fmt(r.s_theta),
-            _fmt(r.gamma_fit),
-            _fmt(r.converged),
-        ]))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Serialize a sweep table, one row per grid point in CSV_COLUMNS order."""
+    rows = (
+        (r.p_d_db, r.delta_q / TWO_PI, r.n_bar, r.sx, r.sy, r.sz, r.s_theta, r.gamma_fit, r.converged)
+        for r in table.rows
+    )
+    _write_table(path, table.metadata, CSV_COLUMNS, rows, no_timestamp)
 
 
 def _parse_metadata_value(raw: str):
@@ -107,37 +99,6 @@ def _read_table(path: str) -> tuple[dict, list[str], list[list[str]]]:
     return metadata, header, rows
 
 
-def read_csv(path: str) -> sweep.SweepTable:
-    """Read a sweep table written by write_csv."""
-    metadata, header, raw_rows = _read_table(path)
-    if tuple(header) != CSV_COLUMNS:
-        raise ValueError(f"{path}: unexpected columns {header}")
-    kappa = TWO_PI * metadata.get("kappa_mhz", math.nan)
-    delta_c = TWO_PI * metadata.get("delta_c_mhz", math.nan)
-    rows = []
-    for cells in raw_rows:
-        vals = dict(zip(header, cells))
-        n_bar = float(vals["n_bar"])
-        eps_d = (
-            model.drive_for_photons(n_bar, delta_c, kappa)
-            if math.isfinite(kappa) and kappa > 0 and math.isfinite(delta_c)
-            else math.nan
-        )
-        rows.append(sweep.SweepRow(
-            p_d_db=float(vals["p_d_db"]),
-            delta_q=TWO_PI * float(vals["delta_q_mhz"]),
-            n_bar=n_bar,
-            eps_d=eps_d,
-            sx=float(vals["sx"]),
-            sy=float(vals["sy"]),
-            sz=float(vals["sz"]),
-            s_theta=float(vals["s_theta"]),
-            gamma_fit=float(vals["gamma_fit"]),
-            converged=vals["converged"].lower() in ("true", "1"),
-        ))
-    return sweep.SweepTable(rows=rows, metadata=metadata)
-
-
 def write_trajectory_csv(
     times: np.ndarray,
     columns: dict[str, np.ndarray],
@@ -145,13 +106,9 @@ def write_trajectory_csv(
     path: str,
     no_timestamp: bool = False,
 ) -> None:
-    lines = _metadata_lines(metadata, no_timestamp)
-    names = ["t_us", *columns.keys()]
-    lines.append(",".join(names))
-    for i, t in enumerate(times):
-        lines.append(",".join([_fmt(float(t))] + [_fmt(float(columns[n][i].real)) for n in columns]))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Serialize a trajectory: a t_us column, then the real part of each column."""
+    data = [np.asarray(times, dtype=float), *(np.real(c).astype(float) for c in columns.values())]
+    _write_table(path, metadata, ["t_us", *columns], zip(*data, strict=True), no_timestamp)
 
 
 def read_trajectory_csv(path: str) -> tuple[dict, dict[str, np.ndarray]]:
@@ -231,7 +188,6 @@ def _cmd_evolve(args) -> int:
         t_max = 10.0 / rates.rates_general(p).total
     traj = analysis.cooling_trajectory(
         p, t_max, n_times=cfg.n_times, initial=cfg.initial_state, frame=cfg.frame,
-        rtol=cfg.rtol, atol=cfg.atol,
     )
 
     out = args.output or "trajectory.csv"

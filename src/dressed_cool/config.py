@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .model import (
     FRAMES,
@@ -42,8 +42,6 @@ class Config:
     thermal_qubit: bool = False
     n_fock: int | None = None
     frame: str = "displaced"
-    rtol: float = 1e-8
-    atol: float = 1e-10
     initial_state: str = "turn_on"
     t_max_us: float | None = None
     n_times: int = 1001
@@ -87,10 +85,6 @@ def _validate(c: Config) -> None:
         _fail("mode", f"must be one of {MODES}, got {c.mode!r}")
     if c.initial_state not in _INITIAL_STATES:
         _fail("initial_state", f"must be one of {_INITIAL_STATES}, got {c.initial_state!r}")
-    if not 0 < c.rtol < 1:
-        _fail("rtol", f"must lie in (0, 1), got {c.rtol}")
-    if not 0 < c.atol < 1:
-        _fail("atol", f"must lie in (0, 1), got {c.atol}")
     if not 0 <= c.theta_deg <= 180:
         _fail("theta_deg", f"must lie in [0, 180], got {c.theta_deg}")
     if not 0 < c.tomography_scale <= 1:
@@ -110,7 +104,9 @@ def _validate(c: Config) -> None:
         _fail("workers", f"must be nonnegative (0 = auto), got {c.workers}")
 
 
-_FIELD_TYPES = {f.name: f for f in fields(Config)}
+# Each key's value type from its Config annotation ("float | None" -> "float").
+_KEY_TYPES = {f.name: f.type.removesuffix(" | None") for f in fields(Config)}
+_OPTIONAL_KEYS = {f.name for f in fields(Config) if f.type.endswith(" | None")}
 
 
 def parse_config(text: str) -> Config:
@@ -122,43 +118,29 @@ def parse_config(text: str) -> Config:
         raise ValueError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError("config must be a flat JSON object")
-    unknown = sorted(set(raw) - set(_FIELD_TYPES))
+    unknown = sorted(set(raw) - set(_KEY_TYPES))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     if raw.get("eps_d_mhz") is not None and "n_bar" in raw:
         raise ValueError("give either eps_d_mhz or n_bar, not both (they both set the drive)")
 
-    string_keys = ("frame", "mode", "initial_state")
-    int_keys = ("n_fock", "n_times", "power_points", "detuning_points", "workers")
-    optional_keys = ("eps_d_mhz", "t_max_us", "n_fock")
     for key, value in raw.items():
+        kind = _KEY_TYPES[key]
         if value is None:
-            if key in optional_keys:
+            if key in _OPTIONAL_KEYS:
                 continue
             _fail(key, "may not be null")
-        if key == "thermal_qubit":
+        if kind == "bool":
             if not isinstance(value, bool):
                 _fail(key, "must be true or false")
-        elif key in string_keys:
+        elif kind == "str":
             if not isinstance(value, str):
                 _fail(key, "must be a string")
         elif isinstance(value, bool) or not isinstance(value, (int, float)):
             _fail(key, f"must be a number, got {value!r}")
-        elif key in int_keys and not isinstance(value, int):
+        elif kind == "int" and not isinstance(value, int):
             _fail(key, f"must be an integer, got {value!r}")
     return Config(**raw)
-
-
-def render_config(c: Config) -> str:
-    """Inverse of parse_config: parse_config(render_config(c)) == c.
-
-    Unset optional keys are omitted, as is n_bar when eps_d_mhz sets the
-    drive directly (the two are mutually exclusive on input).
-    """
-    data = {k: v for k, v in asdict(c).items() if v is not None}
-    if c.eps_d_mhz is not None:
-        data.pop("n_bar", None)
-    return json.dumps(data, indent=2)
 
 
 def to_system_params(c: Config) -> SystemParams:

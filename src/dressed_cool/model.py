@@ -44,6 +44,11 @@ FRAMES = ("displaced", "undisplaced")
 THERMAL_UP_DOWN_RATIO = 14.0 / 77.0
 
 
+def _check_frame(frame: str) -> None:
+    if frame not in FRAMES:
+        raise ValueError(f"unknown frame {frame!r}; expected one of {FRAMES}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Operating point of the driven dispersive qubit-cavity system.
@@ -156,7 +161,7 @@ def build_hamiltonian_undisplaced(p: SystemParams) -> np.ndarray:
     physical operating point.
     """
     frame = displacement(p.eps_d, p.delta_c, p.kappa)
-    needed = math.ceil(frame.n_bar + 7.0 * math.sqrt(frame.n_bar) + 5.0)
+    needed = choose_fock_cutoff(p, "undisplaced")
     if p.n_fock < needed:
         warnings.warn(
             f"n_fock = {p.n_fock} below the undisplaced-frame rule ({needed}) "
@@ -195,8 +200,7 @@ def collapse_ops(p: SystemParams, frame: str = "displaced") -> list[CollapseOp]:
     in both frames (d and a truncate to the same ladder matrix); the frame
     argument only validates intent.
     """
-    if frame not in FRAMES:
-        raise ValueError(f"unknown frame {frame!r}; expected one of {FRAMES}")
+    _check_frame(frame)
     hs = HilbertSpace(p.n_fock)
     out = []
     pairs = [
@@ -213,12 +217,11 @@ def collapse_ops(p: SystemParams, frame: str = "displaced") -> list[CollapseOp]:
 
 def build_model(p: SystemParams, frame: str = "displaced") -> tuple[np.ndarray, list[CollapseOp]]:
     """Hamiltonian and collapse channels of one operating point in one frame."""
+    _check_frame(frame)
     if frame == "displaced":
         h = build_hamiltonian_displaced(p)
-    elif frame == "undisplaced":
-        h = build_hamiltonian_undisplaced(p)
     else:
-        raise ValueError(f"unknown frame {frame!r}; expected one of {FRAMES}")
+        h = build_hamiltonian_undisplaced(p)
     return h, collapse_ops(p, frame=frame)
 
 
@@ -226,13 +229,12 @@ def choose_fock_cutoff(p: SystemParams, frame: str = "displaced") -> int:
     """Cavity truncation rule, validated by the doubling test: doubling the
     returned cutoff moves steady <sx> by less than 1e-3 at experiment-scale
     operating points."""
+    _check_frame(frame)
     n_bar = n_bar_of(p)
     if frame == "displaced":
         ratio = abs(p.chi) * math.sqrt(n_bar) / p.kappa
         return max(8, math.ceil(4.0 * ratio) + 6)
-    if frame == "undisplaced":
-        return math.ceil(n_bar + 7.0 * math.sqrt(n_bar) + 5.0)
-    raise ValueError(f"unknown frame {frame!r}")
+    return math.ceil(n_bar + 7.0 * math.sqrt(n_bar) + 5.0)
 
 
 def thermal_qubit_populations(p: SystemParams) -> tuple[float, float]:
@@ -248,15 +250,14 @@ def turn_on_state(p: SystemParams, frame: str = "displaced") -> np.ndarray:
 
     In the displaced frame an empty cavity is the coherent state at -a_bar.
     """
+    _check_frame(frame)
     pg, pe = thermal_qubit_populations(p)
     rho_q = np.diag([pg, pe]).astype(complex)
     if frame == "displaced":
         a_bar = displacement(p.eps_d, p.delta_c, p.kappa).a_bar
         rho_c = coherent_state(p.n_fock, -a_bar)
-    elif frame == "undisplaced":
-        rho_c = fock_state(p.n_fock, 0)
     else:
-        raise ValueError(f"unknown frame {frame!r}")
+        rho_c = fock_state(p.n_fock, 0)
     return kron(rho_q, rho_c)
 
 

@@ -44,10 +44,6 @@ def annihilation(n_fock: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, n_fock, dtype=float)), 1).astype(complex)
 
 
-def creation(n_fock: int) -> np.ndarray:
-    return annihilation(n_fock).conj().T
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product of two square operators (first factor is the major index)."""
     a = np.asarray(a, dtype=complex)
@@ -55,10 +51,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError("kron expects two square matrices")
     return np.kron(a, b)
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
 
 
 def fock_state(n_fock: int, m: int) -> np.ndarray:
@@ -174,6 +166,3 @@ class HilbertSpace:
     @property
     def sm(self) -> np.ndarray:
         return self.qubit(pauli("-"))
-
-    def state(self, qubit_ket: np.ndarray, cavity_rho: np.ndarray) -> np.ndarray:
-        return kron(qubit_state(qubit_ket), cavity_rho)

@@ -67,7 +67,6 @@ class SweepRow:
     p_d_db: float
     delta_q: float
     n_bar: float
-    eps_d: float
     sx: float
     sy: float
     sz: float
@@ -124,7 +123,6 @@ def _evaluate_point(args: tuple[SweepGrid, float, float]) -> SweepRow:
             p_d_db=p_d_db,
             delta_q=delta_q,
             n_bar=n_bar,
-            eps_d=p.eps_d,
             sx=v.x, sy=v.y, sz=v.z,
             s_theta=analysis.sigma_theta_projection(v, grid.theta),
             gamma_fit=gamma,
@@ -132,7 +130,7 @@ def _evaluate_point(args: tuple[SweepGrid, float, float]) -> SweepRow:
         )
     except analysis.NUMERICAL_ERRORS:
         return SweepRow(
-            p_d_db=p_d_db, delta_q=delta_q, n_bar=n_bar, eps_d=p.eps_d,
+            p_d_db=p_d_db, delta_q=delta_q, n_bar=n_bar,
             sx=nan, sy=nan, sz=nan, s_theta=nan, gamma_fit=nan, converged=False,
         )
 

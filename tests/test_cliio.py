@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -8,13 +9,13 @@ import pytest
 from dressed_cool import model
 from dressed_cool.cli import (
     CSV_COLUMNS,
+    _read_table,
     main,
-    read_csv,
     read_trajectory_csv,
     write_csv,
     write_trajectory_csv,
 )
-from dressed_cool.config import Config, parse_config, render_config, to_system_params
+from dressed_cool.config import Config, parse_config, to_system_params
 from dressed_cool.sweep import SweepGrid, SweepRow, SweepTable, run_sweep
 
 TWO_PI = 2.0 * math.pi
@@ -43,7 +44,11 @@ def test_config_roundtrip_identity():
         Config(thermal_qubit=True, mode="cooling_rate", workers=3),
     ]
     for c in cases:
-        assert parse_config(render_config(c)) == c
+        # every set key as JSON; n_bar is left out when eps_d_mhz sets the drive
+        data = {k: v for k, v in asdict(c).items() if v is not None}
+        if c.eps_d_mhz is not None:
+            del data["n_bar"]
+        assert parse_config(json.dumps(data)) == c
 
 
 def test_config_rejects_unknown_keys():
@@ -52,14 +57,19 @@ def test_config_rejects_unknown_keys():
 
 
 def test_config_type_errors_name_the_key():
-    with pytest.raises(ValueError, match="kappa_mhz"):
-        parse_config('{"kappa_mhz": "fast"}')
-    with pytest.raises(ValueError, match="n_fock"):
-        parse_config('{"n_fock": 8.5}')
-    with pytest.raises(ValueError, match="thermal_qubit"):
-        parse_config('{"thermal_qubit": 1}')
-    with pytest.raises(ValueError, match="frame"):
-        parse_config('{"frame": 7}')
+    wrong = {
+        "chi_mhz": "fast", "kappa_mhz": "fast", "omega_r_mhz": [9.0], "delta_c_mhz": True,
+        "delta_q_prime_mhz": "0", "n_bar": {}, "eps_d_mhz": "fast", "t1_us": "10",
+        "t2_us": False, "thermal_qubit": 1, "n_fock": 8.5, "frame": 7, "initial_state": 0,
+        "t_max_us": "long", "n_times": 100.0, "mode": ["cooling_rate"], "theta_deg": "90",
+        "tomography_scale": None, "power_db_min": "low", "power_db_max": None,
+        "power_points": 2.5, "detuning_mhz_min": "-5", "detuning_mhz_max": True,
+        "detuning_points": "41", "workers": 1.5,
+    }
+    assert set(wrong) == {f.name for f in fields(Config)}
+    for key, value in wrong.items():
+        with pytest.raises(ValueError, match=f"config key '{key}'"):
+            parse_config(json.dumps({key: value}))
 
 
 def test_config_range_errors_name_the_key():
@@ -130,27 +140,27 @@ def test_csv_roundtrip(tmp_path):
     table = _tiny_table()
     path = tmp_path / "t.csv"
     write_csv(table, str(path), no_timestamp=True)
-    back = read_csv(str(path))
-    assert back.metadata["mode"] == "rates_analytic_map"
-    assert back.metadata["kappa_mhz"] == pytest.approx(4.3)
-    assert len(back.rows) == len(table.rows)
-    for orig, parsed in zip(table.rows, back.rows):
-        assert parsed.p_d_db == pytest.approx(orig.p_d_db, rel=1e-8)
-        assert parsed.delta_q == pytest.approx(orig.delta_q, rel=1e-8, abs=1e-12)
-        assert parsed.n_bar == pytest.approx(orig.n_bar, rel=1e-8)
-        assert parsed.sx == pytest.approx(orig.sx, rel=1e-8)
-        assert parsed.s_theta == pytest.approx(orig.s_theta, rel=1e-8)
-        assert parsed.gamma_fit == pytest.approx(orig.gamma_fit, rel=1e-8)
-        assert parsed.converged == orig.converged
-        # the drive amplitude is reconstructed from the metadata
-        assert parsed.eps_d == pytest.approx(orig.eps_d, rel=1e-8)
+    metadata, header, cells = _read_table(str(path))
+    assert metadata["mode"] == "rates_analytic_map"
+    assert metadata["kappa_mhz"] == pytest.approx(4.3)
+    assert tuple(header) == CSV_COLUMNS
+    assert len(cells) == len(table.rows)
+    for orig, line in zip(table.rows, cells):
+        parsed = dict(zip(header, line))
+        assert float(parsed["p_d_db"]) == pytest.approx(orig.p_d_db, rel=1e-8)
+        assert TWO_PI * float(parsed["delta_q_mhz"]) == pytest.approx(orig.delta_q, rel=1e-8, abs=1e-12)
+        assert float(parsed["n_bar"]) == pytest.approx(orig.n_bar, rel=1e-8)
+        assert float(parsed["sx"]) == pytest.approx(orig.sx, rel=1e-8)
+        assert float(parsed["s_theta"]) == pytest.approx(orig.s_theta, rel=1e-8)
+        assert float(parsed["gamma_fit"]) == pytest.approx(orig.gamma_fit, rel=1e-8)
+        assert parsed["converged"] == ("true" if orig.converged else "false")
 
 
 def test_csv_layout(tmp_path):
     table = SweepTable(
         rows=[SweepRow(
             p_d_db=0.0, delta_q=TWO_PI * 0.123456789123, n_bar=1.0,
-            eps_d=58.1, sx=0.5, sy=0.0, sz=-0.25, s_theta=0.5,
+            sx=0.5, sy=0.0, sz=-0.25, s_theta=0.5,
             gamma_fit=math.nan, converged=True,
         )],
         metadata={"kappa_mhz": 4.3, "mode": "steady_tomography"},
@@ -177,7 +187,7 @@ def test_csv_empty_table(tmp_path):
     write_csv(table, str(path), no_timestamp=True)
     lines = path.read_text().strip().split("\n")
     assert lines[-1] == ",".join(CSV_COLUMNS)
-    assert read_csv(str(path)).rows == []
+    assert _read_table(str(path))[2] == []
 
 
 def test_csv_byte_stability(tmp_path):
@@ -191,14 +201,12 @@ def test_csv_byte_stability(tmp_path):
 
 
 def test_csv_header_validation(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("# k=v\na,b,c\n1,2,3\n")
-    with pytest.raises(ValueError, match="unexpected columns"):
-        read_csv(str(path))
     empty = tmp_path / "empty.csv"
     empty.write_text("# only=metadata\n")
     with pytest.raises(ValueError, match="no header"):
-        read_csv(str(empty))
+        _read_table(str(empty))
+    with pytest.raises(ValueError, match="no header"):
+        read_trajectory_csv(str(empty))
 
 
 def test_trajectory_roundtrip(tmp_path):
@@ -211,6 +219,12 @@ def test_trajectory_roundtrip(tmp_path):
     assert np.allclose(back["t_us"], t, rtol=1e-8)
     assert np.allclose(back["sx"], np.cos(t), rtol=1e-8)
     assert np.allclose(back["sz"], np.sin(t), rtol=1e-8)
+
+
+def test_trajectory_columns_must_match_times(tmp_path):
+    t = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(ValueError):
+        write_trajectory_csv(t, {"sx": t[:-1]}, {}, str(tmp_path / "ragged.csv"))
 
 
 def test_trajectory_requires_rows(tmp_path):

@@ -28,7 +28,6 @@ from dressed_cool.model import (
 from dressed_cool.operators import (
     HilbertSpace,
     annihilation,
-    dagger,
     expect_real,
     expectation,
     fock_state,
@@ -84,13 +83,13 @@ def dense_lu_steady_state(h, collapse):
 
 def random_density(rng, d):
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = m @ dagger(m)
+    rho = m @ m.conj().T
     return rho / np.trace(rho)
 
 
 def random_hamiltonian(rng, d):
     h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (h + dagger(h)) / 2
+    return (h + h.conj().T) / 2
 
 
 def random_collapse(rng, d, kind):
@@ -147,7 +146,7 @@ def test_rhs_trace_free_random_models():
         rho = random_density(rng, d)
         out = lindblad_rhs(h, ops, rho)
         assert abs(np.trace(out)) <= 1e-12
-        assert np.max(np.abs(out - dagger(out))) <= 1e-12
+        assert np.max(np.abs(out - out.conj().T)) <= 1e-12
 
 
 def test_rhs_dimension_mismatch():
@@ -370,7 +369,7 @@ def test_steady_matches_dense_lu_oracle():
         ops = [random_collapse(rng, d, "dense") for _ in range(int(rng.integers(1, 4)))]
         rho = steady_state(h, ops)
         assert np.max(np.abs(rho - dense_lu_steady_state(h, ops))) <= 1e-10
-        assert np.max(np.abs(rho - dagger(rho))) == 0.0
+        assert np.max(np.abs(rho - rho.conj().T)) == 0.0
         assert np.trace(rho) == pytest.approx(1.0, abs=1e-14)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from dressed_cool.model import (
 from dressed_cool.operators import (
     HilbertSpace,
     annihilation,
-    creation,
     expect_real,
     expectation,
     identity,
@@ -146,8 +146,8 @@ def test_displaced_hamiltonian_matches_hand_assembly():
     a_bar = displacement(p.eps_d, p.delta_c, p.kappa).a_bar
     n = p.n_fock
     a = annihilation(n)
-    num = creation(n) @ a
-    fluct = np.conj(a_bar) * a + a_bar * creation(n) + num
+    num = a.conj().T @ a
+    fluct = np.conj(a_bar) * a + a_bar * a.conj().T + num
     expected = (
         -p.delta_c * kron(identity(2), num)
         - 0.5 * p.delta_q_prime * kron(pauli("z"), identity(n))
@@ -165,7 +165,7 @@ def test_undisplaced_block_structure_without_coupling():
     )
     h = build_hamiltonian_undisplaced(p)
     n = p.n_fock
-    h_cav = -p.delta_c * (creation(n) @ annihilation(n))
+    h_cav = -p.delta_c * (annihilation(n).conj().T @ annihilation(n))
     h_qub = -0.5 * p.delta_q_prime * pauli("z") - 0.5 * p.omega_r_rabi * pauli("x")
     expected = kron(identity(2), h_cav) + kron(h_qub, identity(n))
     assert np.allclose(h, expected, atol=1e-12)
@@ -208,7 +208,7 @@ def test_effective_jc_conserves_excitation_number():
     p = reference_params(n_bar=3.31, n_fock=10)
     h = build_effective_jc(p)
     hs = HilbertSpace(p.n_fock)
-    num = hs.cavity(creation(p.n_fock) @ annihilation(p.n_fock)) + hs.sp @ hs.sm
+    num = hs.cavity(annihilation(p.n_fock).conj().T @ annihilation(p.n_fock)) + hs.sp @ hs.sm
     assert np.max(np.abs(h @ num - num @ h)) <= 1e-12
 
 
@@ -262,6 +262,12 @@ def test_collapse_ops_omit_zero_rates():
 def test_collapse_ops_rejects_unknown_frame():
     with pytest.raises(ValueError):
         collapse_ops(reference_params(), frame="lab")
+
+
+@pytest.mark.parametrize("func", [build_model, collapse_ops, choose_fock_cutoff, turn_on_state])
+def test_frame_taking_functions_list_the_frames(func):
+    with pytest.raises(ValueError, match=re.escape(f"unknown frame 'lab'; expected one of {FRAMES}")):
+        func(reference_params(), frame="lab")
 
 
 def test_build_model_dispatches_on_frame():

@@ -1,0 +1,49 @@
+#!/bin/sh
+# Write the CLI outputs that must stay byte-identical while the numerical
+# method is unchanged, one file each, into <outdir>:
+#   steady_map.csv      default 41x41 steady_tomography sweep, 1 worker
+#   rates_map.csv       default rates_analytic_map sweep
+#   cooling_map.csv     3x3 cooling_rate sweep on the default ranges
+#   evolve_*.csv        undisplaced/turn_on and displaced/ground trajectories
+#   fit.json            exponential fit of the undisplaced trajectory's sx
+#   steady_*.json       steady state in both frames
+#   rates*.txt          rates at the defaults and at delta_c = +9 MHz
+#   verify.txt          acceptance lines and the exit status
+# Run it on two checkouts and compare with `diff -r` or `cmp`.
+# Usage: tools/outputs.sh <outdir>    (takes about two minutes)
+set -eu
+if [ $# -ne 1 ]; then
+    echo "usage: $0 <outdir>" >&2
+    exit 1
+fi
+root=$(cd "$(dirname "$0")/.." && pwd)
+mkdir -p "$1"
+out=$(cd "$1" && pwd)
+export PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}"
+
+dc() { python3 -m dressed_cool.cli "$@"; }
+run() {  # run <name> <config JSON> <subcommand> [args...]
+    name=$1 cfg=$2
+    shift 2
+    printf '%s\n' "$cfg" > "$out/$name.json.in"
+    dc "$@" -c "$out/$name.json.in"
+}
+
+run steady_map '{"workers": 1}' sweep -o "$out/steady_map.csv" --no-timestamp
+run rates_map '{"mode": "rates_analytic_map", "workers": 1}' \
+    sweep -o "$out/rates_map.csv" --no-timestamp
+run cooling_map '{"mode": "cooling_rate", "workers": 1, "power_points": 3, "detuning_points": 3}' \
+    sweep -o "$out/cooling_map.csv" --no-timestamp
+run evolve_undisplaced '{"frame": "undisplaced", "initial_state": "turn_on"}' \
+    evolve -o "$out/evolve_undisplaced.csv" --no-timestamp
+run evolve_displaced '{"frame": "displaced", "initial_state": "ground"}' \
+    evolve -o "$out/evolve_displaced.csv" --no-timestamp
+dc fit -i "$out/evolve_undisplaced.csv" --column sx -o "$out/fit.json"
+run steady_displaced '{"frame": "displaced"}' steady -o "$out/steady_displaced.json"
+run steady_undisplaced '{"frame": "undisplaced"}' steady -o "$out/steady_undisplaced.json"
+run rates '{}' rates -o "$out/rates.txt"
+run rates_blue '{"delta_c_mhz": 9}' rates -o "$out/rates_blue.txt"
+status=0
+dc verify > "$out/verify.txt" || status=$?
+echo "exit=$status" >> "$out/verify.txt"
+echo "wrote $out"

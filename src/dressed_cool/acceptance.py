@@ -17,9 +17,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analysis import bloch_vector, cooling_trajectory, dominant_frequency, fit_exponential
+from .analysis import (
+    bloch_vector,
+    cooling_trajectory,
+    dominant_frequency,
+    dressed_probe,
+    fit_exponential,
+)
 from .config import Config, to_system_params
-from .dynamics import evolve, steady_state
+from .dynamics import evolve, steady_state, steady_state_and_mode
 from .model import FRAMES, TWO_PI, build_model, displacement, turn_on_state
 from .operators import HilbertSpace
 from .rates import (
@@ -102,12 +108,17 @@ def criterion_1() -> CriterionResult:
     worst = 0.0
     n_bars = []
     fitted = []
+    spectral = []
     for n_bar, p, traj, fit, pair in _c1_runs():
         err = _rel_err(fit.rate, pair.total)
         worst = max(worst, err)
         n_bars.append(n_bar)
         fitted.append(fit.rate)
+        spectral.append(-steady_state_and_mode(*build_model(p), dressed_probe(p))[1].real)
     slope = np.polyfit(n_bars, fitted, 1)[0]
+    # The exact asymptotic rates, free of the turn-on transient that biases
+    # the full-window fit; reported beside the gate, which stays as stated.
+    spectral_slope = np.polyfit(n_bars, spectral, 1)[0]
     # Slope of rate vs photon number: the golden-rule value at one photon.
     golden_slope = golden_rule_rate(to_system_params(Config(n_bar=1.0)))
     slope_err = _rel_err(slope, golden_slope)
@@ -115,7 +126,9 @@ def criterion_1() -> CriterionResult:
     detail = (
         f"max |gamma_fit - gamma_analytic| rel err {worst:.3f} (tol 0.10), "
         f"slope {slope:.3f} vs 4 chi^2/kappa = {golden_slope:.3f} "
-        f"(rel err {slope_err:.3f}, tol 0.10)"
+        f"(rel err {slope_err:.3f}, tol 0.10); "
+        f"spectral rates {', '.join(f'{g:.4f}' for g in spectral)} /us, "
+        f"slope {spectral_slope:.3f} (reported, not gated)"
     )
     return CriterionResult(1, "cooling-rate-vs-drive", ok, detail)
 

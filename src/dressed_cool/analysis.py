@@ -10,7 +10,7 @@ import numpy as np
 
 from . import dynamics, model, rates
 from .integrate import StiffnessError
-from .operators import HilbertSpace, expect_real, reduced_qubit, pauli
+from .operators import HilbertSpace, expect_real, fock_state, kron, pauli, reduced_qubit
 
 __all__ = [
     "ExpFit",
@@ -25,6 +25,7 @@ __all__ = [
     "dominant_frequency",
     "bloch_vector",
     "sigma_theta_projection",
+    "dressed_probe",
     "compare_sim_analytic",
 ]
 
@@ -51,6 +52,7 @@ class NoSpectralPeakError(RuntimeError):
 NUMERICAL_ERRORS = (
     StiffnessError,
     dynamics.MultipleSteadyStatesError,
+    dynamics.ModeNotConvergedError,
     FitError,
     NoSpectralPeakError,
 )
@@ -262,6 +264,16 @@ def sigma_theta_projection(v: BlochVector, theta: float) -> float:
     to exactly v.x at theta = pi/2 and exactly v.z at theta = 0.
     """
     return math.sin(theta) * v.x + math.sin(0.5 * math.pi - theta) * v.z
+
+
+def dressed_probe(p: model.SystemParams) -> np.ndarray:
+    """sigma_theta x |0><0| (cavity vacuum of the displaced frame) on the
+    dressed axis theta of p.  Its generator mode is the qubit's relaxation
+    toward the dressed state; weighting by sigma_theta x I instead picks
+    cavity modes at some operating points."""
+    theta = rates.dressed_angle(p)[0]
+    sigma_theta = math.sin(theta) * pauli("x") + math.cos(theta) * pauli("z")
+    return kron(sigma_theta, fock_state(p.n_fock, 0))
 
 
 @dataclass(frozen=True)

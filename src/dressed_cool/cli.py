@@ -3,7 +3,7 @@
 Subcommands: rates, evolve, steady, sweep, fit, spectrum, verify.
 Exit codes: 0 success, 1 validation error (bad arguments, config, or input
 files), 2 numerical failure (stiff integration, degenerate steady states,
-failed fits or acceptance checks).
+unconverged spectral rates, failed fits or acceptance checks).
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ after every accepted step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,14 +27,21 @@ __all__ = [
     "Trajectory",
     "ConservationReport",
     "MultipleSteadyStatesError",
+    "ModeNotConvergedError",
     "liouvillian_matrix",
     "evolve",
     "steady_state",
+    "steady_state_and_mode",
 ]
 
 
 class MultipleSteadyStatesError(RuntimeError):
     """The Liouvillian null space is degenerate beyond the trace constraint."""
+
+
+class ModeNotConvergedError(RuntimeError):
+    """The Krylov estimate of a probed generator mode broke down or missed
+    its residual tolerance."""
 
 
 def liouvillian_matrix(h: np.ndarray, collapse: list[CollapseOp]) -> sp.csr_matrix:
@@ -165,14 +173,14 @@ def _hermitian_basis(d: int) -> sp.csc_matrix:
     return sp.csc_matrix((vals, rows, starts), shape=(d * d, d * d))
 
 
-def steady_state(h: np.ndarray, collapse: list[CollapseOp], residual_tol: float = 1e-9) -> np.ndarray:
-    """Unique steady state by a real dense solve in a Hermitian basis.
+def _generator(h: np.ndarray, collapse: list[CollapseOp]):
+    """The steady-state system of one model, as (L, T, S, m0).
 
-    The generator maps Hermitian matrices to Hermitian matrices, so in the
-    orthonormal Hermitian basis T (see _hermitian_basis) M = T+ L T is real.
-    Its first row, the equation for rho[0, 0], is replaced by Tr rho = 1 (the
-    sum of the diagonal coordinates), and the real system is solved by LU.
-    The state is accepted only if it also nulls the complex L.
+    L is the complex Liouvillian and T the Hermitian basis (see
+    _hermitian_basis).  The generator maps Hermitian matrices to Hermitian
+    matrices, so M = T+ L T is real.  S is M with its first row, the equation
+    for rho[0, 0], replaced by Tr rho (the sum of the diagonal coordinates);
+    m0 is that replaced first row of M.
     """
     if not collapse:
         raise ValueError("steady state needs at least one collapse channel")
@@ -180,8 +188,18 @@ def steady_state(h: np.ndarray, collapse: list[CollapseOp], residual_tol: float 
     liou = liouvillian_matrix(h, collapse)
     basis = _hermitian_basis(d)
     sys = (basis.conj().T @ liou @ basis).toarray().real
+    m0 = sys[0].copy()
     sys[0, :] = 0.0
     sys[0, :d] = 1.0
+    return liou, basis, sys, m0
+
+
+# Largest accepted steady-state residual |L rho| / max(1, max|L|).
+_STEADY_TOL = 1e-9
+
+
+def _solve_steady(liou, basis, sys, residual_tol: float) -> np.ndarray:
+    d = math.isqrt(sys.shape[0])
     rhs = np.zeros(d * d)
     rhs[0] = 1.0
     try:
@@ -200,3 +218,86 @@ def steady_state(h: np.ndarray, collapse: list[CollapseOp], residual_tol: float 
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
     return rho
+
+
+def steady_state(
+    h: np.ndarray, collapse: list[CollapseOp], residual_tol: float = _STEADY_TOL
+) -> np.ndarray:
+    """Unique steady state by a real dense solve in a Hermitian basis.
+
+    The real system S (see _generator: the generator in the Hermitian basis
+    with its first row replaced by Tr rho = 1) is solved by LU.  The state is
+    accepted only if it also nulls the complex L.
+    """
+    return _solve_steady(*_generator(h, collapse)[:3], residual_tol)
+
+
+# Krylov dimension of the shift-invert Arnoldi iteration in
+# steady_state_and_mode.
+_KRYLOV_DIM = 30
+# Largest accepted Ritz residual |M r - lambda r| / (|M| |r|), with |M| the
+# largest entry as in steady_state's check.  Converged pairs at the sweep
+# ranges' d^2 = 256 sit near 1e-16.
+_RITZ_TOL = 1e-9
+
+
+def steady_state_and_mode(
+    h: np.ndarray, collapse: list[CollapseOp], probe: np.ndarray
+) -> tuple[np.ndarray, complex]:
+    """Steady state and the generator eigenvalue lambda of the mode that
+    carries the Hermitian operator probe, from one generator build.
+
+    The decay rate of that mode is -Re lambda.  Of the modes M = sum_k
+    lambda_k r_k l_k^T (right and left eigenvectors, l_k . r_k = 1), the one
+    picked has the largest weight |(x . r_k)(l_k . x)| in the autocorrelation
+    x . exp(M t) x of the probe's traceless part x.
+
+    The slow modes are found by shift-invert Arnoldi at 0 from x.  M is
+    singular (the steady state spans its null space) but maps onto the
+    traceless subspace, where it is invertible: for a traceless y, M^-1 y is
+    the traceless solution of S v = y with y[0] set to 0.  That is exact,
+    because row 0 of a traceless image is minus the sum of the other
+    diagonal rows.  Raises ModeNotConvergedError when the iteration breaks
+    down or the picked Ritz pair misses the residual tolerance.
+    """
+    liou, basis, sys, m0 = _generator(h, collapse)
+    rho = _solve_steady(liou, basis, sys, _STEADY_TOL)
+    d = h.shape[0]
+    x = (basis.conj().T @ np.asarray(probe, dtype=complex).ravel(order="F")).real
+    x[:d] -= x[:d].sum() / d
+    beta = float(np.linalg.norm(x))
+    if beta == 0.0:
+        raise ModeNotConvergedError("probe has no traceless part")
+    inv = np.linalg.inv(sys)
+    k = _KRYLOV_DIM
+    vs = np.zeros((k + 1, d * d))
+    hess = np.zeros((k + 1, k))
+    vs[0] = x / beta
+    for j in range(k):
+        w = vs[j].copy()
+        w[0] = 0.0
+        w = inv @ w
+        for _ in range(2):  # Gram-Schmidt, repeated once for orthogonality
+            c = vs[: j + 1] @ w
+            w -= c @ vs[: j + 1]
+            hess[: j + 1, j] += c
+        hess[j + 1, j] = np.linalg.norm(w)
+        if hess[j + 1, j] <= 1e-12 * np.abs(hess[: j + 1, j]).max():
+            raise ModeNotConvergedError(f"Arnoldi iteration broke down at step {j + 1} of {k}")
+        vs[j + 1] = w / hess[j + 1, j]
+    mu, right = np.linalg.eig(hess[:k])
+    # x is beta times the first Krylov vector, so its weight on Ritz pair j
+    # is beta^2 |right[0, j] left[j, 0]|, with left = right^-1 the dual vectors
+    weight = np.abs(right[0] * np.linalg.inv(right)[:, 0])
+    pick = int(np.argmax(weight))
+    lam = complex(1.0 / mu[pick])
+    r = right[:, pick] @ vs[:k]
+    mr = sys @ r
+    mr[0] = m0 @ r
+    residual = float(np.linalg.norm(mr - lam * r) / np.linalg.norm(r))
+    scale = max(sys[1:].max(), -sys[1:].min(), np.abs(m0).max())
+    if residual > _RITZ_TOL * scale:
+        raise ModeNotConvergedError(
+            f"Ritz residual {residual:.3e} of the probed mode exceeds {_RITZ_TOL:.1e} x |M|"
+        )
+    return rho, lam

@@ -64,6 +64,10 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One grid point.  gamma_fit (1/us) is NaN in steady_tomography, the
+    analytic total rate in rates_analytic_map, and in cooling_rate the
+    relaxation rate of the dressed mode, read off the generator spectrum."""
+
     p_d_db: float
     delta_q: float
     n_bar: float
@@ -110,15 +114,13 @@ def _evaluate_point(args: tuple[SweepGrid, float, float]) -> SweepRow:
                 z=pred.sigma_theta_ss * math.cos(theta_pt),
             )
             gamma = pair.total
+        elif grid.mode == "cooling_rate":
+            rho, lam = dynamics.steady_state_and_mode(*model.build_model(p), analysis.dressed_probe(p))
+            v = analysis.bloch_vector(rho)
+            gamma = -lam.real
         else:
             v = analysis.bloch_vector(dynamics.steady_state(*model.build_model(p)))
             gamma = nan
-            if grid.mode == "cooling_rate":
-                pair = rates.rates_general(p)
-                traj = analysis.cooling_trajectory(p, t_max=10.0 / pair.total)
-                gamma = analysis.fit_exponential(
-                    traj.times, traj.expectations["sx"].real
-                ).rate
         return SweepRow(
             p_d_db=p_d_db,
             delta_q=delta_q,
@@ -167,7 +169,7 @@ def run_sweep(grid: SweepGrid, workers: int | None = 1) -> SweepTable:
 def _grid_metadata(grid: SweepGrid) -> dict:
     two_pi = 2.0 * math.pi
     p = grid.fixed
-    return {
+    metadata = {
         "version": __version__,
         "mode": grid.mode,
         "theta_deg": math.degrees(grid.theta),
@@ -181,6 +183,9 @@ def _grid_metadata(grid: SweepGrid) -> dict:
         "n_fock": "auto" if grid.auto_n_fock else p.n_fock,
         "tomography_scale": 1.0,
     }
+    if grid.mode == "cooling_rate":
+        metadata["gamma_fit_method"] = "liouvillian_spectrum"
+    return metadata
 
 
 def optimal_theta_detuning(delta_c: float, omega_r_rabi: float) -> float:

@@ -126,6 +126,17 @@ def test_cooling_rate_mode_fits_near_formula():
     )
     assert row.gamma_fit == pytest.approx(rates_general(p_point).total, rel=0.10)
 
+    # every point of the 3x3 default-range grid yields a rate
+    cfg = Config()
+    grid = SweepGrid(
+        power_db=np.linspace(cfg.power_db_min, cfg.power_db_max, 3),
+        detuning=TWO_PI * np.linspace(cfg.detuning_mhz_min, cfg.detuning_mhz_max, 3),
+        fixed=base, mode="cooling_rate",
+    )
+    rows = run_sweep(grid).rows
+    assert [r.converged for r in rows] == [True] * 9
+    assert all(r.gamma_fit > 0 for r in rows)
+
 
 # ---------------------------------------------------------------------------
 # determinism and failure isolation
@@ -133,7 +144,7 @@ def test_cooling_rate_mode_fits_near_formula():
 
 def test_worker_count_does_not_change_results():
     base = reference_params()
-    for mode in ("rates_analytic_map", "steady_tomography"):
+    for mode in ("rates_analytic_map", "steady_tomography", "cooling_rate"):
         grid = SweepGrid(power_db=[-3.0, 0.0], detuning=[0.0, TWO_PI], fixed=base, mode=mode)
         serial = run_sweep(grid, workers=1)
         parallel = run_sweep(grid, workers=2)
@@ -236,3 +247,7 @@ def test_metadata_records_the_fixed_point():
         auto_n_fock=False,
     )
     assert run_sweep(grid_fixed).metadata["n_fock"] == base.n_fock
+    # only cooling_rate says where its gamma_fit column comes from
+    assert "gamma_fit_method" not in md
+    cooling = SweepGrid(power_db=[0.0], detuning=[0.0], fixed=base, mode="cooling_rate")
+    assert run_sweep(cooling).metadata["gamma_fit_method"] == "liouvillian_spectrum"

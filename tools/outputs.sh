@@ -3,7 +3,13 @@
 # method is unchanged, one file each, into <outdir>:
 #   steady_map.csv      default 41x41 steady_tomography sweep, 1 worker
 #   rates_map.csv       default rates_analytic_map sweep
-#   cooling_map.csv     3x3 cooling_rate sweep on the default ranges
+#   cooling_map.csv     3x3 cooling_rate sweep on the default ranges; its
+#                       gamma_fit column is the spectral rate since the
+#                       cooling-rate method change (CHANGES.md), which also
+#                       added the gamma_fit_method metadata line.  Against a
+#                       checkout from before it, only those differ at points
+#                       that converged on both sides; the other columns stay
+#                       identical.
 #   evolve_*.csv        undisplaced/turn_on and displaced/ground trajectories
 #   fit.json            exponential fit of the undisplaced trajectory's sx
 #   steady_*.json       steady state in both frames

@@ -69,7 +69,7 @@ def _c1_runs():
     for n_bar in (0.25, 0.5, 1.0):
         p = to_system_params(Config(n_bar=n_bar))
         pair = rates_general(p)
-        traj = cooling_trajectory(p, 10.0 / pair.total, n_times=501, track_conservation=True)
+        traj = cooling_trajectory(p, 10.0 / pair.total, n_times=501)
         fit = fit_exponential(traj.times, traj.expectations["sx"])
         out.append((n_bar, p, traj, fit, pair))
     return out
@@ -79,7 +79,7 @@ def _c1_runs():
 def _c3_run():
     """Strong-coupling trajectory: narrow cavity, n_bar = 3.31, from |g>."""
     p = to_system_params(Config(kappa_mhz=0.2, n_bar=3.31))
-    traj = cooling_trajectory(p, 20.0, n_times=2001, initial="ground", track_conservation=True)
+    traj = cooling_trajectory(p, 20.0, n_times=2001, initial="ground")
     return p, traj
 
 
@@ -92,8 +92,7 @@ def _c6_frame_runs():
     hs = HilbertSpace(p.n_fock)
     obs = {"sx": hs.sx, "sz": hs.sz, "a": hs.a}
     runs = {
-        fr: evolve(*build_model(p, fr), turn_on_state(p, frame=fr), t_grid,
-                   observables=obs, track_conservation=True)
+        fr: evolve(*build_model(p, fr), turn_on_state(p, frame=fr), t_grid, observables=obs)
         for fr in FRAMES
     }
     return p, frame, runs
@@ -331,15 +330,12 @@ _CRITERIA = (
 )
 
 
-def run_all(echo: bool = False) -> list[CriterionResult]:
-    """Run every acceptance criterion in order.
-
-    With ``echo`` each result is printed as soon as it is known.
-    """
+def run_all() -> list[CriterionResult]:
+    """Run every acceptance criterion in order, printing each result as soon
+    as it is known."""
     results = []
     for fn in _CRITERIA:
         result = fn()
         results.append(result)
-        if echo:
-            print(result.line())
+        print(result.line())
     return results

@@ -113,10 +113,14 @@ def _reject_structured_residual(cost, y, y_range):
     return rms
 
 
-def fit_exponential(times, values, max_iter: int = 200) -> ExpFit:
+# Gauss-Newton iteration budget of fit_exponential.
+_MAX_ITER = 200
+
+
+def fit_exponential(times, values) -> ExpFit:
     """Damped Gauss-Newton fit of a single exponential relaxation.
 
-    Raises FitNonConvergedError after max_iter iterations and
+    Raises FitNonConvergedError after _MAX_ITER iterations and
     NonMonotonicDataError when the residual carries structure far above the
     noise floor (the signature of strong-coupling oscillations).
     """
@@ -137,7 +141,7 @@ def fit_exponential(times, values, max_iter: int = 200) -> ExpFit:
     lam = 1e-3
     cost = None
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         y_inf, y_0, rate = p
         e = np.exp(-rate * t)
         resid = _model(t, y_inf, y_0, rate) - y
@@ -173,7 +177,7 @@ def fit_exponential(times, values, max_iter: int = 200) -> ExpFit:
             break
     else:
         _reject_structured_residual(cost, y, y_range)
-        raise FitNonConvergedError(f"no convergence after {max_iter} iterations")
+        raise FitNonConvergedError(f"no convergence after {_MAX_ITER} iterations")
 
     y_inf, y_0, rate = (float(v) for v in p)
     if rate <= 0:
@@ -298,7 +302,6 @@ def cooling_trajectory(
     n_times: int = 401,
     initial: str = "turn_on",
     frame: str = "displaced",
-    track_conservation: bool = False,
 ) -> dynamics.Trajectory:
     """<sx>, <sy>, <sz> and the cavity photon number n_cav at n_times points
     on [0, t_max] in the given frame, starting from the pre-turn-on
@@ -310,17 +313,13 @@ def cooling_trajectory(
     hs = HilbertSpace(p.n_fock)
     observables = {"sx": hs.sx, "sy": hs.sy, "sz": hs.sz, "n_cav": hs.a.conj().T @ hs.a}
     t_grid = np.linspace(0.0, t_max, n_times)
-    return dynamics.evolve(
-        *model.build_model(p, frame), rho0, t_grid, observables=observables,
-        track_conservation=track_conservation,
-    )
+    return dynamics.evolve(*model.build_model(p, frame), rho0, t_grid, observables=observables)
 
 
 def compare_sim_analytic(
     p: model.SystemParams,
     tolerance: float = 0.10,
     initial: str = "turn_on",
-    n_times: int = 401,
 ) -> ComparisonReport:
     """Fit the simulated relaxation of <sx> and compare against the
     detailed-balance formulas at the same operating point.
@@ -333,7 +332,7 @@ def compare_sim_analytic(
     pair = rates.rates_general(p)
     gamma_analytic = pair.total
     theta = rates.dressed_angle(p)[0]
-    pred = rates.steady_bloch(pair, theta=theta)
+    pred = rates.steady_bloch(pair)
     sx_analytic = pred.sigma_theta_ss * math.sin(theta)
 
     sx_sim = bloch_vector(dynamics.steady_state(*model.build_model(p))).x
@@ -342,7 +341,7 @@ def compare_sim_analytic(
     non_exponential = ratio >= 1.0
     gamma_fit = math.nan
     if not non_exponential:
-        traj = cooling_trajectory(p, t_max, n_times=n_times, initial=initial)
+        traj = cooling_trajectory(p, t_max, initial=initial)
         try:
             gamma_fit = fit_exponential(traj.times, traj.expectations["sx"].real).rate
         except FitError:

@@ -142,7 +142,7 @@ def _cmd_rates(args) -> int:
     p = config.to_system_params(cfg)
     pair = rates.rates_general(p)
     theta, _, omega_tilde = rates.dressed_angle(p)
-    pred = rates.steady_bloch(pair, theta, omega_tilde)
+    pred = rates.steady_bloch(pair)
     t_eff = rates.effective_temperature(pred.purity_plus, omega_tilde)
     ratio, ok = rates.cooling_condition(p)
     lines = [
@@ -267,7 +267,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_verify(args) -> int:
     from . import acceptance
 
-    results = acceptance.run_all(echo=True)
+    results = acceptance.run_all()
     return 0 if all(r.passed for r in results) else 2
 
 

@@ -54,7 +54,7 @@ class Config:
     detuning_mhz_min: float = -5.0
     detuning_mhz_max: float = 15.0
     detuning_points: int = 41
-    workers: int = 0
+    workers: int = 1
 
     def __post_init__(self):
         _validate(self)
@@ -140,6 +140,8 @@ def parse_config(text: str) -> Config:
             _fail(key, f"must be a number, got {value!r}")
         elif kind == "int" and not isinstance(value, int):
             _fail(key, f"must be an integer, got {value!r}")
+        elif isinstance(value, float) and not math.isfinite(value):
+            _fail(key, f"must be finite, got {value!r}")
     return Config(**raw)
 
 

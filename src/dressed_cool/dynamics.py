@@ -91,12 +91,13 @@ class ConservationReport:
 
 @dataclass
 class Trajectory:
-    """Time grid plus recorded observables (and optionally full states)."""
+    """Time grid, conservation audit and recorded observables (and
+    optionally full states)."""
 
     times: np.ndarray
+    conservation: ConservationReport
     expectations: dict[str, np.ndarray] = field(default_factory=dict)
     states: list[np.ndarray] | None = None
-    conservation: ConservationReport | None = None
 
 
 def _symmetrize(v: np.ndarray, d: int) -> np.ndarray:
@@ -110,16 +111,15 @@ def evolve(
     collapse: list[CollapseOp],
     rho0: np.ndarray,
     t_grid,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
     observables: dict[str, np.ndarray] | None = None,
     store_states: bool | None = None,
-    track_conservation: bool = False,
 ) -> Trajectory:
     """Integrate the master equation over t_grid.
 
     Observables are recorded at each grid time; full states are kept when
     store_states is true (the default when no observables are requested).
+    Every trajectory carries the worst trace, Hermiticity and positivity
+    deviations of its states as a ConservationReport.
     """
     d = h.shape[0]
     if rho0.shape != (d, d):
@@ -133,14 +133,17 @@ def evolve(
         return liou.dot(v)
 
     v0 = np.asarray(rho0, dtype=complex).ravel(order="F")
-    vs = integrate_adaptive(
-        rhs, v0, t_grid, rtol=rtol, atol=atol,
-        post_step=lambda v: _symmetrize(v, d),
-    )
+    vs = integrate_adaptive(rhs, v0, t_grid, post_step=lambda v: _symmetrize(v, d))
 
-    times = np.asarray(t_grid, dtype=float)
-    traj = Trajectory(times=times)
     rhos = [v.reshape((d, d), order="F") for v in vs]
+    traj = Trajectory(
+        times=np.asarray(t_grid, dtype=float),
+        conservation=ConservationReport(
+            max_trace_deviation=max(abs(complex(np.trace(r)) - 1.0) for r in rhos),
+            max_hermiticity_residual=max(hermiticity_residual(r) for r in rhos),
+            min_eigenvalue=min(smallest_eigenvalue(r) for r in rhos),
+        ),
+    )
     if observables:
         for name, op in observables.items():
             series = np.array([expectation(op, r) for r in rhos])
@@ -152,11 +155,6 @@ def evolve(
             traj.expectations[name] = series
     if store_states:
         traj.states = rhos
-    if track_conservation:
-        trace_dev = max(abs(complex(np.trace(r)) - 1.0) for r in rhos)
-        herm = max(hermiticity_residual(r) for r in rhos)
-        min_eig = min(smallest_eigenvalue(r) for r in rhos)
-        traj.conservation = ConservationReport(trace_dev, herm, min_eig)
     return traj
 
 
@@ -198,7 +196,7 @@ def _generator(h: np.ndarray, collapse: list[CollapseOp]):
 _STEADY_TOL = 1e-9
 
 
-def _solve_steady(liou, basis, sys, residual_tol: float) -> np.ndarray:
+def _solve_steady(liou, basis, sys) -> np.ndarray:
     d = math.isqrt(sys.shape[0])
     rhs = np.zeros(d * d)
     rhs[0] = 1.0
@@ -209,9 +207,9 @@ def _solve_steady(liou, basis, sys, residual_tol: float) -> np.ndarray:
 
     residual = float(np.linalg.norm(liou @ v))
     scale = max(1.0, float(abs(liou).max()))
-    if residual > residual_tol * scale:
+    if residual > _STEADY_TOL * scale:
         raise MultipleSteadyStatesError(
-            f"steady-state residual {residual:.3e} exceeds {residual_tol:.1e} x |L|;"
+            f"steady-state residual {residual:.3e} exceeds {_STEADY_TOL:.1e} x |L|;"
             " the null space is likely degenerate"
         )
     rho = v.reshape((d, d), order="F")
@@ -220,16 +218,14 @@ def _solve_steady(liou, basis, sys, residual_tol: float) -> np.ndarray:
     return rho
 
 
-def steady_state(
-    h: np.ndarray, collapse: list[CollapseOp], residual_tol: float = _STEADY_TOL
-) -> np.ndarray:
+def steady_state(h: np.ndarray, collapse: list[CollapseOp]) -> np.ndarray:
     """Unique steady state by a real dense solve in a Hermitian basis.
 
     The real system S (see _generator: the generator in the Hermitian basis
     with its first row replaced by Tr rho = 1) is solved by LU.  The state is
     accepted only if it also nulls the complex L.
     """
-    return _solve_steady(*_generator(h, collapse)[:3], residual_tol)
+    return _solve_steady(*_generator(h, collapse)[:3])
 
 
 # Krylov dimension of the shift-invert Arnoldi iteration in
@@ -261,7 +257,7 @@ def steady_state_and_mode(
     down or the picked Ritz pair misses the residual tolerance.
     """
     liou, basis, sys, m0 = _generator(h, collapse)
-    rho = _solve_steady(liou, basis, sys, _STEADY_TOL)
+    rho = _solve_steady(liou, basis, sys)
     d = h.shape[0]
     x = (basis.conj().T @ np.asarray(probe, dtype=complex).ravel(order="F")).real
     x[:d] -= x[:d].sum() / d

@@ -31,6 +31,8 @@ _E = _B5 - _B4
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+# Step budget of one call; exceeding it raises RuntimeError.
+_MAX_STEPS = 20_000_000
 
 
 class StiffnessError(RuntimeError):
@@ -46,7 +48,7 @@ def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, rtol: float, at
     return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
 
 
-def _initial_step(f, t0, y0, f0, rtol, atol, span):
+def _initial_step(y0, f0, rtol, atol, span):
     scale = atol + rtol * np.abs(y0)
     d0 = np.sqrt(np.mean(np.abs(y0 / scale) ** 2))
     d1 = np.sqrt(np.mean(np.abs(f0 / scale) ** 2))
@@ -61,18 +63,17 @@ def integrate_adaptive(
     rtol: float = 1e-8,
     atol: float = 1e-10,
     post_step: Callable[[np.ndarray], np.ndarray] | None = None,
-    fixed_step: float | None = None,
-    max_steps: int = 20_000_000,
 ) -> list[np.ndarray]:
     """Integrate y' = f(t, y) and return the solution at each time in t_grid.
 
-    t_grid must be strictly increasing; t_grid[0] is the initial time and the
-    returned list starts with a copy of y0.  With fixed_step set, adaptivity is
-    disabled (used to measure convergence order).
+    t_grid must be finite and strictly increasing; t_grid[0] is the initial
+    time and the returned list starts with a copy of y0.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
         raise ValueError("t_grid needs at least an initial and one output time")
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError("t_grid must be finite")
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
 
@@ -83,14 +84,14 @@ def integrate_adaptive(
 
     k = [None] * 7
     k[0] = f(t, y)
-    h = fixed_step if fixed_step is not None else _initial_step(f, t, y, k[0], rtol, atol, span)
+    h = _initial_step(y, k[0], rtol, atol, span)
 
     steps = 0
     for target in t_grid[1:]:
         while t < target - 1e-14 * max(1.0, abs(target)):
             steps += 1
-            if steps > max_steps:
-                raise RuntimeError(f"exceeded {max_steps} integration steps")
+            if steps > _MAX_STEPS:
+                raise RuntimeError(f"exceeded {_MAX_STEPS} integration steps")
             clamped = h > target - t
             h_try = target - t if clamped else h
             if h_try < 1e-14 * max(abs(t), 1.0):
@@ -106,25 +107,19 @@ def integrate_adaptive(
                     y_new = yi
             err_vec = h_try * sum(_E[i] * k[i] for i in range(7) if _E[i] != 0.0)
 
-            if fixed_step is not None:
-                accept = True
-            else:
-                err = _error_norm(err_vec, y, y_new, rtol, atol)
-                accept = err <= 1.0
-                factor = _MAX_FACTOR if err == 0.0 else min(
-                    _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2)
-                )
-                if accept:
-                    if not clamped:
-                        h = h_try * factor
-                else:
-                    h = h_try * min(1.0, factor)
-
-            if accept:
+            err = _error_norm(err_vec, y, y_new, rtol, atol)
+            factor = _MAX_FACTOR if err == 0.0 else min(
+                _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+            )
+            if err <= 1.0:
+                if not clamped:
+                    h = h_try * factor
                 t = t + h_try
                 y = y_new
                 if post_step is not None:
                     y = post_step(y)
                 k[0] = f(t, y)
+            else:
+                h = h_try * min(1.0, factor)
         out.append(y.copy())
     return out

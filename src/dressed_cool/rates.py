@@ -60,8 +60,6 @@ class BlochPrediction:
 
     sigma_theta_ss: float
     purity_plus: float
-    theta: float
-    omega_tilde: float
 
 
 def s_nn(omega: float, n_bar: float, kappa: float, delta_c: float) -> float:
@@ -171,7 +169,7 @@ def raman_rates(p: SystemParams) -> RatePair:
     return RatePair(gamma_minus=gm, gamma_plus=gp, regime="raman")
 
 
-def steady_bloch(r: RatePair, theta: float, omega_tilde: float = math.nan) -> BlochPrediction:
+def steady_bloch(r: RatePair) -> BlochPrediction:
     """Detailed balance between the dressed states.
 
     purity_plus = gamma_minus / (gamma_minus + gamma_plus) and
@@ -181,12 +179,7 @@ def steady_bloch(r: RatePair, theta: float, omega_tilde: float = math.nan) -> Bl
     if total <= 0:
         raise ValueError("total rate must be positive for a steady state")
     purity = r.gamma_minus / total
-    return BlochPrediction(
-        sigma_theta_ss=2.0 * purity - 1.0,
-        purity_plus=purity,
-        theta=theta,
-        omega_tilde=omega_tilde,
-    )
+    return BlochPrediction(sigma_theta_ss=2.0 * purity - 1.0, purity_plus=purity)
 
 
 def effective_temperature(purity_plus: float, omega_tilde: float) -> float:
@@ -205,14 +198,18 @@ def effective_temperature(purity_plus: float, omega_tilde: float) -> float:
     return HBAR_SI * omega_si / (KB_SI * log_ratio)
 
 
-def cooling_condition(p: SystemParams, threshold: float = 10.0) -> tuple[float, bool]:
+# Smallest engineered-to-intrinsic rate ratio that counts as cooling.
+_COOLING_THRESHOLD = 10.0
+
+
+def cooling_condition(p: SystemParams) -> tuple[float, bool]:
     """Ratio of the engineered cooling rate, the photon part
     chi^2 S_nn(+omega_tilde) sin^2(theta) of gamma_minus, to the intrinsic
-    rate floor gamma_phi/2 + gamma_1/4, and whether it clears the requested
-    threshold.  At delta_q' = 0, delta_c = -omega_r the numerator is the
+    rate floor gamma_phi/2 + gamma_1/4, and whether it reaches
+    _COOLING_THRESHOLD (10).  At delta_q' = 0, delta_c = -omega_r the numerator is the
     golden-rule rate 4 chi^2 n_bar / kappa; on the heating side it is small."""
     intrinsic = _intrinsic_rate(p)
     if intrinsic == 0:
         return math.inf, True
     ratio = _photon_rates(p)[0] / intrinsic
-    return ratio, ratio >= threshold
+    return ratio, ratio >= _COOLING_THRESHOLD

@@ -107,7 +107,7 @@ def _evaluate_point(args: tuple[SweepGrid, float, float]) -> SweepRow:
         if grid.mode == "rates_analytic_map":
             pair = rates.rates_general(p)
             theta_pt = rates.dressed_angle(p)[0]
-            pred = rates.steady_bloch(pair, theta_pt)
+            pred = rates.steady_bloch(pair)
             v = analysis.BlochVector(
                 x=pred.sigma_theta_ss * math.sin(theta_pt),
                 y=0.0,

@@ -123,9 +123,8 @@ def test_cooling_trajectory_is_the_hand_assembled_evolve():
             else:
                 rho0 = qubit_axis_state(p, initial)
             ref = evolve(builders[frame](p), collapse_ops(p, frame=frame), rho0, t_grid,
-                         observables=obs, track_conservation=True)
-            traj = cooling_trajectory(p, 0.5, n_times=11, initial=initial, frame=frame,
-                                      track_conservation=True)
+                         observables=obs)
+            traj = cooling_trajectory(p, 0.5, n_times=11, initial=initial, frame=frame)
             assert np.array_equal(traj.times, ref.times)
             assert list(traj.expectations) == list(ref.expectations)
             for name, series in ref.expectations.items():

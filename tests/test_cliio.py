@@ -34,6 +34,8 @@ def test_empty_config_is_reference_point():
     assert c.delta_c_mhz == -9.0
     assert c.t1_us == 10.0
     assert c.t2_us == 10.6
+    # serial by default, as run_sweep is
+    assert c.workers == 1
 
 
 def test_config_roundtrip_identity():
@@ -70,6 +72,16 @@ def test_config_type_errors_name_the_key():
     for key, value in wrong.items():
         with pytest.raises(ValueError, match=f"config key '{key}'"):
             parse_config(json.dumps({key: value}))
+
+
+def test_config_rejects_non_finite_numbers():
+    # JSON NaN and Infinity pass every comparison-based range check
+    float_keys = [f.name for f in fields(Config) if f.type.startswith("float")]
+    assert "t_max_us" in float_keys and "power_db_min" in float_keys
+    for key in float_keys:
+        for value in ("NaN", "Infinity", "-Infinity"):
+            with pytest.raises(ValueError, match=f"config key '{key}' must be finite"):
+                parse_config(f'{{"{key}": {value}}}')
 
 
 def test_config_range_errors_name_the_key():
@@ -283,6 +295,12 @@ def test_cli_usage_errors(capsys, tmp_path):
     bad.write_text("{nope")
     assert main(["rates", "-c", str(bad)]) == 1
     assert "JSON" in capsys.readouterr().err
+    # a NaN end time used to write a trajectory that never evolved
+    bad.write_text('{"t_max_us": NaN, "n_times": 5}')
+    traj = tmp_path / "traj.csv"
+    assert main(["evolve", "-c", str(bad), "-o", str(traj)]) == 1
+    assert "'t_max_us' must be finite" in capsys.readouterr().err
+    assert not traj.exists()
 
 
 def test_cli_evolve_then_fit(tmp_path, capsys):

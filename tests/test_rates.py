@@ -272,7 +272,7 @@ def test_raman_dark_cavity_is_zero():
 
 def test_steady_bloch_reference_point():
     p = reference_params(n_bar=1.0)
-    b = steady_bloch(rates_general(p), math.pi / 2.0)
+    b = steady_bloch(rates_general(p))
     assert b.sigma_theta_ss == pytest.approx(0.9379837253391097, rel=1e-12)
     assert b.purity_plus == pytest.approx(0.9689918626695548, rel=1e-12)
 
@@ -280,7 +280,7 @@ def test_steady_bloch_reference_point():
 def test_steady_bloch_identities():
     p = reference_params(n_bar=1.0)
     r = rates_general(p)
-    b = steady_bloch(r, math.pi / 2.0)
+    b = steady_bloch(r)
     # polarisation and purity are locked together
     assert b.sigma_theta_ss == 2.0 * b.purity_plus - 1.0
     assert -1.0 <= b.sigma_theta_ss <= 1.0
@@ -289,12 +289,12 @@ def test_steady_bloch_identities():
 def test_steady_bloch_limits():
     from dressed_cool.rates import RatePair
 
-    balanced = steady_bloch(RatePair(1.0, 1.0, "general"), 0.3)
+    balanced = steady_bloch(RatePair(1.0, 1.0, "general"))
     assert balanced.sigma_theta_ss == 0.0
-    one_way = steady_bloch(RatePair(1.0, 0.0, "general"), 0.3)
+    one_way = steady_bloch(RatePair(1.0, 0.0, "general"))
     assert one_way.sigma_theta_ss == 1.0
     with pytest.raises(ValueError):
-        steady_bloch(RatePair(0.0, 0.0, "general"), 0.3)
+        steady_bloch(RatePair(0.0, 0.0, "general"))
 
 
 # ---------------------------------------------------------------------------
@@ -365,5 +365,5 @@ def test_cooling_threshold_crossing():
     n_flip = 10.0 / ratio_unit
     assert not cooling_condition(reference_params(n_bar=0.9 * n_flip))[1]
     assert cooling_condition(reference_params(n_bar=1.1 * n_flip))[1]
-    strict = cooling_condition(reference_params(n_bar=1.0), threshold=100.0)
-    assert not strict[1]
+    # a stricter bar of 100 would not be cleared at one photon
+    assert cooling_condition(reference_params(n_bar=1.0))[0] < 100.0

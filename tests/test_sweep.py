@@ -84,7 +84,7 @@ def test_point_power_and_stark_shift():
     pair = rates_general(p_point)
     assert row.gamma_fit == pytest.approx(pair.total, rel=1e-12)
     theta_pt = math.atan2(p_point.omega_r_rabi, p_point.delta_q_prime)
-    pred = steady_bloch(pair, theta_pt)
+    pred = steady_bloch(pair)
     assert row.sx == pytest.approx(pred.sigma_theta_ss * math.sin(theta_pt), rel=1e-12)
 
 

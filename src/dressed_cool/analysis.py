@@ -309,7 +309,7 @@ def cooling_trajectory(
     if initial == "turn_on":
         rho0 = model.turn_on_state(p, frame=frame)
     else:
-        rho0 = model.qubit_axis_state(p, initial)
+        rho0 = model.qubit_axis_state(p, initial, frame=frame)
     hs = HilbertSpace(p.n_fock)
     observables = {"sx": hs.sx, "sy": hs.sy, "sz": hs.sz, "n_cav": hs.a.conj().T @ hs.a}
     t_grid = np.linspace(0.0, t_max, n_times)

@@ -18,8 +18,7 @@ import numpy as np
 
 from . import __version__
 from . import analysis, config, dynamics, model, rates, sweep
-
-TWO_PI = 2.0 * math.pi
+from .model import TWO_PI
 
 CSV_COLUMNS = ("p_d_db", "delta_q_mhz", "n_bar", "sx", "sy", "sz", "s_theta", "gamma_fit", "converged")
 

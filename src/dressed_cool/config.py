@@ -2,8 +2,8 @@
 
 Keys use the lab's notation: frequencies are quoted in plain MHz with an
 "_mhz" suffix (value = omega / 2 pi) and times in microseconds with a "_us"
-suffix.  The conversion to internal angular units happens in exactly one
-place, to_system_params().
+suffix.  to_system_params() turns the operating-point keys into angular-unit
+SystemParams.
 """
 
 from __future__ import annotations
@@ -14,16 +14,14 @@ from dataclasses import dataclass, fields
 
 from .model import (
     FRAMES,
+    INITIAL_STATES,
     THERMAL_UP_DOWN_RATIO,
+    TWO_PI,
     SystemParams,
     choose_fock_cutoff,
     drive_for_photons,
 )
 from .sweep import MODES
-
-TWO_PI = 2.0 * math.pi
-
-_INITIAL_STATES = ("turn_on", "ground", "excited", "plus", "minus")
 
 
 @dataclass
@@ -83,8 +81,8 @@ def _validate(c: Config) -> None:
         _fail("frame", f"must be one of {FRAMES}, got {c.frame!r}")
     if c.mode not in MODES:
         _fail("mode", f"must be one of {MODES}, got {c.mode!r}")
-    if c.initial_state not in _INITIAL_STATES:
-        _fail("initial_state", f"must be one of {_INITIAL_STATES}, got {c.initial_state!r}")
+    if c.initial_state not in INITIAL_STATES:
+        _fail("initial_state", f"must be one of {INITIAL_STATES}, got {c.initial_state!r}")
     if not 0 <= c.theta_deg <= 180:
         _fail("theta_deg", f"must lie in [0, 180], got {c.theta_deg}")
     if not 0 < c.tomography_scale <= 1:
@@ -146,10 +144,8 @@ def parse_config(text: str) -> Config:
 
 
 def to_system_params(c: Config) -> SystemParams:
-    """Convert quoted MHz / us values into angular-frequency SystemParams.
-
-    This is the only place the 2 pi conversion happens.
-    """
+    """Convert the quoted MHz / us operating-point values into
+    angular-frequency SystemParams."""
     kappa = TWO_PI * c.kappa_mhz
     delta_c = TWO_PI * c.delta_c_mhz
     if c.eps_d_mhz is not None:

@@ -5,15 +5,14 @@ The master equation is
     drho/dt = -i [H, rho] + sum_k D[L_k] rho,
     D[L] rho = L rho L+ - (L+ L rho + rho L+ L) / 2,
 
-with the collapse operators L_k carrying their sqrt(rate) prefactor.  Both
-time evolution and the steady-state solve act on the column-stacked state
-vec(rho) through one sparse Liouvillian; the density matrix is symmetrized
-after every accepted step.
+with the collapse operators L_k carrying their sqrt(rate) prefactor.  Time
+evolution, the steady state and the probed generator mode all use one real
+generator: the sparse Liouvillian in an orthonormal Hermitian basis, where
+Hermitian states have real coordinates.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,12 +99,6 @@ class Trajectory:
     states: list[np.ndarray] | None = None
 
 
-def _symmetrize(v: np.ndarray, d: int) -> np.ndarray:
-    rho = v.reshape((d, d), order="F")
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho.ravel(order="F")
-
-
 def evolve(
     h: np.ndarray,
     collapse: list[CollapseOp],
@@ -116,45 +109,45 @@ def evolve(
 ) -> Trajectory:
     """Integrate the master equation over t_grid.
 
-    Observables are recorded at each grid time; full states are kept when
-    store_states is true (the default when no observables are requested).
-    Every trajectory carries the worst trace, Hermiticity and positivity
-    deviations of its states as a ConservationReport.
+    The state propagates as its real Hermitian-basis coordinates under
+    dr/dt = M r (see _generator), so rho0 must be Hermitian.  Each output
+    state rho = T r is reduced once: observables are recorded at each grid
+    time, and full states are kept when store_states is true (the default
+    when no observables are requested).  Every trajectory carries the worst
+    trace, Hermiticity and positivity deviations of its states as a
+    ConservationReport.
     """
     d = h.shape[0]
     if rho0.shape != (d, d):
         raise ValueError(f"state shape {rho0.shape} does not match H {h.shape}")
+    if hermiticity_residual(rho0) > 1e-12:  # it would have no real coordinates
+        raise ValueError("initial state is not Hermitian")
     if store_states is None:
         store_states = observables is None
+    observables = observables or {}
 
-    liou = liouvillian_matrix(h, collapse)
-
-    def rhs(_t, v):
-        return liou.dot(v)
-
-    v0 = np.asarray(rho0, dtype=complex).ravel(order="F")
-    vs = integrate_adaptive(rhs, v0, t_grid, post_step=lambda v: _symmetrize(v, d))
-
-    rhos = [v.reshape((d, d), order="F") for v in vs]
+    basis, m = _generator(h, collapse)
+    r0 = (basis.conj().T @ np.asarray(rho0, dtype=complex).ravel(order="F")).real
+    audit, values, states = [], [], []
+    for r in integrate_adaptive(lambda _t, r: m @ r, r0, t_grid):
+        rho = (basis @ r).reshape((d, d), order="F")
+        audit.append((abs(complex(np.trace(rho)) - 1.0), hermiticity_residual(rho), smallest_eigenvalue(rho)))
+        values.append([expectation(op, rho) for op in observables.values()])
+        if store_states:
+            states.append(rho)
+    audit = np.array(audit)
     traj = Trajectory(
         times=np.asarray(t_grid, dtype=float),
-        conservation=ConservationReport(
-            max_trace_deviation=max(abs(complex(np.trace(r)) - 1.0) for r in rhos),
-            max_hermiticity_residual=max(hermiticity_residual(r) for r in rhos),
-            min_eigenvalue=min(smallest_eigenvalue(r) for r in rhos),
-        ),
+        conservation=ConservationReport(audit[:, 0].max(), audit[:, 1].max(), audit[:, 2].min()),
+        states=states if store_states else None,
     )
-    if observables:
-        for name, op in observables.items():
-            series = np.array([expectation(op, r) for r in rhos])
-            # Hermitian observables come out real up to roundoff; keep the
-            # complex array only when the imaginary part is meaningful.
-            scale = max(1.0, float(np.max(np.abs(series))))
-            if np.max(np.abs(series.imag)) <= 1e-9 * scale:
-                series = series.real
-            traj.expectations[name] = series
-    if store_states:
-        traj.states = rhos
+    for name, series in zip(observables, np.array(values, dtype=complex).T):
+        # Hermitian observables come out real up to roundoff; keep the
+        # complex array only when the imaginary part is meaningful.
+        scale = max(1.0, float(np.max(np.abs(series))))
+        if np.max(np.abs(series.imag)) <= 1e-9 * scale:
+            series = series.real
+        traj.expectations[name] = series
     return traj
 
 
@@ -171,70 +164,69 @@ def _hermitian_basis(d: int) -> sp.csc_matrix:
     return sp.csc_matrix((vals, rows, starts), shape=(d * d, d * d))
 
 
-def _generator(h: np.ndarray, collapse: list[CollapseOp]):
-    """The steady-state system of one model, as (L, T, S, m0).
+def _generator(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[sp.csc_matrix, sp.csr_matrix]:
+    """The Hermitian basis T (see _hermitian_basis) and the sparse real
+    generator M = T+ L T.  L maps Hermitian matrices to Hermitian matrices,
+    so M is real; the roundoff in its imaginary part is dropped."""
+    basis = _hermitian_basis(h.shape[0])
+    return basis, (basis.conj().T @ liouvillian_matrix(h, collapse) @ basis).real
 
-    L is the complex Liouvillian and T the Hermitian basis (see
-    _hermitian_basis).  The generator maps Hermitian matrices to Hermitian
-    matrices, so M = T+ L T is real.  S is M with its first row, the equation
-    for rho[0, 0], replaced by Tr rho (the sum of the diagonal coordinates);
-    m0 is that replaced first row of M.
+
+# Largest accepted scaled residual (see _residual) of a steady state or of
+# the probed Ritz pair.  Converged ones at the sweep ranges' d^2 = 256 sit
+# near 1e-16.
+_RESIDUAL_TOL = 1e-9
+
+
+def _residual(m: sp.csr_matrix, r: np.ndarray, lam: complex = 0.0) -> float:
+    """|M r - lam r| / max(1, max|M|) for the generator M.  r is not
+    normalized: a steady state has unit trace and a Ritz vector unit norm."""
+    return float(np.linalg.norm(m @ r - lam * r)) / np.abs(m.data).max(initial=1.0)
+
+
+def _steady(h: np.ndarray, collapse: list[CollapseOp]):
+    """The steady state of one model with its generator, as (T, M, S, rho).
+
+    S is M, dense, with its first row, the equation for rho[0, 0], replaced
+    by Tr rho (the sum of the diagonal coordinates).  S r = e_0 is solved by
+    LU, and r is accepted only if it nulls M to the residual tolerance.
     """
     if not collapse:
         raise ValueError("steady state needs at least one collapse channel")
     d = h.shape[0]
-    liou = liouvillian_matrix(h, collapse)
-    basis = _hermitian_basis(d)
-    sys = (basis.conj().T @ liou @ basis).toarray().real
-    m0 = sys[0].copy()
+    basis, m = _generator(h, collapse)
+    # S is the real view of a complex copy of M: that larger short-lived block
+    # keeps the C heap from being trimmed after every solve, which costs a
+    # d = 16 point about 320 page faults and a steady sweep about 25% of its time
+    sys = m.astype(complex).toarray().real
     sys[0, :] = 0.0
     sys[0, :d] = 1.0
-    return liou, basis, sys, m0
-
-
-# Largest accepted steady-state residual |L rho| / max(1, max|L|).
-_STEADY_TOL = 1e-9
-
-
-def _solve_steady(liou, basis, sys) -> np.ndarray:
-    d = math.isqrt(sys.shape[0])
     rhs = np.zeros(d * d)
     rhs[0] = 1.0
     try:
-        v = basis @ np.linalg.solve(sys, rhs)
+        r = np.linalg.solve(sys, rhs)
     except np.linalg.LinAlgError as exc:
         raise MultipleSteadyStatesError(f"singular steady-state system: {exc}") from exc
 
-    residual = float(np.linalg.norm(liou @ v))
-    scale = max(1.0, float(abs(liou).max()))
-    if residual > _STEADY_TOL * scale:
+    residual = _residual(m, r)
+    if residual > _RESIDUAL_TOL:
         raise MultipleSteadyStatesError(
-            f"steady-state residual {residual:.3e} exceeds {_STEADY_TOL:.1e} x |L|;"
+            f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e};"
             " the null space is likely degenerate"
         )
-    rho = v.reshape((d, d), order="F")
-    rho = 0.5 * (rho + rho.conj().T)
-    rho /= np.trace(rho).real
-    return rho
+    rho = (basis @ r).reshape((d, d), order="F")
+    return basis, m, sys, rho / np.trace(rho).real
 
 
 def steady_state(h: np.ndarray, collapse: list[CollapseOp]) -> np.ndarray:
-    """Unique steady state by a real dense solve in a Hermitian basis.
-
-    The real system S (see _generator: the generator in the Hermitian basis
-    with its first row replaced by Tr rho = 1) is solved by LU.  The state is
-    accepted only if it also nulls the complex L.
-    """
-    return _solve_steady(*_generator(h, collapse)[:3])
+    """Unique steady state by a real dense solve in the Hermitian basis
+    (see _steady)."""
+    return _steady(h, collapse)[3]
 
 
 # Krylov dimension of the shift-invert Arnoldi iteration in
 # steady_state_and_mode.
 _KRYLOV_DIM = 30
-# Largest accepted Ritz residual |M r - lambda r| / (|M| |r|), with |M| the
-# largest entry as in steady_state's check.  Converged pairs at the sweep
-# ranges' d^2 = 256 sit near 1e-16.
-_RITZ_TOL = 1e-9
 
 
 def steady_state_and_mode(
@@ -256,8 +248,7 @@ def steady_state_and_mode(
     diagonal rows.  Raises ModeNotConvergedError when the iteration breaks
     down or the picked Ritz pair misses the residual tolerance.
     """
-    liou, basis, sys, m0 = _generator(h, collapse)
-    rho = _solve_steady(liou, basis, sys)
+    basis, m, sys, rho = _steady(h, collapse)
     d = h.shape[0]
     x = (basis.conj().T @ np.asarray(probe, dtype=complex).ravel(order="F")).real
     x[:d] -= x[:d].sum() / d
@@ -287,13 +278,9 @@ def steady_state_and_mode(
     weight = np.abs(right[0] * np.linalg.inv(right)[:, 0])
     pick = int(np.argmax(weight))
     lam = complex(1.0 / mu[pick])
-    r = right[:, pick] @ vs[:k]
-    mr = sys @ r
-    mr[0] = m0 @ r
-    residual = float(np.linalg.norm(mr - lam * r) / np.linalg.norm(r))
-    scale = max(sys[1:].max(), -sys[1:].min(), np.abs(m0).max())
-    if residual > _RITZ_TOL * scale:
+    residual = _residual(m, right[:, pick] @ vs[:k], lam)
+    if residual > _RESIDUAL_TOL:
         raise ModeNotConvergedError(
-            f"Ritz residual {residual:.3e} of the probed mode exceeds {_RITZ_TOL:.1e} x |M|"
+            f"Ritz residual {residual:.3e} of the probed mode exceeds {_RESIDUAL_TOL:.1e}"
         )
     return rho, lam

@@ -1,9 +1,9 @@
-"""Adaptive embedded Runge-Kutta integration for complex ODE systems.
+"""Adaptive embedded Runge-Kutta integration for real or complex ODE systems.
 
 Dormand-Prince 5(4) pair with standard step-size control.  Steps are clamped
 so every requested output time is hit exactly (no dense-output interpolation),
-and an optional hook runs after each accepted step so callers can project the
-state back onto a constraint manifold (Hermitian density matrices, here).
+and an optional hook runs after each accepted step, for example to project
+the state back onto a constraint manifold.
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ def integrate_adaptive(
     """Integrate y' = f(t, y) and return the solution at each time in t_grid.
 
     t_grid must be finite and strictly increasing; t_grid[0] is the initial
-    time and the returned list starts with a copy of y0.
+    time and the returned list starts with a copy of y0.  A real y0 is
+    integrated in real arithmetic and a complex one in complex arithmetic.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
@@ -77,7 +78,7 @@ def integrate_adaptive(
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
 
-    y = np.array(y0, dtype=complex)
+    y = np.array(y0, dtype=complex if np.iscomplexobj(y0) else float)
     t = float(t_grid[0])
     span = float(t_grid[-1] - t_grid[0])
     out = [y.copy()]

@@ -28,7 +28,6 @@ from .operators import (
     HilbertSpace,
     annihilation,
     coherent_state,
-    fock_state,
     kron,
     pauli,
     qubit_state,
@@ -38,6 +37,16 @@ TWO_PI = 2.0 * math.pi
 
 # Frames the builders can write the model in; build_model dispatches on them.
 FRAMES = ("displaced", "undisplaced")
+
+# Named qubit states of qubit_axis_state.
+_QUBIT_KETS = {
+    "ground": np.array([1.0, 0.0]),
+    "excited": np.array([0.0, 1.0]),
+    "plus": np.array([1.0, 1.0]) / math.sqrt(2.0),
+    "minus": np.array([1.0, -1.0]) / math.sqrt(2.0),
+}
+# Initial states of a trajectory: turn_on_state, or a named qubit_axis_state.
+INITIAL_STATES = ("turn_on", *_QUBIT_KETS)
 
 # Qubit equilibrium populations 77% / 14% (ground / excited) restricted to two
 # levels set the default up/down rate ratio for thermal-qubit runs.
@@ -245,30 +254,25 @@ def thermal_qubit_populations(p: SystemParams) -> tuple[float, float]:
     return p.gamma_down / g1, p.gamma_up / g1
 
 
-def turn_on_state(p: SystemParams, frame: str = "displaced") -> np.ndarray:
-    """Pre-turn-on equilibrium: thermal qubit, cavity empty of real photons.
-
-    In the displaced frame an empty cavity is the coherent state at -a_bar.
-    """
+def _cavity_state(p: SystemParams, frame: str, alpha: complex) -> np.ndarray:
+    """The cavity's coherent state with lab-frame field <a> = alpha, written
+    in the given frame (the displaced frame's d is a - a_bar)."""
     _check_frame(frame)
-    pg, pe = thermal_qubit_populations(p)
-    rho_q = np.diag([pg, pe]).astype(complex)
     if frame == "displaced":
-        a_bar = displacement(p.eps_d, p.delta_c, p.kappa).a_bar
-        rho_c = coherent_state(p.n_fock, -a_bar)
-    else:
-        rho_c = fock_state(p.n_fock, 0)
-    return kron(rho_q, rho_c)
+        alpha -= displacement(p.eps_d, p.delta_c, p.kappa).a_bar
+    return coherent_state(p.n_fock, alpha)
 
 
-def qubit_axis_state(p: SystemParams, which: str) -> np.ndarray:
-    """Product state: a named qubit state with the cavity in the d-frame vacuum."""
-    kets = {
-        "ground": np.array([1.0, 0.0]),
-        "excited": np.array([0.0, 1.0]),
-        "plus": np.array([1.0, 1.0]) / math.sqrt(2.0),
-        "minus": np.array([1.0, -1.0]) / math.sqrt(2.0),
-    }
-    if which not in kets:
-        raise ValueError(f"unknown qubit state {which!r}")
-    return kron(qubit_state(kets[which]), fock_state(p.n_fock, 0))
+def turn_on_state(p: SystemParams, frame: str = "displaced") -> np.ndarray:
+    """Pre-turn-on equilibrium: thermal qubit, cavity empty of real photons."""
+    pg, pe = thermal_qubit_populations(p)
+    return kron(np.diag([pg, pe]).astype(complex), _cavity_state(p, frame, 0.0))
+
+
+def qubit_axis_state(p: SystemParams, which: str, frame: str = "displaced") -> np.ndarray:
+    """Product state: a named qubit state with the cavity in the driven
+    field's coherent state <a> = a_bar, the vacuum of its fluctuations d."""
+    if which not in _QUBIT_KETS:
+        raise ValueError(f"unknown qubit state {which!r}; expected one of {tuple(_QUBIT_KETS)}")
+    a_bar = displacement(p.eps_d, p.delta_c, p.kappa).a_bar
+    return kron(qubit_state(_QUBIT_KETS[which]), _cavity_state(p, frame, a_bar))

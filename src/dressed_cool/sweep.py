@@ -167,16 +167,15 @@ def run_sweep(grid: SweepGrid, workers: int | None = 1) -> SweepTable:
 
 
 def _grid_metadata(grid: SweepGrid) -> dict:
-    two_pi = 2.0 * math.pi
     p = grid.fixed
     metadata = {
         "version": __version__,
         "mode": grid.mode,
         "theta_deg": math.degrees(grid.theta),
-        "chi_mhz": p.chi / two_pi,
-        "kappa_mhz": p.kappa / two_pi,
-        "omega_r_mhz": p.omega_r_rabi / two_pi,
-        "delta_c_mhz": p.delta_c / two_pi,
+        "chi_mhz": p.chi / model.TWO_PI,
+        "kappa_mhz": p.kappa / model.TWO_PI,
+        "omega_r_mhz": p.omega_r_rabi / model.TWO_PI,
+        "delta_c_mhz": p.delta_c / model.TWO_PI,
         "gamma_down_per_us": p.gamma_down,
         "gamma_up_per_us": p.gamma_up,
         "gamma_phi_per_us": p.gamma_phi,

@@ -121,7 +121,7 @@ def test_cooling_trajectory_is_the_hand_assembled_evolve():
             if initial == "turn_on":
                 rho0 = turn_on_state(p, frame=frame)
             else:
-                rho0 = qubit_axis_state(p, initial)
+                rho0 = qubit_axis_state(p, initial, frame=frame)
             ref = evolve(builders[frame](p), collapse_ops(p, frame=frame), rho0, t_grid,
                          observables=obs)
             traj = cooling_trajectory(p, 0.5, n_times=11, initial=initial, frame=frame)
@@ -130,6 +130,18 @@ def test_cooling_trajectory_is_the_hand_assembled_evolve():
             for name, series in ref.expectations.items():
                 assert np.array_equal(traj.expectations[name], series), (frame, initial, name)
             assert traj.conservation == ref.conservation
+
+
+def test_named_initial_states_agree_across_frames():
+    # a named state's cavity is the vacuum of the field's fluctuations in
+    # both frames, so qubit observables agree as closely as the turn-on
+    # trajectories do (1.9e-7 here); an empty lab cavity differed by 0.43
+    p = reference_params(n_bar=1.0, n_fock=16)
+    for initial in ("turn_on", "ground", "plus"):
+        runs = [cooling_trajectory(p, 2.0, n_times=201, initial=initial, frame=fr) for fr in FRAMES]
+        for name in ("sx", "sy", "sz"):
+            gap = np.max(np.abs(runs[0].expectations[name] - runs[1].expectations[name]))
+            assert gap <= 1e-6, (initial, name)
 
 
 # ---------------------------------------------------------------------------

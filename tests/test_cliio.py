@@ -98,6 +98,11 @@ def test_config_frame_error_lists_the_model_frames():
         parse_config('{"frame": "lab"}')
 
 
+def test_config_initial_state_error_lists_the_model_states():
+    with pytest.raises(ValueError, match=re.escape(f"must be one of {model.INITIAL_STATES}")):
+        parse_config('{"initial_state": "sideways"}')
+
+
 def test_config_drive_keys_are_exclusive():
     with pytest.raises(ValueError, match="not both"):
         parse_config('{"eps_d_mhz": 9.0, "n_bar": 2.0}')

@@ -21,6 +21,7 @@ from dressed_cool.dynamics import (
 )
 from dressed_cool.integrate import StiffnessError, integrate_adaptive
 from dressed_cool.model import (
+    FRAMES,
     CollapseOp,
     SystemParams,
     build_hamiltonian_displaced,
@@ -28,6 +29,7 @@ from dressed_cool.model import (
     build_model,
     collapse_ops,
     displacement,
+    qubit_axis_state,
     turn_on_state,
 )
 from dressed_cool.operators import (
@@ -85,6 +87,26 @@ def dense_lu_steady_state(h, collapse):
     rhs = np.zeros(d * d, dtype=complex)
     rhs[0] = 1.0
     return np.linalg.solve(system, rhs).reshape((d, d), order="F")
+
+
+def complex_evolve(h, collapse, rho0, t_grid, observables, rtol=1e-8, atol=1e-10):
+    """Reference propagation of the complex vec(rho) under the Liouvillian,
+    projected back onto Hermitian matrices after every accepted step (the
+    oracle for evolve's real Hermitian-basis propagation; the tolerances
+    default to evolve's).  Returns each observable's real series."""
+    d = h.shape[0]
+    liou = liouvillian_matrix(h, collapse)
+
+    def symmetrize(v):
+        rho = v.reshape((d, d), order="F")
+        return (0.5 * (rho + rho.conj().T)).ravel(order="F")
+
+    v0 = np.asarray(rho0, dtype=complex).ravel(order="F")
+    vs = integrate_adaptive(lambda _t, v: liou @ v, v0, t_grid, rtol, atol, post_step=symmetrize)
+    return {
+        name: np.array([expect_real(op, v.reshape((d, d), order="F")) for v in vs])
+        for name, op in observables.items()
+    }
 
 
 def full_eig_mode(h, collapse, probe):
@@ -276,6 +298,12 @@ def test_integrator_order_from_step_halving():
     assert ratio == pytest.approx(32.0, rel=0.3)
 
 
+def test_integrator_keeps_a_real_state_real():
+    ys = integrate_adaptive(lambda t, y: -y, np.array([1.0]), np.linspace(0.0, 1.0, 3))
+    assert all(y.dtype == np.float64 for y in ys)
+    assert ys[-1][0] == pytest.approx(math.exp(-1.0), abs=1e-8)
+
+
 def test_integrator_stiffness_error_reports_time():
     # quadratic blowup reaches a pole at t = 1; the step collapses there
     f = lambda t, y: y * y
@@ -337,6 +365,36 @@ def test_evolve_always_reports_conservation():
 def test_evolve_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         evolve(np.zeros((4, 4), dtype=complex), [], qubit_state(GROUND), [0.0, 1.0])
+
+
+def test_evolve_rejects_non_hermitian_state():
+    # a lone |g><e| coherence has no real Hermitian-basis coordinates
+    rho = qubit_state(GROUND) + 0.1 * np.outer(GROUND, EXCITED)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        evolve(-0.5 * pauli("x"), [], rho, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("frame", FRAMES)
+@pytest.mark.parametrize("initial", ["turn_on", "ground"])
+@pytest.mark.parametrize("n_bar", [0.25, 1.0])
+def test_evolve_matches_complex_propagation_oracle(n_bar, initial, frame):
+    p = reference_params(n_bar=n_bar, frame=frame)  # n_fock from the frame's cutoff rule
+    traj = analysis.cooling_trajectory(p, 2.0, n_times=201, initial=initial, frame=frame)
+    if initial == "turn_on":
+        rho0 = turn_on_state(p, frame)
+    else:
+        rho0 = qubit_axis_state(p, initial, frame)
+    hs = HilbertSpace(p.n_fock)
+    obs = {"sx": hs.sx, "sz": hs.sz, "n_cav": hs.a.conj().T @ hs.a}
+    h, ops = build_model(p, frame)
+    ref = complex_evolve(h, ops, rho0, traj.times, obs)
+    exact = complex_evolve(h, ops, rho0, traj.times, obs, rtol=1e-12, atol=1e-14)
+    # <sz> turns with the 9 MHz Rabi drive, so over 2 us both paths carry up
+    # to ~6e-7 of phase error at these tolerances and differ by up to ~1e-7;
+    # the real path must be no less accurate than the complex one
+    for name, series in exact.items():
+        err = np.max(np.abs(traj.expectations[name] - series))
+        assert err <= min(1e-6, np.max(np.abs(ref[name] - series))), name
 
 
 def test_evolve_long_run_conservation():
@@ -503,6 +561,38 @@ def test_mode_failures_are_named(monkeypatch):
     row = sweep.run_sweep(grid).rows[0]
     assert not row.converged
     assert math.isnan(row.gamma_fit)
+
+
+def test_residual_applies_the_generator():
+    # _generator's M is Re(T+ L T) of the np.kron generator, and the steady
+    # system S is M with its first row replaced by the trace
+    rng = np.random.default_rng(7)
+    p = reference_params(n_bar=1.0, n_fock=4)
+    h, ops = build_model(p)
+    basis, m, sys, rho = dynamics._steady(h, ops)
+    ref = (basis.conj().T @ kron_liouvillian(h, ops) @ basis).real
+    assert np.max(np.abs(m.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(sys[1:], m.toarray()[1:])
+    assert np.array_equal(sys[0], np.r_[np.ones(8), np.zeros(56)])
+    r = rng.normal(size=ref.shape[0]) + 1j * rng.normal(size=ref.shape[0])
+    lam = -1.5 + 2.0j
+    expected = np.linalg.norm(ref @ r - lam * r) / max(1.0, np.abs(ref).max())
+    assert dynamics._residual(m, r, lam) == pytest.approx(expected, rel=1e-12)
+    x = (basis.conj().T @ rho.ravel(order="F")).real
+    assert dynamics._residual(m, x) <= 1e-14
+
+
+def test_both_residual_checks_go_through_one_helper(monkeypatch):
+    p = cooling_point(0.0, 0.0)
+    h, ops = build_model(p)
+    calls = []
+    residual = dynamics._residual
+    monkeypatch.setattr(dynamics, "_residual", lambda m, r, lam=0.0: calls.append(lam) or residual(m, r, lam))
+    _, lam = steady_state_and_mode(h, ops, analysis.dressed_probe(p))
+    assert calls == [0.0, lam]
+    monkeypatch.setattr(dynamics, "_RESIDUAL_TOL", -1.0)
+    with pytest.raises(MultipleSteadyStatesError, match="steady-state residual"):
+        steady_state(h, ops)
 
 
 def test_steady_degenerate_system_is_detected():

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -8,6 +9,7 @@ from dressed_cool.config import Config, to_system_params
 from dressed_cool.model import (
     TWO_PI,
     FRAMES,
+    INITIAL_STATES,
     SystemParams,
     build_hamiltonian_displaced,
     build_hamiltonian_undisplaced,
@@ -264,7 +266,11 @@ def test_collapse_ops_rejects_unknown_frame():
         collapse_ops(reference_params(), frame="lab")
 
 
-@pytest.mark.parametrize("func", [build_model, collapse_ops, choose_fock_cutoff, turn_on_state])
+@pytest.mark.parametrize(
+    "func",
+    [build_model, collapse_ops, choose_fock_cutoff, turn_on_state,
+     pytest.param(functools.partial(qubit_axis_state, which="ground"), id="qubit_axis_state")],
+)
 def test_frame_taking_functions_list_the_frames(func):
     with pytest.raises(ValueError, match=re.escape(f"unknown frame 'lab'; expected one of {FRAMES}")):
         func(reference_params(), frame="lab")
@@ -367,8 +373,24 @@ def test_qubit_axis_states():
         rho = qubit_axis_state(p, name)
         validate_density_matrix(rho)
         assert expect_real(op, rho) == pytest.approx(value)
-    with pytest.raises(ValueError):
+    assert INITIAL_STATES == ("turn_on", "ground", "excited", "plus", "minus")
+    with pytest.raises(ValueError, match=re.escape("expected one of ('ground', 'excited', 'plus', 'minus')")):
         qubit_axis_state(p, "sideways")
+
+
+def test_qubit_axis_state_cavity_is_the_field_vacuum_in_both_frames():
+    # <d> = 0 in the displaced frame; <a> = a_bar (and no fluctuation
+    # photons beyond |a_bar|^2) in the undisplaced frame
+    p = reference_params(n_bar=2.0, n_fock=20)
+    hs = HilbertSpace(p.n_fock)
+    a_bar = displacement(p.eps_d, p.delta_c, p.kappa).a_bar
+    rho = qubit_axis_state(p, "plus", frame="displaced")
+    assert abs(expectation(hs.a, rho)) == 0.0
+    rho = qubit_axis_state(p, "plus", frame="undisplaced")
+    validate_density_matrix(rho)
+    assert abs(expectation(hs.a, rho) - a_bar) <= 1e-9
+    assert expect_real(hs.a.conj().T @ hs.a, rho) == pytest.approx(abs(a_bar) ** 2, abs=1e-9)
+    assert expect_real(hs.sx, rho) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from .integrate import integrate_adaptive
 from .model import CollapseOp
-from .operators import expectation, hermiticity_residual, smallest_eigenvalue
+from .operators import hermiticity_residual, smallest_eigenvalue
 
 __all__ = [
     "Trajectory",
@@ -81,10 +81,10 @@ def liouvillian_matrix(h: np.ndarray, collapse: list[CollapseOp]) -> sp.csr_matr
 
 @dataclass(frozen=True)
 class ConservationReport:
-    """Worst-case conservation diagnostics along a trajectory."""
+    """Worst-case conservation diagnostics along a trajectory.  Hermiticity
+    holds by construction (see evolve)."""
 
     max_trace_deviation: float
-    max_hermiticity_residual: float
     min_eigenvalue: float
 
 
@@ -110,11 +110,13 @@ def evolve(
     """Integrate the master equation over t_grid.
 
     The state propagates as its real Hermitian-basis coordinates under
-    dr/dt = M r (see _generator), so rho0 must be Hermitian.  Each output
-    state rho = T r is reduced once: observables are recorded at each grid
-    time, and full states are kept when store_states is true (the default
-    when no observables are requested).  Every trajectory carries the worst
-    trace, Hermiticity and positivity deviations of its states as a
+    dr/dt = M r (see _generator), so H and rho0 must be Hermitian, and every
+    state rho = T r is exactly conjugate-symmetric.  At each grid time r
+    gives the trace, sum r[:d], and each observable, <O> = w . r with
+    w_k = Tr(O G_k); a series is real exactly when w is, as for a Hermitian
+    O.  rho is formed for its smallest eigenvalue and kept when store_states
+    is true (the default when no observables are requested).  Every
+    trajectory carries its worst trace and positivity deviations as a
     ConservationReport.
     """
     d = h.shape[0]
@@ -128,27 +130,22 @@ def evolve(
 
     basis, m = _generator(h, collapse)
     r0 = (basis.conj().T @ np.asarray(rho0, dtype=complex).ravel(order="F")).real
-    audit, values, states = [], [], []
+    rows = [basis.T @ np.asarray(op).ravel() for op in observables.values()]
+    rows = [w if w.imag.any() else w.real for w in rows]
+    trace_dev, min_eig, values, states = 0.0, np.inf, [], []
     for r in integrate_adaptive(lambda _t, r: m @ r, r0, t_grid):
         rho = (basis @ r).reshape((d, d), order="F")
-        audit.append((abs(complex(np.trace(rho)) - 1.0), hermiticity_residual(rho), smallest_eigenvalue(rho)))
-        values.append([expectation(op, rho) for op in observables.values()])
+        trace_dev = max(trace_dev, abs(r[:d].sum() - 1.0))
+        min_eig = min(min_eig, smallest_eigenvalue(rho))
+        values.append([w @ r for w in rows])
         if store_states:
             states.append(rho)
-    audit = np.array(audit)
-    traj = Trajectory(
+    return Trajectory(
         times=np.asarray(t_grid, dtype=float),
-        conservation=ConservationReport(audit[:, 0].max(), audit[:, 1].max(), audit[:, 2].min()),
+        conservation=ConservationReport(trace_dev, min_eig),
+        expectations={name: np.array(series) for name, series in zip(observables, zip(*values))},
         states=states if store_states else None,
     )
-    for name, series in zip(observables, np.array(values, dtype=complex).T):
-        # Hermitian observables come out real up to roundoff; keep the
-        # complex array only when the imaginary part is meaningful.
-        scale = max(1.0, float(np.max(np.abs(series))))
-        if np.max(np.abs(series.imag)) <= 1e-9 * scale:
-            series = series.real
-        traj.expectations[name] = series
-    return traj
 
 
 def _hermitian_basis(d: int) -> sp.csc_matrix:
@@ -166,8 +163,11 @@ def _hermitian_basis(d: int) -> sp.csc_matrix:
 
 def _generator(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[sp.csc_matrix, sp.csr_matrix]:
     """The Hermitian basis T (see _hermitian_basis) and the sparse real
-    generator M = T+ L T.  L maps Hermitian matrices to Hermitian matrices,
-    so M is real; the roundoff in its imaginary part is dropped."""
+    generator M = T+ L T.  For a Hermitian H, which is checked, L maps
+    Hermitian matrices to Hermitian matrices, so M is real; the roundoff in
+    its imaginary part is dropped."""
+    if hermiticity_residual(h) > 1e-12 * np.abs(h).max(initial=1.0):
+        raise ValueError("Hamiltonian is not Hermitian")
     basis = _hermitian_basis(h.shape[0])
     return basis, (basis.conj().T @ liouvillian_matrix(h, collapse) @ basis).real
 
@@ -184,12 +184,21 @@ def _residual(m: sp.csr_matrix, r: np.ndarray, lam: complex = 0.0) -> float:
     return float(np.linalg.norm(m @ r - lam * r)) / np.abs(m.data).max(initial=1.0)
 
 
+# Largest accepted growth |S^-1 q| / |q| max(1, max|M|) of the steady-state
+# system S (see _steady).  Physical points read at most about 1e6 (undriven,
+# T1 = T2 = 1e5 us), degenerate null spaces 1e15 or more.
+_DEGENERACY_TOL = 1e10
+
+
 def _steady(h: np.ndarray, collapse: list[CollapseOp]):
     """The steady state of one model with its generator, as (T, M, S, rho).
 
     S is M, dense, with its first row, the equation for rho[0, 0], replaced
     by Tr rho (the sum of the diagonal coordinates).  S r = e_0 is solved by
-    LU, and r is accepted only if it nulls M to the residual tolerance.
+    LU, and r is accepted only if it nulls M to the residual tolerance.  A
+    degenerate null space leaves S singular, which roundoff can hide from the
+    LU, so the same LU also solves S v = q for q_k = cos k and rejects a v
+    that grows past _DEGENERACY_TOL.
     """
     if not collapse:
         raise ValueError("steady state needs at least one collapse channel")
@@ -201,18 +210,25 @@ def _steady(h: np.ndarray, collapse: list[CollapseOp]):
     sys = m.astype(complex).toarray().real
     sys[0, :] = 0.0
     sys[0, :d] = 1.0
-    rhs = np.zeros(d * d)
-    rhs[0] = 1.0
+    rhs = np.zeros((d * d, 2))
+    rhs[0, 0] = 1.0
+    rhs[:, 1] = np.cos(np.arange(d * d))
     try:
-        r = np.linalg.solve(sys, rhs)
+        r, v = np.linalg.solve(sys, rhs).T
     except np.linalg.LinAlgError as exc:
         raise MultipleSteadyStatesError(f"singular steady-state system: {exc}") from exc
 
+    growth = np.linalg.norm(v) / np.linalg.norm(rhs[:, 1]) * np.abs(m.data).max(initial=1.0)
+    if growth > _DEGENERACY_TOL:
+        raise MultipleSteadyStatesError(
+            f"steady-state system is singular to roundoff (scaled growth {growth:.1e}"
+            f" exceeds {_DEGENERACY_TOL:.0e}); the null space is degenerate"
+        )
     residual = _residual(m, r)
     if residual > _RESIDUAL_TOL:
         raise MultipleSteadyStatesError(
             f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e};"
-            " the null space is likely degenerate"
+            " the solve does not null the generator"
         )
     rho = (basis @ r).reshape((d, d), order="F")
     return basis, m, sys, rho / np.trace(rho).real

@@ -408,8 +408,43 @@ def test_evolve_long_run_conservation():
     )
     c = traj.conservation
     assert c.max_trace_deviation <= 1e-7
-    assert c.max_hermiticity_residual <= 1e-10
     assert c.min_eigenvalue >= -1e-7
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 16, 48, 62])
+def test_hermitian_basis_states_are_exactly_hermitian(d):
+    # why evolve needs no Hermiticity audit: any real coordinates give an
+    # exactly conjugate-symmetric state
+    r = np.random.default_rng(d).normal(size=d * d)
+    rho = (dynamics._hermitian_basis(d) @ r).reshape((d, d), order="F")
+    assert np.array_equal(rho, rho.conj().T)
+
+
+def test_evolve_series_dtype_follows_the_operator():
+    # an undriven cavity stays in its vacuum, so <a> is identically 0 but is
+    # still reported complex; Hermitian observables are reported real
+    hs = HilbertSpace(3)
+    ops = [CollapseOp(operator=math.sqrt(2.0) * hs.a, rate=2.0, label="kappa")]
+    rho0 = kron(qubit_state(GROUND), fock_state(3, 0))
+    obs = {"a": hs.a, "sx": hs.sx, "sz": hs.sz, "n_cav": hs.a.conj().T @ hs.a}
+    traj = evolve(-0.5 * hs.sx, ops, rho0, np.linspace(0.0, 1.0, 11), observables=obs)
+    assert traj.expectations["a"].dtype == complex
+    assert not traj.expectations["a"].any()
+    for name in ("sx", "sz", "n_cav"):
+        assert traj.expectations[name].dtype == float, name
+    assert np.ptp(traj.expectations["sz"]) > 0.1
+
+
+def test_non_hermitian_hamiltonian_is_rejected():
+    p = reference_params(n_bar=1.0, n_fock=4)
+    h, ops = build_model(p)
+    h = h + 1e-6 * np.triu(np.ones_like(h), 1)
+    with pytest.raises(ValueError, match="Hamiltonian is not Hermitian"):
+        evolve(h, ops, turn_on_state(p, "displaced"), [0.0, 1.0])
+    with pytest.raises(ValueError, match="Hamiltonian is not Hermitian"):
+        steady_state(h, ops)
+    with pytest.raises(ValueError, match="Hamiltonian is not Hermitian"):
+        steady_state_and_mode(h, ops, analysis.dressed_probe(p))
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +635,25 @@ def test_steady_degenerate_system_is_detected():
     ops = [CollapseOp(operator=pauli("z"), rate=1.0, label="dephasing")]
     with pytest.raises(MultipleSteadyStatesError):
         steady_state(np.zeros((2, 2), dtype=complex), ops)
+
+
+def test_steady_degenerate_blocks_are_detected():
+    # two decoupled 2x2 blocks each have a steady state; the trace row fixes
+    # only their sum, and roundoff can hide the singular system from the LU
+    rng = np.random.default_rng(0)
+
+    def blocks():
+        out = np.zeros((4, 4), dtype=complex)
+        out[:2, :2] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        out[2:, 2:] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        return out
+
+    for _ in range(10):
+        h = blocks()
+        h = (h + h.conj().T) / 2
+        ops = [CollapseOp(operator=blocks(), rate=1.0, label="blocks")]
+        with pytest.raises(MultipleSteadyStatesError):
+            steady_state(h, ops)
 
 
 def test_steady_matches_long_time_evolve():

@@ -177,6 +177,20 @@ def test_programming_error_is_not_a_failed_point(monkeypatch):
         run_sweep(grid, workers=1)
 
 
+def test_non_hermitian_hamiltonian_aborts_the_sweep(monkeypatch):
+    # a non-Hermitian H is a modelling bug, not a failed point
+    build = sweep.model.build_model
+
+    def skewed(p, frame="displaced"):
+        h, ops = build(p, frame)
+        return h + 1e-6 * np.triu(np.ones_like(h), 1), ops
+
+    monkeypatch.setattr(sweep.model, "build_model", skewed)
+    grid = SweepGrid(power_db=[0.0], detuning=[0.0], fixed=reference_params())
+    with pytest.raises(ValueError, match="Hamiltonian is not Hermitian"):
+        run_sweep(grid, workers=1)
+
+
 def test_resolve_workers():
     assert resolve_workers(3) == 3
     assert resolve_workers(None) >= 1

@@ -185,21 +185,12 @@ def criterion_4() -> CriterionResult:
     p_blue0 = replace(p_red0, delta_c=-p_red0.delta_c)
     powers = np.linspace(-10.0, 0.0, 5)
     detunings = TWO_PI * np.linspace(-5.0, 5.0, 5)
-    for p_side, sign in ((p_red0, 1.0), (p_blue0, -1.0)):
-        grid = SweepGrid(
-            power_db=powers,
-            detuning=detunings,
-            fixed=p_side,
-            mode="steady_tomography",
-        )
-        table = run_sweep(grid)
-        sx = np.array([row.sx for row in table.rows]).reshape(
-            powers.size, detunings.size
-        )
-        if sign > 0:
-            sx_red = sx
-        else:
-            sx_blue_map = sx
+
+    def sx_map(p_side):
+        grid = SweepGrid(power_db=powers, detuning=detunings, fixed=p_side, mode="steady_tomography")
+        return np.array([row.sx for row in run_sweep(grid).rows]).reshape(powers.size, detunings.size)
+
+    sx_red, sx_blue_map = sx_map(p_red0), sx_map(p_blue0)
     # Mirror image: flipping the cavity detuning swaps heating and cooling,
     # so sx(red) should equal -sx(blue) point by point.
     worst = float(np.max(np.abs(sx_red + sx_blue_map)))

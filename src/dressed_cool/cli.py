@@ -74,12 +74,15 @@ def _parse_metadata_value(raw: str):
         return raw
 
 
-def _read_table(path: str) -> tuple[dict, list[str], list[list[str]]]:
+def _read_table(path: str, cell=str) -> tuple[dict, list[str], list[list]]:
+    """Metadata, header and rows of a CSV written by _write_table, each cell
+    parsed by cell; a row whose length differs from the header's or whose
+    cell does not parse is reported with its line number."""
     metadata: dict = {}
     header: list[str] | None = None
-    rows: list[list[str]] = []
+    rows: list[list] = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -89,10 +92,16 @@ def _read_table(path: str) -> tuple[dict, list[str], list[list[str]]]:
                     key, _, value = body.partition("=")
                     metadata[key.strip()] = _parse_metadata_value(value.strip())
                 continue
+            cells = [c.strip() for c in line.split(",")]
             if header is None:
-                header = [c.strip() for c in line.split(",")]
+                header = cells
                 continue
-            rows.append([c.strip() for c in line.split(",")])
+            if len(cells) != len(header):
+                raise ValueError(f"{path}, line {lineno}: {len(cells)} cells, the header has {len(header)}")
+            try:
+                rows.append([cell(c) for c in cells])
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
     if header is None:
         raise ValueError(f"{path}: no header row found")
     return metadata, header, rows
@@ -111,8 +120,8 @@ def write_trajectory_csv(
 
 
 def read_trajectory_csv(path: str) -> tuple[dict, dict[str, np.ndarray]]:
-    metadata, header, raw_rows = _read_table(path)
-    data = np.array([[float(c) for c in row] for row in raw_rows], dtype=float)
+    metadata, header, rows = _read_table(path, float)
+    data = np.array(rows, dtype=float)
     if data.size == 0:
         raise ValueError(f"{path}: no data rows")
     return metadata, {name: data[:, j] for j, name in enumerate(header)}
@@ -238,11 +247,17 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_fit(args) -> int:
+def _analyze_column(args, analyze):
+    """analyze(t_us, column) for the --column column of the -i trajectory CSV."""
     _, cols = read_trajectory_csv(args.input)
-    if args.column not in cols:
-        raise ValueError(f"{args.input}: no column {args.column!r}")
-    fit = analysis.fit_exponential(cols["t_us"], cols[args.column])
+    for name in ("t_us", args.column):
+        if name not in cols:
+            raise ValueError(f"{args.input}: no column {name!r}")
+    return analyze(cols["t_us"], cols[args.column])
+
+
+def _cmd_fit(args) -> int:
+    fit = _analyze_column(args, analysis.fit_exponential)
     _emit(json.dumps({
         "column": args.column,
         "rate_per_us": fit.rate,
@@ -255,10 +270,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    _, cols = read_trajectory_csv(args.input)
-    if args.column not in cols:
-        raise ValueError(f"{args.input}: no column {args.column!r}")
-    freq = analysis.dominant_frequency(cols["t_us"], cols[args.column])
+    freq = _analyze_column(args, analysis.dominant_frequency)
     _emit(json.dumps({"column": args.column, "frequency_mhz": freq}, indent=2), args)
     return 0
 

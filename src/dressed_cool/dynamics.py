@@ -190,31 +190,40 @@ def _residual(m: sp.csr_matrix, r: np.ndarray, lam: complex = 0.0) -> float:
 _DEGENERACY_TOL = 1e10
 
 
-def _steady(h: np.ndarray, collapse: list[CollapseOp]):
-    """The steady state of one model with its generator, as (T, M, S, rho).
-
-    S is M, dense, with its first row, the equation for rho[0, 0], replaced
-    by Tr rho (the sum of the diagonal coordinates).  S r = e_0 is solved by
-    LU, and r is accepted only if it nulls M to the residual tolerance.  A
-    degenerate null space leaves S singular, which roundoff can hide from the
-    LU, so the same LU also solves S v = q for q_k = cos k and rejects a v
-    that grows past _DEGENERACY_TOL.
-    """
-    if not collapse:
-        raise ValueError("steady state needs at least one collapse channel")
-    d = h.shape[0]
-    basis, m = _generator(h, collapse)
+def _steady_system(m: sp.csr_matrix, d: int) -> np.ndarray:
+    """The dense steady-state system S: M with its first row, the equation
+    for rho[0, 0], replaced by Tr rho (the sum of the diagonal coordinates)."""
     # S is the real view of a complex copy of M: that larger short-lived block
     # keeps the C heap from being trimmed after every solve, which costs a
     # d = 16 point about 320 page faults and a steady sweep about 25% of its time
     sys = m.astype(complex).toarray().real
     sys[0, :] = 0.0
     sys[0, :d] = 1.0
+    return sys
+
+
+def _steady(h: np.ndarray, collapse: list[CollapseOp], invert: bool = False):
+    """The steady state of one model with its generator, as (T, M, S^-1, rho).
+
+    S (see _steady_system) is factored once: S r = e_0 is solved by LU, or,
+    when invert is true, read off S^-1, which is then returned for the
+    caller's own use (None otherwise).  r is accepted only if it nulls M to
+    the residual tolerance.  A degenerate null space leaves S singular, which
+    roundoff can hide from the factorisation, so the same factorisation also
+    gives v = S^-1 q for q_k = cos k and rejects a v that grows past
+    _DEGENERACY_TOL.
+    """
+    if not collapse:
+        raise ValueError("steady state needs at least one collapse channel")
+    d = h.shape[0]
+    basis, m = _generator(h, collapse)
+    sys = _steady_system(m, d)
     rhs = np.zeros((d * d, 2))
     rhs[0, 0] = 1.0
     rhs[:, 1] = np.cos(np.arange(d * d))
     try:
-        r, v = np.linalg.solve(sys, rhs).T
+        inv = np.linalg.inv(sys) if invert else None
+        r, v = (inv @ rhs if invert else np.linalg.solve(sys, rhs)).T
     except np.linalg.LinAlgError as exc:
         raise MultipleSteadyStatesError(f"singular steady-state system: {exc}") from exc
 
@@ -231,7 +240,7 @@ def _steady(h: np.ndarray, collapse: list[CollapseOp]):
             " the solve does not null the generator"
         )
     rho = (basis @ r).reshape((d, d), order="F")
-    return basis, m, sys, rho / np.trace(rho).real
+    return basis, m, inv, rho / np.trace(rho).real
 
 
 def steady_state(h: np.ndarray, collapse: list[CollapseOp]) -> np.ndarray:
@@ -256,7 +265,8 @@ def steady_state_and_mode(
     picked has the largest weight |(x . r_k)(l_k . x)| in the autocorrelation
     x . exp(M t) x of the probe's traceless part x.
 
-    The slow modes are found by shift-invert Arnoldi at 0 from x.  M is
+    The slow modes are found by shift-invert Arnoldi at 0 from x, applying
+    the S^-1 that _steady forms and reads the steady state off.  M is
     singular (the steady state spans its null space) but maps onto the
     traceless subspace, where it is invertible: for a traceless y, M^-1 y is
     the traceless solution of S v = y with y[0] set to 0.  That is exact,
@@ -264,14 +274,13 @@ def steady_state_and_mode(
     diagonal rows.  Raises ModeNotConvergedError when the iteration breaks
     down or the picked Ritz pair misses the residual tolerance.
     """
-    basis, m, sys, rho = _steady(h, collapse)
+    basis, m, inv, rho = _steady(h, collapse, invert=True)
     d = h.shape[0]
     x = (basis.conj().T @ np.asarray(probe, dtype=complex).ravel(order="F")).real
     x[:d] -= x[:d].sum() / d
     beta = float(np.linalg.norm(x))
     if beta == 0.0:
         raise ModeNotConvergedError("probe has no traceless part")
-    inv = np.linalg.inv(sys)
     k = _KRYLOV_DIM
     vs = np.zeros((k + 1, d * d))
     hess = np.zeros((k + 1, k))

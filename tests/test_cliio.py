@@ -249,6 +249,13 @@ def test_trajectory_requires_rows(tmp_path):
     path.write_text("# a=1\nt_us,sx\n")
     with pytest.raises(ValueError, match="no data rows"):
         read_trajectory_csv(str(path))
+    # a ragged or non-numeric row is named by file and line, not by numpy
+    path.write_text("# a=1\nt_us,sx\n0,1\n1\n")
+    with pytest.raises(ValueError, match=r"empty_traj\.csv, line 4: 1 cells, the header has 2$"):
+        read_trajectory_csv(str(path))
+    path.write_text("# a=1\nt_us,sx\n\n0,1\n1,abc\n")
+    with pytest.raises(ValueError, match=r"empty_traj\.csv, line 5: could not convert string to float: 'abc'$"):
+        read_trajectory_csv(str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +326,12 @@ def test_cli_evolve_then_fit(tmp_path, capsys):
     fit = json.loads(out_json.read_text())
     assert fit["rate_per_us"] == pytest.approx(2.676, rel=0.10)
     assert main(["fit", "-i", str(traj), "--column", "nope"]) == 1
+    assert main(["spectrum", "-i", str(traj), "--column", "nope"]) == 1
+    assert capsys.readouterr().err.count("no column 'nope'") == 2
+    no_time = tmp_path / "no_time.csv"
+    no_time.write_text("t,sx\n0,1\n1,0.5\n")
+    assert main(["fit", "-i", str(no_time)]) == 1
+    assert "no column 't_us'" in capsys.readouterr().err
 
 
 def test_cli_fit_oscillation_is_numerical_failure(tmp_path, capsys):

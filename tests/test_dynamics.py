@@ -604,7 +604,9 @@ def test_residual_applies_the_generator():
     rng = np.random.default_rng(7)
     p = reference_params(n_bar=1.0, n_fock=4)
     h, ops = build_model(p)
-    basis, m, sys, rho = dynamics._steady(h, ops)
+    basis, m, inv, rho = dynamics._steady(h, ops, invert=True)
+    sys = dynamics._steady_system(m, h.shape[0])
+    assert np.max(np.abs(inv @ sys - np.eye(64))) <= 1e-12
     ref = (basis.conj().T @ kron_liouvillian(h, ops) @ basis).real
     assert np.max(np.abs(m.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.array_equal(sys[1:], m.toarray()[1:])
@@ -615,6 +617,32 @@ def test_residual_applies_the_generator():
     assert dynamics._residual(m, r, lam) == pytest.approx(expected, rel=1e-12)
     x = (basis.conj().T @ rho.ravel(order="F")).real
     assert dynamics._residual(m, x) <= 1e-14
+
+
+def test_mode_factors_the_steady_system_once(monkeypatch):
+    # the shift-invert step needs S^-1, whose columns also give the steady
+    # state and the degeneracy column, so no LU of S is taken besides it
+    p = cooling_point(0.0, 0.0)
+    h, ops = build_model(p)
+    n = h.shape[0] ** 2
+    calls = []
+
+    def counted(name):
+        func = getattr(np.linalg, name)
+
+        def wrapper(a, *args):
+            if np.shape(a) == (n, n):
+                calls.append(name)
+            return func(a, *args)
+        return wrapper
+
+    for name in ("solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    steady_state_and_mode(h, ops, analysis.dressed_probe(p))
+    assert calls == ["inv"]
+    calls.clear()
+    steady_state(h, ops)
+    assert calls == ["solve"]
 
 
 def test_both_residual_checks_go_through_one_helper(monkeypatch):
@@ -654,6 +682,9 @@ def test_steady_degenerate_blocks_are_detected():
         ops = [CollapseOp(operator=blocks(), rate=1.0, label="blocks")]
         with pytest.raises(MultipleSteadyStatesError):
             steady_state(h, ops)
+        # the mode path reads the same check off S^-1 instead of the LU
+        with pytest.raises(MultipleSteadyStatesError):
+            steady_state_and_mode(h, ops, np.diag([1.0, -1.0, 0.0, 0.0]))
 
 
 def test_steady_matches_long_time_evolve():

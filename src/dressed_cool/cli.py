@@ -201,7 +201,12 @@ def _cmd_evolve(args) -> int:
     out = args.output or "trajectory.csv"
     write_trajectory_csv(traj.times, traj.expectations, _config_metadata(cfg), out,
                          no_timestamp=args.no_timestamp)
-    print(f"wrote {len(traj.times)} samples over {t_max:.6g} us to {out}")
+    stats = traj.stats
+    print(
+        f"wrote {len(traj.times)} samples over {t_max:.6g} us to {out};"
+        f" {stats.generator_applications} generator applications in {stats.wall_s:.3g} s,"
+        f" top Fock level population at most {stats.top_fock_population:.3g}"
+    )
     return 0
 
 

@@ -13,6 +13,7 @@ Hermitian states have real coordinates.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,7 @@ from .operators import hermiticity_residual, smallest_eigenvalue
 __all__ = [
     "Trajectory",
     "ConservationReport",
+    "PropagationStats",
     "MultipleSteadyStatesError",
     "ModeNotConvergedError",
     "liouvillian_matrix",
@@ -88,13 +90,26 @@ class ConservationReport:
     min_eigenvalue: float
 
 
+@dataclass(frozen=True)
+class PropagationStats:
+    """What one evolve call did: its generator applications (M r products),
+    the wall seconds of its propagation, and the largest population of the
+    cavity's top Fock level at any grid time, which shows how close the
+    truncation came to its edge."""
+
+    generator_applications: int
+    wall_s: float
+    top_fock_population: float
+
+
 @dataclass
 class Trajectory:
-    """Time grid, conservation audit and recorded observables (and
-    optionally full states)."""
+    """Time grid, conservation audit, propagation stats and recorded
+    observables (and optionally full states)."""
 
     times: np.ndarray
     conservation: ConservationReport
+    stats: PropagationStats
     expectations: dict[str, np.ndarray] = field(default_factory=dict)
     states: list[np.ndarray] | None = None
 
@@ -117,11 +132,16 @@ def evolve(
     O.  rho is formed for its smallest eigenvalue and kept when store_states
     is true (the default when no observables are requested).  Every
     trajectory carries its worst trace and positivity deviations as a
-    ConservationReport.
+    ConservationReport and what the propagation did as PropagationStats.
+    The top Fock level's population is read in the qubit-major layout of
+    operators.py, so d must be even: the diagonal coordinates r[:d] are the
+    populations of |q, m>, with m = d/2 - 1 the top level.
     """
     d = h.shape[0]
     if rho0.shape != (d, d):
         raise ValueError(f"state shape {rho0.shape} does not match H {h.shape}")
+    if d % 2:
+        raise ValueError(f"dimension {d} is not 2 * n_fock")
     if hermiticity_residual(rho0) > 1e-12:  # it would have no real coordinates
         raise ValueError("initial state is not Hermitian")
     if store_states is None:
@@ -132,17 +152,31 @@ def evolve(
     r0 = (basis.conj().T @ np.asarray(rho0, dtype=complex).ravel(order="F")).real
     rows = [basis.T @ np.asarray(op).ravel() for op in observables.values()]
     rows = [w if w.imag.any() else w.real for w in rows]
-    trace_dev, min_eig, values, states = 0.0, np.inf, [], []
-    for r in integrate_adaptive(lambda _t, r: m @ r, r0, t_grid):
+    edge = np.zeros(d * d)
+    edge[[d // 2 - 1, d - 1]] = 1.0  # |g, top><g, top| + |e, top><e, top|
+    applications = 0
+
+    def apply(_t, r):
+        nonlocal applications
+        applications += 1
+        return m @ r
+
+    start = time.perf_counter()
+    coordinates = integrate_adaptive(apply, r0, t_grid)
+    wall_s = time.perf_counter() - start
+    trace_dev, min_eig, top, values, states = 0.0, np.inf, 0.0, [], []
+    for r in coordinates:
         rho = (basis @ r).reshape((d, d), order="F")
         trace_dev = max(trace_dev, abs(r[:d].sum() - 1.0))
         min_eig = min(min_eig, smallest_eigenvalue(rho))
+        top = max(top, edge @ r)
         values.append([w @ r for w in rows])
         if store_states:
             states.append(rho)
     return Trajectory(
         times=np.asarray(t_grid, dtype=float),
         conservation=ConservationReport(trace_dev, min_eig),
+        stats=PropagationStats(applications, wall_s, float(top)),
         expectations={name: np.array(series) for name, series in zip(observables, zip(*values))},
         states=states if store_states else None,
     )
@@ -169,7 +203,12 @@ def _generator(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[sp.csc_matrix
     if hermiticity_residual(h) > 1e-12 * np.abs(h).max(initial=1.0):
         raise ValueError("Hamiltonian is not Hermitian")
     basis = _hermitian_basis(h.shape[0])
-    return basis, (basis.conj().T @ liouvillian_matrix(h, collapse) @ basis).real
+    m = (basis.conj().T @ liouvillian_matrix(h, collapse) @ basis).real
+    # .real leaves data a strided view into the complex product, which every
+    # M @ r would first copy; an owned contiguous copy halves a matvec.  The
+    # indices stay unsorted, so each row sums in the same order.
+    m.data = np.ascontiguousarray(m.data)
+    return basis, m
 
 
 # Largest accepted scaled residual (see _residual) of a steady state or of

@@ -12,21 +12,22 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# Butcher tableau, Dormand & Prince (1980).  B5 propagates (order 5), the
-# B5 - B4 difference weights estimate the local error of the order-4 solution.
+# Butcher tableau, Dormand & Prince (1980), as a strictly lower-triangular
+# 7 x 7 array: stage i's argument is y + h (_A[i] . k).  Its last row is the
+# order-5 propagation weights B5; the B5 - B4 difference weights estimate the
+# local error of the order-4 solution.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-_E = _B5 - _B4
+_E = _A[6] - _B4
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -68,7 +69,12 @@ def integrate_adaptive(
 
     t_grid must be finite and strictly increasing; t_grid[0] is the initial
     time and the returned list starts with a copy of y0.  A real y0 is
-    integrated in real arithmetic and a complex one in complex arithmetic.
+    integrated in real arithmetic and a complex one in complex arithmetic;
+    an f that returns complex values for a real y0 raises TypeError rather
+    than lose their imaginary part.  The seven stages live in one
+    preallocated (7, n) array, and each stage argument and the error
+    estimate is one matrix-vector product with a tableau row, written into a
+    preallocated buffer.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
@@ -83,8 +89,12 @@ def integrate_adaptive(
     span = float(t_grid[-1] - t_grid[0])
     out = [y.copy()]
 
-    k = [None] * 7
-    k[0] = f(t, y)
+    a, e = _A.astype(y.dtype), _E.astype(y.dtype)
+    k = np.empty((7, y.size), dtype=y.dtype)
+    y_new, arg, err_vec = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    # casting="same_kind" raises TypeError, naming both dtypes, where a
+    # plain assignment would drop the imaginary part of a complex f
+    np.copyto(k[0], f(t, y), casting="same_kind")
     h = _initial_step(y, k[0], rtol, atol, span)
 
     steps = 0
@@ -98,15 +108,16 @@ def integrate_adaptive(
             if h_try < 1e-14 * max(abs(t), 1.0):
                 raise StiffnessError(t)
 
-            y_new = y
             for i in range(1, 7):
-                yi = y + h_try * sum(_A[i][j] * k[j] for j in range(i))
-                k[i] = f(t + _C[i] * h_try, yi)
-                if i == 6:
-                    # the last stage's argument already is the order-5 update
-                    # (tableau row 7 equals the propagation weights B5)
-                    y_new = yi
-            err_vec = h_try * sum(_E[i] * k[i] for i in range(7) if _E[i] != 0.0)
+                # the last stage's argument already is the order-5 update
+                # (tableau row 7 equals the propagation weights B5)
+                yi = y_new if i == 6 else arg
+                np.dot(a[i, :i], k[:i], out=yi)
+                yi *= h_try
+                yi += y
+                np.copyto(k[i], f(t + _C[i] * h_try, yi), casting="same_kind")
+            np.dot(e, k, out=err_vec)
+            err_vec *= h_try
 
             err = _error_norm(err_vec, y, y_new, rtol, atol)
             factor = _MAX_FACTOR if err == 0.0 else min(
@@ -116,10 +127,10 @@ def integrate_adaptive(
                 if not clamped:
                     h = h_try * factor
                 t = t + h_try
-                y = y_new
+                y, y_new = y_new, y
                 if post_step is not None:
-                    y = post_step(y)
-                k[0] = f(t, y)
+                    np.copyto(y, post_step(y), casting="same_kind")
+                np.copyto(k[0], f(t, y), casting="same_kind")
             else:
                 h = h_try * min(1.0, factor)
         out.append(y.copy())

@@ -320,7 +320,10 @@ def test_cli_evolve_then_fit(tmp_path, capsys):
     cfg.write_text(json.dumps({"n_times": 301}))
     traj = tmp_path / "traj.csv"
     assert main(["evolve", "-c", str(cfg), "-o", str(traj), "--no-timestamp"]) == 0
-    capsys.readouterr()
+    out = capsys.readouterr().out
+    assert re.fullmatch(
+        rf"wrote 301 samples over [0-9.]+ us to {re.escape(str(traj))}; [0-9]+ generator"
+        r" applications in [0-9.e+-]+ s, top Fock level population at most [0-9.e+-]+\n", out)
     out_json = tmp_path / "fit.json"
     assert main(["fit", "-i", str(traj), "--column", "sx", "-o", str(out_json)]) == 0
     fit = json.loads(out_json.read_text())

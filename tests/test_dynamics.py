@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +305,21 @@ def test_integrator_keeps_a_real_state_real():
     assert ys[-1][0] == pytest.approx(math.exp(-1.0), abs=1e-8)
 
 
+def test_integrator_rejects_a_complex_rhs_of_a_real_state():
+    # the real stage array would silently drop the imaginary part
+    with pytest.raises(TypeError, match="complex128.*float64"):
+        integrate_adaptive(lambda t, y: 1j * y, np.array([1.0]), [0.0, 1.0])
+    calls = []
+
+    def late(t, y):  # complex only from the first stage on
+        calls.append(t)
+        return (1j if len(calls) > 1 else 1.0) * y
+
+    with pytest.raises(TypeError, match="complex128.*float64"):
+        integrate_adaptive(late, np.array([1.0]), [0.0, 1.0])
+    assert len(calls) == 2
+
+
 def test_integrator_stiffness_error_reports_time():
     # quadratic blowup reaches a pole at t = 1; the step collapses there
     f = lambda t, y: y * y
@@ -372,6 +388,58 @@ def test_evolve_rejects_non_hermitian_state():
     rho = qubit_state(GROUND) + 0.1 * np.outer(GROUND, EXCITED)
     with pytest.raises(ValueError, match="not Hermitian"):
         evolve(-0.5 * pauli("x"), [], rho, [0.0, 1.0])
+
+
+def test_evolve_rejects_an_odd_dimension():
+    # the top Fock level is read in the qubit-major layout, d = 2 n_fock
+    with pytest.raises(ValueError, match="not 2 \\* n_fock"):
+        evolve(np.zeros((3, 3), dtype=complex), [], np.eye(3) / 3, [0.0, 1.0])
+
+
+def criterion_1_window():
+    """Criterion 1's operating point (n_bar = 1, d^2 = 256) over a short
+    window: the reference trajectory of the step-control and stats tests."""
+    p = to_system_params(Config(n_bar=1.0))
+    assert (2 * p.n_fock) ** 2 == 256
+    return p, analysis.cooling_trajectory(p, 1.0, n_times=51)
+
+
+def test_evolve_step_control_is_pinned():
+    # 4877 generator applications: the count of this trajectory with the
+    # Dormand-Prince stages summed term by term in Python, before the stages
+    # moved into one (7, n) array.  Equal counts mean the stacked arithmetic
+    # accepted and rejected the same steps.
+    _, traj = criterion_1_window()
+    assert traj.stats.generator_applications == 4877
+
+
+def test_evolve_stats_count_and_time_the_propagation(monkeypatch):
+    calls, inner_s = [], []
+    inner = dynamics.integrate_adaptive
+
+    def counted(f, *args, **kwargs):
+        start = time.perf_counter()
+        out = inner(lambda t, y: calls.append(t) or f(t, y), *args, **kwargs)
+        inner_s.append(time.perf_counter() - start)
+        return out
+
+    monkeypatch.setattr(dynamics, "integrate_adaptive", counted)
+    start = time.perf_counter()
+    _, traj = criterion_1_window()
+    outer_s = time.perf_counter() - start
+    assert traj.stats.generator_applications == len(calls) > 0
+    assert inner_s[0] <= traj.stats.wall_s <= outer_s
+
+
+def test_evolve_stats_report_the_top_fock_population():
+    p, traj = criterion_1_window()
+    top = kron(identity(2), fock_state(p.n_fock, p.n_fock - 1))
+    h, ops = build_model(p)
+    ref = evolve(h, ops, turn_on_state(p), traj.times, observables={"top": top})
+    assert traj.stats.top_fock_population == np.max(ref.expectations["top"]) > 0.0
+    # a bare qubit is a one-level cavity, all of it at the edge
+    traj = evolve(-0.5 * pauli("x"), [], qubit_state(GROUND), [0.0, 1.0])
+    assert traj.stats.top_fock_population == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("frame", FRAMES)
@@ -617,6 +685,23 @@ def test_residual_applies_the_generator():
     assert dynamics._residual(m, r, lam) == pytest.approx(expected, rel=1e-12)
     x = (basis.conj().T @ rho.ravel(order="F")).real
     assert dynamics._residual(m, x) <= 1e-14
+
+
+def test_generator_data_is_contiguous_and_bit_identical_to_the_real_view():
+    # a strided .real view would be copied by every M @ r; the owned copy
+    # keeps the values and the unsorted index order, so M @ r keeps its bits
+    p = reference_params(n_bar=1.0, n_fock=4)
+    h, ops = build_model(p)
+    basis, m = dynamics._generator(h, ops)
+    view = (basis.conj().T @ liouvillian_matrix(h, ops) @ basis).real
+    assert not view.data.flags.c_contiguous
+    assert m.data.flags.c_contiguous and m.data.flags.owndata
+    assert m.data.dtype == np.float64 and m.data.base is None
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(m, name), getattr(view, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    r = np.random.default_rng(3).normal(size=m.shape[0])
+    assert np.array_equal(m @ r, view @ r)
 
 
 def test_mode_factors_the_steady_system_once(monkeypatch):

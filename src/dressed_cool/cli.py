@@ -67,30 +67,16 @@ def write_csv(table: sweep.SweepTable, path: str, no_timestamp: bool = False) ->
     _write_table(path, table.metadata, CSV_COLUMNS, rows, no_timestamp)
 
 
-def _parse_metadata_value(raw: str):
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
-
-
-def _read_table(path: str, cell=str) -> tuple[dict, list[str], list[list]]:
-    """Metadata, header and rows of a CSV written by _write_table, each cell
-    parsed by cell; a row whose length differs from the header's or whose
-    cell does not parse is reported with its line number."""
-    metadata: dict = {}
+def read_trajectory_csv(path: str) -> dict[str, np.ndarray]:
+    """The columns of a CSV written by write_trajectory_csv, by header name.
+    '#' lines are skipped; a row whose length differs from the header's or
+    whose cell is not a float is reported with its line number."""
     header: list[str] | None = None
-    rows: list[list] = []
+    rows: list[list[float]] = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    metadata[key.strip()] = _parse_metadata_value(value.strip())
+            if not line or line.startswith("#"):
                 continue
             cells = [c.strip() for c in line.split(",")]
             if header is None:
@@ -99,12 +85,15 @@ def _read_table(path: str, cell=str) -> tuple[dict, list[str], list[list]]:
             if len(cells) != len(header):
                 raise ValueError(f"{path}, line {lineno}: {len(cells)} cells, the header has {len(header)}")
             try:
-                rows.append([cell(c) for c in cells])
+                rows.append([float(c) for c in cells])
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
     if header is None:
         raise ValueError(f"{path}: no header row found")
-    return metadata, header, rows
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    data = np.array(rows, dtype=float)
+    return {name: data[:, j] for j, name in enumerate(header)}
 
 
 def write_trajectory_csv(
@@ -117,14 +106,6 @@ def write_trajectory_csv(
     """Serialize a trajectory: a t_us column, then the real part of each column."""
     data = [np.asarray(times, dtype=float), *(np.real(c).astype(float) for c in columns.values())]
     _write_table(path, metadata, ["t_us", *columns], zip(*data, strict=True), no_timestamp)
-
-
-def read_trajectory_csv(path: str) -> tuple[dict, dict[str, np.ndarray]]:
-    metadata, header, rows = _read_table(path, float)
-    data = np.array(rows, dtype=float)
-    if data.size == 0:
-        raise ValueError(f"{path}: no data rows")
-    return metadata, {name: data[:, j] for j, name in enumerate(header)}
 
 
 def _load_config(args) -> config.Config:
@@ -232,6 +213,9 @@ def _cmd_steady(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
+    if cfg.frame != "displaced":
+        # every sweep point is built in the displaced frame
+        raise ValueError(f"config key 'frame' must be 'displaced' for a sweep, got {cfg.frame!r}")
     p = config.to_system_params(cfg)
     grid = sweep.SweepGrid(
         power_db=np.linspace(cfg.power_db_min, cfg.power_db_max, cfg.power_points),
@@ -241,7 +225,7 @@ def _cmd_sweep(args) -> int:
         theta=math.radians(cfg.theta_deg),
         auto_n_fock=cfg.n_fock is None,
     )
-    table = sweep.run_sweep(grid, workers=cfg.workers or None)
+    table = sweep.run_sweep(grid, workers=cfg.workers)
     if cfg.tomography_scale != 1.0:
         table = sweep.apply_tomography_scale(table, cfg.tomography_scale)
     out = args.output or "sweep.csv"
@@ -254,7 +238,7 @@ def _cmd_sweep(args) -> int:
 
 def _analyze_column(args, analyze):
     """analyze(t_us, column) for the --column column of the -i trajectory CSV."""
-    _, cols = read_trajectory_csv(args.input)
+    cols = read_trajectory_csv(args.input)
     for name in ("t_us", args.column):
         if name not in cols:
             raise ValueError(f"{args.input}: no column {name!r}")

@@ -95,10 +95,15 @@ def expectation(op: np.ndarray, rho: np.ndarray) -> complex:
     return complex(np.sum(op.T * rho))
 
 
-def expect_real(op: np.ndarray, rho: np.ndarray, imag_tol: float = 1e-9) -> float:
+# largest imaginary part of a Hermitian observable's expectation, relative to
+# max(1, |real part|), that expect_real accepts as roundoff
+_IMAG_TOL = 1e-9
+
+
+def expect_real(op: np.ndarray, rho: np.ndarray) -> float:
     """Expectation of a Hermitian observable; rejects stray imaginary parts."""
     val = expectation(op, rho)
-    if abs(val.imag) > imag_tol * max(1.0, abs(val.real)):
+    if abs(val.imag) > _IMAG_TOL * max(1.0, abs(val.real)):
         raise ValueError(f"expectation has imaginary part {val.imag:.3e}; operator not Hermitian?")
     return val.real
 
@@ -131,10 +136,6 @@ class HilbertSpace:
     def __post_init__(self):
         if self.n_fock < 2:
             raise ValueError("n_fock must be at least 2")
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n_fock
 
     def qubit(self, op2: np.ndarray) -> np.ndarray:
         return kron(op2, identity(self.n_fock))

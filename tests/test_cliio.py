@@ -9,7 +9,6 @@ import pytest
 from dressed_cool import model
 from dressed_cool.cli import (
     CSV_COLUMNS,
-    _read_table,
     main,
     read_trajectory_csv,
     write_csv,
@@ -144,6 +143,12 @@ def test_thermal_qubit_split():
 # sweep CSV
 
 
+def _read_sweep_csv(path):
+    """Header and rows of a sweep CSV as strings; no package code reads one."""
+    lines = [ln for ln in path.read_text().splitlines() if ln and not ln.startswith("#")]
+    return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+
+
 def _tiny_table():
     base = to_system_params(Config(thermal_qubit=False))
     grid = SweepGrid(
@@ -157,9 +162,10 @@ def test_csv_roundtrip(tmp_path):
     table = _tiny_table()
     path = tmp_path / "t.csv"
     write_csv(table, str(path), no_timestamp=True)
-    metadata, header, cells = _read_table(str(path))
-    assert metadata["mode"] == "rates_analytic_map"
-    assert metadata["kappa_mhz"] == pytest.approx(4.3)
+    header, cells = _read_sweep_csv(path)
+    lines = path.read_text().splitlines()
+    assert "# mode=rates_analytic_map" in lines
+    assert "# kappa_mhz=4.3" in lines
     assert tuple(header) == CSV_COLUMNS
     assert len(cells) == len(table.rows)
     for orig, line in zip(table.rows, cells):
@@ -204,7 +210,7 @@ def test_csv_empty_table(tmp_path):
     write_csv(table, str(path), no_timestamp=True)
     lines = path.read_text().strip().split("\n")
     assert lines[-1] == ",".join(CSV_COLUMNS)
-    assert _read_table(str(path))[2] == []
+    assert _read_sweep_csv(path) == (list(CSV_COLUMNS), [])
 
 
 def test_csv_byte_stability(tmp_path):
@@ -221,8 +227,6 @@ def test_csv_header_validation(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("# only=metadata\n")
     with pytest.raises(ValueError, match="no header"):
-        _read_table(str(empty))
-    with pytest.raises(ValueError, match="no header"):
         read_trajectory_csv(str(empty))
 
 
@@ -231,8 +235,9 @@ def test_trajectory_roundtrip(tmp_path):
     cols = {"sx": np.cos(t), "sz": np.sin(t)}
     path = tmp_path / "traj.csv"
     write_trajectory_csv(t, cols, {"n_bar": 1.0}, str(path), no_timestamp=True)
-    metadata, back = read_trajectory_csv(str(path))
-    assert metadata["n_bar"] == 1.0
+    back = read_trajectory_csv(str(path))
+    assert "# n_bar=1" in path.read_text().splitlines()
+    assert list(back) == ["t_us", "sx", "sz"]
     assert np.allclose(back["t_us"], t, rtol=1e-8)
     assert np.allclose(back["sx"], np.cos(t), rtol=1e-8)
     assert np.allclose(back["sz"], np.sin(t), rtol=1e-8)
@@ -370,6 +375,17 @@ def test_cli_sweep_reruns_are_byte_identical(tmp_path, capsys):
     assert main(["sweep", "-c", str(cfg), "-o", str(out1), "--no-timestamp"]) == 0
     assert main(["sweep", "-c", str(cfg), "-o", str(out2), "--no-timestamp"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cli_sweep_rejects_a_frame_it_would_ignore(tmp_path, capsys):
+    # every sweep point is built in the displaced frame, so a config that
+    # asks for another frame is refused rather than silently ignored
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"frame": "undisplaced", "power_points": 2, "detuning_points": 2}))
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "-c", str(cfg), "-o", str(out)]) == 1
+    assert "config key 'frame' must be 'displaced' for a sweep, got 'undisplaced'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_default_output_name(tmp_path, capsys, monkeypatch):

@@ -216,7 +216,7 @@ class TestHilbertSpace:
     hs = HilbertSpace(6)
 
     def test_layout(self):
-        assert self.hs.dim == 12
+        assert self.hs.sz.shape == (2 * self.hs.n_fock,) * 2 == (12, 12)
         # qubit-major: sigma_z blocks are contiguous
         assert np.array_equal(np.diag(self.hs.sz), [1] * 6 + [-1] * 6)
 

@@ -95,9 +95,10 @@ class ConservationReport:
 @dataclass(frozen=True)
 class PropagationStats:
     """What one evolve call did: its generator applications (M r products),
-    the wall seconds of its propagation, and the largest population of the
-    cavity's top Fock level at any grid time, which shows how close the
-    truncation came to its edge."""
+    the wall seconds of its propagation, including the per-output
+    reductions done inside it, and the largest population of the cavity's
+    top Fock level at any grid time, which shows how close the truncation
+    came to its edge."""
 
     generator_applications: int
     wall_s: float
@@ -131,10 +132,13 @@ def evolve(
     state rho = T r is exactly conjugate-symmetric.  At each grid time r
     gives the trace, sum r[:d], and each observable, <O> = w . r with
     w_k = Tr(O G_k); a series is real exactly when w is, as for a Hermitian
-    O.  rho is formed for its smallest eigenvalue and kept when store_states
-    is true (the default when no observables are requested).  Every
-    trajectory carries its worst trace and positivity deviations as a
-    ConservationReport and what the propagation did as PropagationStats.
+    O.  Every observable must be a d x d matrix.  These numbers are read off
+    inside the integrator as each grid time is reached, so no state is held
+    unless store_states is true (the default when no observables are
+    requested): rho is formed for its smallest eigenvalue and kept only
+    then.  Every trajectory carries its worst trace and positivity
+    deviations as a ConservationReport and what the propagation did as
+    PropagationStats.
     The top Fock level's population is read in the qubit-major layout of
     operators.py, so d must be even: the diagonal coordinates r[:d] are the
     populations of |q, m>, with m = d/2 - 1 the top level.
@@ -150,36 +154,48 @@ def evolve(
         store_states = observables is None
     observables = observables or {}
 
+    for name, op in observables.items():
+        if np.shape(op) != (d, d):
+            raise ValueError(f"observable {name!r} has shape {np.shape(op)}, not {(d, d)}")
+
     basis, m = _generator(h, collapse)
     r0 = (basis.conj().T @ np.asarray(rho0, dtype=complex).ravel(order="F")).real
     rows = [basis.T @ np.asarray(op).ravel() for op in observables.values()]
     rows = [w if w.imag.any() else w.real for w in rows]
     edge = np.zeros(d * d)
     edge[[d // 2 - 1, d - 1]] = 1.0  # |g, top><g, top| + |e, top><e, top|
-    applications = 0
+    values = np.empty((len(t_grid), len(rows)), np.result_type(float, *rows))
+    states = []
+    applications = outputs = 0
+    trace_dev, min_eig, top = 0.0, np.inf, 0.0
 
     def apply(_t, r):
         nonlocal applications
         applications += 1
         return m @ r
 
-    start = time.perf_counter()
-    coordinates = integrate_adaptive(apply, r0, t_grid)
-    wall_s = time.perf_counter() - start
-    trace_dev, min_eig, top, values, states = 0.0, np.inf, 0.0, [], []
-    for r in coordinates:
+    def record(r):
+        nonlocal outputs, trace_dev, min_eig, top
         rho = (basis @ r).reshape((d, d), order="F")
         trace_dev = max(trace_dev, abs(r[:d].sum() - 1.0))
         min_eig = min(min_eig, smallest_eigenvalue(rho))
         top = max(top, edge @ r)
-        values.append([w @ r for w in rows])
+        values[outputs] = [w @ r for w in rows]
+        outputs += 1
         if store_states:
             states.append(rho)
+
+    start = time.perf_counter()
+    integrate_adaptive(apply, r0, t_grid, reduce=record)
+    wall_s = time.perf_counter() - start
     return Trajectory(
         times=np.asarray(t_grid, dtype=float),
         conservation=ConservationReport(trace_dev, min_eig),
         stats=PropagationStats(applications, wall_s, float(top)),
-        expectations={name: np.array(series) for name, series in zip(observables, zip(*values))},
+        expectations={
+            name: np.ascontiguousarray(values[:, j] if np.iscomplexobj(w) else values[:, j].real)
+            for j, (name, w) in enumerate(zip(observables, rows))
+        },
         states=states if store_states else None,
     )
 

@@ -2,13 +2,15 @@
 
 Dormand-Prince 5(4) pair with standard step-size control.  Steps are clamped
 so every requested output time is hit exactly (no dense-output interpolation),
-and an optional hook runs after each accepted step, for example to project
-the state back onto a constraint manifold.
+an optional hook runs after each accepted step, for example to project the
+state back onto a constraint manifold, and another reduces the state at each
+output time, so a caller that needs only a few numbers per output never holds
+the states.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -64,11 +66,15 @@ def integrate_adaptive(
     rtol: float = 1e-8,
     atol: float = 1e-10,
     post_step: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> list[np.ndarray]:
-    """Integrate y' = f(t, y) and return the solution at each time in t_grid.
+    reduce: Callable[[np.ndarray], Any] = np.copy,
+) -> list:
+    """Integrate y' = f(t, y) and return reduce(y) at each time in t_grid.
 
     t_grid must be finite and strictly increasing; t_grid[0] is the initial
-    time and the returned list starts with a copy of y0.  A real y0 is
+    time.  reduce is called once per grid time, in order, starting with y0;
+    by default it copies, so the list holds the solution at each time.  The
+    array it is passed is the integrator's working buffer, which the next
+    step overwrites: a reduce that keeps it must copy it.  A real y0 is
     integrated in real arithmetic and a complex one in complex arithmetic;
     an f that returns complex values for a real y0 raises TypeError rather
     than lose their imaginary part.  The seven stages live in one
@@ -87,7 +93,7 @@ def integrate_adaptive(
     y = np.array(y0, dtype=complex if np.iscomplexobj(y0) else float)
     t = float(t_grid[0])
     span = float(t_grid[-1] - t_grid[0])
-    out = [y.copy()]
+    out = [reduce(y)]
 
     a, e = _A.astype(y.dtype), _E.astype(y.dtype)
     k = np.empty((7, y.size), dtype=y.dtype)
@@ -133,5 +139,5 @@ def integrate_adaptive(
                 np.copyto(k[0], f(t, y), casting="same_kind")
             else:
                 h = h_try * min(1.0, factor)
-        out.append(y.copy())
+        out.append(reduce(y))
     return out

@@ -1,8 +1,10 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -335,6 +337,25 @@ def test_integrator_step_budget(monkeypatch):
         integrate_adaptive(f, np.array([1.0 + 0j]), [0.0, 1.0])
 
 
+def test_integrator_reduces_each_grid_time_in_order():
+    t_grid = np.linspace(0.0, 1.0, 6)
+    seen = []
+
+    def reduce(y):
+        seen.append(y[0])
+        return len(seen)
+
+    assert integrate_adaptive(lambda t, y: -y, np.array([1.0]), t_grid, reduce=reduce) == [1, 2, 3, 4, 5, 6]
+    assert np.allclose(seen, np.exp(-t_grid), rtol=1e-7)
+    # a copying reduce gives exactly the default's states
+    f = lambda t, y: np.array([-y[1], y[0]]) - 0.1 * y
+    default = integrate_adaptive(f, np.array([1.0, 0.0]), t_grid)
+    copied = integrate_adaptive(f, np.array([1.0, 0.0]), t_grid, reduce=lambda y: y.copy())
+    assert len(copied) == len(default) == 6
+    for a, b in zip(copied, default):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 # ---------------------------------------------------------------------------
 # evolve
 
@@ -394,6 +415,35 @@ def test_evolve_rejects_an_odd_dimension():
     # the top Fock level is read in the qubit-major layout, d = 2 n_fock
     with pytest.raises(ValueError, match="not 2 \\* n_fock"):
         evolve(np.zeros((3, 3), dtype=complex), [], np.eye(3) / 3, [0.0, 1.0])
+
+
+def test_evolve_rejects_an_observable_that_is_not_d_by_d():
+    # 36 entries are d^2 at n_fock = 3, but only a (6, 6) matrix is an operator
+    p = reference_params(n_fock=3)
+    h, ops = build_model(p)
+    for shape in [(36,), (3, 12)]:
+        with pytest.raises(ValueError, match=re.escape(f"observable 'ones' has shape {shape}, not (6, 6)")):
+            evolve(h, ops, turn_on_state(p), [0.0, 0.1], observables={"ones": np.ones(shape)})
+    traj = evolve(h, ops, turn_on_state(p), [0.0, 0.1], observables={"ones": np.ones((6, 6))})
+    assert traj.expectations["ones"].shape == (2,)
+
+
+def test_evolve_holds_no_state_per_output():
+    # 2001 outputs at criterion 1's point (d^2 = 256): the states alone would
+    # take 2001 * 256 * 8 B, about 4 MB; streamed, the traced peak is the
+    # generator and a few d^2 vectors
+    p = to_system_params(Config(n_bar=1.0))
+    h, ops = build_model(p)
+    rho0, obs = turn_on_state(p), {"sx": HilbertSpace(p.n_fock).sx}
+    t_grid = np.linspace(0.0, 1.0, 2001)
+    tracemalloc.start()
+    try:
+        traj = evolve(h, ops, rho0, t_grid, observables=obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.states is None and traj.expectations["sx"].shape == (2001,)
+    assert peak < 2001 * 256 * 8 / 4
 
 
 def criterion_1_window():

@@ -303,6 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # the CLI owns its process: its parallelism is the sweep's worker
+    # processes, never BLAS threads
+    sweep._set_blas_threads()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -8,6 +8,7 @@ detuning at each point is delta_q' = delta_q + 2 chi n_bar.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -137,30 +138,97 @@ def _evaluate_point(args: tuple[SweepGrid, float, float]) -> SweepRow:
         )
 
 
-def resolve_workers(requested: int | None) -> int:
-    """Worker count; None or 0 means one worker per CPU."""
-    if not requested:
+def resolve_workers(requested: int) -> int:
+    """Worker count; 0 means one worker per CPU this process may run on."""
+    if requested == 0:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if requested < 1:
         raise ValueError(f"worker count must be positive, got {requested}")
     return requested
 
 
-def run_sweep(grid: SweepGrid, workers: int | None = 1) -> SweepTable:
+# OpenBLAS's thread-count setter and getter, by the names numpy's wheels have
+# exported them under: scipy-openblas (numpy >= 2), then the 64-bit and plain
+# OpenBLAS builds.
+_OPENBLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _openblas_thread_functions() -> tuple | None:
+    """(set, get) thread-count functions of the OpenBLAS that numpy's wheel
+    ships in its numpy.libs directory, or None when there is none (numpy on
+    Accelerate, MKL or a system BLAS)."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        names = sorted(n for n in os.listdir(libs) if "openblas" in n)
+    except FileNotFoundError:
+        return None
+    for name in names:
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        for set_name, get_name in _OPENBLAS_THREAD_FUNCTIONS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+def _blas_threads() -> int | None:
+    """Threads numpy's OpenBLAS uses, or None when numpy has no OpenBLAS."""
+    functions = _openblas_thread_functions()
+    return None if functions is None else functions[1]()
+
+
+def _set_blas_threads(n: int = 1) -> int | None:
+    """Run numpy's OpenBLAS on n threads from now on; return the thread count
+    it then reports, or None (and change nothing) when numpy has no OpenBLAS.
+
+    The default is the program's rule, one BLAS thread per process: its
+    parallelism comes from processes only.  A second BLAS thread halves no
+    256x256 LU on a small host but doubles its CPU time, and under a pool
+    oversubscribes the cores.  The CLI sets it once for its process, a serial
+    sweep around its points and the sweep pool once per worker, since a
+    spawned worker does not inherit it; importing the package changes
+    nothing.  OPENBLAS_NUM_THREADS cannot do this, as numpy has loaded
+    OpenBLAS by then.
+    """
+    functions = _openblas_thread_functions()
+    if functions is None:
+        return None
+    setter, getter = functions
+    setter(n)
+    return getter()
+
+
+def run_sweep(grid: SweepGrid, workers: int = 1) -> SweepTable:
     """Evaluate the grid row-major over (power, detuning).
 
     Results are identical for any worker count; points that fail for a
     numerical reason (analysis.NUMERICAL_ERRORS) are recorded with
     converged = False rather than aborting the sweep.  Any other exception
-    propagates.
+    propagates.  Every point runs its BLAS on one thread, in a pool worker or
+    serially here (the caller's thread count is restored afterwards), so the
+    LU roundoff, and with it every row, is the same either way.
     """
     n_workers = resolve_workers(workers)
     tasks = [(grid, p_d, dq) for p_d in grid.power_db for dq in grid.detuning]
     if n_workers == 1 or len(tasks) == 1:
-        rows = [_evaluate_point(t) for t in tasks]
+        before = _blas_threads()
+        _set_blas_threads()
+        try:
+            rows = [_evaluate_point(t) for t in tasks]
+        finally:
+            if before is not None:
+                _set_blas_threads(before)
     else:
         chunk = max(1, len(tasks) // (4 * n_workers))
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        with ProcessPoolExecutor(max_workers=n_workers, initializer=_set_blas_threads) as pool:
             rows = list(pool.map(_evaluate_point, tasks, chunksize=chunk))
     metadata = _grid_metadata(grid)
     return SweepTable(rows=rows, metadata=metadata)

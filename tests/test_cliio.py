@@ -6,7 +6,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from dressed_cool import model
+from dressed_cool import model, sweep
 from dressed_cool.cli import (
     CSV_COLUMNS,
     main,
@@ -277,6 +277,19 @@ def test_cli_rates_defaults(capsys):
     assert float(values["gamma_plus_per_us"]) == pytest.approx(0.0830, abs=1e-4)
     assert float(values["sigma_theta_ss"]) == pytest.approx(0.938, abs=1e-3)
     assert values["regime"] == "general"
+
+
+def test_cli_runs_blas_on_one_thread(capsys):
+    # the CLI's parallelism is the sweep's worker processes only; numpy's
+    # wheels ship OpenBLAS, so a helper that silently finds none fails here
+    before = sweep._blas_threads()
+    assert before is not None, "numpy's OpenBLAS was not found"
+    try:
+        assert main(["rates"]) == 0
+        assert sweep._blas_threads() == 1
+        assert sweep._set_blas_threads() == 1
+    finally:
+        sweep._set_blas_threads(before)
 
 
 def test_cli_rates_agree_with_steady_on_the_blue_side(capsys, tmp_path):

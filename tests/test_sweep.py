@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -154,6 +156,29 @@ def test_worker_count_does_not_change_results():
         assert serial.metadata == parallel.metadata
 
 
+def test_spawned_pool_worker_runs_blas_on_one_thread():
+    # a spawned (or forkserver) worker does not inherit its parent's BLAS
+    # setting, so the sweep pool's initializer sets it in every worker
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=spawn, initializer=sweep._set_blas_threads) as pool:
+        assert pool.submit(sweep._blas_threads).result(timeout=120) == 1
+
+
+def test_serial_sweep_runs_blas_on_one_thread_and_restores_the_callers(monkeypatch):
+    seen = []
+    evaluate = sweep._evaluate_point
+
+    def recording(task):
+        seen.append(sweep._blas_threads())
+        return evaluate(task)
+
+    monkeypatch.setattr(sweep, "_evaluate_point", recording)
+    before = sweep._blas_threads()
+    run_sweep(SweepGrid(power_db=[0.0], detuning=[0.0], fixed=reference_params()))
+    assert seen == [1]
+    assert sweep._blas_threads() == before
+
+
 def test_failed_point_is_isolated():
     # an undriven, dissipation-free qubit has no unique steady state; that
     # point must come back flagged instead of sinking the whole sweep
@@ -191,12 +216,14 @@ def test_non_hermitian_hamiltonian_aborts_the_sweep(monkeypatch):
         run_sweep(grid, workers=1)
 
 
-def test_resolve_workers():
+def test_resolve_workers(monkeypatch):
     assert resolve_workers(3) == 3
-    assert resolve_workers(None) >= 1
     assert resolve_workers(0) >= 1
     with pytest.raises(ValueError):
         resolve_workers(-2)
+    # 0 counts the CPUs this process may run on, not the host's
+    monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert resolve_workers(0) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .analysis import (
 )
 from .config import Config, to_system_params
 from .dynamics import evolve, steady_state, steady_state_and_mode
-from .model import FRAMES, TWO_PI, build_model, displacement, turn_on_state
+from .model import FRAMES, TRUNCATION_TOL, TWO_PI, build_model, displacement, turn_on_state
 from .operators import HilbertSpace
 from .rates import (
     effective_temperature,
@@ -77,8 +77,14 @@ def _c1_runs():
 
 @lru_cache(maxsize=None)
 def _c3_run():
-    """Strong-coupling trajectory: narrow cavity, n_bar = 3.31, from |g>."""
-    p = to_system_params(Config(kappa_mhz=0.2, n_bar=3.31))
+    """Strong-coupling trajectory: narrow cavity, n_bar = 3.31, from |g>.
+
+    The cutoff is sized for that start (n_fock 8): the cavity begins in the
+    vacuum of its fluctuations, and the 9 MHz detuned drive displaces them by
+    |beta| = 0.13 only.  The spectral peak is the same to 7 digits from
+    n_fock 8 to 31, where the top level holds 4.4e-9 and 3.3e-27.
+    """
+    p = to_system_params(Config(kappa_mhz=0.2, n_bar=3.31, initial_state="ground"))
     traj = cooling_trajectory(p, 20.0, n_times=2001, initial="ground")
     return p, traj
 
@@ -278,22 +284,22 @@ def criterion_6() -> CriterionResult:
 
 
 def criterion_7() -> CriterionResult:
-    """Trace and positivity stay numerically clean.  Hermiticity holds by
-    construction: evolve checks H and rho0 on entry and forms every state
-    from real Hermitian-basis coordinates."""
-    reports = []
-    for _, _, traj, _, _ in _c1_runs():
-        reports.append(traj.conservation)
-    reports.append(_c3_run()[1].conservation)
-    _, _, runs = _c6_frame_runs()
-    reports.extend(r.conservation for r in runs.values())
+    """Trace and positivity stay numerically clean, and no trajectory's
+    cavity truncation comes closer to its edge than TRUNCATION_TOL.
+    Hermiticity holds by construction: evolve checks H and rho0 on entry and
+    forms every state from real Hermitian-basis coordinates."""
+    trajs = [traj for _, _, traj, _, _ in _c1_runs()]
+    trajs.append(_c3_run()[1])
+    trajs.extend(_c6_frame_runs()[2].values())
 
-    trace_dev = max(r.max_trace_deviation for r in reports)
-    min_eig = min(r.min_eigenvalue for r in reports)
-    ok = trace_dev <= 1e-7 and min_eig >= -1e-7
+    trace_dev = max(t.conservation.max_trace_deviation for t in trajs)
+    min_eig = min(t.conservation.min_eigenvalue for t in trajs)
+    edge = max(t.stats.top_fock_population for t in trajs)
+    ok = trace_dev <= 1e-7 and min_eig >= -1e-7 and edge <= TRUNCATION_TOL
     detail = (
         f"max |tr - 1| = {trace_dev:.2e} (tol 1e-7), "
         f"min eigenvalue = {min_eig:.2e} (floor -1e-7), "
+        f"max top Fock level population = {edge:.2e} (tol {TRUNCATION_TOL:.0e}), "
         "Hermitian by construction (H and rho0 checked on entry)"
     )
     return CriterionResult(7, "density-matrix-conservation", ok, detail)

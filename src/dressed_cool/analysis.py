@@ -54,6 +54,7 @@ NUMERICAL_ERRORS = (
     StiffnessError,
     dynamics.MultipleSteadyStatesError,
     dynamics.ModeNotConvergedError,
+    model.TruncationError,
     FitError,
     NoSpectralPeakError,
 )

@@ -3,7 +3,8 @@
 Subcommands: rates, evolve, steady, sweep, fit, spectrum, verify.
 Exit codes: 0 success, 1 validation error (bad arguments, config, or input
 files), 2 numerical failure (stiff integration, degenerate steady states,
-unconverged spectral rates, failed fits or acceptance checks).
+unconverged spectral rates, a cavity truncation past its tolerance, failed
+fits or acceptance checks).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from . import analysis, config, dynamics, model, rates, sweep
+from . import analysis, config, dynamics, model, operators, rates, sweep
 from .model import TWO_PI
 
 CSV_COLUMNS = ("p_d_db", "delta_q_mhz", "n_bar", "sx", "sy", "sz", "s_theta", "gamma_fit", "converged")
@@ -179,22 +180,25 @@ def _cmd_evolve(args) -> int:
         p, t_max, n_times=cfg.n_times, initial=cfg.initial_state, frame=cfg.frame,
     )
 
+    stats = traj.stats
+    model.check_truncation(stats.top_fock_population, p.n_fock)
     out = args.output or "trajectory.csv"
     write_trajectory_csv(traj.times, traj.expectations, _config_metadata(cfg), out,
                          no_timestamp=args.no_timestamp)
-    stats = traj.stats
     print(
         f"wrote {len(traj.times)} samples over {t_max:.6g} us to {out};"
         f" {stats.generator_applications} generator applications in {stats.wall_s:.3g} s,"
         f" top Fock level population at most {stats.top_fock_population:.3g}"
+        f" (tol {model.TRUNCATION_TOL:.0e})"
     )
     return 0
 
 
 def _cmd_steady(args) -> int:
     cfg = _load_config(args)
-    p = config.to_system_params(cfg)
+    p = config.to_system_params(cfg, steady=True)
     rho = dynamics.steady_state(*model.build_model(p, cfg.frame))
+    top = model.check_truncation(operators.top_fock_population(rho), p.n_fock)
     v = analysis.bloch_vector(rho)
     theta = math.radians(cfg.theta_deg)
     s = cfg.tomography_scale
@@ -206,6 +210,8 @@ def _cmd_steady(args) -> int:
         "theta_deg": cfg.theta_deg,
         "s_theta": analysis.sigma_theta_projection(v, theta) * s,
         "tomography_scale": s,
+        "n_fock": p.n_fock,
+        "top_fock_population": top,
     }
     _emit(json.dumps(payload, indent=2), args)
     return 0

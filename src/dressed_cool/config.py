@@ -143,9 +143,11 @@ def parse_config(text: str) -> Config:
     return Config(**raw)
 
 
-def to_system_params(c: Config) -> SystemParams:
+def to_system_params(c: Config, steady: bool = False) -> SystemParams:
     """Convert the quoted MHz / us operating-point values into
-    angular-frequency SystemParams."""
+    angular-frequency SystemParams.  Without an n_fock key the cavity cutoff
+    is sized for a trajectory from c.initial_state, or for the steady state
+    when steady is true (see choose_fock_cutoff)."""
     kappa = TWO_PI * c.kappa_mhz
     delta_c = TWO_PI * c.delta_c_mhz
     if c.eps_d_mhz is not None:
@@ -173,5 +175,6 @@ def to_system_params(c: Config) -> SystemParams:
         n_fock=c.n_fock if c.n_fock is not None else 2,
     )
     if c.n_fock is None:
-        p = p.with_n_fock(choose_fock_cutoff(p, frame=c.frame))
+        start = None if steady else c.initial_state
+        p = p.with_n_fock(choose_fock_cutoff(p, frame=c.frame, initial_state=start))
     return p

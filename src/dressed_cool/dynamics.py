@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from .integrate import integrate_adaptive
 from .model import CollapseOp
-from .operators import hermiticity_residual, smallest_eigenvalue
+from .operators import hermiticity_residual, smallest_eigenvalue, top_fock_population
 
 __all__ = [
     "Trajectory",
@@ -140,8 +140,7 @@ def evolve(
     deviations as a ConservationReport and what the propagation did as
     PropagationStats.
     The top Fock level's population is read in the qubit-major layout of
-    operators.py, so d must be even: the diagonal coordinates r[:d] are the
-    populations of |q, m>, with m = d/2 - 1 the top level.
+    operators.py (top_fock_population), so d must be even.
     """
     d = h.shape[0]
     if rho0.shape != (d, d):
@@ -162,8 +161,6 @@ def evolve(
     r0 = (basis.conj().T @ np.asarray(rho0, dtype=complex).ravel(order="F")).real
     rows = [basis.T @ np.asarray(op).ravel() for op in observables.values()]
     rows = [w if w.imag.any() else w.real for w in rows]
-    edge = np.zeros(d * d)
-    edge[[d // 2 - 1, d - 1]] = 1.0  # |g, top><g, top| + |e, top><e, top|
     values = np.empty((len(t_grid), len(rows)), np.result_type(float, *rows))
     states = []
     applications = outputs = 0
@@ -179,7 +176,7 @@ def evolve(
         rho = (basis @ r).reshape((d, d), order="F")
         trace_dev = max(trace_dev, abs(r[:d].sum() - 1.0))
         min_eig = min(min_eig, smallest_eigenvalue(rho))
-        top = max(top, edge @ r)
+        top = max(top, top_fock_population(rho))
         values[outputs] = [w @ r for w in rows]
         outputs += 1
         if store_states:
@@ -191,7 +188,7 @@ def evolve(
     return Trajectory(
         times=np.asarray(t_grid, dtype=float),
         conservation=ConservationReport(trace_dev, min_eig),
-        stats=PropagationStats(applications, wall_s, float(top)),
+        stats=PropagationStats(applications, wall_s, top),
         expectations={
             name: np.ascontiguousarray(values[:, j] if np.iscomplexobj(w) else values[:, j].real)
             for j, (name, w) in enumerate(zip(observables, rows))

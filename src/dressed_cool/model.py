@@ -234,16 +234,81 @@ def build_model(p: SystemParams, frame: str = "displaced") -> tuple[np.ndarray, 
     return h, collapse_ops(p, frame=frame)
 
 
-def choose_fock_cutoff(p: SystemParams, frame: str = "displaced") -> int:
-    """Cavity truncation rule, validated by the doubling test: doubling the
-    returned cutoff moves steady <sx> by less than 1e-3 at experiment-scale
-    operating points."""
+# Largest population the cavity's top Fock level may hold in any state of a
+# run before its truncation counts as failed (TruncationError).  At the
+# validation points of choose_fock_cutoff its cutoffs hold at most 7.3e-5
+# there (turn-on at n_bar = 1, n_fock 8) and move <sx> by at most 5e-5
+# against a doubled cutoff; the too-small cutoffs measured, which miss <sx> by
+# 3e-2 or more, hold 3.9e-3 or more.
+TRUNCATION_TOL = 1e-4
+
+
+class TruncationError(RuntimeError):
+    """The cavity's top Fock level holds more than TRUNCATION_TOL: the
+    cutoff is too small for the run."""
+
+
+def check_truncation(top_population: float, n_fock: int) -> float:
+    """Return the top Fock level's population, or raise TruncationError when
+    it passes TRUNCATION_TOL."""
+    if top_population > TRUNCATION_TOL:
+        raise TruncationError(
+            f"cavity truncation: the top Fock level of n_fock = {n_fock} holds population"
+            f" {top_population:.3g}, above the tolerance {TRUNCATION_TOL:.0e}; raise n_fock"
+        )
+    return top_population
+
+
+def _poisson_cutoff(n_bar: float) -> int:
+    """Smallest n_fock whose Poisson(n_bar) tail from level n_fock - 1 up is
+    below TRUNCATION_TOL: the coherent state |alpha|^2 = n_bar fits."""
+    level, tail, log_pmf = 0, 1.0, -n_bar  # tail = P(N >= level)
+    while True:
+        tail -= math.exp(log_pmf)
+        level += 1
+        if tail < TRUNCATION_TOL:
+            return level + 1
+        log_pmf += math.log(n_bar / level)
+
+
+def choose_fock_cutoff(
+    p: SystemParams, frame: str = "displaced", initial_state: str | None = None
+) -> int:
+    """Cavity truncation for a run of p in the given frame.
+
+    initial_state is the state a trajectory starts in (one of
+    INITIAL_STATES); None, the default, sizes for the steady state.  The
+    displaced-frame rule counts what the fluctuations d can hold:
+
+    * the static displacement |beta| = |chi| sqrt(n_bar) / |delta_c + i
+      kappa/2| that the coupling -chi (conj(a_bar) d + a_bar d+) sz gives d
+      for either qubit state, through max(8, ceil(2 |beta| + 6));
+    * the initial displacement of d: none for the named qubit states and the
+      steady state, whose cavity is the vacuum of d, and |a_bar| for
+      turn_on, whose cavity is the coherent state -a_bar of d.  That one
+      counts through its Poisson(n_bar) photon distribution: the cutoff is
+      at least the smallest whose tail from the top level up is below
+      TRUNCATION_TOL.
+
+    Validated by the doubling test (doubling the cutoff moves <sx> by less
+    than 1e-3) and by the top level's population staying under
+    TRUNCATION_TOL at criterion 1's three turn-on points (8), criterion 3's
+    ground-state start (8), turn-on at n_bar = 4 and 6.3 (15 and 20), the
+    steady state at delta_c = 0, kappa/2pi = 0.2 MHz, n_bar = 3.31 (31) and
+    every point of the default sweep ranges (8).  The undisplaced rule
+    covers the lab field's coherent amplitude for any start.
+    """
     _check_frame(frame)
+    if initial_state is not None and initial_state not in INITIAL_STATES:
+        raise ValueError(f"unknown initial state {initial_state!r}; expected one of {INITIAL_STATES}")
     n_bar = n_bar_of(p)
-    if frame == "displaced":
-        ratio = abs(p.chi) * math.sqrt(n_bar) / p.kappa
-        return max(8, math.ceil(4.0 * ratio) + 6)
-    return math.ceil(n_bar + 7.0 * math.sqrt(n_bar) + 5.0)
+    if frame == "undisplaced":
+        return math.ceil(n_bar + 7.0 * math.sqrt(n_bar) + 5.0)
+    beta = abs(p.chi) * math.sqrt(n_bar) / abs(complex(p.delta_c, 0.5 * p.kappa))
+    n_fock = max(8, math.ceil(2.0 * beta + 6.0))
+    if initial_state == "turn_on":
+        n_fock = max(n_fock, _poisson_cutoff(n_bar))
+    return n_fock
 
 
 def thermal_qubit_populations(p: SystemParams) -> tuple[float, float]:

@@ -127,6 +127,15 @@ def reduced_qubit(rho: np.ndarray) -> np.ndarray:
     return np.einsum("imjm->ij", rho.reshape(2, n, 2, n))
 
 
+def top_fock_population(rho: np.ndarray) -> float:
+    """Population of the cavity's top Fock level, |g, top> plus |e, top>, in
+    a qubit-major composite state: how close its truncation came to its edge."""
+    d = rho.shape[0]
+    if d % 2:
+        raise ValueError("composite dimension must be 2 * n_fock")
+    return float(rho[d // 2 - 1, d // 2 - 1].real + rho[d - 1, d - 1].real)
+
+
 @dataclass(frozen=True)
 class HilbertSpace:
     """Layout helper for the qubit (x) cavity product space (qubit index major)."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from . import analysis, dynamics, model, rates
+from . import analysis, dynamics, model, operators, rates
 
 __all__ = [
     "MODES",
@@ -38,7 +38,9 @@ class SweepGrid:
 
     power_db and detuning are the axes (dB referenced to one photon; rad/us).
     theta is the fixed tomography angle (radians) used for the s_theta column.
-    auto_n_fock rechooses the cavity cutoff at each point's n_bar.
+    auto_n_fock rechooses the cavity cutoff for each point's steady state.
+    A point whose steady state passes model.TRUNCATION_TOL in the cavity's
+    top Fock level fails (converged = False), as for any numerical error.
     """
 
     power_db: np.ndarray
@@ -115,13 +117,14 @@ def _evaluate_point(args: tuple[SweepGrid, float, float]) -> SweepRow:
                 z=pred.sigma_theta_ss * math.cos(theta_pt),
             )
             gamma = pair.total
-        elif grid.mode == "cooling_rate":
-            rho, lam = dynamics.steady_state_and_mode(*model.build_model(p), analysis.dressed_probe(p))
-            v = analysis.bloch_vector(rho)
-            gamma = -lam.real
         else:
-            v = analysis.bloch_vector(dynamics.steady_state(*model.build_model(p)))
-            gamma = nan
+            if grid.mode == "cooling_rate":
+                rho, lam = dynamics.steady_state_and_mode(*model.build_model(p), analysis.dressed_probe(p))
+                gamma = -lam.real
+            else:
+                rho, gamma = dynamics.steady_state(*model.build_model(p)), nan
+            model.check_truncation(operators.top_fock_population(rho), p.n_fock)
+            v = analysis.bloch_vector(rho)
         return SweepRow(
             p_d_db=p_d_db,
             delta_q=delta_q,

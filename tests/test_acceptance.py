@@ -5,6 +5,8 @@ summary line, so `pytest -v` shows one pass/fail line per claim.
 """
 
 from dressed_cool import acceptance
+from dressed_cool.analysis import cooling_trajectory
+from dressed_cool.config import Config, to_system_params
 
 
 def _check(result):
@@ -42,3 +44,16 @@ def test_criterion_7_conservation_suite():
 
 def test_criterion_8_effective_temperature():
     _check(acceptance.criterion_8())
+
+
+def test_criterion_7_gates_the_truncation_edge(monkeypatch):
+    # one verify trajectory run at too small a cutoff (turn-on at n_bar = 4
+    # forced to n_fock 8, top level 0.0627) fails the criterion by itself
+    p = to_system_params(Config(n_bar=4.0, n_fock=8))
+    bad = cooling_trajectory(p, 0.5, n_times=51)
+    monkeypatch.setattr(acceptance, "_c1_runs", lambda: [(4.0, p, bad, None, None)])
+    monkeypatch.setattr(acceptance, "_c3_run", lambda: (p, bad))
+    monkeypatch.setattr(acceptance, "_c6_frame_runs", lambda: (p, None, {}))
+    result = acceptance.criterion_7()
+    assert not result.passed
+    assert "max top Fock level population = 6.27e-02 (tol 1e-04)" in result.detail

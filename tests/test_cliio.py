@@ -313,6 +313,46 @@ def test_cli_steady_json(capsys):
     assert payload["sx"] == pytest.approx(0.9284, abs=2e-3)
     assert abs(payload["sy"]) <= 0.01
     assert payload["tomography_scale"] == 1.0
+    # how close the truncation came to its edge
+    assert payload["n_fock"] == 8
+    assert 0.0 < payload["top_fock_population"] <= model.TRUNCATION_TOL
+
+
+def test_cli_steady_sizes_for_the_steady_state_and_gates_the_truncation(capsys, tmp_path):
+    # on the cavity resonance the steady state needs n_fock 31 whatever
+    # initial_state says; forced to 8, its top level holds 3.9e-3
+    cfg = tmp_path / "cfg.json"
+    point = {"kappa_mhz": 0.2, "n_bar": 3.31, "delta_c_mhz": 0.0}
+    cfg.write_text(json.dumps({**point, "n_fock": 8}))
+    assert main(["steady", "-c", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: cavity truncation" in err
+    assert "n_fock = 8 holds population 0.0039" in err
+    # criterion 3's detuned drive keeps a trajectory's cutoff at 8 from |g>,
+    # and the steady state's too
+    cfg.write_text(json.dumps({"kappa_mhz": 0.2, "n_bar": 3.31, "initial_state": "ground"}))
+    assert main(["steady", "-c", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["n_fock"] == 8
+
+
+def test_cli_evolve_sizes_turn_on_and_gates_the_truncation(capsys, tmp_path):
+    # turn-on at n_bar = 4 starts d in the coherent state -a_bar, which n_fock
+    # 8 truncates: its top level holds 0.0627.  The rule sizes for it, and a
+    # forced 8 is a numerical failure with no trajectory written.
+    cfg = tmp_path / "cfg.json"
+    traj = tmp_path / "traj.csv"
+    cfg.write_text(json.dumps({"n_bar": 4, "t_max_us": 0.5, "n_times": 51}))
+    assert main(["evolve", "-c", str(cfg), "-o", str(traj), "--no-timestamp"]) == 0
+    top = float(re.search(r"population at most (\S+) \(tol 1e-04\)", capsys.readouterr().out).group(1))
+    assert 0.0 < top <= model.TRUNCATION_TOL
+    assert "# n_fock=15\n" in traj.read_text()
+    traj.unlink()
+    cfg.write_text(json.dumps({"n_bar": 4, "t_max_us": 0.5, "n_times": 51, "n_fock": 8}))
+    assert main(["evolve", "-c", str(cfg), "-o", str(traj), "--no-timestamp"]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: cavity truncation" in err
+    assert "n_fock = 8 holds population 0.0627" in err
+    assert not traj.exists()
 
 
 def test_cli_usage_errors(capsys, tmp_path):
@@ -341,7 +381,7 @@ def test_cli_evolve_then_fit(tmp_path, capsys):
     out = capsys.readouterr().out
     assert re.fullmatch(
         rf"wrote 301 samples over [0-9.]+ us to {re.escape(str(traj))}; [0-9]+ generator"
-        r" applications in [0-9.e+-]+ s, top Fock level population at most [0-9.e+-]+\n", out)
+        r" applications in [0-9.e+-]+ s, top Fock level population at most [0-9.e+-]+ \(tol 1e-04\)\n", out)
     out_json = tmp_path / "fit.json"
     assert main(["fit", "-i", str(traj), "--column", "sx", "-o", str(out_json)]) == 0
     fit = json.loads(out_json.read_text())

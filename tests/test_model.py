@@ -5,15 +5,19 @@ import re
 import numpy as np
 import pytest
 
+from dressed_cool.analysis import cooling_trajectory
 from dressed_cool.config import Config, to_system_params
 from dressed_cool.model import (
+    TRUNCATION_TOL,
     TWO_PI,
     FRAMES,
     INITIAL_STATES,
     SystemParams,
+    TruncationError,
     build_hamiltonian_displaced,
     build_hamiltonian_undisplaced,
     build_model,
+    check_truncation,
     choose_fock_cutoff,
     collapse_ops,
     displacement,
@@ -30,6 +34,7 @@ from dressed_cool.operators import (
     identity,
     kron,
     pauli,
+    top_fock_population,
 )
 from test_operators import validate_density_matrix
 
@@ -315,6 +320,52 @@ def test_choose_fock_cutoff_reference_values():
     assert choose_fock_cutoff(p, "undisplaced") == 22
     weak = choose_fock_cutoff(reference_params(n_bar=1.0, n_fock=2), "displaced")
     assert 8 <= weak <= 10
+    # criterion 3's point: the detuned drive barely displaces the vacuum of d
+    c3 = reference_params(kappa_mhz=0.2, n_bar=3.31, n_fock=2)
+    assert choose_fock_cutoff(c3, initial_state="ground") == 8
+    assert choose_fock_cutoff(c3) == 8
+    # turn-on starts d in the coherent state -a_bar: its Poisson tail sets it
+    assert choose_fock_cutoff(reference_params(n_bar=4.0, n_fock=2), initial_state="turn_on") >= 15
+    assert choose_fock_cutoff(reference_params(n_bar=6.3, n_fock=2), initial_state="turn_on") >= 20
+    for n_bar in (0.25, 0.5, 1.0):  # criterion 1's points
+        assert choose_fock_cutoff(reference_params(n_bar=n_bar, n_fock=2), initial_state="turn_on") == 8
+    # on the cavity resonance the static displacement is large: no shrinking
+    resonant = reference_params(kappa_mhz=0.2, n_bar=3.31, delta_c_mhz=0.0, n_fock=2)
+    for start in (None, *INITIAL_STATES):
+        assert choose_fock_cutoff(resonant, initial_state=start) == 31
+    # the lab-frame rule counts the field whatever the start
+    assert choose_fock_cutoff(p, "undisplaced", initial_state="turn_on") == 22
+    with pytest.raises(ValueError, match="unknown initial state 'sideways'"):
+        choose_fock_cutoff(p, initial_state="sideways")
+
+
+def test_choose_fock_cutoff_keeps_the_default_sweep_ranges_at_8():
+    c = Config()
+    for p_d_db in np.linspace(c.power_db_min, c.power_db_max, c.power_points):
+        n_bar = 10.0 ** (p_d_db / 10.0)
+        for dq in np.linspace(c.detuning_mhz_min, c.detuning_mhz_max, c.detuning_points):
+            p = reference_params(n_bar=n_bar, delta_q_prime_mhz=dq, n_fock=2)
+            assert choose_fock_cutoff(p) == 8
+
+
+@pytest.mark.parametrize("n_bar", [0.0, 0.25, 1.0, 4.0, 6.3, 30.0])
+def test_turn_on_cutoff_holds_its_coherent_state(n_bar):
+    # the turn-on state's top Fock level, and the Poisson tail from there up,
+    # stay under the truncation tolerance, and one level fewer would not
+    n = choose_fock_cutoff(reference_params(n_bar=n_bar, n_fock=2), initial_state="turn_on")
+    tail = 1.0 - sum(math.exp(-n_bar) * n_bar ** k / math.factorial(k) for k in range(n - 1))
+    assert tail < TRUNCATION_TOL
+    p = reference_params(n_bar=n_bar, n_fock=n)
+    assert top_fock_population(turn_on_state(p)) < TRUNCATION_TOL
+    if n > 8:
+        lower = 1.0 - sum(math.exp(-n_bar) * n_bar ** k / math.factorial(k) for k in range(n - 2))
+        assert lower >= TRUNCATION_TOL
+
+
+def test_check_truncation_gates_at_the_tolerance():
+    assert check_truncation(TRUNCATION_TOL, 8) == TRUNCATION_TOL
+    with pytest.raises(TruncationError, match=r"n_fock = 8 holds population 0\.0627, above the tolerance 1e-04"):
+        check_truncation(0.0627, 8)
 
 
 def test_cutoff_convergence_on_steady_state():
@@ -327,6 +378,58 @@ def test_cutoff_convergence_on_steady_state():
         rho = steady_state(build_hamiltonian_displaced(p), collapse_ops(p, "displaced"))
         values.append(bloch_vector(rho).x)
     assert abs(values[1] - values[0]) < 1e-3
+
+
+def _sparse_steady(p: SystemParams) -> np.ndarray:
+    """Oracle: the steady state by a sparse LU of the generator with its
+    first row replaced by the trace, for cutoffs too large for a dense solve."""
+    import scipy.sparse.linalg as spla
+
+    from dressed_cool.dynamics import _generator
+
+    h, ops = build_model(p)
+    d = h.shape[0]
+    basis, m = _generator(h, ops)
+    s = m.tolil()
+    s[0, :] = 0.0
+    s[0, :d] = 1.0
+    rhs = np.zeros(d * d)
+    rhs[0] = 1.0
+    r = spla.spsolve(s.tocsc(), rhs)
+    return (basis @ r).reshape((d, d), order="F")
+
+
+# (config, start) of each doubling-test point: criterion 1's three turn-on
+# runs, criterion 3's ground-state start, turn-on at n_bar = 4 and 6.3, and
+# the steady states at criterion 3's point and on the cavity resonance
+_DOUBLING_POINTS = [
+    *(pytest.param({"n_bar": n}, "turn_on", id=f"c1-n{n}") for n in (0.25, 0.5, 1.0)),
+    pytest.param({"kappa_mhz": 0.2, "n_bar": 3.31}, "ground", id="c3"),
+    pytest.param({"n_bar": 4.0}, "turn_on", id="turn_on-n4"),
+    pytest.param({"n_bar": 6.3}, "turn_on", id="turn_on-n6.3"),
+    pytest.param({"kappa_mhz": 0.2, "n_bar": 3.31}, None, id="c3-steady"),
+    pytest.param({"kappa_mhz": 0.2, "n_bar": 3.31, "delta_c_mhz": 0.0}, None, id="resonant-steady"),
+]
+
+
+@pytest.mark.parametrize("cfg, start", _DOUBLING_POINTS)
+def test_cutoff_rule_passes_the_doubling_test(cfg, start):
+    # doubling the chosen cutoff moves <sx> by less than 1e-3 (over 2 us for
+    # a trajectory), and the chosen cutoff's top level stays under the gate
+    p = reference_params(**cfg)
+
+    def run(n_fock):  # (<sx>, top-level population) at this cutoff
+        q = p.with_n_fock(n_fock)
+        if start is None:
+            rho = _sparse_steady(q)
+            return expect_real(HilbertSpace(n_fock).sx, rho), top_fock_population(rho)
+        traj = cooling_trajectory(q, 2.0, n_times=201, initial=start)
+        return traj.expectations["sx"], traj.stats.top_fock_population
+
+    n = choose_fock_cutoff(p, initial_state=start)
+    (sx, edge), (sx_doubled, _) = run(n), run(2 * n)
+    assert np.max(np.abs(sx_doubled - sx)) < 1e-3
+    assert edge <= TRUNCATION_TOL
 
 
 # ---------------------------------------------------------------------------

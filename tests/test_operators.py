@@ -16,6 +16,7 @@ from dressed_cool.operators import (
     qubit_state,
     reduced_qubit,
     smallest_eigenvalue,
+    top_fock_population,
 )
 
 GROUND = np.array([1.0, 0.0])
@@ -210,6 +211,16 @@ def test_reduced_qubit_of_product_state():
     assert np.allclose(rq, qubit_state(PLUS), atol=1e-12)
     with pytest.raises(ValueError):
         reduced_qubit(identity(5) / 5)
+
+
+def test_top_fock_population_sums_both_qubit_levels():
+    # |g, 3> and |e, 3> are the top level of a 4-level cavity
+    rho = 0.25 * kron(qubit_state(PLUS), fock_state(4, 3)) + 0.75 * kron(qubit_state(PLUS), fock_state(4, 0))
+    assert top_fock_population(rho) == pytest.approx(0.25, abs=1e-15)
+    cav = coherent_state(8, 0.3)
+    assert top_fock_population(kron(qubit_state(GROUND), cav)) == pytest.approx(cav[7, 7].real, rel=1e-12)
+    with pytest.raises(ValueError):
+        top_fock_population(identity(5) / 5)
 
 
 class TestHilbertSpace:

@@ -191,6 +191,19 @@ def test_failed_point_is_isolated():
     assert not math.isnan(rows[1].sx)
 
 
+@pytest.mark.parametrize("mode", ["steady_tomography", "cooling_rate"])
+def test_truncated_steady_point_fails(mode):
+    # on the cavity resonance at kappa/2pi = 0.2 MHz the steady state needs
+    # n_fock 31; a fixed 8 leaves 3.9e-3 in the top level, so that point is
+    # a failed row while the weakly driven one converges
+    base = reference_params(kappa_mhz=0.2, delta_c_mhz=0.0, n_fock=8)
+    grid = SweepGrid(power_db=[-20.0, 10.0 * math.log10(3.31)], detuning=[0.0], fixed=base,
+                     mode=mode, auto_n_fock=False)
+    rows = run_sweep(grid).rows
+    assert [r.converged for r in rows] == [True, False]
+    assert math.isnan(rows[1].sx)
+
+
 def test_programming_error_is_not_a_failed_point(monkeypatch):
     # only named numerical failures become NaN rows; a bug must surface
     def broken(p):

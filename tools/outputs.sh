@@ -10,13 +10,17 @@
 #                       checkout from before it, only those differ at points
 #                       that converged on both sides; the other columns stay
 #                       identical.
-#   evolve_*.csv        undisplaced/turn_on and displaced/ground trajectories
+#   evolve_*.csv        undisplaced/turn_on and displaced/ground trajectories,
+#                       and evolve_turn_on_n4.csv, displaced turn-on at
+#                       n_bar = 4 over 2 us, whose cutoff the initial state
+#                       sets (n_fock 15 since the state-sized cutoff rule in
+#                       CHANGES.md; 8 before it, with 0.0627 in the top level)
 #   fit.json            exponential fit of the undisplaced trajectory's sx
 #   steady_*.json       steady state in both frames
 #   rates*.txt          rates at the defaults and at delta_c = +9 MHz
 #   verify.txt          acceptance lines and the exit status
 # Run it on two checkouts and compare with `diff -r` or `cmp`.
-# Usage: tools/outputs.sh <outdir>    (takes about two minutes)
+# Usage: tools/outputs.sh <outdir>    (takes about half a minute)
 set -eu
 if [ $# -ne 1 ]; then
     echo "usage: $0 <outdir>" >&2
@@ -44,6 +48,8 @@ run evolve_undisplaced '{"frame": "undisplaced", "initial_state": "turn_on"}' \
     evolve -o "$out/evolve_undisplaced.csv" --no-timestamp
 run evolve_displaced '{"frame": "displaced", "initial_state": "ground"}' \
     evolve -o "$out/evolve_displaced.csv" --no-timestamp
+run evolve_turn_on_n4 '{"n_bar": 4, "t_max_us": 2}' \
+    evolve -o "$out/evolve_turn_on_n4.csv" --no-timestamp
 dc fit -i "$out/evolve_undisplaced.csv" --column sx -o "$out/fit.json"
 run steady_displaced '{"frame": "displaced"}' steady -o "$out/steady_displaced.json"
 run steady_undisplaced '{"frame": "undisplaced"}' steady -o "$out/steady_undisplaced.json"

@@ -26,7 +26,7 @@ from .analysis import (
 )
 from .config import Config, to_system_params
 from .dynamics import evolve, steady_state, steady_state_and_mode
-from .model import FRAMES, TRUNCATION_TOL, TWO_PI, build_model, displacement, turn_on_state
+from .model import TRUNCATION_TOL, TWO_PI, build_model, displacement, n_bar_of, turn_on_state
 from .operators import HilbertSpace
 from .rates import (
     effective_temperature,
@@ -91,17 +91,22 @@ def _c3_run():
 
 @lru_cache(maxsize=None)
 def _c6_frame_runs():
-    """The same physical evolution in the displaced and lab frames."""
-    p = to_system_params(Config(n_bar=3.6, n_fock=24))
-    frame = displacement(p.eps_d, p.delta_c, p.kappa)
+    """The same physical evolution in the displaced and lab frames, as
+    (a_bar, {frame: trajectory}).
+
+    The displaced run takes its rule cutoff (n_fock 15).  The lab run takes
+    24, above its rule's 22, where the frames differ by 1.21e-3 (qubit) and
+    1.46e-3 (field) against the 2e-3 tolerance, though its top level holds
+    only 2.4e-5.
+    """
+    p = to_system_params(Config(n_bar=3.6))
     t_grid = np.linspace(0.0, 10.0, 501)
-    hs = HilbertSpace(p.n_fock)
-    obs = {"sx": hs.sx, "sz": hs.sz, "a": hs.a}
-    runs = {
-        fr: evolve(*build_model(p, fr), turn_on_state(p, frame=fr), t_grid, observables=obs)
-        for fr in FRAMES
-    }
-    return p, frame, runs
+    runs = {}
+    for fr, q in (("displaced", p), ("undisplaced", p.with_n_fock(24))):
+        hs = HilbertSpace(q.n_fock)
+        obs = {"sx": hs.sx, "sz": hs.sz, "a": hs.a}
+        runs[fr] = evolve(*build_model(q, fr), turn_on_state(q, frame=fr), t_grid, observables=obs)
+    return displacement(p), runs
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +155,6 @@ def criterion_2() -> CriterionResult:
         fixed=p,
         mode="steady_tomography",
         theta=math.pi / 2.0,
-        auto_n_fock=False,
     )
     table = apply_tomography_scale(run_sweep(grid), 0.8)
     scaled = table.rows[0].sx
@@ -167,8 +171,7 @@ def criterion_3() -> CriterionResult:
     """Strong-coupling oscillation frequency matches 2|chi| sqrt(n_bar)."""
     p, traj = _c3_run()
     freq = dominant_frequency(traj.times, traj.expectations["sx"])
-    n_bar = displacement(p.eps_d, p.delta_c, p.kappa).n_bar
-    expected = 2.0 * abs(p.chi) * math.sqrt(n_bar) / TWO_PI
+    expected = 2.0 * abs(p.chi) * math.sqrt(n_bar_of(p)) / TWO_PI
     err = _rel_err(freq, expected)
     ok = err <= 0.05
     detail = (
@@ -266,11 +269,11 @@ def criterion_6() -> CriterionResult:
 
     # Displaced and lab frames agree on qubit observables and on the field
     # once the coherent offset is added back.
-    p6, frame, runs = _c6_frame_runs()
+    a_bar, runs = _c6_frame_runs()
     disp, lab = runs["displaced"], runs["undisplaced"]
     dx = np.max(np.abs(disp.expectations["sx"] - lab.expectations["sx"]))
     dz = np.max(np.abs(disp.expectations["sz"] - lab.expectations["sz"]))
-    dfield = np.max(np.abs(lab.expectations["a"] - (frame.a_bar + disp.expectations["a"])))
+    dfield = np.max(np.abs(lab.expectations["a"] - (a_bar + disp.expectations["a"])))
     frame_err = float(max(dx, dz))
     frame_ok = frame_err <= 2e-3 and dfield <= 2e-3
 
@@ -290,7 +293,7 @@ def criterion_7() -> CriterionResult:
     forms every state from real Hermitian-basis coordinates."""
     trajs = [traj for _, _, traj, _, _ in _c1_runs()]
     trajs.append(_c3_run()[1])
-    trajs.extend(_c6_frame_runs()[2].values())
+    trajs.extend(_c6_frame_runs()[1].values())
 
     trace_dev = max(t.conservation.max_trace_deviation for t in trajs)
     min_eig = min(t.conservation.min_eigenvalue for t in trajs)

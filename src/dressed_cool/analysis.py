@@ -115,6 +115,18 @@ def _reject_structured_residual(cost, y, y_range):
     return rms
 
 
+def _series(times, values) -> tuple[np.ndarray, np.ndarray]:
+    """times and values as matching 1-d float arrays of finite numbers, or
+    ValueError: a NaN passes every comparison of a fit or a peak search."""
+    t = np.asarray(times, dtype=float)
+    y = np.asarray(values, dtype=float)
+    if t.shape != y.shape or t.ndim != 1:
+        raise ValueError("times and values must be matching 1-d arrays")
+    if not (np.isfinite(t).all() and np.isfinite(y).all()):
+        raise ValueError("times and values must be finite; found NaN or infinity")
+    return t, y
+
+
 # Gauss-Newton iteration budget of fit_exponential.
 _MAX_ITER = 200
 
@@ -122,14 +134,12 @@ _MAX_ITER = 200
 def fit_exponential(times, values) -> ExpFit:
     """Damped Gauss-Newton fit of a single exponential relaxation.
 
-    Raises FitNonConvergedError after _MAX_ITER iterations and
+    Raises ValueError on non-finite or too few samples,
+    FitNonConvergedError after _MAX_ITER iterations and
     NonMonotonicDataError when the residual carries structure far above the
     noise floor (the signature of strong-coupling oscillations).
     """
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(values, dtype=float)
-    if t.shape != y.shape or t.ndim != 1:
-        raise ValueError("times and values must be matching 1-d arrays")
+    t, y = _series(times, values)
     if len(t) < 8:
         raise ValueError(f"need at least 8 samples, got {len(t)}")
     span = t[-1] - t[0]
@@ -196,10 +206,10 @@ def dominant_frequency(times, values) -> float:
     """Dominant oscillation frequency in MHz (times in us).
 
     Detrends, applies a Hann window, and refines the FFT peak bin by
-    parabolic interpolation of the log magnitude.
+    parabolic interpolation of the log magnitude.  Raises ValueError on
+    non-finite samples or a grid that is not uniform.
     """
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(values, dtype=float)
+    t, y = _series(times, values)
     n = len(t)
     if n < 64:
         raise ValueError(f"need at least 64 samples, got {n}")

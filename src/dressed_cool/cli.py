@@ -152,8 +152,7 @@ def _cmd_rates(args) -> int:
     return 0
 
 
-def _config_metadata(cfg: config.Config) -> dict:
-    p = config.to_system_params(cfg)
+def _config_metadata(cfg: config.Config, p: model.SystemParams) -> dict:
     return {
         "frame": cfg.frame,
         "chi_mhz": cfg.chi_mhz,
@@ -183,7 +182,7 @@ def _cmd_evolve(args) -> int:
     stats = traj.stats
     model.check_truncation(stats.top_fock_population, p.n_fock)
     out = args.output or "trajectory.csv"
-    write_trajectory_csv(traj.times, traj.expectations, _config_metadata(cfg), out,
+    write_trajectory_csv(traj.times, traj.expectations, _config_metadata(cfg, p), out,
                          no_timestamp=args.no_timestamp)
     print(
         f"wrote {len(traj.times)} samples over {t_max:.6g} us to {out};"

@@ -26,7 +26,10 @@ from .sweep import MODES
 
 @dataclass
 class Config:
-    """Run configuration; defaults encode the reference experimental operating point."""
+    """Run configuration; defaults encode the reference experimental operating point.
+
+    n_bar, the intracavity photon number, is the one drive key: the drive
+    amplitude follows from it (model.drive_for_photons)."""
 
     chi_mhz: float = -0.66
     kappa_mhz: float = 4.3
@@ -34,7 +37,6 @@ class Config:
     delta_c_mhz: float = -9.0
     delta_q_prime_mhz: float = 0.0
     n_bar: float = 1.0
-    eps_d_mhz: float | None = None
     t1_us: float = 10.0
     t2_us: float = 10.6
     thermal_qubit: bool = False
@@ -67,8 +69,6 @@ def _validate(c: Config) -> None:
         _fail("kappa_mhz", f"must be positive, got {c.kappa_mhz}")
     if c.n_bar < 0:
         _fail("n_bar", f"must be nonnegative, got {c.n_bar}")
-    if c.eps_d_mhz is not None and c.eps_d_mhz < 0:
-        _fail("eps_d_mhz", f"must be nonnegative, got {c.eps_d_mhz}")
     if c.t1_us <= 0:
         _fail("t1_us", f"must be positive, got {c.t1_us}")
     if c.t2_us <= 0:
@@ -119,8 +119,6 @@ def parse_config(text: str) -> Config:
     unknown = sorted(set(raw) - set(_KEY_TYPES))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    if raw.get("eps_d_mhz") is not None and "n_bar" in raw:
-        raise ValueError("give either eps_d_mhz or n_bar, not both (they both set the drive)")
 
     for key, value in raw.items():
         kind = _KEY_TYPES[key]
@@ -150,10 +148,6 @@ def to_system_params(c: Config, steady: bool = False) -> SystemParams:
     when steady is true (see choose_fock_cutoff)."""
     kappa = TWO_PI * c.kappa_mhz
     delta_c = TWO_PI * c.delta_c_mhz
-    if c.eps_d_mhz is not None:
-        eps_d = TWO_PI * c.eps_d_mhz
-    else:
-        eps_d = drive_for_photons(c.n_bar, delta_c, kappa)
     gamma_1 = 1.0 / c.t1_us
     if c.thermal_qubit:
         gamma_down = gamma_1 / (1.0 + THERMAL_UP_DOWN_RATIO)
@@ -168,7 +162,7 @@ def to_system_params(c: Config, steady: bool = False) -> SystemParams:
         omega_r_rabi=TWO_PI * c.omega_r_mhz,
         delta_c=delta_c,
         delta_q_prime=TWO_PI * c.delta_q_prime_mhz,
-        eps_d=eps_d,
+        eps_d=drive_for_photons(c.n_bar, delta_c, kappa),
         gamma_down=gamma_down,
         gamma_up=gamma_up,
         gamma_phi=gamma_phi,

@@ -123,7 +123,7 @@ def evolve(
     rho0: np.ndarray,
     t_grid,
     observables: dict[str, np.ndarray] | None = None,
-    store_states: bool | None = None,
+    store_states: bool = False,
 ) -> Trajectory:
     """Integrate the master equation over t_grid.
 
@@ -134,11 +134,10 @@ def evolve(
     w_k = Tr(O G_k); a series is real exactly when w is, as for a Hermitian
     O.  Every observable must be a d x d matrix.  These numbers are read off
     inside the integrator as each grid time is reached, so no state is held
-    unless store_states is true (the default when no observables are
-    requested): rho is formed for its smallest eigenvalue and kept only
-    then.  Every trajectory carries its worst trace and positivity
-    deviations as a ConservationReport and what the propagation did as
-    PropagationStats.
+    unless store_states is true: rho is formed for its smallest eigenvalue
+    and kept only then.  Every trajectory carries its worst trace and
+    positivity deviations as a ConservationReport and what the propagation
+    did as PropagationStats.
     The top Fock level's population is read in the qubit-major layout of
     operators.py (top_fock_population), so d must be even.
     """
@@ -149,8 +148,6 @@ def evolve(
         raise ValueError(f"dimension {d} is not 2 * n_fock")
     if hermiticity_residual(rho0) > 1e-12:  # it would have no real coordinates
         raise ValueError("initial state is not Hermitian")
-    if store_states is None:
-        store_states = observables is None
     observables = observables or {}
 
     for name, op in observables.items():

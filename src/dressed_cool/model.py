@@ -19,7 +19,6 @@ Conventions (all frequencies angular, rad/us; rates 1/us; times us):
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -110,20 +109,10 @@ class SystemParams:
         return replace(self, n_fock=n_fock)
 
 
-@dataclass(frozen=True)
-class DisplacedFrame:
-    """Classical cavity field a_bar and its photon number n_bar = |a_bar|^2."""
-
-    a_bar: complex
-    n_bar: float
-
-
-def displacement(eps_d: float, delta_c: float, kappa: float) -> DisplacedFrame:
-    """Steady classical field of the driven damped cavity."""
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    a_bar = eps_d / (delta_c + 0.5j * kappa)
-    return DisplacedFrame(a_bar=a_bar, n_bar=abs(a_bar) ** 2)
+def displacement(p: SystemParams) -> complex:
+    """Steady classical field a_bar = eps_d / (delta_c + i kappa/2) of the
+    driven damped cavity; n_bar = |a_bar|^2 photons ride in it."""
+    return p.eps_d / (p.delta_c + 0.5j * p.kappa)
 
 
 def drive_for_photons(n_bar: float, delta_c: float, kappa: float) -> float:
@@ -136,7 +125,7 @@ def drive_for_photons(n_bar: float, delta_c: float, kappa: float) -> float:
 
 
 def n_bar_of(p: SystemParams) -> float:
-    return displacement(p.eps_d, p.delta_c, p.kappa).n_bar
+    return abs(displacement(p)) ** 2
 
 
 def coupling_ratio(p: SystemParams) -> float:
@@ -150,7 +139,7 @@ def build_hamiltonian_displaced(p: SystemParams) -> np.ndarray:
     a = annihilation(p.n_fock)
     ad = a.conj().T
     nd = ad @ a
-    a_bar = displacement(p.eps_d, p.delta_c, p.kappa).a_bar
+    a_bar = displacement(p)
     coupling = np.conj(a_bar) * a + a_bar * ad + nd
     h = (
         -p.delta_c * hs.cavity(nd)
@@ -167,21 +156,14 @@ def build_hamiltonian_undisplaced(p: SystemParams) -> np.ndarray:
     The bare qubit detuning is recovered from delta_q_prime by undoing the
     Stark shift (2 chi n_bar) and the constant chi offset that the displaced
     frame absorbs into the qubit frequency, so both builders share one
-    physical operating point.
+    physical operating point.  Like every builder it takes p.n_fock as
+    given: choose_fock_cutoff sizes a cutoff and check_truncation judges it.
     """
-    frame = displacement(p.eps_d, p.delta_c, p.kappa)
-    needed = choose_fock_cutoff(p, "undisplaced")
-    if p.n_fock < needed:
-        warnings.warn(
-            f"n_fock = {p.n_fock} below the undisplaced-frame rule ({needed}) "
-            f"for n_bar = {frame.n_bar:.3g}; expect truncation artifacts",
-            stacklevel=2,
-        )
     hs = HilbertSpace(p.n_fock)
     a = annihilation(p.n_fock)
     ad = a.conj().T
     na = ad @ a
-    delta_q_bare = p.delta_q_prime - 2.0 * p.chi * frame.n_bar - p.chi
+    delta_q_bare = p.delta_q_prime - 2.0 * p.chi * n_bar_of(p) - p.chi
     h = (
         -p.delta_c * hs.cavity(na)
         - 0.5 * (delta_q_bare + p.chi) * hs.sz
@@ -236,7 +218,7 @@ def build_model(p: SystemParams, frame: str = "displaced") -> tuple[np.ndarray, 
 
 # Largest population the cavity's top Fock level may hold in any state of a
 # run before its truncation counts as failed (TruncationError).  At the
-# validation points of choose_fock_cutoff its cutoffs hold at most 7.3e-5
+# displaced-frame validation points of choose_fock_cutoff its cutoffs hold at most 7.3e-5
 # there (turn-on at n_bar = 1, n_fock 8) and move <sx> by at most 5e-5
 # against a doubled cutoff; the too-small cutoffs measured, which miss <sx> by
 # 3e-2 or more, hold 3.9e-3 or more.
@@ -324,7 +306,7 @@ def _cavity_state(p: SystemParams, frame: str, alpha: complex) -> np.ndarray:
     in the given frame (the displaced frame's d is a - a_bar)."""
     _check_frame(frame)
     if frame == "displaced":
-        alpha -= displacement(p.eps_d, p.delta_c, p.kappa).a_bar
+        alpha -= displacement(p)
     return coherent_state(p.n_fock, alpha)
 
 
@@ -339,5 +321,4 @@ def qubit_axis_state(p: SystemParams, which: str, frame: str = "displaced") -> n
     field's coherent state <a> = a_bar, the vacuum of its fluctuations d."""
     if which not in _QUBIT_KETS:
         raise ValueError(f"unknown qubit state {which!r}; expected one of {tuple(_QUBIT_KETS)}")
-    a_bar = displacement(p.eps_d, p.delta_c, p.kappa).a_bar
-    return kron(qubit_state(_QUBIT_KETS[which]), _cavity_state(p, frame, a_bar))
+    return kron(qubit_state(_QUBIT_KETS[which]), _cavity_state(p, frame, displacement(p)))

@@ -217,11 +217,13 @@ def run_sweep(grid: SweepGrid, workers: int = 1) -> SweepTable:
     converged = False rather than aborting the sweep.  Any other exception
     propagates.  Every point runs its BLAS on one thread, in a pool worker or
     serially here (the caller's thread count is restored afterwards), so the
-    LU roundoff, and with it every row, is the same either way.
+    LU roundoff, and with it every row, is the same either way.  The pool
+    never has more processes than points or than CPUs this process may run
+    on, whatever the worker count asked for.
     """
-    n_workers = resolve_workers(workers)
     tasks = [(grid, p_d, dq) for p_d in grid.power_db for dq in grid.detuning]
-    if n_workers == 1 or len(tasks) == 1:
+    n_workers = min(resolve_workers(workers), len(tasks), resolve_workers(0))
+    if n_workers == 1:
         before = _blas_threads()
         _set_blas_threads()
         try:

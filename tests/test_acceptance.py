@@ -53,7 +53,7 @@ def test_criterion_7_gates_the_truncation_edge(monkeypatch):
     bad = cooling_trajectory(p, 0.5, n_times=51)
     monkeypatch.setattr(acceptance, "_c1_runs", lambda: [(4.0, p, bad, None, None)])
     monkeypatch.setattr(acceptance, "_c3_run", lambda: (p, bad))
-    monkeypatch.setattr(acceptance, "_c6_frame_runs", lambda: (p, None, {}))
+    monkeypatch.setattr(acceptance, "_c6_frame_runs", lambda: (0j, {}))
     result = acceptance.criterion_7()
     assert not result.passed
     assert "max top Fock level population = 6.27e-02 (tol 1e-04)" in result.detail

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -41,14 +42,12 @@ def test_config_roundtrip_identity():
     cases = [
         Config(),
         Config(kappa_mhz=0.2, n_bar=3.31),
-        Config(eps_d_mhz=9.25, n_fock=14, t_max_us=5.0),
+        Config(n_bar=2.0, n_fock=14, t_max_us=5.0),
         Config(thermal_qubit=True, mode="cooling_rate", workers=3),
     ]
     for c in cases:
-        # every set key as JSON; n_bar is left out when eps_d_mhz sets the drive
+        # every set key as JSON
         data = {k: v for k, v in asdict(c).items() if v is not None}
-        if c.eps_d_mhz is not None:
-            del data["n_bar"]
         assert parse_config(json.dumps(data)) == c
 
 
@@ -60,7 +59,7 @@ def test_config_rejects_unknown_keys():
 def test_config_type_errors_name_the_key():
     wrong = {
         "chi_mhz": "fast", "kappa_mhz": "fast", "omega_r_mhz": [9.0], "delta_c_mhz": True,
-        "delta_q_prime_mhz": "0", "n_bar": {}, "eps_d_mhz": "fast", "t1_us": "10",
+        "delta_q_prime_mhz": "0", "n_bar": {}, "t1_us": "10",
         "t2_us": False, "thermal_qubit": 1, "n_fock": 8.5, "frame": 7, "initial_state": 0,
         "t_max_us": "long", "n_times": 100.0, "mode": ["cooling_rate"], "theta_deg": "90",
         "tomography_scale": None, "power_db_min": "low", "power_db_max": None,
@@ -102,12 +101,11 @@ def test_config_initial_state_error_lists_the_model_states():
         parse_config('{"initial_state": "sideways"}')
 
 
-def test_config_drive_keys_are_exclusive():
-    with pytest.raises(ValueError, match="not both"):
-        parse_config('{"eps_d_mhz": 9.0, "n_bar": 2.0}')
-    # an explicit null means unset and does not conflict
-    c = parse_config('{"eps_d_mhz": null, "n_bar": 2.0}')
-    assert c.n_bar == 2.0
+def test_config_has_one_drive_key():
+    # n_bar sets the drive; a drive amplitude key would restate it
+    for text in ('{"eps_d_mhz": 9.0}', '{"eps_d_mhz": null, "n_bar": 2.0}'):
+        with pytest.raises(ValueError, match="unknown config keys: eps_d_mhz$"):
+            parse_config(text)
 
 
 def test_config_rejects_non_object_json():
@@ -123,9 +121,8 @@ def test_unit_conversion_happens_once():
     assert p.kappa == pytest.approx(TWO_PI * 4.3, rel=1e-15)
     assert p.omega_r_rabi == pytest.approx(TWO_PI * 9.0, rel=1e-15)
     assert p.delta_c == pytest.approx(TWO_PI * -9.0, rel=1e-15)
-    # direct drive amplitude bypasses the photon-number conversion
-    p2 = to_system_params(Config(eps_d_mhz=3.0))
-    assert p2.eps_d == pytest.approx(TWO_PI * 3.0, rel=1e-15)
+    # the drive amplitude sustains the configured photon number
+    assert model.n_bar_of(p) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_thermal_qubit_split():
@@ -355,6 +352,18 @@ def test_cli_evolve_sizes_turn_on_and_gates_the_truncation(capsys, tmp_path):
     assert not traj.exists()
 
 
+def test_cli_undisplaced_cutoff_is_judged_by_the_gate_alone(capsys, tmp_path):
+    # the lab-frame builder takes the given cutoff without a rule of its own:
+    # n_fock 8 at n_bar = 3.6 fails on the truncation gate, with no warning
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"frame": "undisplaced", "n_bar": 3.6, "n_fock": 8}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["steady", "-c", str(cfg)]) == 2
+    assert caught == []
+    assert "numerical failure: cavity truncation: the top Fock level of n_fock = 8" in capsys.readouterr().err
+
+
 def test_cli_usage_errors(capsys, tmp_path):
     assert main([]) == 1
     assert "subcommand" in capsys.readouterr().err
@@ -413,6 +422,24 @@ def test_cli_spectrum_flat_is_numerical_failure(tmp_path, capsys):
     write_trajectory_csv(t, {"sx": np.ones_like(t)}, {}, str(path), no_timestamp=True)
     assert main(["spectrum", "-i", str(path)]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "spectrum"])
+@pytest.mark.parametrize("column", ["t_us", "sx"])
+def test_cli_rejects_a_non_finite_sample(tmp_path, capsys, command, column):
+    # a NaN cell passes every comparison of a fit or a peak search, so it is
+    # bad input (exit 1), not a printed NaN or a numerical failure
+    t = np.linspace(0.0, 10.0, 256)
+    cols = {"t_us": t, "sx": np.exp(-t) * np.cos(TWO_PI * 2.4 * t)}
+    cols[column] = cols[column].copy()
+    cols[column][100] = math.nan
+    path = tmp_path / "nan.csv"
+    write_trajectory_csv(cols["t_us"], {"sx": cols["sx"]}, {}, str(path), no_timestamp=True)
+    assert "nan" in path.read_text()
+    assert main([command, "-i", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: times and values must be finite; found NaN or infinity\n"
 
 
 def test_cli_sweep_reruns_are_byte_identical(tmp_path, capsys):

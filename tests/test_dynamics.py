@@ -232,7 +232,6 @@ def test_liouvillian_matches_direct_apply():
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
-@pytest.mark.filterwarnings("ignore:n_fock")
 @pytest.mark.parametrize("frame", ["displaced", "undisplaced"])
 @pytest.mark.parametrize("n_fock", [3, 8])
 def test_liouvillian_matches_kron_reference(n_fock, frame):
@@ -383,12 +382,14 @@ def test_evolve_pure_decay():
 
 
 def test_evolve_state_storage_defaults():
+    # states are kept only when asked for, with or without observables
     h = -0.5 * pauli("x")
     t_grid = np.linspace(0.0, 1.0, 5)
-    traj = evolve(h, [], qubit_state(GROUND), t_grid)
-    assert traj.states is not None and len(traj.states) == 5
+    assert evolve(h, [], qubit_state(GROUND), t_grid).states is None
     traj = evolve(h, [], qubit_state(GROUND), t_grid, observables={"sz": pauli("z")})
     assert traj.states is None
+    traj = evolve(h, [], qubit_state(GROUND), t_grid, store_states=True)
+    assert traj.states is not None and len(traj.states) == 5
 
 
 def test_evolve_always_reports_conservation():
@@ -849,5 +850,4 @@ def test_static_coherent_state_in_lab_frame():
     rho = steady_state(build_hamiltonian_undisplaced(p), collapse_ops(p, "undisplaced"))
     hs = HilbertSpace(p.n_fock)
     a_avg = expectation(hs.a, rho)
-    a_bar = displacement(p.eps_d, p.delta_c, p.kappa).a_bar
-    assert abs(a_avg - a_bar) <= 1e-6
+    assert abs(a_avg - displacement(p)) <= 1e-6

@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ def build_effective_jc(p: SystemParams) -> np.ndarray:
     """
     hs = HilbertSpace(p.n_fock)
     a = annihilation(p.n_fock)
-    a_bar = displacement(p.eps_d, p.delta_c, p.kappa).a_bar
+    a_bar = displacement(p)
     return (
         -p.delta_c * hs.cavity(a.conj().T @ a)
         - 0.5 * p.omega_r_rabi * hs.sz
@@ -88,14 +89,15 @@ def test_dispersive_map_rejects_degenerate():
 
 
 def test_displacement_zero_drive():
-    fr = displacement(0.0, -1.0, 2.0)
-    assert fr.a_bar == 0.0 and fr.n_bar == 0.0
+    p = replace(reference_params(), eps_d=0.0)
+    assert displacement(p) == 0.0 and n_bar_of(p) == 0.0
 
 
 def test_displacement_reference_operating_point():
-    fr = displacement(TWO_PI * 17.56, TWO_PI * -9.0, TWO_PI * 4.3)
-    assert fr.n_bar == pytest.approx(3.60, abs=5e-3)
-    assert fr.n_bar == pytest.approx(abs(fr.a_bar) ** 2, rel=1e-12)
+    p = replace(reference_params(), eps_d=TWO_PI * 17.56)  # delta_c, kappa: -9, 4.3 MHz
+    assert displacement(p) == pytest.approx(p.eps_d / complex(TWO_PI * -9.0, TWO_PI * 2.15), rel=1e-12)
+    assert n_bar_of(p) == pytest.approx(3.60, abs=5e-3)
+    assert n_bar_of(p) == pytest.approx(abs(displacement(p)) ** 2, rel=1e-12)
 
 
 def test_drive_for_photons_reference_values():
@@ -111,13 +113,14 @@ def test_drive_for_photons_reference_values():
 
 def test_displacement_round_trip_random():
     rng = np.random.default_rng(3)
+    base = reference_params()
     for _ in range(50):
         n_bar = float(rng.uniform(0.0, 20.0))
         delta_c = float(rng.uniform(-100.0, 100.0))
         kappa = float(rng.uniform(0.1, 50.0))
         eps = drive_for_photons(n_bar, delta_c, kappa)
-        back = displacement(eps, delta_c, kappa).n_bar
-        assert back == pytest.approx(n_bar, rel=1e-12, abs=1e-12)
+        p = replace(base, eps_d=eps, delta_c=delta_c, kappa=kappa)
+        assert abs(displacement(p)) ** 2 == pytest.approx(n_bar, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +153,7 @@ def test_displaced_hamiltonian_matches_hand_assembly():
     h = build_hamiltonian_displaced(p)
     assert np.max(np.abs(h - h.conj().T)) <= 1e-12
 
-    a_bar = displacement(p.eps_d, p.delta_c, p.kappa).a_bar
+    a_bar = displacement(p)
     n = p.n_fock
     a = annihilation(n)
     num = a.conj().T @ a
@@ -176,11 +179,6 @@ def test_undisplaced_block_structure_without_coupling():
     h_qub = -0.5 * p.delta_q_prime * pauli("z") - 0.5 * p.omega_r_rabi * pauli("x")
     expected = kron(identity(2), h_cav) + kron(h_qub, identity(n))
     assert np.allclose(h, expected, atol=1e-12)
-
-
-def test_undisplaced_warns_on_small_cutoff():
-    with pytest.warns(UserWarning, match="truncation"):
-        build_hamiltonian_undisplaced(reference_params(n_bar=3.6, n_fock=8))
 
 
 def test_every_builder_returns_hermitian():
@@ -222,13 +220,12 @@ def test_effective_jc_conserves_excitation_number():
 def test_effective_jc_single_excitation_splitting():
     p = reference_params(kappa_mhz=0.2, n_bar=3.31, n_fock=8)
     h = build_effective_jc(p)
-    fr = displacement(p.eps_d, p.delta_c, p.kappa)
     # single-excitation manifold: |e,0> and |g,1> in the qubit-major layout
     i, j = 1 * p.n_fock + 0, 0 * p.n_fock + 1
     block = np.array([[h[i, i], h[i, j]], [h[j, i], h[j, j]]])
     vals = np.linalg.eigvalsh(block)
     splitting = vals[1] - vals[0]
-    assert splitting == pytest.approx(2.0 * abs(p.chi) * math.sqrt(fr.n_bar), rel=1e-12)
+    assert splitting == pytest.approx(2.0 * abs(p.chi) * math.sqrt(n_bar_of(p)), rel=1e-12)
     assert splitting / TWO_PI == pytest.approx(2.402, abs=1e-3)
 
 
@@ -440,7 +437,7 @@ def test_turn_on_state_displaced_cancels_lab_field():
     p = reference_params(n_bar=2.0, n_fock=20)
     rho = turn_on_state(p, frame="displaced")
     validate_density_matrix(rho)
-    a_bar = displacement(p.eps_d, p.delta_c, p.kappa).a_bar
+    a_bar = displacement(p)
     hs = HilbertSpace(p.n_fock)
     d_avg = expectation(hs.a, rho)
     # lab-frame cavity starts in vacuum: <a> = a_bar + <d> = 0
@@ -486,7 +483,7 @@ def test_qubit_axis_state_cavity_is_the_field_vacuum_in_both_frames():
     # photons beyond |a_bar|^2) in the undisplaced frame
     p = reference_params(n_bar=2.0, n_fock=20)
     hs = HilbertSpace(p.n_fock)
-    a_bar = displacement(p.eps_d, p.delta_c, p.kappa).a_bar
+    a_bar = displacement(p)
     rho = qubit_axis_state(p, "plus", frame="displaced")
     assert abs(expectation(hs.a, rho)) == 0.0
     rho = qubit_axis_state(p, "plus", frame="undisplaced")

@@ -179,6 +179,46 @@ def test_serial_sweep_runs_blas_on_one_thread_and_restores_the_callers(monkeypat
     assert sweep._blas_threads() == before
 
 
+def test_pool_is_capped_at_the_points_and_the_usable_cpus(monkeypatch):
+    # under fork every worker starts at the first submit, so a pool sized
+    # from the request alone would start that many processes; the fake
+    # executor records the size and starts none
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    base = reference_params()
+
+    def grid(points):
+        return SweepGrid(power_db=[0.0], detuning=np.arange(points, dtype=float), fixed=base,
+                         mode="rates_analytic_map")
+
+    serial = run_sweep(grid(9), workers=1)
+    assert sizes == []
+    assert run_sweep(grid(9), workers=5000).rows == serial.rows
+    run_sweep(grid(3), workers=5000)
+    run_sweep(grid(9), workers=0)
+    assert sizes == [4, 3, 4]
+    # a pool of one is the serial path
+    run_sweep(grid(1), workers=5000)
+    monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    run_sweep(grid(9), workers=5000)
+    assert sizes == [4, 3, 4]
+
+
 def test_failed_point_is_isolated():
     # an undriven, dissipation-free qubit has no unique steady state; that
     # point must come back flagged instead of sinking the whole sweep

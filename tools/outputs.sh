@@ -14,8 +14,11 @@
 #                       and evolve_turn_on_n4.csv, displaced turn-on at
 #                       n_bar = 4 over 2 us, whose cutoff the initial state
 #                       sets (n_fock 15 since the state-sized cutoff rule in
-#                       CHANGES.md; 8 before it, with 0.0627 in the top level)
+#                       CHANGES.md; 8 before it, with 0.0627 in the top level),
+#                       and evolve_strong.csv, criterion 3's strong-coupling
+#                       run from |g> at kappa/2pi = 0.2 MHz, n_bar = 3.31
 #   fit.json            exponential fit of the undisplaced trajectory's sx
+#   spectrum.json       dominant frequency of evolve_strong.csv's sx
 #   steady_*.json       steady state in both frames
 #   rates*.txt          rates at the defaults and at delta_c = +9 MHz
 #   verify.txt          acceptance lines and the exit status
@@ -50,7 +53,11 @@ run evolve_displaced '{"frame": "displaced", "initial_state": "ground"}' \
     evolve -o "$out/evolve_displaced.csv" --no-timestamp
 run evolve_turn_on_n4 '{"n_bar": 4, "t_max_us": 2}' \
     evolve -o "$out/evolve_turn_on_n4.csv" --no-timestamp
+run evolve_strong \
+    '{"kappa_mhz": 0.2, "n_bar": 3.31, "initial_state": "ground", "t_max_us": 20, "n_times": 2001}' \
+    evolve -o "$out/evolve_strong.csv" --no-timestamp
 dc fit -i "$out/evolve_undisplaced.csv" --column sx -o "$out/fit.json"
+dc spectrum -i "$out/evolve_strong.csv" --column sx -o "$out/spectrum.json"
 run steady_displaced '{"frame": "displaced"}' steady -o "$out/steady_displaced.json"
 run steady_undisplaced '{"frame": "undisplaced"}' steady -o "$out/steady_undisplaced.json"
 run rates '{}' rates -o "$out/rates.txt"

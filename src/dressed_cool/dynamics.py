@@ -13,6 +13,7 @@ Hermitian states have real coordinates.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -33,9 +34,10 @@ __all__ = [
     "steady_state",
     "steady_state_and_mode",
 ]
-# liouvillian_matrix is not public: only _generator calls it.  It keeps its
-# unprefixed name only because bench/spans.py TARGETS times it under that
-# name (ROADMAP items 1 and 6).
+# liouvillian_matrix is not public: _generator builds evolve's M with it and
+# _generator_map the steady path's dissipator D.  It keeps its unprefixed
+# name only because bench/spans.py TARGETS times it under that name (ROADMAP
+# items 1 and 6).
 
 
 class MultipleSteadyStatesError(RuntimeError):
@@ -66,11 +68,7 @@ def liouvillian_matrix(h: np.ndarray, collapse: list[CollapseOp]) -> sp.csr_matr
     for l in ops:
         heff -= 0.5 * (l.conj().T @ l)
     i, j = np.nonzero(heff)
-    v = heff[i, j]
-    k = np.arange(d)[:, None]
-    rows = [(k * d + i).ravel(), (i * d + k).ravel()]
-    cols = [(k * d + j).ravel(), (j * d + k).ravel()]
-    vals = [np.tile(v, d), np.tile(v.conj(), d)]
+    rows, cols, vals = _identity_kron_triplets(i, j, heff[i, j], d)
     for l in ops:
         i, j = np.nonzero(l)
         v = l[i, j]
@@ -81,6 +79,16 @@ def liouvillian_matrix(h: np.ndarray, collapse: list[CollapseOp]) -> sp.csr_matr
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(d * d, d * d),
     )
+
+
+def _identity_kron_triplets(i, j, v, d: int, offset=0):
+    """Lists of (row, col, value) triplets of I kron A + conj(A) kron I for
+    the d x d matrix A whose nonzeros v sit at (i, j), with offset added to
+    each entry's rows (stacked generators)."""
+    k = np.arange(d)[:, None]
+    rows = [(k * d + i + offset).ravel(), (i * d + k + offset).ravel()]
+    cols = [(k * d + j).ravel(), (j * d + k).ravel()]
+    return rows, cols, [np.tile(v, d), np.tile(v.conj(), d)]
 
 
 @dataclass(frozen=True)
@@ -194,26 +202,39 @@ def evolve(
     )
 
 
+@functools.lru_cache(maxsize=8)
 def _hermitian_basis(d: int) -> sp.csc_matrix:
     """Unitary d^2 x d^2 matrix whose columns are vec(G_k) for the orthonormal
     Hermitian basis: the d diagonal units E_aa, then (E_ab + E_ba)/sqrt(2) and
-    i (E_ab - E_ba)/sqrt(2) for a < b.  Hermitian states have real coordinates."""
+    i (E_ab - E_ba)/sqrt(2) for a < b.  Hermitian states have real coordinates.
+    Made once per d and read-only."""
     a, b = np.triu_indices(d, 1)
     pair_rows = np.column_stack([a + b * d, b + a * d]).ravel()  # E_ab, E_ba
     s = np.sqrt(0.5)
     rows = np.concatenate([np.arange(d) * (d + 1), pair_rows, pair_rows])
     vals = np.concatenate([np.ones(d), np.full(2 * a.size, s), np.tile([1j * s, -1j * s], a.size)])
     starts = np.concatenate([np.arange(d), d + 2 * np.arange(2 * a.size + 1)])
-    return sp.csc_matrix((vals, rows, starts), shape=(d * d, d * d))
+    basis = sp.csc_matrix((vals, rows, starts), shape=(d * d, d * d))
+    for arr in (basis.data, basis.indices, basis.indptr):
+        arr.flags.writeable = False
+    return basis
+
+
+def _check_hermitian(h: np.ndarray) -> None:
+    if hermiticity_residual(h) > 1e-12 * np.abs(h).max(initial=1.0):
+        raise ValueError("Hamiltonian is not Hermitian")
 
 
 def _generator(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[sp.csc_matrix, sp.csr_matrix]:
     """The Hermitian basis T (see _hermitian_basis) and the sparse real
     generator M = T+ L T.  For a Hermitian H, which is checked, L maps
     Hermitian matrices to Hermitian matrices, so M is real; the roundoff in
-    its imaginary part is dropped."""
-    if hermiticity_residual(h) > 1e-12 * np.abs(h).max(initial=1.0):
-        raise ValueError("Hamiltonian is not Hermitian")
+    its imaginary part is dropped.  evolve builds its M here, once per
+    trajectory: a map (see _steady_generator) would cost more to build than
+    this product for its one use, and its pattern's explicit zeros (13,160
+    of 33,571 entries in the lab frame at d^2 = 2304) would ride along in
+    every M r."""
+    _check_hermitian(h)
     basis = _hermitian_basis(h.shape[0])
     m = (basis.conj().T @ liouvillian_matrix(h, collapse) @ basis).real
     # .real leaves data a strided view into the complex product, which every
@@ -221,6 +242,93 @@ def _generator(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[sp.csc_matrix
     # indices stay unsorted, so each row sums in the same order.
     m.data = np.ascontiguousarray(m.data)
     return basis, m
+
+
+@dataclass(frozen=True)
+class _GeneratorMap:
+    """M = F x + D on one sparsity pattern (see _steady_generator): F
+    (pattern entries x coordinates) and D (pattern entries) as CSR data, with
+    the pattern's column indices and row pointers.  Every array is read-only."""
+
+    f: sp.csr_matrix
+    drift: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+def _generator_map(d: int, upper: np.ndarray, collapse: list[CollapseOp]) -> _GeneratorMap:
+    """The map of one (d, upper nonzero pattern of H, collapse operators).
+
+    With G_t the unit Hermitian terms of H (E_aa, then E_ab + E_ba and
+    i (E_ab - E_ba) for each pattern entry a < b), F's column t is M for
+    H = G_t without dissipation and D is M for H = 0.  All the G_t's
+    Liouvillians come from one triplet assembly, stacked as row blocks of
+    d^2, and two products with T make every M_t."""
+    n, nn = upper.size, d * d
+    basis = _hermitian_basis(d)
+    a, b = np.divmod(upper, d)
+    diag, pairs = np.arange(d), np.arange(n)
+    # -i G_t on the nonzeros of each unit term t
+    i = np.concatenate([diag, a, b, a, b])
+    j = np.concatenate([diag, b, a, b, a])
+    v = np.concatenate([np.full(d + 2 * n, -1j), np.ones(n), -np.ones(n)])
+    term = np.concatenate([diag, d + pairs, d + pairs, d + n + pairs, d + n + pairs])
+    rows, cols, vals = _identity_kron_triplets(i, j, v, d, offset=term * nn)
+    k = d + 2 * n
+    stack = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(k * nn, nn)
+    )
+    # T+ acts on each block from the left: transpose each block of stack T,
+    # multiply by conj(T) = (T+)^T, and read M_t^T off each block
+    z = (stack @ basis).tocoo()
+    t, row = np.divmod(z.row.astype(np.int64), nn)
+    z = sp.csr_matrix((z.data, (t * nn + z.col, row)), shape=(k * nn, nn))
+    blocks = (z @ basis.conj()).real.tocoo()
+    t, col = np.divmod(blocks.row.astype(np.int64), nn)
+    drift = (basis.conj().T @ liouvillian_matrix(np.zeros((d, d)), collapse) @ basis).real.tocoo()
+    keys = np.concatenate([drift.row.astype(np.int64) * nn + drift.col, blocks.col * nn + col])
+    pattern, where = np.unique(keys, return_inverse=True)
+    pattern_rows, indices = np.divmod(pattern, nn)
+    out = _GeneratorMap(
+        f=sp.csr_matrix((blocks.data, (where[drift.nnz:], t)), shape=(pattern.size, k)),
+        drift=np.bincount(where[: drift.nnz], weights=drift.data, minlength=pattern.size),
+        indices=indices.astype(np.int32),
+        indptr=np.searchsorted(pattern_rows, np.arange(nn + 1)).astype(np.int32),
+    )
+    for arr in (out.f.data, out.f.indices, out.f.indptr, out.drift, out.indices, out.indptr):
+        arr.flags.writeable = False
+    return out
+
+
+# Generator maps by (d, upper pattern of H, collapse operators), least
+# recently used first; a map holds 0.09 MiB at d = 16 and 0.9 MiB at d = 48.
+_MAPS: dict[tuple, _GeneratorMap] = {}
+_MAPS_MAX = 8
+
+
+def _steady_generator(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[sp.csc_matrix, sp.csr_matrix]:
+    """The Hermitian basis T and M = T+ L T, as _generator returns them, but
+    assembled as M = F x(h) + D from a cached map (see _generator_map).
+
+    L is linear in H, and Re(T+ L T) depends on H only through its Hermitian
+    part, so with x(h) the coordinates of (h + h+)/2 (its real diagonal, then
+    Re and Im of each nonzero above it) M = sum_t x_t M_t + D.  A sweep's
+    points share d, that pattern and the collapse operators, so the map is
+    built once and each point costs one sparse product.  H is checked to be
+    Hermitian first."""
+    _check_hermitian(h)
+    d = h.shape[0]
+    hs = 0.5 * (h + h.conj().T)
+    upper = np.flatnonzero(np.triu(hs, 1))
+    key = (d, upper.tobytes(), *((l.shape, l.dtype.str, l.tobytes()) for l in (c.operator for c in collapse)))
+    gmap = _MAPS.pop(key, None) or _generator_map(d, upper, collapse)
+    _MAPS[key] = gmap  # most recently used last
+    if len(_MAPS) > _MAPS_MAX:
+        del _MAPS[next(iter(_MAPS))]
+    above = hs.flat[upper]
+    x = np.concatenate([hs.diagonal().real, above.real, above.imag])
+    m = sp.csr_matrix((gmap.f @ x + gmap.drift, gmap.indices, gmap.indptr), shape=(d * d, d * d))
+    return _hermitian_basis(d), m
 
 
 # Largest accepted scaled residual (see _residual) of a steady state or of
@@ -245,8 +353,12 @@ def _steady_system(m: sp.csr_matrix, d: int) -> np.ndarray:
     """The dense steady-state system S: M with its first row, the equation
     for rho[0, 0], replaced by Tr rho (the sum of the diagonal coordinates)."""
     # S is the real view of a complex copy of M: that larger short-lived block
-    # keeps the C heap from being trimmed after every solve, which costs a
-    # d = 16 point about 320 page faults and a steady sweep about 25% of its time
+    # keeps the C heap from being trimmed after every LU solve.  At d = 16
+    # (ru_minflt over 200 warm calls, in each of four processes) steady_state
+    # takes 0 page faults per call with it, and 0 or 320 without, as the
+    # process's earlier allocations fall; steady_state_and_mode, whose
+    # np.linalg.inv takes fresh blocks, takes 700 to 830 with it and 0 or
+    # 575 without.
     sys = m.astype(complex).toarray().real
     sys[0, :] = 0.0
     sys[0, :d] = 1.0
@@ -267,7 +379,7 @@ def _steady(h: np.ndarray, collapse: list[CollapseOp], invert: bool = False):
     if not collapse:
         raise ValueError("steady state needs at least one collapse channel")
     d = h.shape[0]
-    basis, m = _generator(h, collapse)
+    basis, m = _steady_generator(h, collapse)
     sys = _steady_system(m, d)
     rhs = np.zeros((d * d, 2))
     rhs[0, 0] = 1.0

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dressed_cool import analysis, dynamics, integrate, sweep
+from dressed_cool import analysis, dynamics, integrate, model, sweep
 from dressed_cool.config import Config, to_system_params
 from dressed_cool.dynamics import (
     ConservationReport,
@@ -718,24 +718,92 @@ def test_mode_failures_are_named(monkeypatch):
 
 
 def test_residual_applies_the_generator():
-    # _generator's M is Re(T+ L T) of the np.kron generator, and the steady
-    # system S is M with its first row replaced by the trace
+    # the steady path's M is Re(T+ L T) of the np.kron generator, and the
+    # S^-1 it returns inverts M with its first row replaced by the trace
     rng = np.random.default_rng(7)
     p = reference_params(n_bar=1.0, n_fock=4)
     h, ops = build_model(p)
     basis, m, inv, rho = dynamics._steady(h, ops, invert=True)
-    sys = dynamics._steady_system(m, h.shape[0])
-    assert np.max(np.abs(inv @ sys - np.eye(64))) <= 1e-12
     ref = (basis.conj().T @ kron_liouvillian(h, ops) @ basis).real
     assert np.max(np.abs(m.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert np.array_equal(sys[1:], m.toarray()[1:])
-    assert np.array_equal(sys[0], np.r_[np.ones(8), np.zeros(56)])
+    system = m.toarray()
+    system[0] = np.r_[np.ones(8), np.zeros(56)]
+    assert np.max(np.abs(inv @ system - np.eye(64))) <= 1e-12
     r = rng.normal(size=ref.shape[0]) + 1j * rng.normal(size=ref.shape[0])
     lam = -1.5 + 2.0j
     expected = np.linalg.norm(ref @ r - lam * r) / max(1.0, np.abs(ref).max())
     assert dynamics._residual(m, r, lam) == pytest.approx(expected, rel=1e-12)
     x = (basis.conj().T @ rho.ravel(order="F")).real
     assert dynamics._residual(m, x) <= 1e-14
+
+
+# Operating points whose H has different nonzero patterns or whose collapse
+# list differs: the defaults, no Rabi drive, no cavity drive, no dephasing
+# channel (T2 = 2 T1), a thermal qubit's extra channel, and a detuned,
+# strongly driven point.
+_MAP_POINTS = (
+    {},
+    {"omega_r_mhz": 0.0},
+    {"n_bar": 0.0},
+    {"t2_us": 20.0},
+    {"thermal_qubit": True},
+    {"n_bar": 2.5, "delta_c_mhz": 3.0, "delta_q_prime_mhz": -4.0},
+)
+
+
+@pytest.mark.parametrize("frame", FRAMES)
+@pytest.mark.parametrize("overrides", _MAP_POINTS)
+def test_steady_generator_map_matches_the_direct_generator(frame, overrides):
+    p = reference_params(frame=frame, n_fock=6, **overrides)
+    h, ops = build_model(p, frame)
+    labels = [c.label for c in ops]
+    assert ("dephasing" in labels) != ("t2_us" in overrides)
+    assert ("qubit_up" in labels) == ("thermal_qubit" in overrides)
+    direct_basis, direct = dynamics._generator(h, ops)
+    basis, m = dynamics._steady_generator(h, ops)
+    assert basis is direct_basis
+    ref = direct.toarray()
+    assert np.max(np.abs(m.toarray() - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_steady_generator_map_is_keyed_by_the_collapse_operators():
+    # one H pattern at two cavity linewidths: the second point must not reuse
+    # the first point's dissipator
+    for kappa_mhz in (4.3, 1.1):
+        p = reference_params(kappa_mhz=kappa_mhz, n_fock=5)
+        h, ops = build_model(p)
+        ref = dynamics._generator(h, ops)[1].toarray()
+        m = dynamics._steady_generator(h, ops)[1].toarray()
+        assert np.max(np.abs(m - ref)) <= 1e-12 * np.max(np.abs(ref)), kappa_mhz
+
+
+def test_steady_generator_map_is_built_once_per_pattern(monkeypatch):
+    # a sweep's points share the map: only its first point assembles a
+    # Liouvillian, for D
+    calls = []
+    monkeypatch.setattr(dynamics, "_MAPS", {})
+    build = dynamics.liouvillian_matrix
+    monkeypatch.setattr(dynamics, "liouvillian_matrix", lambda h, c: calls.append(1) or build(h, c))
+    for n_bar in (0.5, 1.0, 2.0):
+        for dq in (-3.0, 0.0, 4.0):
+            p = reference_params(n_bar=n_bar, delta_q_prime_mhz=dq, n_fock=5)
+            steady_state(*build_model(p))
+    assert len(calls) == 1 and len(dynamics._MAPS) == 1
+
+
+def test_cached_operators_are_read_only():
+    basis = dynamics._hermitian_basis(6)
+    assert basis is dynamics._hermitian_basis(6)
+    p = reference_params(n_fock=3)
+    h, ops = build_model(p)
+    dynamics._steady_generator(h, ops)
+    gmap = next(reversed(dynamics._MAPS.values()))
+    arrays = [basis.data, basis.indices, basis.indptr, gmap.f.data, gmap.f.indices, gmap.f.indptr,
+              gmap.drift, gmap.indices, gmap.indptr, *model._operators(3)]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
 
 
 def test_generator_data_is_contiguous_and_bit_identical_to_the_real_view():

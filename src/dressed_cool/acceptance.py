@@ -17,15 +17,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analysis import (
-    bloch_vector,
-    cooling_trajectory,
-    dominant_frequency,
-    dressed_probe,
-    fit_exponential,
-)
+from .analysis import cooling_trajectory, dominant_frequency, fit_exponential, steady_point
 from .config import Config, to_system_params
-from .dynamics import evolve, steady_state, steady_state_and_mode
+from .dynamics import evolve
 from .model import TRUNCATION_TOL, TWO_PI, build_model, displacement, n_bar_of, turn_on_state
 from .operators import HilbertSpace
 from .rates import (
@@ -124,7 +118,7 @@ def criterion_1() -> CriterionResult:
         worst = max(worst, err)
         n_bars.append(n_bar)
         fitted.append(fit.rate)
-        spectral.append(-steady_state_and_mode(*build_model(p), dressed_probe(p))[1].real)
+        spectral.append(steady_point(p, rate=True)[2])
     slope = np.polyfit(n_bars, fitted, 1)[0]
     # The exact asymptotic rates, free of the turn-on transient that biases
     # the full-window fit; reported beside the gate, which stays as stated.
@@ -146,7 +140,7 @@ def criterion_1() -> CriterionResult:
 def criterion_2() -> CriterionResult:
     """Steady-state <sigma_x> at one photon, raw and with tomography scale."""
     p = to_system_params(Config(n_bar=1.0))
-    v = bloch_vector(steady_state(*build_model(p)))
+    v = steady_point(p)[0]
     raw_ok = abs(v.x - 0.94) <= 0.03
 
     grid = SweepGrid(
@@ -184,7 +178,7 @@ def criterion_3() -> CriterionResult:
 def criterion_4() -> CriterionResult:
     """Blue-detuned drive inverts the qubit; red/blue maps are antisymmetric."""
     p_blue = to_system_params(Config(n_bar=1.0, delta_c_mhz=9.0))
-    sx_blue = bloch_vector(steady_state(*build_model(p_blue))).x
+    sx_blue = steady_point(p_blue)[0].x
     invert_ok = sx_blue <= -0.85
 
     # Pure photon-induced rates: strip the intrinsic qubit channels so the

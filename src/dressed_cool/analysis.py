@@ -1,5 +1,7 @@
 """Trajectory analysis: exponential relaxation fits, dominant-frequency
-extraction, Bloch-vector reduction, and simulation-vs-formula comparison."""
+extraction, Bloch-vector reduction, the steady-point recipe (steady_point
+and its closed-form twin analytic_point), and simulation-vs-formula
+comparison."""
 
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ import numpy as np
 
 from . import dynamics, model, rates
 from .integrate import StiffnessError
-from .operators import HilbertSpace, expect_real, fock_state, kron, pauli, reduced_qubit
+from .operators import HilbertSpace, expect_real, fock_state, kron, pauli, reduced_qubit, top_fock_population
 
 __all__ = [
     "ExpFit",
@@ -25,6 +27,8 @@ __all__ = [
     "bloch_vector",
     "sigma_theta_projection",
     "dressed_probe",
+    "steady_point",
+    "analytic_point",
 ]
 # compare_sim_analytic and its ComparisonReport are not public: only tests
 # call them.  They stay bound only because bench/spans.py TARGETS names
@@ -116,14 +120,18 @@ def _reject_structured_residual(cost, y, y_range):
 
 
 def _series(times, values) -> tuple[np.ndarray, np.ndarray]:
-    """times and values as matching 1-d float arrays of finite numbers, or
-    ValueError: a NaN passes every comparison of a fit or a peak search."""
+    """times and values as matching 1-d float arrays of finite numbers, with
+    strictly increasing times, or ValueError: a NaN passes every comparison
+    of a fit or a peak search, and times out of order or repeated are bad
+    input, not a curve that fails to fit."""
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
     if t.shape != y.shape or t.ndim != 1:
         raise ValueError("times and values must be matching 1-d arrays")
     if not (np.isfinite(t).all() and np.isfinite(y).all()):
         raise ValueError("times and values must be finite; found NaN or infinity")
+    if np.any(np.diff(t) <= 0):
+        raise ValueError("times must be strictly increasing")
     return t, y
 
 
@@ -134,7 +142,7 @@ _MAX_ITER = 200
 def fit_exponential(times, values) -> ExpFit:
     """Damped Gauss-Newton fit of a single exponential relaxation.
 
-    Raises ValueError on non-finite or too few samples,
+    Raises ValueError on non-finite, unordered or too few samples,
     FitNonConvergedError after _MAX_ITER iterations and
     NonMonotonicDataError when the residual carries structure far above the
     noise floor (the signature of strong-coupling oscillations).
@@ -143,8 +151,6 @@ def fit_exponential(times, values) -> ExpFit:
     if len(t) < 8:
         raise ValueError(f"need at least 8 samples, got {len(t)}")
     span = t[-1] - t[0]
-    if span <= 0:
-        raise ValueError("times must increase")
     y_range = float(y.max() - y.min())
     if y_range == 0:
         raise FitError("flat trajectory: nothing to fit")
@@ -207,7 +213,7 @@ def dominant_frequency(times, values) -> float:
 
     Detrends, applies a Hann window, and refines the FFT peak bin by
     parabolic interpolation of the log magnitude.  Raises ValueError on
-    non-finite samples or a grid that is not uniform.
+    non-finite or unordered samples or a grid that is not uniform.
     """
     t, y = _series(times, values)
     n = len(t)
@@ -216,8 +222,8 @@ def dominant_frequency(times, values) -> float:
     steps = np.diff(t)
     dt = (t[-1] - t[0]) / (n - 1)
     # tolerance covers grids that round-tripped through 9-digit CSV output
-    if np.any(steps <= 0) or not np.allclose(steps, dt, rtol=1e-6, atol=1e-12):
-        raise ValueError("time grid must be uniform and increasing")
+    if not np.allclose(steps, dt, rtol=1e-6, atol=1e-12):
+        raise ValueError("time grid must be uniform")
     dt = float(dt)
 
     windowed = (y - y.mean()) * np.hanning(n)
@@ -292,6 +298,39 @@ def dressed_probe(p: model.SystemParams) -> np.ndarray:
     return kron(sigma_theta, fock_state(p.n_fock, 0))
 
 
+def steady_point(
+    p: model.SystemParams, frame: str = "displaced", rate: bool = False
+) -> tuple[BlochVector, float, float]:
+    """The steady state of p in the given frame, as (Bloch vector, population
+    of the cavity's top Fock level, gamma): the one recipe behind every
+    reported steady state.
+
+    The model is solved by dynamics.steady_state, or, when rate is true, by
+    dynamics.steady_state_and_mode on dressed_probe(p), whose mode's decay
+    rate -Re lambda is gamma (NaN otherwise); that probe holds the cavity
+    vacuum of the displaced frame.  A top Fock level past
+    model.TRUNCATION_TOL raises model.TruncationError before the state is
+    reduced."""
+    h, collapse = model.build_model(p, frame)
+    if rate:
+        rho, lam = dynamics.steady_state_and_mode(h, collapse, dressed_probe(p))
+        gamma = -lam.real
+    else:
+        rho, gamma = dynamics.steady_state(h, collapse), math.nan
+    top = model.check_truncation(top_fock_population(rho), p.n_fock)
+    return bloch_vector(rho), top, gamma
+
+
+def analytic_point(p: model.SystemParams) -> tuple[BlochVector, float]:
+    """The detailed-balance steady state and total rate (1/us) of p: the
+    Bloch vector sigma_theta_ss (sin theta, 0, cos theta) on the dressed axis
+    theta, and the sum of the two dressed-state rates."""
+    pair = rates.rates_general(p)
+    theta = rates.dressed_angle(p)[0]
+    s = rates.steady_bloch(pair).sigma_theta_ss
+    return BlochVector(x=s * math.sin(theta), y=0.0, z=s * math.cos(theta)), pair.total
+
+
 @dataclass(frozen=True)
 class ComparisonReport:
     """One simulation-vs-formula comparison at a single operating point."""
@@ -338,16 +377,12 @@ def compare_sim_analytic(
 
     In the strong-coupling regime (|chi| sqrt(n_bar) >= kappa) the relaxation
     is oscillatory, the report is flagged non-exponential, and no rate is fit.
+    The steady state is gated like any other (see steady_point).
     """
     n_bar = model.n_bar_of(p)
     ratio = model.coupling_ratio(p)
-    pair = rates.rates_general(p)
-    gamma_analytic = pair.total
-    theta = rates.dressed_angle(p)[0]
-    pred = rates.steady_bloch(pair)
-    sx_analytic = pred.sigma_theta_ss * math.sin(theta)
-
-    sx_sim = bloch_vector(dynamics.steady_state(*model.build_model(p))).x
+    analytic, gamma_analytic = analytic_point(p)
+    sx_sim = steady_point(p)[0].x
 
     t_max = 10.0 / gamma_analytic
     non_exponential = ratio >= 1.0
@@ -362,7 +397,7 @@ def compare_sim_analytic(
     passed = (
         not non_exponential
         and abs(gamma_fit - gamma_analytic) <= tolerance * gamma_analytic
-        and abs(sx_sim - sx_analytic) <= tolerance * max(abs(sx_analytic), 1e-12)
+        and abs(sx_sim - analytic.x) <= tolerance * max(abs(analytic.x), 1e-12)
     )
     return ComparisonReport(
         n_bar=n_bar,
@@ -370,7 +405,7 @@ def compare_sim_analytic(
         gamma_fit=gamma_fit,
         gamma_analytic=gamma_analytic,
         sx_sim=sx_sim,
-        sx_analytic=sx_analytic,
+        sx_analytic=analytic.x,
         non_exponential=non_exponential,
         fit_window_us=t_max,
         tolerance=tolerance,

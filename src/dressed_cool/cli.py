@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from . import analysis, config, dynamics, model, operators, rates, sweep
+from . import analysis, config, model, rates, sweep
 from .model import TWO_PI
 
 CSV_COLUMNS = ("p_d_db", "delta_q_mhz", "n_bar", "sx", "sy", "sz", "s_theta", "gamma_fit", "converged")
@@ -196,9 +196,7 @@ def _cmd_evolve(args) -> int:
 def _cmd_steady(args) -> int:
     cfg = _load_config(args)
     p = config.to_system_params(cfg, steady=True)
-    rho = dynamics.steady_state(*model.build_model(p, cfg.frame))
-    top = model.check_truncation(operators.top_fock_population(rho), p.n_fock)
-    v = analysis.bloch_vector(rho)
+    v, top, _ = analysis.steady_point(p, cfg.frame)
     theta = math.radians(cfg.theta_deg)
     s = cfg.tomography_scale
     payload = {

@@ -34,8 +34,8 @@ __all__ = [
     "steady_state",
     "steady_state_and_mode",
 ]
-# liouvillian_matrix is not public: _generator builds evolve's M with it and
-# _generator_map the steady path's dissipator D.  It keeps its unprefixed
+# liouvillian_matrix is not public: _generator builds evolve's M and the
+# steady path's dissipator D (H = 0) with it.  It keeps its unprefixed
 # name only because bench/spans.py TARGETS times it under that name (ROADMAP
 # items 1 and 6).
 
@@ -45,8 +45,8 @@ class MultipleSteadyStatesError(RuntimeError):
 
 
 class ModeNotConvergedError(RuntimeError):
-    """The Krylov estimate of a probed generator mode broke down or missed
-    its residual tolerance."""
+    """The probe has no traceless part, or the Krylov estimate of its
+    generator mode missed the residual tolerance."""
 
 
 def liouvillian_matrix(h: np.ndarray, collapse: list[CollapseOp]) -> sp.csr_matrix:
@@ -261,9 +261,9 @@ def _generator_map(d: int, upper: np.ndarray, collapse: list[CollapseOp]) -> _Ge
 
     With G_t the unit Hermitian terms of H (E_aa, then E_ab + E_ba and
     i (E_ab - E_ba) for each pattern entry a < b), F's column t is M for
-    H = G_t without dissipation and D is M for H = 0.  All the G_t's
-    Liouvillians come from one triplet assembly, stacked as row blocks of
-    d^2, and two products with T make every M_t."""
+    H = G_t without dissipation and D is _generator's M for H = 0.  All the
+    G_t's Liouvillians come from one triplet assembly, stacked as row blocks
+    of d^2, and two products with T make every M_t."""
     n, nn = upper.size, d * d
     basis = _hermitian_basis(d)
     a, b = np.divmod(upper, d)
@@ -285,7 +285,7 @@ def _generator_map(d: int, upper: np.ndarray, collapse: list[CollapseOp]) -> _Ge
     z = sp.csr_matrix((z.data, (t * nn + z.col, row)), shape=(k * nn, nn))
     blocks = (z @ basis.conj()).real.tocoo()
     t, col = np.divmod(blocks.row.astype(np.int64), nn)
-    drift = (basis.conj().T @ liouvillian_matrix(np.zeros((d, d)), collapse) @ basis).real.tocoo()
+    drift = _generator(np.zeros((d, d)), collapse)[1].tocoo()
     keys = np.concatenate([drift.row.astype(np.int64) * nn + drift.col, blocks.col * nn + col])
     pattern, where = np.unique(keys, return_inverse=True)
     pattern_rows, indices = np.divmod(pattern, nn)
@@ -434,8 +434,11 @@ def steady_state_and_mode(
     traceless subspace, where it is invertible: for a traceless y, M^-1 y is
     the traceless solution of S v = y with y[0] set to 0.  That is exact,
     because row 0 of a traceless image is minus the sum of the other
-    diagonal rows.  Raises ModeNotConvergedError when the iteration breaks
-    down or the picked Ritz pair misses the residual tolerance.
+    diagonal rows.  When the Krylov space becomes invariant after j < k
+    steps (a lucky breakdown, as when d^2 - 1 < _KRYLOV_DIM), the j x j
+    Hessenberg's Ritz pairs are exact eigenpairs.  Raises
+    ModeNotConvergedError when the picked Ritz pair misses the residual
+    tolerance.
     """
     basis, m, inv, rho = _steady(h, collapse, invert=True)
     d = h.shape[0]
@@ -458,9 +461,10 @@ def steady_state_and_mode(
             hess[: j + 1, j] += c
         hess[j + 1, j] = np.linalg.norm(w)
         if hess[j + 1, j] <= 1e-12 * np.abs(hess[: j + 1, j]).max():
-            raise ModeNotConvergedError(f"Arnoldi iteration broke down at step {j + 1} of {k}")
+            k = j + 1  # the Krylov space is invariant: its Ritz pairs are exact
+            break
         vs[j + 1] = w / hess[j + 1, j]
-    mu, right = np.linalg.eig(hess[:k])
+    mu, right = np.linalg.eig(hess[:k, :k])
     # x is beta times the first Krylov vector, so its weight on Ritz pair j
     # is beta^2 |right[0, j] left[j, 0]|, with left = right^-1 the dual vectors
     weight = np.abs(right[0] * np.linalg.inv(right)[:, 0])

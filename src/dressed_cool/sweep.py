@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from . import analysis, dynamics, model, operators, rates
+from . import analysis, model
 
 __all__ = [
     "MODES",
@@ -88,6 +88,10 @@ class SweepTable:
     metadata: dict
 
 
+# The state columns of a point that failed for a numerical reason.
+_NAN_BLOCH = analysis.BlochVector(math.nan, math.nan, math.nan)
+
+
 def _point_params(grid: SweepGrid, p_d_db: float, delta_q: float) -> tuple[model.SystemParams, float]:
     n_bar = 10.0 ** (p_d_db / 10.0)
     base = grid.fixed
@@ -105,40 +109,23 @@ def _point_params(grid: SweepGrid, p_d_db: float, delta_q: float) -> tuple[model
 def _evaluate_point(args: tuple[SweepGrid, float, float]) -> SweepRow:
     grid, p_d_db, delta_q = args
     p, n_bar = _point_params(grid, p_d_db, delta_q)
-    nan = math.nan
     try:
         if grid.mode == "rates_analytic_map":
-            pair = rates.rates_general(p)
-            theta_pt = rates.dressed_angle(p)[0]
-            pred = rates.steady_bloch(pair)
-            v = analysis.BlochVector(
-                x=pred.sigma_theta_ss * math.sin(theta_pt),
-                y=0.0,
-                z=pred.sigma_theta_ss * math.cos(theta_pt),
-            )
-            gamma = pair.total
+            v, gamma = analysis.analytic_point(p)
         else:
-            if grid.mode == "cooling_rate":
-                rho, lam = dynamics.steady_state_and_mode(*model.build_model(p), analysis.dressed_probe(p))
-                gamma = -lam.real
-            else:
-                rho, gamma = dynamics.steady_state(*model.build_model(p)), nan
-            model.check_truncation(operators.top_fock_population(rho), p.n_fock)
-            v = analysis.bloch_vector(rho)
-        return SweepRow(
-            p_d_db=p_d_db,
-            delta_q=delta_q,
-            n_bar=n_bar,
-            sx=v.x, sy=v.y, sz=v.z,
-            s_theta=analysis.sigma_theta_projection(v, grid.theta),
-            gamma_fit=gamma,
-            converged=True,
-        )
+            v, _, gamma = analysis.steady_point(p, rate=grid.mode == "cooling_rate")
+        converged = True
     except analysis.NUMERICAL_ERRORS:
-        return SweepRow(
-            p_d_db=p_d_db, delta_q=delta_q, n_bar=n_bar,
-            sx=nan, sy=nan, sz=nan, s_theta=nan, gamma_fit=nan, converged=False,
-        )
+        v, gamma, converged = _NAN_BLOCH, math.nan, False
+    return SweepRow(
+        p_d_db=p_d_db,
+        delta_q=delta_q,
+        n_bar=n_bar,
+        sx=v.x, sy=v.y, sz=v.z,
+        s_theta=analysis.sigma_theta_projection(v, grid.theta),
+        gamma_fit=gamma,
+        converged=converged,
+    )
 
 
 def resolve_workers(requested: int) -> int:

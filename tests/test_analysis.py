@@ -6,6 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from dressed_cool import dynamics
 from dressed_cool.analysis import (
     BlochVector,
     FitError,
@@ -15,16 +16,20 @@ from dressed_cool.analysis import (
     compare_sim_analytic,
     cooling_trajectory,
     dominant_frequency,
+    dressed_probe,
     fit_exponential,
     sigma_theta_projection,
+    steady_point,
 )
 from dressed_cool.config import Config, to_system_params
 from dressed_cool.dynamics import evolve
 from dressed_cool.model import (
     FRAMES,
     SystemParams,
+    TruncationError,
     build_hamiltonian_displaced,
     build_hamiltonian_undisplaced,
+    build_model,
     collapse_ops,
     qubit_axis_state,
     turn_on_state,
@@ -234,6 +239,39 @@ def test_sigma_theta_tilted():
     assert sigma_theta_projection(v, math.radians(43.0)) == pytest.approx(
         0.941, abs=1e-3
     )
+
+
+# ---------------------------------------------------------------------------
+# the steady-point recipe
+
+
+@pytest.mark.parametrize("frame", FRAMES)
+def test_steady_point_is_the_gated_solve(frame):
+    p = reference_params(n_bar=1.0)
+    h, ops = build_model(p, frame)
+    rho = dynamics.steady_state(h, ops)
+    v, top, gamma = steady_point(p, frame)
+    assert v == bloch_vector(rho)
+    assert 0.0 < top <= 1e-4
+    assert math.isnan(gamma)
+    v_mode, _, gamma = steady_point(p, rate=True)
+    rho_mode, lam = dynamics.steady_state_and_mode(*build_model(p), dressed_probe(p))
+    assert v_mode == bloch_vector(rho_mode)
+    assert gamma == -lam.real > 0.0
+
+
+def test_steady_point_gates_a_too_small_cutoff():
+    # the lab frame at n_bar = 3.6 holds the coherent field itself; n_fock 8
+    # truncates it
+    with pytest.raises(TruncationError, match="n_fock = 8"):
+        steady_point(reference_params(n_bar=3.6, n_fock=8), "undisplaced")
+
+
+def test_compare_gates_the_truncation():
+    # on the cavity resonance at kappa/2pi = 0.2 MHz the steady state needs
+    # n_fock 31; at 8 the comparison has no trustworthy simulated state
+    with pytest.raises(TruncationError, match="n_fock = 8"):
+        compare_sim_analytic(reference_params(kappa_mhz=0.2, delta_c_mhz=0.0, n_bar=3.31, n_fock=8))
 
 
 # ---------------------------------------------------------------------------

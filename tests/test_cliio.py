@@ -442,6 +442,25 @@ def test_cli_rejects_a_non_finite_sample(tmp_path, capsys, command, column):
     assert captured.err == "error: times and values must be finite; found NaN or infinity\n"
 
 
+@pytest.mark.parametrize("command", ["fit", "spectrum"])
+@pytest.mark.parametrize("defect", ["swapped", "repeated"])
+def test_cli_rejects_times_out_of_order(tmp_path, capsys, command, defect):
+    # two samples out of order once read as "not a single exponential"
+    # (exit 2) and a repeated time was fitted; both are bad input
+    t = np.linspace(0.0, 10.0, 256)
+    sx = np.exp(-t) * np.cos(TWO_PI * 2.4 * t)
+    if defect == "swapped":
+        t[[100, 101]] = t[[101, 100]]
+    else:
+        t[101] = t[100]
+    path = tmp_path / "unordered.csv"
+    write_trajectory_csv(t, {"sx": sx}, {}, str(path), no_timestamp=True)
+    assert main([command, "-i", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: times must be strictly increasing\n"
+
+
 def test_cli_sweep_reruns_are_byte_identical(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -717,6 +717,20 @@ def test_mode_failures_are_named(monkeypatch):
     assert math.isnan(row.gamma_fit)
 
 
+def test_mode_survives_a_lucky_breakdown():
+    # at n_fock 2 the traceless space (d^2 - 1 = 15) is smaller than the
+    # Krylov dimension, so the iteration runs out of new directions; the
+    # Ritz pairs of the Hessenberg built so far are then exact
+    p = reference_params().with_n_fock(2)
+    h, ops = build_model(p)
+    probe = analysis.dressed_probe(p)
+    rho, lam = steady_state_and_mode(h, ops, probe)
+    expected, _ = full_eig_mode(h, ops, probe)
+    assert lam.real == pytest.approx(expected.real, rel=1e-9)
+    assert -lam.real == pytest.approx(2.9424, abs=1e-4)
+    assert np.array_equal(rho, steady_state(h, ops))
+
+
 def test_residual_applies_the_generator():
     # the steady path's M is Re(T+ L T) of the np.kron generator, and the
     # S^-1 it returns inverts M with its first row replaced by the trace

@@ -307,10 +307,15 @@ def steady_point(
 
     The model is solved by dynamics.steady_state, or, when rate is true, by
     dynamics.steady_state_and_mode on dressed_probe(p), whose mode's decay
-    rate -Re lambda is gamma (NaN otherwise); that probe holds the cavity
-    vacuum of the displaced frame.  A top Fock level past
-    model.TRUNCATION_TOL raises model.TruncationError before the state is
-    reduced."""
+    rate -Re lambda is gamma (NaN otherwise).  That probe holds the cavity
+    vacuum of the displaced frame, which is not the lab frame's cavity
+    state, so a rate in any other frame raises ValueError before anything
+    is built.  A top Fock level past model.TRUNCATION_TOL raises
+    model.TruncationError before the state is reduced."""
+    if rate and frame != "displaced":
+        raise ValueError(
+            f"the rate probe holds the displaced frame's cavity vacuum; no rate in frame {frame!r}"
+        )
     h, collapse = model.build_model(p, frame)
     if rate:
         rho, lam = dynamics.steady_state_and_mode(h, collapse, dressed_probe(p))

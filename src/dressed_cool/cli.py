@@ -279,9 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dressed-cool {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add(name, func, help_text, *, output=True, timestamp=False, reads_input=False):
+    def add(name, func, help_text, *, config=True, output=True, timestamp=False, reads_input=False):
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("-c", "--config", help="path to a flat JSON config file")
+        if config:
+            sp.add_argument("-c", "--config", help="path to a flat JSON config file")
         if output:
             sp.add_argument("-o", "--output", help="output file (default: stdout or a derived name)")
         if timestamp:
@@ -297,11 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
     add("evolve", _cmd_evolve, "integrate the master equation and write a trajectory CSV", timestamp=True)
     add("steady", _cmd_steady, "solve the steady state and print tomography values")
     add("sweep", _cmd_sweep, "run a power x detuning sweep and write the table CSV", timestamp=True)
-    add("fit", _cmd_fit, "fit an exponential relaxation to a trajectory CSV column", reads_input=True)
-    add("spectrum", _cmd_spectrum, "extract the dominant oscillation frequency from a trajectory CSV",
+    # fit and spectrum read only their -i file, and the suite's operating
+    # points are fixed: these take no -c, rather than ignore it
+    add("fit", _cmd_fit, "fit an exponential relaxation to a trajectory CSV column", config=False,
         reads_input=True)
+    add("spectrum", _cmd_spectrum, "extract the dominant oscillation frequency from a trajectory CSV",
+        config=False, reads_input=True)
     add("verify", _cmd_verify, "run the acceptance suite and print one pass/fail line per criterion",
-        output=False)
+        config=False, output=False)
     return parser
 
 

@@ -4,6 +4,9 @@ The power axis is referenced to one intracavity photon: P_d = 10 log10(n_bar)
 dB, so 0 dB means n_bar = 1 (and -inf dB means an undriven cavity).  The
 detuning axis holds the bare qubit drive detuning delta_q; the Stark-shifted
 detuning at each point is delta_q' = delta_q + 2 chi n_bar.
+
+parallel_map, the program's one process pool, runs the sweep's points and
+the acceptance suite's trajectories.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -25,6 +29,7 @@ __all__ = [
     "SweepRow",
     "SweepTable",
     "run_sweep",
+    "parallel_map",
     "optimal_theta_detuning",
     "apply_tomography_scale",
 ]
@@ -182,8 +187,8 @@ def _set_blas_threads(n: int = 1) -> int | None:
     The default is the program's rule, one BLAS thread per process: its
     parallelism comes from processes only.  A second BLAS thread halves no
     256x256 LU on a small host but doubles its CPU time, and under a pool
-    oversubscribes the cores.  The CLI sets it once for its process, a serial
-    sweep around its points and the sweep pool once per worker, since a
+    oversubscribes the cores.  The CLI sets it once for its process, and
+    parallel_map around its serial tasks and once per pool worker, since a
     spawned worker does not inherit it; importing the package changes
     nothing.  OPENBLAS_NUM_THREADS cannot do this, as numpy has loaded
     OpenBLAS by then.
@@ -196,34 +201,63 @@ def _set_blas_threads(n: int = 1) -> int | None:
     return getter()
 
 
+# Niceness a pool worker adds to its own: 19, the lowest CPU priority, as
+# Linux caps the sum there.  The pool fills every usable CPU, and at equal
+# priority a parent that wakes for a moment (to take a result, or to run a
+# signal handler such as bench/probe.py's speed probe) first waits out a
+# worker's time slice.  Under a two-worker verify pool on two CPUs that probe
+# ran 1.08 to 2.40 times as long as around the pool (six runs, three past
+# 1.35); at 19, 0.91 to 1.13 (seven runs), and at 5 and at 10 one run in
+# three still passed 1.35.
+_WORKER_NICE = 19
+
+
+def _start_worker() -> None:
+    """Pool initializer: one BLAS thread (see _set_blas_threads), at a lower
+    CPU priority than the parent's."""
+    if hasattr(os, "nice"):
+        os.nice(_WORKER_NICE)
+    _set_blas_threads()
+
+
+def parallel_map(fn, tasks: Sequence, workers: int = 1) -> list:
+    """[fn(task) for task in tasks], in task order, on up to `workers`
+    processes (0: one per CPU this process may run on).
+
+    The pool never has more processes than tasks or than usable CPUs,
+    whatever the count asked for; a pool of one is the serial path, run here.
+    Every task runs its BLAS on one thread, in a pool worker or serially here
+    (the caller's thread count is restored afterwards), so LU and eigenvalue
+    roundoff, and with it every result, is the same for any worker count.
+    Pool workers run at the lowest CPU priority (_WORKER_NICE).  fn and the
+    tasks are pickled by a pool, so fn must be a module-level function.  An exception raised by a task reaches the caller with its
+    type and message, from a worker as from the serial path.
+    """
+    n_workers = min(resolve_workers(workers), len(tasks), resolve_workers(0))
+    if n_workers <= 1:
+        before = _blas_threads()
+        _set_blas_threads()
+        try:
+            return [fn(t) for t in tasks]
+        finally:
+            if before is not None:
+                _set_blas_threads(before)
+    chunk = max(1, len(tasks) // (4 * n_workers))
+    with ProcessPoolExecutor(max_workers=n_workers, initializer=_start_worker) as pool:
+        return list(pool.map(fn, tasks, chunksize=chunk))
+
+
 def run_sweep(grid: SweepGrid, workers: int = 1) -> SweepTable:
-    """Evaluate the grid row-major over (power, detuning).
+    """Evaluate the grid row-major over (power, detuning), through
+    parallel_map on `workers` processes.
 
     Results are identical for any worker count; points that fail for a
     numerical reason (analysis.NUMERICAL_ERRORS) are recorded with
     converged = False rather than aborting the sweep.  Any other exception
-    propagates.  Every point runs its BLAS on one thread, in a pool worker or
-    serially here (the caller's thread count is restored afterwards), so the
-    LU roundoff, and with it every row, is the same either way.  The pool
-    never has more processes than points or than CPUs this process may run
-    on, whatever the worker count asked for.
+    propagates.
     """
     tasks = [(grid, p_d, dq) for p_d in grid.power_db for dq in grid.detuning]
-    n_workers = min(resolve_workers(workers), len(tasks), resolve_workers(0))
-    if n_workers == 1:
-        before = _blas_threads()
-        _set_blas_threads()
-        try:
-            rows = [_evaluate_point(t) for t in tasks]
-        finally:
-            if before is not None:
-                _set_blas_threads(before)
-    else:
-        chunk = max(1, len(tasks) // (4 * n_workers))
-        with ProcessPoolExecutor(max_workers=n_workers, initializer=_set_blas_threads) as pool:
-            rows = list(pool.map(_evaluate_point, tasks, chunksize=chunk))
-    metadata = _grid_metadata(grid)
-    return SweepTable(rows=rows, metadata=metadata)
+    return SweepTable(rows=parallel_map(_evaluate_point, tasks, workers), metadata=_grid_metadata(grid))
 
 
 def _grid_metadata(grid: SweepGrid) -> dict:

@@ -4,9 +4,16 @@ Each test runs one criterion from the acceptance module and prints its
 summary line, so `pytest -v` shows one pass/fail line per claim.
 """
 
-from dressed_cool import acceptance
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from dressed_cool import acceptance, cli, sweep
 from dressed_cool.analysis import cooling_trajectory
 from dressed_cool.config import Config, to_system_params
+from dressed_cool.dynamics import PropagationStats
+from dressed_cool.sweep import parallel_map
 
 
 def _check(result):
@@ -57,3 +64,70 @@ def test_criterion_7_gates_the_truncation_edge(monkeypatch):
     result = acceptance.criterion_7()
     assert not result.passed
     assert "max top Fock level population = 6.27e-02 (tol 1e-04)" in result.detail
+
+
+def _cheap_runs():
+    # the three kinds of suite trajectory at n_fock 8 over 0.5 us
+    return (
+        acceptance._Run("turn-on", Config(n_bar=1.0, n_fock=8), 51, 0.5),
+        acceptance._Run("ground", Config(n_bar=2.0, n_fock=8, initial_state="ground"), 51, 0.5),
+        acceptance._Run("lab field", Config(n_bar=1.0, n_fock=8, frame="undisplaced"), 51, 0.5, field=True),
+    )
+
+
+def test_trajectories_are_the_same_for_any_worker_count(monkeypatch):
+    monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    serial = parallel_map(acceptance._trajectory, _cheap_runs(), workers=1)
+    pooled = parallel_map(acceptance._trajectory, _cheap_runs(), workers=2)
+    for one, two in zip(serial, pooled, strict=True):
+        assert one.expectations.keys() == two.expectations.keys()
+        for name, series in one.expectations.items():
+            assert np.array_equal(series, two.expectations[name]), name
+        assert one.stats.generator_applications == two.stats.generator_applications
+        assert one.conservation == two.conservation
+
+
+def test_a_programming_error_in_a_worker_is_no_fail_line(monkeypatch, capsys):
+    # a one-point time grid is a bug in the suite, not a failed criterion:
+    # it reaches the caller before any criterion has printed
+    monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    ok, _, _ = _cheap_runs()
+    monkeypatch.setattr(acceptance, "_RUNS", (ok, acceptance._Run("bad", ok.config, 1, 0.5)))
+    monkeypatch.setattr(acceptance, "_TRAJECTORIES", {})
+    with pytest.raises(ValueError, match="t_grid needs at least an initial and one output time"):
+        acceptance.run_all(workers=2)
+    assert "ACCEPTANCE" not in capsys.readouterr().out
+
+
+def test_verify_pool_is_capped_at_the_runs_and_the_usable_cpus(monkeypatch, capsys):
+    # the fake executor records the size and starts no process; verify takes
+    # run_all's default, every usable CPU
+    sizes = []
+    fake = SimpleNamespace(stats=PropagationStats(0, 0.0, 0.0))
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return [fake for _ in tasks]
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(acceptance, "_CRITERIA", ())
+    for cpus in (8, 2):
+        monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(acceptance, "_TRAJECTORIES", {})
+        assert cli.main(["verify"]) == 0
+    assert sizes == [6, 2]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 12
+    assert err[0] == (
+        "trajectory c6 undisplaced: d^2 = 2304, 0 generator applications in 0 s,"
+        " top Fock level population at most 0"
+    )

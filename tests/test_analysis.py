@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from dressed_cool import dynamics
+from dressed_cool import analysis, dynamics
 from dressed_cool.analysis import (
     BlochVector,
     FitError,
@@ -265,6 +265,17 @@ def test_steady_point_gates_a_too_small_cutoff():
     # truncates it
     with pytest.raises(TruncationError, match="n_fock = 8"):
         steady_point(reference_params(n_bar=3.6, n_fock=8), "undisplaced")
+
+
+def test_steady_point_takes_no_rate_in_the_lab_frame(monkeypatch):
+    # the rate probe is the displaced frame's cavity vacuum; in the lab frame
+    # at n_bar = 1 it used to raise ModeNotConvergedError after a full solve
+    def unbuilt(*args):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr(analysis.model, "build_model", unbuilt)
+    with pytest.raises(ValueError, match="'undisplaced'"):
+        steady_point(reference_params(n_bar=1.0), "undisplaced", rate=True)
 
 
 def test_compare_gates_the_truncation():

@@ -7,7 +7,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from dressed_cool import model, sweep
+from dressed_cool import acceptance, model, sweep
 from dressed_cool.cli import (
     CSV_COLUMNS,
     main,
@@ -485,6 +485,23 @@ def test_cli_sweep_rejects_a_frame_it_would_ignore(tmp_path, capsys):
     assert main(["sweep", "-c", str(cfg), "-o", str(out)]) == 1
     assert "config key 'frame' must be 'displaced' for a sweep, got 'undisplaced'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "fit", "spectrum"])
+def test_cli_rejects_a_config_it_would_ignore(tmp_path, capsys, monkeypatch, command):
+    # verify's operating points are fixed and fit and spectrum read only
+    # their -i file, so -c is a usage error there and nothing runs
+    def not_run():
+        raise AssertionError("the acceptance suite ran")
+
+    monkeypatch.setattr(acceptance, "run_all", not_run)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    argv = [command, "-c", str(cfg)] + ([] if command == "verify" else ["-i", str(cfg)])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: -c" in captured.err
 
 
 def test_cli_default_output_name(tmp_path, capsys, monkeypatch):

@@ -1,12 +1,14 @@
+import functools
 import math
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dressed_cool import __version__, sweep
+from dressed_cool import __version__, model, sweep
 from dressed_cool.config import Config, to_system_params
 from dressed_cool.model import SystemParams, drive_for_photons
 from dressed_cool.rates import rates_general, steady_bloch
@@ -14,6 +16,7 @@ from dressed_cool.sweep import (
     SweepGrid,
     apply_tomography_scale,
     optimal_theta_detuning,
+    parallel_map,
     resolve_workers,
     run_sweep,
 )
@@ -164,6 +167,14 @@ def test_spawned_pool_worker_runs_blas_on_one_thread():
         assert pool.submit(sweep._blas_threads).result(timeout=120) == 1
 
 
+@pytest.mark.skipif(not hasattr(os, "nice"), reason="no process priorities")
+def test_pool_workers_run_below_the_callers_priority(monkeypatch):
+    monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    own = os.nice(0)
+    assert parallel_map(os.nice, [0, 0], workers=2) == [min(own + sweep._WORKER_NICE, 19)] * 2
+    assert os.nice(0) == own
+
+
 def test_serial_sweep_runs_blas_on_one_thread_and_restores_the_callers(monkeypatch):
     seen = []
     evaluate = sweep._evaluate_point
@@ -217,6 +228,16 @@ def test_pool_is_capped_at_the_points_and_the_usable_cpus(monkeypatch):
     monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {3}, raising=False)
     run_sweep(grid(9), workers=5000)
     assert sizes == [4, 3, 4]
+
+
+def test_pool_errors_reach_the_caller_with_their_type_and_message(monkeypatch):
+    # a named numerical failure and a programming error raised in a pool
+    # worker come back as themselves, not as a pool error
+    monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with pytest.raises(model.TruncationError, match="n_fock = 8 holds population 0.5"):
+        parallel_map(functools.partial(model.check_truncation, n_fock=8), [0.0, 0.5], workers=2)
+    with pytest.raises(ValueError, match="worker count must be positive, got -2"):
+        parallel_map(resolve_workers, [1, -2], workers=2)
 
 
 def test_failed_point_is_isolated():

@@ -5,14 +5,17 @@
     python3 tools/bench_ab.py --base HEAD~1 --workload cooling_map --pairs 1 --seconds 1 --label ci
 
 Each pair runs ``python3 bench/run.py --workload W --seconds S --seed N --trace 0``
-once in a checkout of the base ref and once in the working tree, in fresh
-processes, and alternates which side goes first.  The base is checked out
-with ``git worktree add --detach`` into a temporary directory, removed at the
-end.  Writes ``BENCH_<label>.json`` at the working tree's root: every run's
-summary line, each side's median and quartiles of every end-to-end metric,
-the pairs the change won per metric (by BENCHMARK.json's direction, ties
-counting for neither side), the CPUs in the affinity mask and the BLAS
-thread count in force in each checkout.  Exits 1 when a run fails or
+once in a copy of the base ref and once in the working tree, in fresh
+processes, and alternates which side goes first.  The base is copied with
+``git archive`` into a temporary directory (under $TMPDIR), removed at the
+end; unlike a worktree, a copy left by a killed run registers nothing in the
+repository.  Writes ``BENCH_<label>.json`` at the working tree's root: every run's
+summary line with the unscaled times and the speed probe's ratios that run.py
+stores beside it, each side's median and quartiles of every end-to-end metric
+and of wall_raw_s and cpu_raw_s, the pairs the change won per metric (by
+BENCHMARK.json's direction, ties counting for neither side), each side's
+range of probe_quiet_ratio over all repetitions, the CPUs in the affinity
+mask and the BLAS thread count in force in each checkout.  Exits 1 when a run fails or
 reports an incorrect result, 0 otherwise.
 """
 
@@ -52,9 +55,15 @@ def blas_threads(tree: Path) -> int | None:
     return int(value) if out.returncode == 0 and value.isdigit() else None
 
 
+# Unscaled medians that bench/run.py keeps in its result file, not in its
+# summary line; they are summarized beside the end-to-end metrics.
+RAW_METRICS = {"wall_raw_s": "lower", "cpu_raw_s": "lower"}
+
+
 def bench_run(tree: Path, workload: str, seconds: float, seed: int) -> dict:
-    """One untraced benchmark run in tree: its summary line, or its exit code
-    and the end of its error output when it printed none."""
+    """One untraced benchmark run in tree: its summary line, with the raw
+    medians and each repetition's probe_quiet_ratio from its result file, or
+    its exit code and the end of its error output when it printed none."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seconds", str(seconds),
            "--seed", str(seed), "--trace", "0"]
     start = time.perf_counter()
@@ -68,6 +77,9 @@ def bench_run(tree: Path, workload: str, seconds: float, seed: int) -> dict:
         return run
     run.update(correct=summary["correct"], attempted=summary["attempted"], failed=summary["failed"],
                metrics={k: v["value"] for k, v in summary["metrics"].items()})
+    stored = json.loads((tree / ".bench_out" / f"result-{workload}-s{seed}-t0.json").read_text())
+    run["metrics"].update((k, stored["raw"][k]) for k in RAW_METRICS)
+    run["probe_quiet_ratios"] = [r["probe_quiet_ratio"] for r in stored["repetitions"]]
     return run
 
 
@@ -113,10 +125,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]} | RAW_METRICS
+    base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     tmp = Path(tempfile.mkdtemp(prefix="bench-ab-"))
     base_tree = tmp / "base"
-    git("worktree", "add", "--detach", str(base_tree), args.base)
+    base_tree.mkdir()
+    archive = subprocess.run(["git", "archive", base_commit], cwd=ROOT, check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(base_tree)], input=archive, check=True)
     trees = {"base": base_tree, "change": ROOT}
     ok = True
     try:
@@ -133,7 +148,7 @@ def main(argv=None) -> int:
                 "machine": platform.machine(),
                 "blas_threads": {s: blas_threads(t) for s, t in trees.items()},
             },
-            "base": {"commit": git("rev-parse", "HEAD", cwd=base_tree)},
+            "base": {"commit": base_commit},
             "change": {"commit": git("rev-parse", "HEAD"),
                        "uncommitted_changes": bool(git("status", "--porcelain"))},
             "workloads": {},
@@ -149,9 +164,15 @@ def main(argv=None) -> int:
                     runs.append(run)
                     wall = run.get("metrics", {}).get("wall_s")
                     print(f"{workload} pair {pair} {side:6s} exit={run['exit']} wall_s={wall}", flush=True)
-            result["workloads"][workload] = {"runs": runs, "summary": summarize(runs, better)}
+            ratios = {s: [q for r in runs if r["side"] == s for q in r.get("probe_quiet_ratios", [])]
+                      for s in trees}
+            result["workloads"][workload] = {
+                "runs": runs,
+                "summary": summarize(runs, better),
+                "probe_quiet_ratio": {s: {"min": min(q), "max": max(q), "repetitions": len(q)}
+                                      for s, q in ratios.items() if q},
+            }
     finally:
-        git("worktree", "remove", "--force", str(base_tree))
         shutil.rmtree(tmp, ignore_errors=True)
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")
@@ -159,6 +180,9 @@ def main(argv=None) -> int:
         for name, m in w["summary"].items():
             print(f"{workload:12s} {name:12s} base {m['base']['median']:.6g}"
                   f" change {m['change']['median']:.6g} change wins {m['change_wins']}/{m['pairs']}")
+        for side, q in w["probe_quiet_ratio"].items():
+            print(f"{workload:12s} probe_quiet_ratio {side} {q['min']:.3g} to {q['max']:.3g}"
+                  f" over {q['repetitions']} repetitions")
     print(f"wrote {out}")
     return 0 if ok else 1
 

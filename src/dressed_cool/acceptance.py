@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analysis import cooling_trajectory, dominant_frequency, fit_exponential, steady_point
+from .analysis import config_trajectory, dominant_frequency, fit_exponential, steady_point
 from .config import Config, to_system_params
 from .dynamics import evolve
 from .model import TRUNCATION_TOL, TWO_PI, build_model, displacement, n_bar_of, turn_on_state
@@ -32,14 +32,7 @@ from .rates import (
     rates_sideband_limit,
     raman_rates,
 )
-from .sweep import (
-    SweepGrid,
-    apply_tomography_scale,
-    optimal_theta_detuning,
-    parallel_map,
-    resolve_workers,
-    run_sweep,
-)
+from .sweep import SweepGrid, apply_tomography_scale, optimal_theta_detuning, parallel_map, run_sweep
 
 
 @dataclass(frozen=True)
@@ -62,69 +55,54 @@ def _rel_err(value: float, target: float) -> float:
 # Shared expensive runs
 
 
-@dataclass(frozen=True)
-class _Run:
-    """One of the suite's trajectories, as a picklable pool task.
-
-    With field set it records <sx>, <sz> and <a> from the turn-on state in
-    config.frame over [0, t_max] (criterion 6); otherwise it is the
-    cooling_trajectory of config.initial_state, over ten analytic
-    relaxation times when t_max is None."""
-
-    name: str
-    config: Config
-    n_times: int
-    t_max: float | None = None
-    field: bool = False
-
-
 _C1_N_BARS = (0.25, 0.5, 1.0)
 
-# Longest first, as measured in-process on one BLAS thread (about 2.6, 1.3,
-# 0.8, 0.7, 0.4 and 0.3 s), so that on two or more workers the pool's
-# makespan is the lab run's.
+# Each of the suite's trajectories as a picklable pool task (name, config,
+# field).  With field set it records <sx>, <sz> and <a> from the turn-on
+# state (criterion 6); otherwise it is analysis.config_trajectory.  Longest
+# first, as measured in-process on one BLAS thread (about 2.6, 1.3, 0.8, 0.7,
+# 0.4 and 0.3 s), so that on two or more workers the pool's makespan is the
+# lab run's.
 _RUNS = (
     # The lab run takes n_fock 24, above its rule's 22: at 22 the frames
     # differ by 1.21e-3 (qubit) and 1.46e-3 (field) against criterion 6's
     # 2e-3 tolerance, though the top level there holds only 2.4e-5.
-    _Run("c6 undisplaced", Config(n_bar=3.6, frame="undisplaced", n_fock=24), 501, 10.0, field=True),
+    ("c6 undisplaced", Config(n_bar=3.6, frame="undisplaced", n_fock=24, t_max_us=10.0, n_times=501), True),
     # Strong coupling: narrow cavity, n_bar = 3.31, from |g>.  The cutoff is
     # sized for that start (n_fock 8): the cavity begins in the vacuum of
     # its fluctuations, and the 9 MHz detuned drive displaces them by
     # |beta| = 0.13 only.  The spectral peak is the same to 7 digits from
     # n_fock 8 to 31, where the top level holds 4.4e-9 and 3.3e-27.
-    _Run("c3", Config(kappa_mhz=0.2, n_bar=3.31, initial_state="ground"), 2001, 20.0),
+    ("c3", Config(kappa_mhz=0.2, n_bar=3.31, initial_state="ground", t_max_us=20.0, n_times=2001), False),
     # The displaced run takes its rule cutoff (n_fock 15).
-    _Run("c6 displaced", Config(n_bar=3.6), 501, 10.0, field=True),
-    *(_Run(f"c1 n_bar={n_bar}", Config(n_bar=n_bar), 501) for n_bar in _C1_N_BARS),
+    ("c6 displaced", Config(n_bar=3.6, t_max_us=10.0, n_times=501), True),
+    *((f"c1 n_bar={n_bar}", Config(n_bar=n_bar, n_times=501), False) for n_bar in _C1_N_BARS),
 )
 
 
-def _trajectory(run: _Run):
-    """The dynamics.Trajectory that run describes."""
-    p = to_system_params(run.config)
-    frame = run.config.frame
-    if run.field:
-        hs = HilbertSpace(p.n_fock)
-        obs = {"sx": hs.sx, "sz": hs.sz, "a": hs.a}
-        t_grid = np.linspace(0.0, run.t_max, run.n_times)
-        return evolve(*build_model(p, frame), turn_on_state(p, frame=frame), t_grid, observables=obs)
-    t_max = 10.0 / rates_general(p).total if run.t_max is None else run.t_max
-    return cooling_trajectory(p, t_max, n_times=run.n_times, initial=run.config.initial_state, frame=frame)
+def _trajectory(run: tuple):
+    """The dynamics.Trajectory of one _RUNS task."""
+    _, cfg, field = run
+    p = to_system_params(cfg)
+    if not field:
+        return config_trajectory(p, cfg)
+    hs = HilbertSpace(p.n_fock)
+    obs = {"sx": hs.sx, "sz": hs.sz, "a": hs.a}
+    t_grid = np.linspace(0.0, cfg.t_max_us, cfg.n_times)
+    return evolve(*build_model(p, cfg.frame), turn_on_state(p, frame=cfg.frame), t_grid, observables=obs)
 
 
-# (params, trajectory) of every _Run by name, filled once per process.
+# (params, trajectory) of every _RUNS task by name, filled once per process.
 _TRAJECTORIES: dict[str, tuple] = {}
 
 
-def _trajectories(workers: int = 1) -> dict[str, tuple]:
-    """(params, trajectory) of every _Run by name.  The first call runs them
-    all through sweep.parallel_map on `workers` processes (0: one per usable
-    CPU); the trajectories are the same for any worker count."""
-    resolve_workers(workers)  # a bad count fails even once they have run
+def _trajectories() -> dict[str, tuple]:
+    """(params, trajectory) of every _RUNS task by name.  The first call runs
+    them all through sweep.parallel_map, on one process per usable CPU; the
+    trajectories are the same for any number of CPUs."""
     if not _TRAJECTORIES:
-        trajs = parallel_map(_trajectory, _RUNS, workers)
-        _TRAJECTORIES.update((r.name, (to_system_params(r.config), t)) for r, t in zip(_RUNS, trajs))
+        trajs = parallel_map(_trajectory, _RUNS, 0)
+        _TRAJECTORIES.update((name, (to_system_params(cfg), t)) for (name, cfg, _), t in zip(_RUNS, trajs))
     return _TRAJECTORIES
 
 
@@ -142,13 +120,11 @@ def _c1_runs():
     return out
 
 
-@lru_cache(maxsize=None)
 def _c3_run():
     """Strong-coupling trajectory from |g>, as (params, trajectory)."""
     return _trajectories()["c3"]
 
 
-@lru_cache(maxsize=None)
 def _c6_frame_runs():
     """The same physical evolution in the displaced and lab frames, as
     (a_bar, {frame: trajectory})."""
@@ -379,12 +355,12 @@ _CRITERIA = (
 )
 
 
-def run_all(workers: int = 0) -> list[CriterionResult]:
-    """Run the suite's trajectories on `workers` processes (0, the default:
-    one per CPU this process may run on), report each on stderr, then run
-    every acceptance criterion in order, printing each result as soon as it
-    is known.  The results are the same for any worker count."""
-    for name, (p, traj) in _trajectories(workers).items():
+def run_all() -> list[CriterionResult]:
+    """Run the suite's trajectories on one process per CPU this process may
+    run on, report each on stderr, then run every acceptance criterion in
+    order, printing each result as soon as it is known.  The results are the
+    same for any number of CPUs."""
+    for name, (p, traj) in _trajectories().items():
         stats = traj.stats
         print(
             f"trajectory {name}: d^2 = {(2 * p.n_fock) ** 2},"

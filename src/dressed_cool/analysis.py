@@ -372,6 +372,15 @@ def cooling_trajectory(
     return dynamics.evolve(*model.build_model(p, frame), rho0, t_grid, observables=observables)
 
 
+def config_trajectory(p: model.SystemParams, cfg) -> dynamics.Trajectory:
+    """The trajectory a run configuration (config.Config) asks for, with p its
+    config.to_system_params: cooling_trajectory from cfg.initial_state in
+    cfg.frame at cfg.n_times points over cfg.t_max_us, or, without that key,
+    over ten analytic relaxation times (10 / rates_general(p).total)."""
+    t_max = 10.0 / rates.rates_general(p).total if cfg.t_max_us is None else cfg.t_max_us
+    return cooling_trajectory(p, t_max, n_times=cfg.n_times, initial=cfg.initial_state, frame=cfg.frame)
+
+
 def compare_sim_analytic(
     p: model.SystemParams,
     tolerance: float = 0.10,

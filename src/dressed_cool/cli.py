@@ -171,13 +171,7 @@ def _config_metadata(cfg: config.Config, p: model.SystemParams) -> dict:
 def _cmd_evolve(args) -> int:
     cfg = _load_config(args)
     p = config.to_system_params(cfg)
-    if cfg.t_max_us is not None:
-        t_max = cfg.t_max_us
-    else:
-        t_max = 10.0 / rates.rates_general(p).total
-    traj = analysis.cooling_trajectory(
-        p, t_max, n_times=cfg.n_times, initial=cfg.initial_state, frame=cfg.frame,
-    )
+    traj = analysis.config_trajectory(p, cfg)
 
     stats = traj.stats
     model.check_truncation(stats.top_fock_population, p.n_fock)
@@ -185,7 +179,7 @@ def _cmd_evolve(args) -> int:
     write_trajectory_csv(traj.times, traj.expectations, _config_metadata(cfg, p), out,
                          no_timestamp=args.no_timestamp)
     print(
-        f"wrote {len(traj.times)} samples over {t_max:.6g} us to {out};"
+        f"wrote {len(traj.times)} samples over {traj.times[-1]:.6g} us to {out};"
         f" {stats.generator_applications} generator applications in {stats.wall_s:.3g} s,"
         f" top Fock level population at most {stats.top_fock_population:.3g}"
         f" (tol {model.TRUNCATION_TOL:.0e})"
@@ -298,12 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
     add("evolve", _cmd_evolve, "integrate the master equation and write a trajectory CSV", timestamp=True)
     add("steady", _cmd_steady, "solve the steady state and print tomography values")
     add("sweep", _cmd_sweep, "run a power x detuning sweep and write the table CSV", timestamp=True)
-    # fit and spectrum read only their -i file, and the suite's operating
-    # points are fixed: these take no -c, rather than ignore it
-    add("fit", _cmd_fit, "fit an exponential relaxation to a trajectory CSV column", config=False,
-        reads_input=True)
+    add("fit", _cmd_fit, "fit an exponential relaxation to a trajectory CSV column", reads_input=True)
     add("spectrum", _cmd_spectrum, "extract the dominant oscillation frequency from a trajectory CSV",
-        config=False, reads_input=True)
+        reads_input=True)
+    # the suite's operating points are fixed: verify takes no -c, rather
+    # than ignore it
     add("verify", _cmd_verify, "run the acceptance suite and print one pass/fail line per criterion",
         config=False, output=False)
     return parser

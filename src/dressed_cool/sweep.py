@@ -201,25 +201,6 @@ def _set_blas_threads(n: int = 1) -> int | None:
     return getter()
 
 
-# Niceness a pool worker adds to its own: 19, the lowest CPU priority, as
-# Linux caps the sum there.  The pool fills every usable CPU, and at equal
-# priority a parent that wakes for a moment (to take a result, or to run a
-# signal handler such as bench/probe.py's speed probe) first waits out a
-# worker's time slice.  Under a two-worker verify pool on two CPUs that probe
-# ran 1.08 to 2.40 times as long as around the pool (six runs, three past
-# 1.35); at 19, 0.91 to 1.13 (seven runs), and at 5 and at 10 one run in
-# three still passed 1.35.
-_WORKER_NICE = 19
-
-
-def _start_worker() -> None:
-    """Pool initializer: one BLAS thread (see _set_blas_threads), at a lower
-    CPU priority than the parent's."""
-    if hasattr(os, "nice"):
-        os.nice(_WORKER_NICE)
-    _set_blas_threads()
-
-
 def parallel_map(fn, tasks: Sequence, workers: int = 1) -> list:
     """[fn(task) for task in tasks], in task order, on up to `workers`
     processes (0: one per CPU this process may run on).
@@ -229,8 +210,8 @@ def parallel_map(fn, tasks: Sequence, workers: int = 1) -> list:
     Every task runs its BLAS on one thread, in a pool worker or serially here
     (the caller's thread count is restored afterwards), so LU and eigenvalue
     roundoff, and with it every result, is the same for any worker count.
-    Pool workers run at the lowest CPU priority (_WORKER_NICE).  fn and the
-    tasks are pickled by a pool, so fn must be a module-level function.  An exception raised by a task reaches the caller with its
+    fn and the tasks are pickled by a pool, so fn must be a module-level
+    function.  An exception raised by a task reaches the caller with its
     type and message, from a worker as from the serial path.
     """
     n_workers = min(resolve_workers(workers), len(tasks), resolve_workers(0))
@@ -243,7 +224,7 @@ def parallel_map(fn, tasks: Sequence, workers: int = 1) -> list:
             if before is not None:
                 _set_blas_threads(before)
     chunk = max(1, len(tasks) // (4 * n_workers))
-    with ProcessPoolExecutor(max_workers=n_workers, initializer=_start_worker) as pool:
+    with ProcessPoolExecutor(max_workers=n_workers, initializer=_set_blas_threads) as pool:
         return list(pool.map(fn, tasks, chunksize=chunk))
 
 

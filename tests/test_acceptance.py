@@ -69,9 +69,9 @@ def test_criterion_7_gates_the_truncation_edge(monkeypatch):
 def _cheap_runs():
     # the three kinds of suite trajectory at n_fock 8 over 0.5 us
     return (
-        acceptance._Run("turn-on", Config(n_bar=1.0, n_fock=8), 51, 0.5),
-        acceptance._Run("ground", Config(n_bar=2.0, n_fock=8, initial_state="ground"), 51, 0.5),
-        acceptance._Run("lab field", Config(n_bar=1.0, n_fock=8, frame="undisplaced"), 51, 0.5, field=True),
+        ("turn-on", Config(n_bar=1.0, n_fock=8, t_max_us=0.5, n_times=51), False),
+        ("ground", Config(n_bar=2.0, n_fock=8, initial_state="ground", t_max_us=0.5, n_times=51), False),
+        ("lab field", Config(n_bar=1.0, n_fock=8, frame="undisplaced", t_max_us=0.5, n_times=51), True),
     )
 
 
@@ -88,20 +88,22 @@ def test_trajectories_are_the_same_for_any_worker_count(monkeypatch):
 
 
 def test_a_programming_error_in_a_worker_is_no_fail_line(monkeypatch, capsys):
-    # a one-point time grid is a bug in the suite, not a failed criterion:
-    # it reaches the caller before any criterion has printed
+    # a one-point time grid, set past Config's validation, is a bug in the
+    # suite, not a failed criterion: it reaches the caller from a pool worker
+    # before any criterion has printed
     monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    ok, _, _ = _cheap_runs()
-    monkeypatch.setattr(acceptance, "_RUNS", (ok, acceptance._Run("bad", ok.config, 1, 0.5)))
+    ok = _cheap_runs()[0]
+    bad = Config(n_bar=1.0, n_fock=8, t_max_us=0.5)
+    bad.n_times = 1
+    monkeypatch.setattr(acceptance, "_RUNS", (ok, ("bad", bad, False)))
     monkeypatch.setattr(acceptance, "_TRAJECTORIES", {})
     with pytest.raises(ValueError, match="t_grid needs at least an initial and one output time"):
-        acceptance.run_all(workers=2)
+        acceptance.run_all()
     assert "ACCEPTANCE" not in capsys.readouterr().out
 
 
 def test_verify_pool_is_capped_at_the_runs_and_the_usable_cpus(monkeypatch, capsys):
-    # the fake executor records the size and starts no process; verify takes
-    # run_all's default, every usable CPU
+    # the fake executor records the size and starts no process
     sizes = []
     fake = SimpleNamespace(stats=PropagationStats(0, 0.0, 0.0))
 

@@ -487,18 +487,16 @@ def test_cli_sweep_rejects_a_frame_it_would_ignore(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["verify", "fit", "spectrum"])
-def test_cli_rejects_a_config_it_would_ignore(tmp_path, capsys, monkeypatch, command):
-    # verify's operating points are fixed and fit and spectrum read only
-    # their -i file, so -c is a usage error there and nothing runs
+def test_cli_verify_rejects_a_config_it_would_ignore(tmp_path, capsys, monkeypatch):
+    # the suite's operating points are fixed, so -c is a usage error and
+    # nothing runs
     def not_run():
         raise AssertionError("the acceptance suite ran")
 
     monkeypatch.setattr(acceptance, "run_all", not_run)
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{}")
-    argv = [command, "-c", str(cfg)] + ([] if command == "verify" else ["-i", str(cfg)])
-    assert main(argv) == 1
+    assert main(["verify", "-c", str(cfg)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: -c" in captured.err

@@ -1,7 +1,6 @@
 import functools
 import math
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -165,14 +164,6 @@ def test_spawned_pool_worker_runs_blas_on_one_thread():
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=1, mp_context=spawn, initializer=sweep._set_blas_threads) as pool:
         assert pool.submit(sweep._blas_threads).result(timeout=120) == 1
-
-
-@pytest.mark.skipif(not hasattr(os, "nice"), reason="no process priorities")
-def test_pool_workers_run_below_the_callers_priority(monkeypatch):
-    monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    own = os.nice(0)
-    assert parallel_map(os.nice, [0, 0], workers=2) == [min(own + sweep._WORKER_NICE, 19)] * 2
-    assert os.nice(0) == own
 
 
 def test_serial_sweep_runs_blas_on_one_thread_and_restores_the_callers(monkeypatch):

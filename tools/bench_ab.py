@@ -5,18 +5,17 @@
     python3 tools/bench_ab.py --base HEAD~1 --workload cooling_map --pairs 1 --seconds 1 --label ci
 
 Each pair runs ``python3 bench/run.py --workload W --seconds S --seed N --trace 0``
-once in a copy of the base ref and once in the working tree, in fresh
-processes, and alternates which side goes first.  The base is copied with
-``git archive`` into a temporary directory (under $TMPDIR), removed at the
-end; unlike a worktree, a copy left by a killed run registers nothing in the
-repository.  Writes ``BENCH_<label>.json`` at the working tree's root: every run's
+once in a checkout of the base ref and once in the working tree, in fresh
+processes, and alternates which side goes first.  The base is checked out
+with ``git worktree add --detach`` into a temporary directory, removed at the
+end.  Writes ``BENCH_<label>.json`` at the working tree's root: every run's
 summary line with the unscaled times and the speed probe's ratios that run.py
 stores beside it, each side's median and quartiles of every end-to-end metric
 and of wall_raw_s and cpu_raw_s, the pairs the change won per metric (by
 BENCHMARK.json's direction, ties counting for neither side), each side's
 range of probe_quiet_ratio over all repetitions, the CPUs in the affinity
-mask and the BLAS thread count in force in each checkout.  Exits 1 when a run fails or
-reports an incorrect result, 0 otherwise.
+mask and the BLAS thread count in force in each checkout.  Exits 1 when a
+run fails or reports an incorrect result, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -126,12 +125,9 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]} | RAW_METRICS
-    base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     tmp = Path(tempfile.mkdtemp(prefix="bench-ab-"))
     base_tree = tmp / "base"
-    base_tree.mkdir()
-    archive = subprocess.run(["git", "archive", base_commit], cwd=ROOT, check=True, capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(base_tree)], input=archive, check=True)
+    git("worktree", "add", "--detach", str(base_tree), args.base)
     trees = {"base": base_tree, "change": ROOT}
     ok = True
     try:
@@ -148,7 +144,7 @@ def main(argv=None) -> int:
                 "machine": platform.machine(),
                 "blas_threads": {s: blas_threads(t) for s, t in trees.items()},
             },
-            "base": {"commit": base_commit},
+            "base": {"commit": git("rev-parse", "HEAD", cwd=base_tree)},
             "change": {"commit": git("rev-parse", "HEAD"),
                        "uncommitted_changes": bool(git("status", "--porcelain"))},
             "workloads": {},
@@ -173,6 +169,7 @@ def main(argv=None) -> int:
                                       for s, q in ratios.items() if q},
             }
     finally:
+        git("worktree", "remove", "--force", str(base_tree))
         shutil.rmtree(tmp, ignore_errors=True)
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")

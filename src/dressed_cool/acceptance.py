@@ -98,10 +98,10 @@ _TRAJECTORIES: dict[str, tuple] = {}
 
 def _trajectories() -> dict[str, tuple]:
     """(params, trajectory) of every _RUNS task by name.  The first call runs
-    them all through sweep.parallel_map, on one process per usable CPU; the
-    trajectories are the same for any number of CPUs."""
+    them all through sweep.parallel_map, on one process per usable CPU, this
+    one included; the trajectories are the same for any number of CPUs."""
     if not _TRAJECTORIES:
-        trajs = parallel_map(_trajectory, _RUNS, 0)
+        trajs = parallel_map(_trajectory, _RUNS, 0, in_caller=True)
         _TRAJECTORIES.update((name, (to_system_params(cfg), t)) for (name, cfg, _), t in zip(_RUNS, trajs))
     return _TRAJECTORIES
 

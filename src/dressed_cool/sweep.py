@@ -12,8 +12,11 @@ the acceptance suite's trajectories.
 from __future__ import annotations
 
 import ctypes
+import functools
+import itertools
 import math
 import os
+import threading
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -201,31 +204,83 @@ def _set_blas_threads(n: int = 1) -> int | None:
     return getter()
 
 
-def parallel_map(fn, tasks: Sequence, workers: int = 1) -> list:
+def parallel_map(fn, tasks: Sequence, workers: int = 1, *, in_caller: bool = False) -> list:
     """[fn(task) for task in tasks], in task order, on up to `workers`
     processes (0: one per CPU this process may run on).
 
     The pool never has more processes than tasks or than usable CPUs,
     whatever the count asked for; a pool of one is the serial path, run here.
-    Every task runs its BLAS on one thread, in a pool worker or serially here
-    (the caller's thread count is restored afterwards), so LU and eigenvalue
+    With `in_caller` the calling process is one of the `workers`: it runs
+    tasks beside a pool one process smaller, each taking the next chunk of
+    tasks as it frees up, so that no more processes compute than there are
+    CPUs and the caller does not sit idle while the pool works.
+    Every task runs its BLAS on one thread, in a pool worker or here (the
+    caller's thread count is restored afterwards), so LU and eigenvalue
     roundoff, and with it every result, is the same for any worker count.
     fn and the tasks are pickled by a pool, so fn must be a module-level
     function.  An exception raised by a task reaches the caller with its
     type and message, from a worker as from the serial path.
     """
     n_workers = min(resolve_workers(workers), len(tasks), resolve_workers(0))
-    if n_workers <= 1:
-        before = _blas_threads()
-        _set_blas_threads()
-        try:
-            return [fn(t) for t in tasks]
-        finally:
-            if before is not None:
-                _set_blas_threads(before)
     chunk = max(1, len(tasks) // (4 * n_workers))
-    with ProcessPoolExecutor(max_workers=n_workers, initializer=_set_blas_threads) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
+    if n_workers > 1 and not in_caller:
+        with ProcessPoolExecutor(max_workers=n_workers, initializer=_set_blas_threads) as pool:
+            return list(pool.map(fn, tasks, chunksize=chunk))
+    before = _blas_threads()
+    _set_blas_threads()
+    try:
+        if n_workers <= 1:
+            return [fn(t) for t in tasks]
+        return _map_with_caller(fn, tasks, n_workers, chunk)
+    finally:
+        if before is not None:
+            _set_blas_threads(before)
+
+
+def _map_chunk(fn, chunk: Sequence) -> list:
+    return [fn(t) for t in chunk]
+
+
+def _map_with_caller(fn, tasks: Sequence, n_workers: int, chunk: int) -> list:
+    """parallel_map's in_caller path: this thread, starting with the first
+    chunk, and a pool of n_workers - 1 processes take chunks in task order.  One feeder thread per pool process
+    keeps one chunk in flight on it, blocked on its result, so the pool holds
+    no queued chunk that the caller could have taken.  After a failure no
+    further chunk starts; the chunks already running finish, and the failure
+    of the earliest chunk is raised, as the serial path would raise it."""
+    chunks = [tasks[i:i + chunk] for i in range(0, len(tasks), chunk)]
+    results: list = [None] * len(chunks)
+    failures: dict[int, BaseException] = {}
+    order = itertools.count()  # next() on a count is atomic under the GIL
+
+    def claim():
+        i = next(order)
+        return None if failures or i >= len(chunks) else i
+
+    def run(do_chunk, i):
+        while i is not None:
+            try:
+                results[i] = do_chunk(chunks[i])
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                failures[i] = exc
+            i = claim()
+
+    def feed():
+        run(lambda c: pool.submit(_map_chunk, fn, c).result(), claim())
+
+    first = claim()  # the caller takes the first chunk
+    with ProcessPoolExecutor(max_workers=n_workers - 1, initializer=_set_blas_threads) as pool:
+        feeders = [threading.Thread(target=feed) for _ in range(n_workers - 1)]
+        for feeder in feeders:
+            feeder.start()
+        try:
+            run(functools.partial(_map_chunk, fn), first)
+        finally:
+            for feeder in feeders:
+                feeder.join()
+    if failures:
+        raise failures[min(failures)]
+    return [r for rows in results for r in rows]
 
 
 def run_sweep(grid: SweepGrid, workers: int = 1) -> SweepTable:

@@ -4,6 +4,7 @@ Each test runs one criterion from the acceptance module and prints its
 summary line, so `pytest -v` shows one pass/fail line per claim.
 """
 
+from concurrent.futures import Future
 from types import SimpleNamespace
 
 import numpy as np
@@ -78,19 +79,20 @@ def _cheap_runs():
 def test_trajectories_are_the_same_for_any_worker_count(monkeypatch):
     monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     serial = parallel_map(acceptance._trajectory, _cheap_runs(), workers=1)
-    pooled = parallel_map(acceptance._trajectory, _cheap_runs(), workers=2)
-    for one, two in zip(serial, pooled, strict=True):
-        assert one.expectations.keys() == two.expectations.keys()
-        for name, series in one.expectations.items():
-            assert np.array_equal(series, two.expectations[name]), name
-        assert one.stats.generator_applications == two.stats.generator_applications
-        assert one.conservation == two.conservation
+    for in_caller in (False, True):
+        pooled = parallel_map(acceptance._trajectory, _cheap_runs(), workers=2, in_caller=in_caller)
+        for one, two in zip(serial, pooled, strict=True):
+            assert one.expectations.keys() == two.expectations.keys()
+            for name, series in one.expectations.items():
+                assert np.array_equal(series, two.expectations[name]), name
+            assert one.stats.generator_applications == two.stats.generator_applications
+            assert one.conservation == two.conservation
 
 
 def test_a_programming_error_in_a_worker_is_no_fail_line(monkeypatch, capsys):
     # a one-point time grid, set past Config's validation, is a bug in the
-    # suite, not a failed criterion: it reaches the caller from a pool worker
-    # before any criterion has printed
+    # suite, not a failed criterion: it reaches the caller from the pool
+    # worker (the caller runs the first task) before any criterion has printed
     monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     ok = _cheap_runs()[0]
     bad = Config(n_bar=1.0, n_fock=8, t_max_us=0.5)
@@ -103,7 +105,9 @@ def test_a_programming_error_in_a_worker_is_no_fail_line(monkeypatch, capsys):
 
 
 def test_verify_pool_is_capped_at_the_runs_and_the_usable_cpus(monkeypatch, capsys):
-    # the fake executor records the size and starts no process
+    # verify computes in its own process beside a pool one process smaller,
+    # min(6, CPUs) processes in all; the fake executor records the size,
+    # starts no process and runs each chunk here, as the caller does
     sizes = []
     fake = SimpleNamespace(stats=PropagationStats(0, 0.0, 0.0))
 
@@ -117,18 +121,21 @@ def test_verify_pool_is_capped_at_the_runs_and_the_usable_cpus(monkeypatch, caps
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize):
-            return [fake for _ in tasks]
+        def submit(self, fn, *args):
+            done = Future()
+            done.set_result(fn(*args))
+            return done
 
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(acceptance, "_trajectory", lambda run: fake)
     monkeypatch.setattr(acceptance, "_CRITERIA", ())
-    for cpus in (8, 2):
+    for cpus in (8, 2, 1):
         monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(acceptance, "_TRAJECTORIES", {})
         assert cli.main(["verify"]) == 0
-    assert sizes == [6, 2]
+    assert sizes == [5, 1]
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 12
+    assert len(err) == 18
     assert err[0] == (
         "trajectory c6 undisplaced: d^2 = 2304, 0 generator applications in 0 s,"
         " top Fock level population at most 0"

@@ -191,9 +191,9 @@ def _set_blas_threads(n: int = 1) -> int | None:
     parallelism comes from processes only.  A second BLAS thread halves no
     256x256 LU on a small host but doubles its CPU time, and under a pool
     oversubscribes the cores.  The CLI sets it once for its process, and
-    parallel_map around its serial tasks and once per pool worker, since a
-    spawned worker does not inherit it; importing the package changes
-    nothing.  OPENBLAS_NUM_THREADS cannot do this, as numpy has loaded
+    parallel_map around the tasks it runs itself and once per pool worker,
+    since a spawned worker does not inherit it; importing the package
+    changes nothing.  OPENBLAS_NUM_THREADS cannot do this, as numpy has loaded
     OpenBLAS by then.
     """
     functions = _openblas_thread_functions()
@@ -242,12 +242,15 @@ def _map_chunk(fn, chunk: Sequence) -> list:
 
 
 def _map_with_caller(fn, tasks: Sequence, n_workers: int, chunk: int) -> list:
-    """parallel_map's in_caller path: this thread, starting with the first
-    chunk, and a pool of n_workers - 1 processes take chunks in task order.  One feeder thread per pool process
-    keeps one chunk in flight on it, blocked on its result, so the pool holds
-    no queued chunk that the caller could have taken.  After a failure no
-    further chunk starts; the chunks already running finish, and the failure
-    of the earliest chunk is raised, as the serial path would raise it."""
+    """parallel_map's in_caller path: a pool of n_workers - 1 processes and
+    this thread take chunks in task order, the pool's processes the first
+    ones, so that the caller, which also holds every result, runs the later
+    (in a longest-first list, the smaller) ones.  One feeder thread per pool
+    process keeps one chunk in flight on it, blocked on its result, so the
+    pool holds no queued chunk that the caller could have taken.  After a
+    failure no further chunk starts; the chunks already running finish, and
+    the failure of the earliest chunk is raised, as the serial path would
+    raise it."""
     chunks = [tasks[i:i + chunk] for i in range(0, len(tasks), chunk)]
     results: list = [None] * len(chunks)
     failures: dict[int, BaseException] = {}
@@ -265,16 +268,15 @@ def _map_with_caller(fn, tasks: Sequence, n_workers: int, chunk: int) -> list:
                 failures[i] = exc
             i = claim()
 
-    def feed():
-        run(lambda c: pool.submit(_map_chunk, fn, c).result(), claim())
+    def in_pool(c):
+        return pool.submit(_map_chunk, fn, c).result()
 
-    first = claim()  # the caller takes the first chunk
     with ProcessPoolExecutor(max_workers=n_workers - 1, initializer=_set_blas_threads) as pool:
-        feeders = [threading.Thread(target=feed) for _ in range(n_workers - 1)]
+        feeders = [threading.Thread(target=run, args=(in_pool, claim())) for _ in range(n_workers - 1)]
         for feeder in feeders:
             feeder.start()
         try:
-            run(functools.partial(_map_chunk, fn), first)
+            run(functools.partial(_map_chunk, fn), claim())
         finally:
             for feeder in feeders:
                 feeder.join()

@@ -92,12 +92,12 @@ def test_trajectories_are_the_same_for_any_worker_count(monkeypatch):
 def test_a_programming_error_in_a_worker_is_no_fail_line(monkeypatch, capsys):
     # a one-point time grid, set past Config's validation, is a bug in the
     # suite, not a failed criterion: it reaches the caller from the pool
-    # worker (the caller runs the first task) before any criterion has printed
+    # worker (which takes the first task) before any criterion has printed
     monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     ok = _cheap_runs()[0]
     bad = Config(n_bar=1.0, n_fock=8, t_max_us=0.5)
     bad.n_times = 1
-    monkeypatch.setattr(acceptance, "_RUNS", (ok, ("bad", bad, False)))
+    monkeypatch.setattr(acceptance, "_RUNS", (("bad", bad, False), ok))
     monkeypatch.setattr(acceptance, "_TRAJECTORIES", {})
     with pytest.raises(ValueError, match="t_grid needs at least an initial and one output time"):
         acceptance.run_all()

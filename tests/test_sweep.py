@@ -232,15 +232,16 @@ def test_pool_errors_reach_the_caller_with_their_type_and_message(monkeypatch):
 
 
 def test_in_caller_map_keeps_task_order_and_raises_the_earliest_failure(monkeypatch):
-    # the caller runs the first task and a pool of one the second; every
-    # error comes back as itself, and of two the earlier task's, as serially
+    # a pool of one runs the first task and the caller the second; an error
+    # comes back as itself from either, and of two the earlier task's, as
+    # the serial path would raise it
     monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     values = list(range(-20, 20))
     assert parallel_map(abs, values, workers=0, in_caller=True) == [abs(v) for v in values]
     with pytest.raises(model.TruncationError, match="n_fock = 8 holds population 0.5"):
-        parallel_map(functools.partial(model.check_truncation, n_fock=8), [0.0, 0.5], workers=2, in_caller=True)
+        parallel_map(functools.partial(model.check_truncation, n_fock=8), [0.5, 0.0], workers=2, in_caller=True)
     with pytest.raises(ValueError, match="worker count must be positive, got -2"):
-        parallel_map(resolve_workers, [-2, 1], workers=2, in_caller=True)
+        parallel_map(resolve_workers, [1, -2], workers=2, in_caller=True)
     with pytest.raises(ValueError, match="worker count must be positive, got -3"):
         parallel_map(resolve_workers, [-3, -4], workers=2, in_caller=True)
 

@@ -2,9 +2,9 @@
 
 Each criterion builds its own physical configuration, runs whatever dynamics
 it needs, and reports one pass/fail line.  The six expensive trajectories
-are independent pool tasks (_RUNS), run together once per process and cached
-at module level, so the criteria and the conservation audit read them
-instead of re-integrating.
+are independent pool tasks (_RUNS), run together once per process into one
+module-level cache, _TRAJECTORIES, from which criteria 1, 3, 6 and 7 read
+them by name instead of re-integrating.
 
 Run everything with ``run_all()`` or from the command line via
 ``dressed-cool verify``.
@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -101,36 +100,9 @@ def _trajectories() -> dict[str, tuple]:
     them all through sweep.parallel_map, on one process per usable CPU, this
     one included; the trajectories are the same for any number of CPUs."""
     if not _TRAJECTORIES:
-        trajs = parallel_map(_trajectory, _RUNS, 0, in_caller=True)
+        trajs = parallel_map(_trajectory, _RUNS, 0)
         _TRAJECTORIES.update((name, (to_system_params(cfg), t)) for (name, cfg, _), t in zip(_RUNS, trajs))
     return _TRAJECTORIES
-
-
-@lru_cache(maxsize=None)
-def _c1_runs():
-    """Turn-on cooling trajectories for three drive strengths.
-
-    Returns a list of (n_bar, params, trajectory, fit, analytic_pair).
-    """
-    out = []
-    for n_bar in _C1_N_BARS:
-        p, traj = _trajectories()[f"c1 n_bar={n_bar}"]
-        fit = fit_exponential(traj.times, traj.expectations["sx"])
-        out.append((n_bar, p, traj, fit, rates_general(p)))
-    return out
-
-
-def _c3_run():
-    """Strong-coupling trajectory from |g>, as (params, trajectory)."""
-    return _trajectories()["c3"]
-
-
-def _c6_frame_runs():
-    """The same physical evolution in the displaced and lab frames, as
-    (a_bar, {frame: trajectory})."""
-    runs = _trajectories()
-    p, disp = runs["c6 displaced"]
-    return displacement(p), {"displaced": disp, "undisplaced": runs["c6 undisplaced"][1]}
 
 
 # ---------------------------------------------------------------------------
@@ -140,19 +112,18 @@ def _c6_frame_runs():
 def criterion_1() -> CriterionResult:
     """Fitted cooling rates track the analytic rates and scale with drive."""
     worst = 0.0
-    n_bars = []
     fitted = []
     spectral = []
-    for n_bar, p, traj, fit, pair in _c1_runs():
-        err = _rel_err(fit.rate, pair.total)
-        worst = max(worst, err)
-        n_bars.append(n_bar)
+    for n_bar in _C1_N_BARS:
+        p, traj = _trajectories()[f"c1 n_bar={n_bar}"]
+        fit = fit_exponential(traj.times, traj.expectations["sx"])
+        worst = max(worst, _rel_err(fit.rate, rates_general(p).total))
         fitted.append(fit.rate)
         spectral.append(steady_point(p, rate=True)[2])
-    slope = np.polyfit(n_bars, fitted, 1)[0]
+    slope = np.polyfit(_C1_N_BARS, fitted, 1)[0]
     # The exact asymptotic rates, free of the turn-on transient that biases
     # the full-window fit; reported beside the gate, which stays as stated.
-    spectral_slope = np.polyfit(n_bars, spectral, 1)[0]
+    spectral_slope = np.polyfit(_C1_N_BARS, spectral, 1)[0]
     # Slope of rate vs photon number: the golden-rule value at one photon.
     golden_slope = golden_rule_rate(to_system_params(Config(n_bar=1.0)))
     slope_err = _rel_err(slope, golden_slope)
@@ -193,7 +164,7 @@ def criterion_2() -> CriterionResult:
 
 def criterion_3() -> CriterionResult:
     """Strong-coupling oscillation frequency matches 2|chi| sqrt(n_bar)."""
-    p, traj = _c3_run()
+    p, traj = _trajectories()["c3"]
     freq = dominant_frequency(traj.times, traj.expectations["sx"])
     expected = 2.0 * abs(p.chi) * math.sqrt(n_bar_of(p)) / TWO_PI
     err = _rel_err(freq, expected)
@@ -293,8 +264,9 @@ def criterion_6() -> CriterionResult:
 
     # Displaced and lab frames agree on qubit observables and on the field
     # once the coherent offset is added back.
-    a_bar, runs = _c6_frame_runs()
-    disp, lab = runs["displaced"], runs["undisplaced"]
+    p_disp, disp = _trajectories()["c6 displaced"]
+    lab = _trajectories()["c6 undisplaced"][1]
+    a_bar = displacement(p_disp)
     dx = np.max(np.abs(disp.expectations["sx"] - lab.expectations["sx"]))
     dz = np.max(np.abs(disp.expectations["sz"] - lab.expectations["sz"]))
     dfield = np.max(np.abs(lab.expectations["a"] - (a_bar + disp.expectations["a"])))
@@ -315,9 +287,7 @@ def criterion_7() -> CriterionResult:
     cavity truncation comes closer to its edge than TRUNCATION_TOL.
     Hermiticity holds by construction: evolve checks H and rho0 on entry and
     forms every state from real Hermitian-basis coordinates."""
-    trajs = [traj for _, _, traj, _, _ in _c1_runs()]
-    trajs.append(_c3_run()[1])
-    trajs.extend(_c6_frame_runs()[1].values())
+    trajs = [traj for _, traj in _trajectories().values()]
 
     trace_dev = max(t.conservation.max_trace_deviation for t in trajs)
     min_eig = min(t.conservation.min_eigenvalue for t in trajs)

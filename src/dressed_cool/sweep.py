@@ -6,7 +6,8 @@ detuning axis holds the bare qubit drive detuning delta_q; the Stark-shifted
 detuning at each point is delta_q' = delta_q + 2 chi n_bar.
 
 parallel_map, the program's one process pool, runs the sweep's points and
-the acceptance suite's trajectories.
+the acceptance suite's trajectories.  Its `workers` count the processes that
+compute, and the calling process is always one of them.
 """
 
 from __future__ import annotations
@@ -191,10 +192,10 @@ def _set_blas_threads(n: int = 1) -> int | None:
     parallelism comes from processes only.  A second BLAS thread halves no
     256x256 LU on a small host but doubles its CPU time, and under a pool
     oversubscribes the cores.  The CLI sets it once for its process, and
-    parallel_map around the tasks it runs itself and once per pool worker,
-    since a spawned worker does not inherit it; importing the package
-    changes nothing.  OPENBLAS_NUM_THREADS cannot do this, as numpy has loaded
-    OpenBLAS by then.
+    parallel_map around every map, since its caller computes too, and once
+    per pool worker, since a spawned worker does not inherit it; importing
+    the package changes nothing.  OPENBLAS_NUM_THREADS cannot do this, as
+    numpy has loaded OpenBLAS by then.
     """
     functions = _openblas_thread_functions()
     if functions is None:
@@ -204,34 +205,71 @@ def _set_blas_threads(n: int = 1) -> int | None:
     return getter()
 
 
-def parallel_map(fn, tasks: Sequence, workers: int = 1, *, in_caller: bool = False) -> list:
+def parallel_map(fn, tasks: Sequence, workers: int = 1) -> list:
     """[fn(task) for task in tasks], in task order, on up to `workers`
-    processes (0: one per CPU this process may run on).
+    processes (0: one per CPU this process may run on), the calling one
+    among them.
 
-    The pool never has more processes than tasks or than usable CPUs,
-    whatever the count asked for; a pool of one is the serial path, run here.
-    With `in_caller` the calling process is one of the `workers`: it runs
-    tasks beside a pool one process smaller, each taking the next chunk of
-    tasks as it frees up, so that no more processes compute than there are
-    CPUs and the caller does not sit idle while the pool works.
+    No more processes compute than there are tasks or usable CPUs, whatever
+    the count asked for; one process is the serial path, run here.  With n
+    > 1, a pool of n - 1 processes and the calling thread take chunks of
+    tasks in task order, each the next one as it frees up: the pool's
+    processes the first ones, the caller, which also holds every result,
+    the later (in a longest-first list, the smaller) ones.  One feeder
+    thread per pool process keeps one chunk in flight on it, so the pool
+    holds no queued chunk that the caller could have taken.
     Every task runs its BLAS on one thread, in a pool worker or here (the
     caller's thread count is restored afterwards), so LU and eigenvalue
     roundoff, and with it every result, is the same for any worker count.
-    fn and the tasks are pickled by a pool, so fn must be a module-level
+    fn and the tasks are pickled by the pool, so fn must be a module-level
     function.  An exception raised by a task reaches the caller with its
-    type and message, from a worker as from the serial path.
+    type and message, from a worker as from the serial path.  After one, no
+    further chunk starts; the chunks already running finish, and the
+    earliest chunk's failure is raised, as the serial path would raise it.
     """
     n_workers = min(resolve_workers(workers), len(tasks), resolve_workers(0))
-    chunk = max(1, len(tasks) // (4 * n_workers))
-    if n_workers > 1 and not in_caller:
-        with ProcessPoolExecutor(max_workers=n_workers, initializer=_set_blas_threads) as pool:
-            return list(pool.map(fn, tasks, chunksize=chunk))
     before = _blas_threads()
     _set_blas_threads()
     try:
         if n_workers <= 1:
             return [fn(t) for t in tasks]
-        return _map_with_caller(fn, tasks, n_workers, chunk)
+        chunk = max(1, len(tasks) // (4 * n_workers))
+        chunks = [tasks[i:i + chunk] for i in range(0, len(tasks), chunk)]
+        results: list = [None] * len(chunks)
+        failures: dict[int, BaseException] = {}
+        order = itertools.count()  # next() on a count is atomic under the GIL
+
+        def claim():
+            i = next(order)
+            return None if failures or i >= len(chunks) else i
+
+        def run(do_chunk, i):
+            while i is not None:
+                try:
+                    results[i] = do_chunk(chunks[i])
+                except BaseException as exc:  # noqa: BLE001 - re-raised below
+                    failures[i] = exc
+                i = claim()
+
+        def in_pool(c):
+            return pool.submit(_map_chunk, fn, c).result()
+
+        with ProcessPoolExecutor(max_workers=n_workers - 1, initializer=_set_blas_threads) as pool:
+            # Under fork the first submit starts every pool process, and a
+            # child forked beside a running thread can inherit a lock that
+            # thread held (in malloc or BLAS) and hang on it: fork them first.
+            pool.submit(int).result()
+            feeders = [threading.Thread(target=run, args=(in_pool, claim())) for _ in range(n_workers - 1)]
+            for feeder in feeders:
+                feeder.start()
+            try:
+                run(functools.partial(_map_chunk, fn), claim())
+            finally:
+                for feeder in feeders:
+                    feeder.join()
+        if failures:
+            raise failures[min(failures)]
+        return [r for rows in results for r in rows]
     finally:
         if before is not None:
             _set_blas_threads(before)
@@ -239,50 +277,6 @@ def parallel_map(fn, tasks: Sequence, workers: int = 1, *, in_caller: bool = Fal
 
 def _map_chunk(fn, chunk: Sequence) -> list:
     return [fn(t) for t in chunk]
-
-
-def _map_with_caller(fn, tasks: Sequence, n_workers: int, chunk: int) -> list:
-    """parallel_map's in_caller path: a pool of n_workers - 1 processes and
-    this thread take chunks in task order, the pool's processes the first
-    ones, so that the caller, which also holds every result, runs the later
-    (in a longest-first list, the smaller) ones.  One feeder thread per pool
-    process keeps one chunk in flight on it, blocked on its result, so the
-    pool holds no queued chunk that the caller could have taken.  After a
-    failure no further chunk starts; the chunks already running finish, and
-    the failure of the earliest chunk is raised, as the serial path would
-    raise it."""
-    chunks = [tasks[i:i + chunk] for i in range(0, len(tasks), chunk)]
-    results: list = [None] * len(chunks)
-    failures: dict[int, BaseException] = {}
-    order = itertools.count()  # next() on a count is atomic under the GIL
-
-    def claim():
-        i = next(order)
-        return None if failures or i >= len(chunks) else i
-
-    def run(do_chunk, i):
-        while i is not None:
-            try:
-                results[i] = do_chunk(chunks[i])
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                failures[i] = exc
-            i = claim()
-
-    def in_pool(c):
-        return pool.submit(_map_chunk, fn, c).result()
-
-    with ProcessPoolExecutor(max_workers=n_workers - 1, initializer=_set_blas_threads) as pool:
-        feeders = [threading.Thread(target=run, args=(in_pool, claim())) for _ in range(n_workers - 1)]
-        for feeder in feeders:
-            feeder.start()
-        try:
-            run(functools.partial(_map_chunk, fn), claim())
-        finally:
-            for feeder in feeders:
-                feeder.join()
-    if failures:
-        raise failures[min(failures)]
-    return [r for rows in results for r in rows]
 
 
 def run_sweep(grid: SweepGrid, workers: int = 1) -> SweepTable:

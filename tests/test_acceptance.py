@@ -4,7 +4,6 @@ Each test runs one criterion from the acceptance module and prints its
 summary line, so `pytest -v` shows one pass/fail line per claim.
 """
 
-from concurrent.futures import Future
 from types import SimpleNamespace
 
 import numpy as np
@@ -59,9 +58,7 @@ def test_criterion_7_gates_the_truncation_edge(monkeypatch):
     # forced to n_fock 8, top level 0.0627) fails the criterion by itself
     p = to_system_params(Config(n_bar=4.0, n_fock=8))
     bad = cooling_trajectory(p, 0.5, n_times=51)
-    monkeypatch.setattr(acceptance, "_c1_runs", lambda: [(4.0, p, bad, None, None)])
-    monkeypatch.setattr(acceptance, "_c3_run", lambda: (p, bad))
-    monkeypatch.setattr(acceptance, "_c6_frame_runs", lambda: (0j, {}))
+    monkeypatch.setattr(acceptance, "_TRAJECTORIES", {"bad": (p, bad)})
     result = acceptance.criterion_7()
     assert not result.passed
     assert "max top Fock level population = 6.27e-02 (tol 1e-04)" in result.detail
@@ -79,14 +76,13 @@ def _cheap_runs():
 def test_trajectories_are_the_same_for_any_worker_count(monkeypatch):
     monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     serial = parallel_map(acceptance._trajectory, _cheap_runs(), workers=1)
-    for in_caller in (False, True):
-        pooled = parallel_map(acceptance._trajectory, _cheap_runs(), workers=2, in_caller=in_caller)
-        for one, two in zip(serial, pooled, strict=True):
-            assert one.expectations.keys() == two.expectations.keys()
-            for name, series in one.expectations.items():
-                assert np.array_equal(series, two.expectations[name]), name
-            assert one.stats.generator_applications == two.stats.generator_applications
-            assert one.conservation == two.conservation
+    pooled = parallel_map(acceptance._trajectory, _cheap_runs(), workers=2)
+    for one, two in zip(serial, pooled, strict=True):
+        assert one.expectations.keys() == two.expectations.keys()
+        for name, series in one.expectations.items():
+            assert np.array_equal(series, two.expectations[name]), name
+        assert one.stats.generator_applications == two.stats.generator_applications
+        assert one.conservation == two.conservation
 
 
 def test_a_programming_error_in_a_worker_is_no_fail_line(monkeypatch, capsys):
@@ -104,36 +100,17 @@ def test_a_programming_error_in_a_worker_is_no_fail_line(monkeypatch, capsys):
     assert "ACCEPTANCE" not in capsys.readouterr().out
 
 
-def test_verify_pool_is_capped_at_the_runs_and_the_usable_cpus(monkeypatch, capsys):
+def test_verify_pool_is_capped_at_the_runs_and_the_usable_cpus(monkeypatch, capsys, pool_sizes):
     # verify computes in its own process beside a pool one process smaller,
-    # min(6, CPUs) processes in all; the fake executor records the size,
-    # starts no process and runs each chunk here, as the caller does
-    sizes = []
+    # min(6, CPUs) processes in all
     fake = SimpleNamespace(stats=PropagationStats(0, 0.0, 0.0))
-
-    class RecordingPool:
-        def __init__(self, max_workers, initializer):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            done = Future()
-            done.set_result(fn(*args))
-            return done
-
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(acceptance, "_trajectory", lambda run: fake)
     monkeypatch.setattr(acceptance, "_CRITERIA", ())
     for cpus in (8, 2, 1):
         monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(acceptance, "_TRAJECTORIES", {})
         assert cli.main(["verify"]) == 0
-    assert sizes == [5, 1]
+    assert pool_sizes == [5, 1]
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 18
     assert err[0] == (

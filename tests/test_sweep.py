@@ -1,6 +1,8 @@
 import functools
 import math
 import multiprocessing
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -181,26 +183,9 @@ def test_serial_sweep_runs_blas_on_one_thread_and_restores_the_callers(monkeypat
     assert sweep._blas_threads() == before
 
 
-def test_pool_is_capped_at_the_points_and_the_usable_cpus(monkeypatch):
-    # under fork every worker starts at the first submit, so a pool sized
-    # from the request alone would start that many processes; the fake
-    # executor records the size and starts none
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers, initializer):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+def test_pool_is_capped_at_the_points_and_the_usable_cpus(monkeypatch, pool_sizes):
+    # the caller computes beside a pool one process smaller, so on 4 CPUs
+    # at most 3 pool processes start, and on 1 CPU none
     monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     base = reference_params()
 
@@ -209,41 +194,59 @@ def test_pool_is_capped_at_the_points_and_the_usable_cpus(monkeypatch):
                          mode="rates_analytic_map")
 
     serial = run_sweep(grid(9), workers=1)
-    assert sizes == []
+    assert pool_sizes == []
     assert run_sweep(grid(9), workers=5000).rows == serial.rows
     run_sweep(grid(3), workers=5000)
     run_sweep(grid(9), workers=0)
-    assert sizes == [4, 3, 4]
-    # a pool of one is the serial path
+    assert pool_sizes == [3, 2, 3]
+    # one process computing is the serial path
     run_sweep(grid(1), workers=5000)
     monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {3}, raising=False)
     run_sweep(grid(9), workers=5000)
-    assert sizes == [4, 3, 4]
+    assert pool_sizes == [3, 2, 3]
 
 
 def test_pool_errors_reach_the_caller_with_their_type_and_message(monkeypatch):
     # a named numerical failure and a programming error raised in a pool
-    # worker come back as themselves, not as a pool error
+    # worker (which takes the first of two tasks) come back as themselves,
+    # not as a pool error
     monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     with pytest.raises(model.TruncationError, match="n_fock = 8 holds population 0.5"):
-        parallel_map(functools.partial(model.check_truncation, n_fock=8), [0.0, 0.5], workers=2)
+        parallel_map(functools.partial(model.check_truncation, n_fock=8), [0.5, 0.0], workers=2)
     with pytest.raises(ValueError, match="worker count must be positive, got -2"):
-        parallel_map(resolve_workers, [1, -2], workers=2)
+        parallel_map(resolve_workers, [-2, 1], workers=2)
 
 
-def test_in_caller_map_keeps_task_order_and_raises_the_earliest_failure(monkeypatch):
+def test_pooled_map_keeps_task_order_and_raises_the_earliest_failure(monkeypatch):
     # a pool of one runs the first task and the caller the second; an error
     # comes back as itself from either, and of two the earlier task's, as
     # the serial path would raise it
     monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     values = list(range(-20, 20))
-    assert parallel_map(abs, values, workers=0, in_caller=True) == [abs(v) for v in values]
+    assert parallel_map(abs, values, workers=0) == [abs(v) for v in values]
     with pytest.raises(model.TruncationError, match="n_fock = 8 holds population 0.5"):
-        parallel_map(functools.partial(model.check_truncation, n_fock=8), [0.5, 0.0], workers=2, in_caller=True)
+        parallel_map(functools.partial(model.check_truncation, n_fock=8), [0.5, 0.0], workers=2)
     with pytest.raises(ValueError, match="worker count must be positive, got -2"):
-        parallel_map(resolve_workers, [1, -2], workers=2, in_caller=True)
+        parallel_map(resolve_workers, [1, -2], workers=2)
     with pytest.raises(ValueError, match="worker count must be positive, got -3"):
-        parallel_map(resolve_workers, [-3, -4], workers=2, in_caller=True)
+        parallel_map(resolve_workers, [-3, -4], workers=2)
+
+
+def test_pool_processes_are_forked_before_any_feeder_thread_starts(monkeypatch):
+    # a child forked while another thread runs inherits whatever lock that
+    # thread held, so under fork every pool process starts before
+    # parallel_map starts a thread
+    monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    threads_at_fork = []
+    recording = [True]
+    os.register_at_fork(before=lambda: recording[0] and threads_at_fork.append(threading.active_count()))
+    before = threading.active_count()
+    try:
+        assert parallel_map(abs, list(range(-20, 20)), workers=0) == [abs(v) for v in range(-20, 20)]
+    finally:
+        recording[0] = False
+    if multiprocessing.get_start_method() == "fork":
+        assert threads_at_fork == [before, before]
 
 
 def test_failed_point_is_isolated():

@@ -22,7 +22,7 @@ from .analysis import config_trajectory, dominant_frequency, fit_exponential, st
 from .config import Config, to_system_params
 from .dynamics import evolve
 from .model import TRUNCATION_TOL, TWO_PI, build_model, displacement, n_bar_of, turn_on_state
-from .operators import HilbertSpace
+from .operators import space
 from .rates import (
     effective_temperature,
     golden_rule_rate,
@@ -85,7 +85,7 @@ def _trajectory(run: tuple):
     p = to_system_params(cfg)
     if not field:
         return config_trajectory(p, cfg)
-    hs = HilbertSpace(p.n_fock)
+    hs = space(p.n_fock)
     obs = {"sx": hs.sx, "sz": hs.sz, "a": hs.a}
     t_grid = np.linspace(0.0, cfg.t_max_us, cfg.n_times)
     return evolve(*build_model(p, cfg.frame), turn_on_state(p, frame=cfg.frame), t_grid, observables=obs)
@@ -331,13 +331,7 @@ def run_all() -> list[CriterionResult]:
     order, printing each result as soon as it is known.  The results are the
     same for any number of CPUs."""
     for name, (p, traj) in _trajectories().items():
-        stats = traj.stats
-        print(
-            f"trajectory {name}: d^2 = {(2 * p.n_fock) ** 2},"
-            f" {stats.generator_applications} generator applications in {stats.wall_s:.3g} s,"
-            f" top Fock level population at most {stats.top_fock_population:.3g}",
-            file=sys.stderr,
-        )
+        print(f"trajectory {name}: d^2 = {(2 * p.n_fock) ** 2}, {traj.stats.summary()}", file=sys.stderr)
     results = []
     for fn in _CRITERIA:
         result = fn()

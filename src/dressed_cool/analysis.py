@@ -12,7 +12,7 @@ import numpy as np
 
 from . import dynamics, model, rates
 from .integrate import StiffnessError
-from .operators import HilbertSpace, expect_real, fock_state, kron, pauli, reduced_qubit, top_fock_population
+from .operators import expect_real, fock_state, kron, pauli, reduced_qubit, space, top_fock_population
 
 __all__ = [
     "ExpFit",
@@ -366,8 +366,8 @@ def cooling_trajectory(
         rho0 = model.turn_on_state(p, frame=frame)
     else:
         rho0 = model.qubit_axis_state(p, initial, frame=frame)
-    hs = HilbertSpace(p.n_fock)
-    observables = {"sx": hs.sx, "sy": hs.sy, "sz": hs.sz, "n_cav": hs.a.conj().T @ hs.a}
+    hs = space(p.n_fock)
+    observables = {"sx": hs.sx, "sy": hs.sy, "sz": hs.sz, "n_cav": hs.n}
     t_grid = np.linspace(0.0, t_max, n_times)
     return dynamics.evolve(*model.build_model(p, frame), rho0, t_grid, observables=observables)
 

@@ -180,9 +180,7 @@ def _cmd_evolve(args) -> int:
                          no_timestamp=args.no_timestamp)
     print(
         f"wrote {len(traj.times)} samples over {traj.times[-1]:.6g} us to {out};"
-        f" {stats.generator_applications} generator applications in {stats.wall_s:.3g} s,"
-        f" top Fock level population at most {stats.top_fock_population:.3g}"
-        f" (tol {model.TRUNCATION_TOL:.0e})"
+        f" {stats.summary()} (tol {model.TRUNCATION_TOL:.0e})"
     )
     return 0
 

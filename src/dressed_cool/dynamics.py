@@ -112,6 +112,13 @@ class PropagationStats:
     wall_s: float
     top_fock_population: float
 
+    def summary(self) -> str:
+        """The stats as the one line that evolve and verify print."""
+        return (
+            f"{self.generator_applications} generator applications in {self.wall_s:.3g} s,"
+            f" top Fock level population at most {self.top_fock_population:.3g}"
+        )
+
 
 @dataclass
 class Trajectory:

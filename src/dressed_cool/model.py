@@ -18,21 +18,12 @@ Conventions (all frequencies angular, rad/us; rates 1/us; times us):
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
-from .operators import (
-    HilbertSpace,
-    annihilation,
-    coherent_state,
-    kron,
-    pauli,
-    qubit_state,
-)
+from .operators import coherent_state, kron, qubit_state, space
 
 TWO_PI = 2.0 * math.pi
 
@@ -135,52 +126,16 @@ def coupling_ratio(p: SystemParams) -> float:
     return abs(p.chi) * math.sqrt(n_bar_of(p)) / p.kappa
 
 
-class _Operators(NamedTuple):
-    """The fixed operators of one cutoff that the builders combine: a, a+
-    and a+a on the cavity, the rest on the qubit-major composite space."""
-
-    a: np.ndarray
-    ad: np.ndarray
-    n: np.ndarray
-    cavity_a: np.ndarray
-    cavity_n: np.ndarray
-    cavity_x: np.ndarray  # a + a+
-    sz_n: np.ndarray  # sz kron a+a
-    sx: np.ndarray
-    sz: np.ndarray
-    sm: np.ndarray
-    sp: np.ndarray
-
-
-@functools.lru_cache(maxsize=16)
-def _operators(n_fock: int) -> _Operators:
-    """_Operators of one cutoff, made once and read-only: every sweep point
-    of a cutoff shares them, and the builders only scale and add them."""
-    hs = HilbertSpace(n_fock)
-    a = annihilation(n_fock)
-    ad = a.conj().T
-    n = ad @ a
-    ops = _Operators(
-        a=a, ad=ad, n=n, cavity_a=hs.a, cavity_n=hs.cavity(n), cavity_x=hs.cavity(ad + a),
-        sz_n=kron(pauli("z"), n), sx=hs.sx, sz=hs.sz, sm=hs.sm, sp=hs.sp,
-    )
-    for op in ops:
-        op.flags.writeable = False
-    return ops
-
-
 def build_hamiltonian_displaced(p: SystemParams) -> np.ndarray:
     """Displaced-frame Hamiltonian; the classical drive is folded into a_bar."""
-    ops = _operators(p.n_fock)
+    hs = space(p.n_fock)
     a_bar = displacement(p)
-    coupling = np.conj(a_bar) * ops.a + a_bar * ops.ad + ops.n
-    h = (
-        -p.delta_c * ops.cavity_n
-        - 0.5 * p.delta_q_prime * ops.sz
-        - 0.5 * p.omega_r_rabi * ops.sx
-        - p.chi * kron(pauli("z"), coupling)
+    return (
+        -p.delta_c * hs.n
+        - 0.5 * p.delta_q_prime * hs.sz
+        - 0.5 * p.omega_r_rabi * hs.sx
+        - p.chi * (np.conj(a_bar) * hs.sz_a + a_bar * hs.sz_a.conj().T + hs.sz_n)
     )
-    return h
 
 
 def build_hamiltonian_undisplaced(p: SystemParams) -> np.ndarray:
@@ -192,16 +147,15 @@ def build_hamiltonian_undisplaced(p: SystemParams) -> np.ndarray:
     physical operating point.  Like every builder it takes p.n_fock as
     given: choose_fock_cutoff sizes a cutoff and check_truncation judges it.
     """
-    ops = _operators(p.n_fock)
+    hs = space(p.n_fock)
     delta_q_bare = p.delta_q_prime - 2.0 * p.chi * n_bar_of(p) - p.chi
-    h = (
-        -p.delta_c * ops.cavity_n
-        - 0.5 * (delta_q_bare + p.chi) * ops.sz
-        - 0.5 * p.omega_r_rabi * ops.sx
-        - p.chi * ops.sz_n
-        + p.eps_d * ops.cavity_x
+    return (
+        -p.delta_c * hs.n
+        - 0.5 * (delta_q_bare + p.chi) * hs.sz
+        - 0.5 * p.omega_r_rabi * hs.sx
+        - p.chi * hs.sz_n
+        + p.eps_d * hs.x
     )
-    return h
 
 
 @dataclass(frozen=True)
@@ -222,13 +176,13 @@ def collapse_ops(p: SystemParams, frame: str = "displaced") -> list[CollapseOp]:
     argument only validates intent.
     """
     _check_frame(frame)
-    ops = _operators(p.n_fock)
+    hs = space(p.n_fock)
     out = []
     pairs = [
-        (p.kappa, ops.cavity_a, "cavity"),
-        (p.gamma_down, ops.sm, "qubit_down"),
-        (p.gamma_up, ops.sp, "qubit_up"),
-        (0.5 * p.gamma_phi, ops.sz, "dephasing"),
+        (p.kappa, hs.a, "cavity"),
+        (p.gamma_down, hs.sm, "qubit_down"),
+        (p.gamma_up, hs.sp, "qubit_up"),
+        (0.5 * p.gamma_phi, hs.sz, "dephasing"),
     ]
     for rate, op, label in pairs:
         if rate > 0:

@@ -3,10 +3,15 @@
 All operators are plain complex numpy arrays.  The composite Hilbert space is
 ordered qubit-major: a basis state |q, m> (qubit level q, Fock level m) sits at
 index q * n_fock + m, i.e. full operators are built as kron(qubit_op, cavity_op).
+
+HilbertSpace is the table of one cutoff's composite operators, each built on
+first use and read-only; space(n_fock) is the one shared table per cutoff
+from which the model builders and the observables read them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import sqrt
 
@@ -136,9 +141,16 @@ def top_fock_population(rho: np.ndarray) -> float:
     return float(rho[d // 2 - 1, d // 2 - 1].real + rho[d - 1, d - 1].real)
 
 
+def _read_only(op: np.ndarray) -> np.ndarray:
+    op.flags.writeable = False
+    return op
+
+
 @dataclass(frozen=True)
 class HilbertSpace:
-    """Layout helper for the qubit (x) cavity product space (qubit index major)."""
+    """The qubit (x) cavity product space of one cutoff (qubit index major)
+    and the table of its composite operators, each built on first use and
+    then cached read-only."""
 
     n_fock: int
 
@@ -152,27 +164,53 @@ class HilbertSpace:
     def cavity(self, opn: np.ndarray) -> np.ndarray:
         return kron(identity(2), opn)
 
-    # frequently used full-space operators
-    @property
+    @functools.cached_property
     def a(self) -> np.ndarray:
-        return self.cavity(annihilation(self.n_fock))
+        return _read_only(self.cavity(annihilation(self.n_fock)))
 
-    @property
+    @functools.cached_property
+    def n(self) -> np.ndarray:
+        """The photon number a+a."""
+        return _read_only(self.a.conj().T @ self.a)
+
+    @functools.cached_property
+    def x(self) -> np.ndarray:
+        """a + a+."""
+        return _read_only(self.a + self.a.conj().T)
+
+    @functools.cached_property
     def sx(self) -> np.ndarray:
-        return self.qubit(pauli("x"))
+        return _read_only(self.qubit(pauli("x")))
 
-    @property
+    @functools.cached_property
     def sy(self) -> np.ndarray:
-        return self.qubit(pauli("y"))
+        return _read_only(self.qubit(pauli("y")))
 
-    @property
+    @functools.cached_property
     def sz(self) -> np.ndarray:
-        return self.qubit(pauli("z"))
+        return _read_only(self.qubit(pauli("z")))
 
-    @property
+    @functools.cached_property
     def sp(self) -> np.ndarray:
-        return self.qubit(pauli("+"))
+        return _read_only(self.qubit(pauli("+")))
 
-    @property
+    @functools.cached_property
     def sm(self) -> np.ndarray:
-        return self.qubit(pauli("-"))
+        return _read_only(self.qubit(pauli("-")))
+
+    @functools.cached_property
+    def sz_a(self) -> np.ndarray:
+        """sz (x) a."""
+        return _read_only(kron(pauli("z"), annihilation(self.n_fock)))
+
+    @functools.cached_property
+    def sz_n(self) -> np.ndarray:
+        """sz (x) a+a."""
+        return _read_only(self.sz @ self.n)
+
+
+@functools.lru_cache(maxsize=16)
+def space(n_fock: int) -> HilbertSpace:
+    """The one shared HilbertSpace of a cutoff: every sweep point of a cutoff
+    reads the same cached operators, and the builders only scale and add them."""
+    return HilbertSpace(n_fock)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dressed_cool import analysis, dynamics, integrate, model, sweep
+from dressed_cool import analysis, dynamics, integrate, sweep
 from dressed_cool.config import Config, to_system_params
 from dressed_cool.dynamics import (
     ConservationReport,
@@ -45,6 +45,7 @@ from dressed_cool.operators import (
     kron,
     pauli,
     qubit_state,
+    space,
 )
 from dressed_cool.rates import rates_general
 
@@ -813,7 +814,8 @@ def test_cached_operators_are_read_only():
     dynamics._steady_generator(h, ops)
     gmap = next(reversed(dynamics._MAPS.values()))
     arrays = [basis.data, basis.indices, basis.indptr, gmap.f.data, gmap.f.indices, gmap.f.indptr,
-              gmap.drift, gmap.indices, gmap.indptr, *model._operators(3)]
+              gmap.drift, gmap.indices, gmap.indptr,
+              *(getattr(space(3), name) for name in ("a", "n", "x", "sx", "sy", "sz", "sp", "sm", "sz_a", "sz_n"))]
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

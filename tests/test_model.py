@@ -35,6 +35,7 @@ from dressed_cool.operators import (
     identity,
     kron,
     pauli,
+    space,
     top_fock_population,
 )
 from test_operators import validate_density_matrix
@@ -148,23 +149,68 @@ def test_displaced_hamiltonian_diagonal_without_drive():
     assert np.max(np.abs(h - np.diag(np.diag(h)))) == 0.0
 
 
+def _hand_hamiltonian(p: SystemParams, frame: str) -> np.ndarray:
+    """Oracle: each frame's H assembled term by term from np.kron, as the
+    builders wrote it before they read the operator table."""
+    n = p.n_fock
+    a = annihilation(n)
+    num = a.conj().T @ a
+    sz_cav = np.kron(pauli("z"), identity(n))
+    sx_cav = np.kron(pauli("x"), identity(n))
+    if frame == "displaced":
+        a_bar = displacement(p)
+        coupling = np.conj(a_bar) * a + a_bar * a.conj().T + num
+        return (
+            -p.delta_c * np.kron(identity(2), num)
+            - 0.5 * p.delta_q_prime * sz_cav
+            - 0.5 * p.omega_r_rabi * sx_cav
+            - p.chi * np.kron(pauli("z"), coupling)
+        )
+    delta_q_bare = p.delta_q_prime - 2.0 * p.chi * n_bar_of(p) - p.chi
+    return (
+        -p.delta_c * np.kron(identity(2), num)
+        - 0.5 * (delta_q_bare + p.chi) * sz_cav
+        - 0.5 * p.omega_r_rabi * sx_cav
+        - p.chi * np.kron(pauli("z"), num)
+        + p.eps_d * np.kron(identity(2), a.conj().T + a)
+    )
+
+
 def test_displaced_hamiltonian_matches_hand_assembly():
     p = reference_params(n_bar=1.0, n_fock=12)
     h = build_hamiltonian_displaced(p)
     assert np.max(np.abs(h - h.conj().T)) <= 1e-12
+    assert np.allclose(h, _hand_hamiltonian(p, "displaced"), atol=1e-12)
 
-    a_bar = displacement(p)
-    n = p.n_fock
-    a = annihilation(n)
-    num = a.conj().T @ a
-    fluct = np.conj(a_bar) * a + a_bar * a.conj().T + num
-    expected = (
-        -p.delta_c * kron(identity(2), num)
-        - 0.5 * p.delta_q_prime * kron(pauli("z"), identity(n))
-        - 0.5 * p.omega_r_rabi * kron(pauli("x"), identity(n))
-        - p.chi * kron(pauli("z"), fluct)
-    )
-    assert np.allclose(h, expected, atol=1e-12)
+
+def test_one_operator_table_per_cutoff_serves_both_builders():
+    assert space(7) is space(7) and space(7) is not space(8)
+    for n in (2, 5, 13):
+        a = annihilation(n)
+        definitions = {
+            "a": np.kron(identity(2), a),
+            "n": np.kron(identity(2), a.conj().T @ a),
+            "x": np.kron(identity(2), a + a.conj().T),
+            "sx": np.kron(pauli("x"), identity(n)),
+            "sy": np.kron(pauli("y"), identity(n)),
+            "sz": np.kron(pauli("z"), identity(n)),
+            "sp": np.kron(pauli("+"), identity(n)),
+            "sm": np.kron(pauli("-"), identity(n)),
+            "sz_a": np.kron(pauli("z"), a),
+            "sz_n": np.kron(pauli("z"), a.conj().T @ a),
+        }
+        for name, op in definitions.items():
+            assert np.array_equal(getattr(space(n), name), op), name
+    # bit for bit: each entry of the displaced coupling has one nonzero term
+    points = [
+        dict(n_bar=0.5, delta_q_prime_mhz=-3.0, n_fock=5),
+        dict(n_bar=1.0, delta_c_mhz=9.0, n_fock=8),
+        dict(n_bar=3.6, kappa_mhz=0.2, delta_q_prime_mhz=2.0, n_fock=15),
+    ]
+    for point in points:
+        p = reference_params(**point)
+        assert np.array_equal(build_hamiltonian_displaced(p), _hand_hamiltonian(p, "displaced"))
+        assert np.array_equal(build_hamiltonian_undisplaced(p), _hand_hamiltonian(p, "undisplaced"))
 
 
 def test_undisplaced_block_structure_without_coupling():

@@ -289,8 +289,8 @@ def criterion_7() -> CriterionResult:
     forms every state from real Hermitian-basis coordinates."""
     trajs = [traj for _, traj in _trajectories().values()]
 
-    trace_dev = max(t.conservation.max_trace_deviation for t in trajs)
-    min_eig = min(t.conservation.min_eigenvalue for t in trajs)
+    trace_dev = max(t.stats.max_trace_deviation for t in trajs)
+    min_eig = min(t.stats.min_eigenvalue for t in trajs)
     edge = max(t.stats.top_fock_population for t in trajs)
     ok = trace_dev <= 1e-7 and min_eig >= -1e-7 and edge <= TRUNCATION_TOL
     detail = (

@@ -26,7 +26,6 @@ from .operators import hermiticity_residual, smallest_eigenvalue, top_fock_popul
 
 __all__ = [
     "Trajectory",
-    "ConservationReport",
     "PropagationStats",
     "MultipleSteadyStatesError",
     "ModeNotConvergedError",
@@ -34,10 +33,10 @@ __all__ = [
     "steady_state",
     "steady_state_and_mode",
 ]
-# liouvillian_matrix is not public: _generator builds evolve's M and the
-# steady path's dissipator D (H = 0) with it.  It keeps its unprefixed
-# name only because bench/spans.py TARGETS times it under that name (ROADMAP
-# items 1 and 6).
+# liouvillian_matrix is not public: _generator_map builds the dissipator D
+# (H = 0) of every generator with it.  It keeps its unprefixed name only
+# because bench/spans.py TARGETS times it under that name (ROADMAP items 1
+# and 6).
 
 
 class MultipleSteadyStatesError(RuntimeError):
@@ -92,25 +91,20 @@ def _identity_kron_triplets(i, j, v, d: int, offset=0):
 
 
 @dataclass(frozen=True)
-class ConservationReport:
-    """Worst-case conservation diagnostics along a trajectory.  Hermiticity
-    holds by construction (see evolve)."""
-
-    max_trace_deviation: float
-    min_eigenvalue: float
-
-
-@dataclass(frozen=True)
 class PropagationStats:
     """What one evolve call did: its generator applications (M r products),
     the wall seconds of its propagation, including the per-output
-    reductions done inside it, and the largest population of the cavity's
-    top Fock level at any grid time, which shows how close the truncation
-    came to its edge."""
+    reductions done inside it, the largest population of the cavity's top
+    Fock level at any grid time, which shows how close the truncation came
+    to its edge, and the worst trace deviation |tr rho - 1| and smallest
+    eigenvalue of rho over the grid times.  Hermiticity holds by
+    construction (see evolve)."""
 
     generator_applications: int
     wall_s: float
     top_fock_population: float
+    max_trace_deviation: float
+    min_eigenvalue: float
 
     def summary(self) -> str:
         """The stats as the one line that evolve and verify print."""
@@ -122,11 +116,10 @@ class PropagationStats:
 
 @dataclass
 class Trajectory:
-    """Time grid, conservation audit, propagation stats and recorded
-    observables (and optionally full states)."""
+    """Time grid, propagation stats and recorded observables (and
+    optionally full states)."""
 
     times: np.ndarray
-    conservation: ConservationReport
     stats: PropagationStats
     expectations: dict[str, np.ndarray] = field(default_factory=dict)
     states: list[np.ndarray] | None = None
@@ -150,9 +143,10 @@ def evolve(
     O.  Every observable must be a d x d matrix.  These numbers are read off
     inside the integrator as each grid time is reached, so no state is held
     unless store_states is true: rho is formed for its smallest eigenvalue
-    and kept only then.  Every trajectory carries its worst trace and
-    positivity deviations as a ConservationReport and what the propagation
-    did as PropagationStats.
+    and kept only then.  Every trajectory carries what the propagation did,
+    its worst trace and positivity deviations among it, as PropagationStats.
+    M comes from the map cached per (d, pattern of H, collapse operators),
+    so a trajectory and the steady points of the same model share one build.
     The top Fock level's population is read in the qubit-major layout of
     operators.py (top_fock_population), so d must be even.
     """
@@ -199,8 +193,7 @@ def evolve(
     wall_s = time.perf_counter() - start
     return Trajectory(
         times=np.asarray(t_grid, dtype=float),
-        conservation=ConservationReport(trace_dev, min_eig),
-        stats=PropagationStats(applications, wall_s, top),
+        stats=PropagationStats(applications, wall_s, top, trace_dev, min_eig),
         expectations={
             name: np.ascontiguousarray(values[:, j] if np.iscomplexobj(w) else values[:, j].real)
             for j, (name, w) in enumerate(zip(observables, rows))
@@ -227,33 +220,9 @@ def _hermitian_basis(d: int) -> sp.csc_matrix:
     return basis
 
 
-def _check_hermitian(h: np.ndarray) -> None:
-    if hermiticity_residual(h) > 1e-12 * np.abs(h).max(initial=1.0):
-        raise ValueError("Hamiltonian is not Hermitian")
-
-
-def _generator(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[sp.csc_matrix, sp.csr_matrix]:
-    """The Hermitian basis T (see _hermitian_basis) and the sparse real
-    generator M = T+ L T.  For a Hermitian H, which is checked, L maps
-    Hermitian matrices to Hermitian matrices, so M is real; the roundoff in
-    its imaginary part is dropped.  evolve builds its M here, once per
-    trajectory: a map (see _steady_generator) would cost more to build than
-    this product for its one use, and its pattern's explicit zeros (13,160
-    of 33,571 entries in the lab frame at d^2 = 2304) would ride along in
-    every M r."""
-    _check_hermitian(h)
-    basis = _hermitian_basis(h.shape[0])
-    m = (basis.conj().T @ liouvillian_matrix(h, collapse) @ basis).real
-    # .real leaves data a strided view into the complex product, which every
-    # M @ r would first copy; an owned contiguous copy halves a matvec.  The
-    # indices stay unsorted, so each row sums in the same order.
-    m.data = np.ascontiguousarray(m.data)
-    return basis, m
-
-
 @dataclass(frozen=True)
 class _GeneratorMap:
-    """M = F x + D on one sparsity pattern (see _steady_generator): F
+    """M = F x + D on one sparsity pattern (see _generator): F
     (pattern entries x coordinates) and D (pattern entries) as CSR data, with
     the pattern's column indices and row pointers.  Every array is read-only."""
 
@@ -268,9 +237,9 @@ def _generator_map(d: int, upper: np.ndarray, collapse: list[CollapseOp]) -> _Ge
 
     With G_t the unit Hermitian terms of H (E_aa, then E_ab + E_ba and
     i (E_ab - E_ba) for each pattern entry a < b), F's column t is M for
-    H = G_t without dissipation and D is _generator's M for H = 0.  All the
-    G_t's Liouvillians come from one triplet assembly, stacked as row blocks
-    of d^2, and two products with T make every M_t."""
+    H = G_t without dissipation and D = Re(T+ L T) for H = 0.  All the G_t's
+    Liouvillians come from one triplet assembly, stacked as row blocks of
+    d^2, and two products with T make every M_t."""
     n, nn = upper.size, d * d
     basis = _hermitian_basis(d)
     a, b = np.divmod(upper, d)
@@ -282,22 +251,23 @@ def _generator_map(d: int, upper: np.ndarray, collapse: list[CollapseOp]) -> _Ge
     term = np.concatenate([diag, d + pairs, d + pairs, d + n + pairs, d + n + pairs])
     rows, cols, vals = _identity_kron_triplets(i, j, v, d, offset=term * nn)
     k = d + 2 * n
-    stack = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(k * nn, nn)
-    )
-    # T+ acts on each block from the left: transpose each block of stack T,
+    z = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(k * nn, nn))
+    # each stage replaces z, the triplets freed first: the build holds about
+    # one stage of the stack at a time
+    del rows, cols, vals
+    # T+ acts on each block from the left: transpose each block of z T,
     # multiply by conj(T) = (T+)^T, and read M_t^T off each block
-    z = (stack @ basis).tocoo()
+    z = (z @ basis).tocoo()
     t, row = np.divmod(z.row.astype(np.int64), nn)
     z = sp.csr_matrix((z.data, (t * nn + z.col, row)), shape=(k * nn, nn))
-    blocks = (z @ basis.conj()).real.tocoo()
-    t, col = np.divmod(blocks.row.astype(np.int64), nn)
-    drift = _generator(np.zeros((d, d)), collapse)[1].tocoo()
-    keys = np.concatenate([drift.row.astype(np.int64) * nn + drift.col, blocks.col * nn + col])
+    z = (z @ basis.conj()).tocoo()
+    t, col = np.divmod(z.row.astype(np.int64), nn)
+    drift = (basis.conj().T @ liouvillian_matrix(np.zeros((d, d)), collapse) @ basis).real.tocoo()
+    keys = np.concatenate([drift.row.astype(np.int64) * nn + drift.col, z.col * nn + col])
     pattern, where = np.unique(keys, return_inverse=True)
     pattern_rows, indices = np.divmod(pattern, nn)
     out = _GeneratorMap(
-        f=sp.csr_matrix((blocks.data, (where[drift.nnz:], t)), shape=(pattern.size, k)),
+        f=sp.csr_matrix((z.data.real, (where[drift.nnz:], t)), shape=(pattern.size, k)),
         drift=np.bincount(where[: drift.nnz], weights=drift.data, minlength=pattern.size),
         indices=indices.astype(np.int32),
         indptr=np.searchsorted(pattern_rows, np.arange(nn + 1)).astype(np.int32),
@@ -313,17 +283,21 @@ _MAPS: dict[tuple, _GeneratorMap] = {}
 _MAPS_MAX = 8
 
 
-def _steady_generator(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[sp.csc_matrix, sp.csr_matrix]:
-    """The Hermitian basis T and M = T+ L T, as _generator returns them, but
-    assembled as M = F x(h) + D from a cached map (see _generator_map).
+def _generator(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[sp.csc_matrix, sp.csr_matrix]:
+    """The Hermitian basis T (see _hermitian_basis) and the sparse real
+    generator M = T+ L T, assembled as M = F x(h) + D from a cached map (see
+    _generator_map).  For a Hermitian H, which is checked, L maps Hermitian
+    matrices to Hermitian matrices, so M is real.
 
     L is linear in H, and Re(T+ L T) depends on H only through its Hermitian
     part, so with x(h) the coordinates of (h + h+)/2 (its real diagonal, then
     Re and Im of each nonzero above it) M = sum_t x_t M_t + D.  A sweep's
     points share d, that pattern and the collapse operators, so the map is
-    built once and each point costs one sparse product.  H is checked to be
-    Hermitian first."""
-    _check_hermitian(h)
+    built once and each point costs one sparse product.  The entries of the
+    map's union pattern that are zero at this h are dropped, so M keeps only
+    its own nonzeros for the M r products of a trajectory."""
+    if hermiticity_residual(h) > 1e-12 * np.abs(h).max(initial=1.0):
+        raise ValueError("Hamiltonian is not Hermitian")
     d = h.shape[0]
     hs = 0.5 * (h + h.conj().T)
     upper = np.flatnonzero(np.triu(hs, 1))
@@ -334,7 +308,8 @@ def _steady_generator(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[sp.csc
         del _MAPS[next(iter(_MAPS))]
     above = hs.flat[upper]
     x = np.concatenate([hs.diagonal().real, above.real, above.imag])
-    m = sp.csr_matrix((gmap.f @ x + gmap.drift, gmap.indices, gmap.indptr), shape=(d * d, d * d))
+    m = sp.csr_matrix((gmap.f @ x + gmap.drift, gmap.indices, gmap.indptr), shape=(d * d, d * d), copy=True)
+    m.eliminate_zeros()  # in place, so on copies of the shared pattern
     return _hermitian_basis(d), m
 
 
@@ -386,7 +361,7 @@ def _steady(h: np.ndarray, collapse: list[CollapseOp], invert: bool = False):
     if not collapse:
         raise ValueError("steady state needs at least one collapse channel")
     d = h.shape[0]
-    basis, m = _steady_generator(h, collapse)
+    basis, m = _generator(h, collapse)
     sys = _steady_system(m, d)
     rhs = np.zeros((d * d, 2))
     rhs[0, 0] = 1.0

@@ -82,7 +82,8 @@ def test_trajectories_are_the_same_for_any_worker_count(monkeypatch):
         for name, series in one.expectations.items():
             assert np.array_equal(series, two.expectations[name]), name
         assert one.stats.generator_applications == two.stats.generator_applications
-        assert one.conservation == two.conservation
+        assert one.stats.max_trace_deviation == two.stats.max_trace_deviation
+        assert one.stats.min_eigenvalue == two.stats.min_eigenvalue
 
 
 def test_a_programming_error_in_a_worker_is_no_fail_line(monkeypatch, capsys):
@@ -103,7 +104,7 @@ def test_a_programming_error_in_a_worker_is_no_fail_line(monkeypatch, capsys):
 def test_verify_pool_is_capped_at_the_runs_and_the_usable_cpus(monkeypatch, capsys, pool_sizes):
     # verify computes in its own process beside a pool one process smaller,
     # min(6, CPUs) processes in all
-    fake = SimpleNamespace(stats=PropagationStats(0, 0.0, 0.0))
+    fake = SimpleNamespace(stats=PropagationStats(0, 0.0, 0.0, 0.0, 0.0))
     monkeypatch.setattr(acceptance, "_trajectory", lambda run: fake)
     monkeypatch.setattr(acceptance, "_CRITERIA", ())
     for cpus in (8, 2, 1):

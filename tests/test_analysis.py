@@ -134,7 +134,8 @@ def test_cooling_trajectory_is_the_hand_assembled_evolve():
             assert list(traj.expectations) == list(ref.expectations)
             for name, series in ref.expectations.items():
                 assert np.array_equal(traj.expectations[name], series), (frame, initial, name)
-            assert traj.conservation == ref.conservation
+            assert traj.stats.max_trace_deviation == ref.stats.max_trace_deviation
+            assert traj.stats.min_eigenvalue == ref.stats.min_eigenvalue
 
 
 def test_named_initial_states_agree_across_frames():

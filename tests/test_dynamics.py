@@ -14,7 +14,6 @@ import scipy.sparse as sp
 from dressed_cool import analysis, dynamics, integrate, sweep
 from dressed_cool.config import Config, to_system_params
 from dressed_cool.dynamics import (
-    ConservationReport,
     ModeNotConvergedError,
     MultipleSteadyStatesError,
     evolve,
@@ -79,6 +78,14 @@ def kron_liouvillian(h, collapse):
         ldl = l.conj().T @ l
         liou = liou + np.kron(l.conj(), l) - 0.5 * (np.kron(eye, ldl) + np.kron(ldl.T, eye))
     return liou
+
+
+def direct_generator(h, collapse):
+    """Reference real generator M = T+ L T, the direct product of the
+    Hermitian basis T and liouvillian_matrix (the oracle for the map
+    assembly of dynamics._generator)."""
+    basis = dynamics._hermitian_basis(h.shape[0])
+    return (basis.conj().T @ liouvillian_matrix(h, collapse) @ basis).real
 
 
 def dense_lu_steady_state(h, collapse):
@@ -396,9 +403,8 @@ def test_evolve_state_storage_defaults():
 def test_evolve_always_reports_conservation():
     h = -0.5 * pauli("x")
     traj = evolve(h, [], qubit_state(GROUND), np.linspace(0.0, 1.0, 5))
-    assert isinstance(traj.conservation, ConservationReport)
-    assert traj.conservation.max_trace_deviation <= 1e-12
-    assert traj.conservation.min_eigenvalue >= -1e-12
+    assert traj.stats.max_trace_deviation <= 1e-12
+    assert traj.stats.min_eigenvalue >= -1e-12
 
 
 def test_evolve_rejects_shape_mismatch():
@@ -526,7 +532,7 @@ def test_evolve_long_run_conservation():
         np.linspace(0.0, 100.0, 201),
         observables={"sx": HilbertSpace(p.n_fock).sx},
     )
-    c = traj.conservation
+    c = traj.stats
     assert c.max_trace_deviation <= 1e-7
     assert c.min_eigenvalue >= -1e-7
 
@@ -768,31 +774,30 @@ _MAP_POINTS = (
 
 @pytest.mark.parametrize("frame", FRAMES)
 @pytest.mark.parametrize("overrides", _MAP_POINTS)
-def test_steady_generator_map_matches_the_direct_generator(frame, overrides):
+def test_generator_map_matches_the_direct_generator(frame, overrides):
     p = reference_params(frame=frame, n_fock=6, **overrides)
     h, ops = build_model(p, frame)
     labels = [c.label for c in ops]
     assert ("dephasing" in labels) != ("t2_us" in overrides)
     assert ("qubit_up" in labels) == ("thermal_qubit" in overrides)
-    direct_basis, direct = dynamics._generator(h, ops)
-    basis, m = dynamics._steady_generator(h, ops)
-    assert basis is direct_basis
-    ref = direct.toarray()
+    basis, m = dynamics._generator(h, ops)
+    assert basis is dynamics._hermitian_basis(h.shape[0])
+    ref = direct_generator(h, ops).toarray()
     assert np.max(np.abs(m.toarray() - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_steady_generator_map_is_keyed_by_the_collapse_operators():
+def test_generator_map_is_keyed_by_the_collapse_operators():
     # one H pattern at two cavity linewidths: the second point must not reuse
     # the first point's dissipator
     for kappa_mhz in (4.3, 1.1):
         p = reference_params(kappa_mhz=kappa_mhz, n_fock=5)
         h, ops = build_model(p)
-        ref = dynamics._generator(h, ops)[1].toarray()
-        m = dynamics._steady_generator(h, ops)[1].toarray()
+        ref = direct_generator(h, ops).toarray()
+        m = dynamics._generator(h, ops)[1].toarray()
         assert np.max(np.abs(m - ref)) <= 1e-12 * np.max(np.abs(ref)), kappa_mhz
 
 
-def test_steady_generator_map_is_built_once_per_pattern(monkeypatch):
+def test_generator_map_is_built_once_per_pattern(monkeypatch):
     # a sweep's points share the map: only its first point assembles a
     # Liouvillian, for D
     calls = []
@@ -811,7 +816,7 @@ def test_cached_operators_are_read_only():
     assert basis is dynamics._hermitian_basis(6)
     p = reference_params(n_fock=3)
     h, ops = build_model(p)
-    dynamics._steady_generator(h, ops)
+    dynamics._generator(h, ops)
     gmap = next(reversed(dynamics._MAPS.values()))
     arrays = [basis.data, basis.indices, basis.indptr, gmap.f.data, gmap.f.indices, gmap.f.indptr,
               gmap.drift, gmap.indices, gmap.indptr,
@@ -822,21 +827,37 @@ def test_cached_operators_are_read_only():
             arr[0] = arr[0]
 
 
-def test_generator_data_is_contiguous_and_bit_identical_to_the_real_view():
-    # a strided .real view would be copied by every M @ r; the owned copy
-    # keeps the values and the unsorted index order, so M @ r keeps its bits
+def test_generator_data_is_contiguous_and_matches_the_direct_product():
+    # a strided .real view, as the direct product leaves, would be copied by
+    # every M @ r; the map's M is assembled as one contiguous float array
     p = reference_params(n_bar=1.0, n_fock=4)
     h, ops = build_model(p)
     basis, m = dynamics._generator(h, ops)
-    view = (basis.conj().T @ liouvillian_matrix(h, ops) @ basis).real
+    view = direct_generator(h, ops)
     assert not view.data.flags.c_contiguous
-    assert m.data.flags.c_contiguous and m.data.flags.owndata
-    assert m.data.dtype == np.float64 and m.data.base is None
-    for name in ("data", "indices", "indptr"):
-        a, b = getattr(m, name), getattr(view, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert m.data.flags.c_contiguous and m.data.dtype == np.float64
     r = np.random.default_rng(3).normal(size=m.shape[0])
-    assert np.array_equal(m @ r, view @ r)
+    ref = view @ r
+    assert np.max(np.abs(m @ r - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("frame", FRAMES)
+def test_a_trajectory_and_a_steady_point_share_one_map(frame, monkeypatch):
+    # evolve takes M from the same cached map as the steady paths, with the
+    # zeros of the map's union pattern dropped: exactly the direct product's
+    # nonzeros ride along in every M r
+    maps, built = [], []
+    build_map, build = dynamics._generator_map, dynamics._generator
+    monkeypatch.setattr(dynamics, "_MAPS", {})
+    monkeypatch.setattr(dynamics, "_generator_map", lambda *a: maps.append(1) or build_map(*a))
+    monkeypatch.setattr(dynamics, "_generator", lambda h, c: built.append(build(h, c)) or built[-1])
+    p = reference_params(n_bar=1.0, n_fock=4)
+    h, ops = build_model(p, frame)
+    evolve(h, ops, turn_on_state(p, frame), np.linspace(0.0, 0.1, 3))
+    steady_state(h, ops)
+    assert len(maps) == 1 and len(built) == 2
+    m = built[0][1]
+    assert np.count_nonzero(m.data) == m.nnz == direct_generator(h, ops).nnz
 
 
 def test_mode_factors_the_steady_system_once(monkeypatch):

@@ -428,11 +428,12 @@ def _sparse_steady(p: SystemParams) -> np.ndarray:
     first row replaced by the trace, for cutoffs too large for a dense solve."""
     import scipy.sparse.linalg as spla
 
-    from dressed_cool.dynamics import _generator
+    from dressed_cool.dynamics import _hermitian_basis
+    from test_dynamics import direct_generator
 
     h, ops = build_model(p)
     d = h.shape[0]
-    basis, m = _generator(h, ops)
+    basis, m = _hermitian_basis(d), direct_generator(h, ops)
     s = m.tolil()
     s[0, :] = 0.0
     s[0, :d] = 1.0

@@ -16,12 +16,20 @@
 #                       sets (n_fock 15 since the state-sized cutoff rule in
 #                       CHANGES.md; 8 before it, with 0.0627 in the top level),
 #                       and evolve_strong.csv, criterion 3's strong-coupling
-#                       run from |g> at kappa/2pi = 0.2 MHz, n_bar = 3.31
+#                       run from |g> at kappa/2pi = 0.2 MHz, n_bar = 3.31.
+#                       Since evolve takes its generator from the cached map
+#                       (one generator builder, CHANGES.md), which sums M's
+#                       entries in another order, these files differ from a
+#                       checkout before it at roundoff only: at most 2.3e-10
+#                       in a column, against the integrator's rtol of 1e-8
 #   fit.json            exponential fit of the undisplaced trajectory's sx
 #   spectrum.json       dominant frequency of evolve_strong.csv's sx
 #   steady_*.json       steady state in both frames
 #   rates*.txt          rates at the defaults and at delta_c = +9 MHz
-#   verify.txt          acceptance lines and the exit status
+#   verify.txt          acceptance lines and the exit status; against a
+#                       checkout before the one generator builder only
+#                       criterion 7's max |tr - 1| differs (1.47e-14 there,
+#                       1.55e-14 since)
 # Run it on two checkouts and compare with `diff -r` or `cmp`.
 # Usage: tools/outputs.sh <outdir>    (takes about half a minute)
 set -eu

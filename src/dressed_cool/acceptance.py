@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import config_trajectory, dominant_frequency, fit_exponential, steady_point
+from .analysis import POSITIVITY_FLOOR, config_trajectory, dominant_frequency, fit_exponential, steady_point
 from .config import Config, to_system_params
 from .dynamics import evolve
 from .model import TRUNCATION_TOL, TWO_PI, build_model, displacement, n_bar_of, turn_on_state
@@ -292,7 +292,7 @@ def criterion_7() -> CriterionResult:
     trace_dev = max(t.stats.max_trace_deviation for t in trajs)
     min_eig = min(t.stats.min_eigenvalue for t in trajs)
     edge = max(t.stats.top_fock_population for t in trajs)
-    ok = trace_dev <= 1e-7 and min_eig >= -1e-7 and edge <= TRUNCATION_TOL
+    ok = trace_dev <= 1e-7 and min_eig >= POSITIVITY_FLOOR and edge <= TRUNCATION_TOL
     detail = (
         f"max |tr - 1| = {trace_dev:.2e} (tol 1e-7), "
         f"min eigenvalue = {min_eig:.2e} (floor -1e-7), "

@@ -12,7 +12,9 @@ import numpy as np
 
 from . import dynamics, model, rates
 from .integrate import StiffnessError
-from .operators import expect_real, fock_state, kron, pauli, reduced_qubit, space, top_fock_population
+from .operators import (
+    expect_real, fock_state, kron, pauli, reduced_qubit, smallest_eigenvalue, space, top_fock_population,
+)
 
 __all__ = [
     "ExpFit",
@@ -21,6 +23,7 @@ __all__ = [
     "FitNonConvergedError",
     "NonMonotonicDataError",
     "NoSpectralPeakError",
+    "NonPositiveStateError",
     "NUMERICAL_ERRORS",
     "fit_exponential",
     "dominant_frequency",
@@ -52,6 +55,15 @@ class NoSpectralPeakError(RuntimeError):
     pass
 
 
+# Smallest eigenvalue a computed state may have: acceptance criterion 7 holds
+# every trajectory to it and steady_point every steady state.
+POSITIVITY_FLOOR = -1e-7
+
+
+class NonPositiveStateError(RuntimeError):
+    """A computed state has an eigenvalue below POSITIVITY_FLOOR."""
+
+
 # Failures with a named numerical cause.  A sweep records them as a failed
 # point and the CLI exits 2 on them; any other exception is a bug or bad input.
 NUMERICAL_ERRORS = (
@@ -59,6 +71,7 @@ NUMERICAL_ERRORS = (
     dynamics.MultipleSteadyStatesError,
     dynamics.ModeNotConvergedError,
     model.TruncationError,
+    NonPositiveStateError,
     FitError,
     NoSpectralPeakError,
 )
@@ -311,7 +324,8 @@ def steady_point(
     vacuum of the displaced frame, which is not the lab frame's cavity
     state, so a rate in any other frame raises ValueError before anything
     is built.  A top Fock level past model.TRUNCATION_TOL raises
-    model.TruncationError before the state is reduced."""
+    model.TruncationError, and an eigenvalue below POSITIVITY_FLOOR
+    NonPositiveStateError, before the state is reduced."""
     if rate and frame != "displaced":
         raise ValueError(
             f"the rate probe holds the displaced frame's cavity vacuum; no rate in frame {frame!r}"
@@ -323,6 +337,11 @@ def steady_point(
     else:
         rho, gamma = dynamics.steady_state(h, collapse), math.nan
     top = model.check_truncation(top_fock_population(rho), p.n_fock)
+    lowest = smallest_eigenvalue(rho)
+    if lowest < POSITIVITY_FLOOR:
+        raise NonPositiveStateError(
+            f"steady state has eigenvalue {lowest:.3e}, below the floor {POSITIVITY_FLOOR:.0e}"
+        )
     return bloch_vector(rho), top, gamma
 
 

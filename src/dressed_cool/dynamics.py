@@ -163,7 +163,7 @@ def evolve(
         if np.shape(op) != (d, d):
             raise ValueError(f"observable {name!r} has shape {np.shape(op)}, not {(d, d)}")
 
-    basis, m = _generator(h, collapse)
+    basis, m, _ = _generator(h, collapse)
     r0 = (basis.conj().T @ np.asarray(rho0, dtype=complex).ravel(order="F")).real
     rows = [basis.T @ np.asarray(op).ravel() for op in observables.values()]
     rows = [w if w.imag.any() else w.real for w in rows]
@@ -224,12 +224,39 @@ def _hermitian_basis(d: int) -> sp.csc_matrix:
 class _GeneratorMap:
     """M = F x + D on one sparsity pattern (see _generator): F
     (pattern entries x coordinates) and D (pattern entries) as CSR data, with
-    the pattern's column indices and row pointers.  Every array is read-only."""
+    the pattern's column indices and row pointers, all in the coordinates of
+    basis, the Hermitian basis T reordered by breadth-first level (see
+    _levels), whose level boundaries are offsets.  Every array is read-only."""
 
     f: sp.csr_matrix
     drift: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
+    basis: sp.csc_matrix
+    offsets: np.ndarray
+
+
+def _levels(d: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Breadth-first level of each of the d^2 coordinates over the
+    symmetrised pattern with entries (rows, cols), from the d populations at
+    level 0; coordinates that the populations do not reach form one last
+    level.  An entry links coordinates of the same or adjacent levels only,
+    so on any pattern the system is block tridiagonal in the levels."""
+    level = np.full(d * d, -1)
+    level[:d] = 0
+    frontier = level == 0
+    k = 0
+    while frontier.any():
+        k += 1
+        hit = frontier[rows] | frontier[cols]
+        near = np.zeros_like(frontier)
+        near[rows[hit]] = True
+        near[cols[hit]] = True
+        rows, cols = rows[~hit], cols[~hit]  # an entry that met a frontier is spent
+        frontier = near & (level < 0)
+        level[frontier] = k
+    level[level < 0] = k
+    return level
 
 
 def _generator_map(d: int, upper: np.ndarray, collapse: list[CollapseOp]) -> _GeneratorMap:
@@ -239,7 +266,9 @@ def _generator_map(d: int, upper: np.ndarray, collapse: list[CollapseOp]) -> _Ge
     i (E_ab - E_ba) for each pattern entry a < b), F's column t is M for
     H = G_t without dissipation and D = Re(T+ L T) for H = 0.  All the G_t's
     Liouvillians come from one triplet assembly, stacked as row blocks of
-    d^2, and two products with T make every M_t."""
+    d^2, and two products with T make every M_t.  The coordinates are then
+    ordered by breadth-first level over the union pattern (see _levels),
+    populations first in their own order, so r[:d] stays the trace."""
     n, nn = upper.size, d * d
     basis = _hermitian_basis(d)
     a, b = np.divmod(upper, d)
@@ -265,29 +294,43 @@ def _generator_map(d: int, upper: np.ndarray, collapse: list[CollapseOp]) -> _Ge
     drift = (basis.conj().T @ liouvillian_matrix(np.zeros((d, d)), collapse) @ basis).real.tocoo()
     keys = np.concatenate([drift.row.astype(np.int64) * nn + drift.col, z.col * nn + col])
     pattern, where = np.unique(keys, return_inverse=True)
-    pattern_rows, indices = np.divmod(pattern, nn)
+    # number the coordinates by level and sort the pattern by its new rows
+    rows, cols = np.divmod(pattern, nn)
+    level = _levels(d, rows, cols)
+    order = np.argsort(level, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(nn)
+    sort = np.argsort(rank[rows] * nn + rank[cols])
+    moved = np.empty_like(sort)
+    moved[sort] = np.arange(sort.size)
+    where = moved[where]
+    pattern_rows, indices = rank[rows[sort]], rank[cols[sort]]
     out = _GeneratorMap(
         f=sp.csr_matrix((z.data.real, (where[drift.nnz:], t)), shape=(pattern.size, k)),
         drift=np.bincount(where[: drift.nnz], weights=drift.data, minlength=pattern.size),
         indices=indices.astype(np.int32),
         indptr=np.searchsorted(pattern_rows, np.arange(nn + 1)).astype(np.int32),
+        basis=basis[:, order],
+        offsets=np.searchsorted(level[order], np.arange(level.max() + 2)),
     )
-    for arr in (out.f.data, out.f.indices, out.f.indptr, out.drift, out.indices, out.indptr):
+    for arr in (out.f.data, out.f.indices, out.f.indptr, out.drift, out.indices, out.indptr,
+                out.basis.data, out.basis.indices, out.basis.indptr, out.offsets):
         arr.flags.writeable = False
     return out
 
 
 # Generator maps by (d, upper pattern of H, collapse operators), least
-# recently used first; a map holds 0.09 MiB at d = 16 and 0.9 MiB at d = 48.
+# recently used first; a map holds 0.10 MiB at d = 16 and 0.97 MiB at d = 48.
 _MAPS: dict[tuple, _GeneratorMap] = {}
 _MAPS_MAX = 8
 
 
-def _generator(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[sp.csc_matrix, sp.csr_matrix]:
-    """The Hermitian basis T (see _hermitian_basis) and the sparse real
-    generator M = T+ L T, assembled as M = F x(h) + D from a cached map (see
-    _generator_map).  For a Hermitian H, which is checked, L maps Hermitian
-    matrices to Hermitian matrices, so M is real.
+def _generator(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[sp.csc_matrix, sp.csr_matrix, np.ndarray]:
+    """The map's basis T (the Hermitian basis of _hermitian_basis, its
+    coordinates ordered by level), the sparse real generator M = T+ L T in
+    it, assembled as M = F x(h) + D from a cached map (see _generator_map),
+    and the level offsets.  For a Hermitian H, which is checked, L maps
+    Hermitian matrices to Hermitian matrices, so M is real.
 
     L is linear in H, and Re(T+ L T) depends on H only through its Hermitian
     part, so with x(h) the coordinates of (h + h+)/2 (its real diagonal, then
@@ -310,7 +353,7 @@ def _generator(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[sp.csc_matrix
     x = np.concatenate([hs.diagonal().real, above.real, above.imag])
     m = sp.csr_matrix((gmap.f @ x + gmap.drift, gmap.indices, gmap.indptr), shape=(d * d, d * d), copy=True)
     m.eliminate_zeros()  # in place, so on copies of the shared pattern
-    return _hermitian_basis(d), m
+    return gmap.basis, m, gmap.offsets
 
 
 # Largest accepted scaled residual (see _residual) of a steady state or of
@@ -326,49 +369,77 @@ def _residual(m: sp.csr_matrix, r: np.ndarray, lam: complex = 0.0) -> float:
 
 
 # Largest accepted growth |S^-1 q| / |q| max(1, max|M|) of the steady-state
-# system S (see _steady).  Physical points read at most about 1e6 (undriven,
-# T1 = T2 = 1e5 us), degenerate null spaces 1e15 or more.
+# system S (see _steady), with S^-1 q from the block solve.  Physical points
+# read at most about 1e6 (undriven, T1 = T2 = 1e5 us), degenerate null spaces
+# 1e15 or more.
 _DEGENERACY_TOL = 1e10
 
 
 def _steady_system(m: sp.csr_matrix, d: int) -> np.ndarray:
     """The dense steady-state system S: M with its first row, the equation
     for rho[0, 0], replaced by Tr rho (the sum of the diagonal coordinates)."""
-    # S is the real view of a complex copy of M: that larger short-lived block
-    # keeps the C heap from being trimmed after every LU solve.  At d = 16
-    # (ru_minflt over 200 warm calls, in each of four processes) steady_state
-    # takes 0 page faults per call with it, and 0 or 320 without, as the
-    # process's earlier allocations fall; steady_state_and_mode, whose
-    # np.linalg.inv takes fresh blocks, takes 700 to 830 with it and 0 or
-    # 575 without.
-    sys = m.astype(complex).toarray().real
+    # a plain densify: the block factor allocates no d^2 x d^2 blocks, so at
+    # d = 16 (ru_minflt over 200 warm calls, in each of four processes)
+    # steady_state takes 0.0 page faults per call and steady_state_and_mode 0.1
+    sys = m.toarray()
     sys[0, :] = 0.0
     sys[0, :d] = 1.0
     return sys
 
 
-def _steady(h: np.ndarray, collapse: list[CollapseOp], invert: bool = False):
-    """The steady state of one model with its generator, as (T, M, S^-1, rho).
+def _block_factor(s: np.ndarray, offsets: np.ndarray):
+    """The solve b -> S^-1 b of a block-tridiagonal S whose diagonal blocks
+    span offsets[i]:offsets[i + 1] (block elimination, Golub & Van Loan 4.5).
 
-    S (see _steady_system) is factored once: S r = e_0 is solved by LU, or,
-    when invert is true, read off S^-1, which is then returned for the
-    caller's own use (None otherwise).  r is accepted only if it nulls M to
-    the residual tolerance.  A degenerate null space leaves S singular, which
-    roundoff can hide from the factorisation, so the same factorisation also
-    gives v = S^-1 q for q_k = cos k and rejects a v that grows past
-    _DEGENERACY_TOL.
+    The levels are eliminated from the last one up: with A_i, B_i and C_i the
+    diagonal, lower and upper blocks of level i, the Schur complements
+    K_last = A_last and K_i = A_i - W_i B_{i+1}, W_i = C_i K_{i+1}^-1, are
+    inverted with partial pivoting by np.linalg.inv, one level at a time.
+    A solve then sweeps y_i = b_i - W_i y_{i+1} up and x_i = K_i^-1 (y_i -
+    B_i x_{i-1}) down.  A singular K_i raises np.linalg.LinAlgError."""
+    lv = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
+    lower = [s[lv[i], lv[i - 1]] for i in range(1, len(lv))]
+    k_inv = [np.linalg.inv(s[lv[-1], lv[-1]])]
+    w = []
+    for i in range(len(lv) - 2, -1, -1):
+        w.append(s[lv[i], lv[i + 1]] @ k_inv[-1])
+        k_inv.append(np.linalg.inv(s[lv[i], lv[i]] - w[-1] @ lower[i]))
+    k_inv.reverse()
+    w.reverse()
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        y = np.array(b, dtype=float)
+        for i in range(len(lv) - 2, -1, -1):
+            y[lv[i]] -= w[i] @ y[lv[i + 1]]
+        y[lv[0]] = k_inv[0] @ y[lv[0]]
+        for i in range(1, len(lv)):
+            y[lv[i]] = k_inv[i] @ (y[lv[i]] - lower[i - 1] @ y[lv[i - 1]])
+        return y
+
+    return solve
+
+
+def _steady(h: np.ndarray, collapse: list[CollapseOp]):
+    """The steady state of one model with its generator, as (T, M, solve,
+    rho), solve being b -> S^-1 b.
+
+    S (see _steady_system) is block tridiagonal in the levels of the map's
+    basis (see _levels) and is factored once by _block_factor; S r = e_0 is
+    solved with it.  r is accepted only if it nulls M to the residual
+    tolerance.  A degenerate null space leaves S singular, which roundoff
+    can hide from the factorisation, so the same solve also gives v = S^-1 q
+    for q_k = cos k and rejects a v that grows past _DEGENERACY_TOL.
     """
     if not collapse:
         raise ValueError("steady state needs at least one collapse channel")
     d = h.shape[0]
-    basis, m = _generator(h, collapse)
-    sys = _steady_system(m, d)
+    basis, m, offsets = _generator(h, collapse)
     rhs = np.zeros((d * d, 2))
     rhs[0, 0] = 1.0
     rhs[:, 1] = np.cos(np.arange(d * d))
     try:
-        inv = np.linalg.inv(sys) if invert else None
-        r, v = (inv @ rhs if invert else np.linalg.solve(sys, rhs)).T
+        solve = _block_factor(_steady_system(m, d), offsets)
+        r, v = solve(rhs).T
     except np.linalg.LinAlgError as exc:
         raise MultipleSteadyStatesError(f"singular steady-state system: {exc}") from exc
 
@@ -385,12 +456,12 @@ def _steady(h: np.ndarray, collapse: list[CollapseOp], invert: bool = False):
             " the solve does not null the generator"
         )
     rho = (basis @ r).reshape((d, d), order="F")
-    return basis, m, inv, rho / np.trace(rho).real
+    return basis, m, solve, rho / np.trace(rho).real
 
 
 def steady_state(h: np.ndarray, collapse: list[CollapseOp]) -> np.ndarray:
-    """Unique steady state by a real dense solve in the Hermitian basis
-    (see _steady)."""
+    """Unique steady state by a real block-tridiagonal solve in the
+    Hermitian basis (see _steady)."""
     return _steady(h, collapse)[3]
 
 
@@ -410,9 +481,10 @@ def steady_state_and_mode(
     picked has the largest weight |(x . r_k)(l_k . x)| in the autocorrelation
     x . exp(M t) x of the probe's traceless part x.
 
-    The slow modes are found by shift-invert Arnoldi at 0 from x, applying
-    the S^-1 that _steady forms and reads the steady state off.  M is
-    singular (the steady state spans its null space) but maps onto the
+    The slow modes are found by shift-invert Arnoldi at 0 from x, each step
+    one solve with the factorisation of S that _steady reads the steady
+    state off, so no inverse is formed.  M is singular (the steady state
+    spans its null space) but maps onto the
     traceless subspace, where it is invertible: for a traceless y, M^-1 y is
     the traceless solution of S v = y with y[0] set to 0.  That is exact,
     because row 0 of a traceless image is minus the sum of the other
@@ -422,7 +494,7 @@ def steady_state_and_mode(
     ModeNotConvergedError when the picked Ritz pair misses the residual
     tolerance.
     """
-    basis, m, inv, rho = _steady(h, collapse, invert=True)
+    basis, m, solve, rho = _steady(h, collapse)
     d = h.shape[0]
     x = (basis.conj().T @ np.asarray(probe, dtype=complex).ravel(order="F")).real
     x[:d] -= x[:d].sum() / d
@@ -436,7 +508,7 @@ def steady_state_and_mode(
     for j in range(k):
         w = vs[j].copy()
         w[0] = 0.0
-        w = inv @ w
+        w = solve(w)
         for _ in range(2):  # Gram-Schmidt, repeated once for orthogonality
             c = vs[: j + 1] @ w
             w -= c @ vs[: j + 1]

@@ -268,6 +268,27 @@ def test_steady_point_gates_a_too_small_cutoff():
         steady_point(reference_params(n_bar=3.6, n_fock=8), "undisplaced")
 
 
+@pytest.mark.parametrize("shift, fails", [(5e-8, False), (2e-7, True)])
+def test_steady_point_gates_positivity(monkeypatch, shift, fails):
+    # a steady state pushed below criterion 7's floor, at unit trace, fails
+    # the point for a named numerical reason; one above it passes
+    p = reference_params(n_bar=1.0)
+    solve = dynamics.steady_state
+
+    def shifted(h, ops):
+        rho = solve(h, ops)
+        d = rho.shape[0]
+        return rho - shift * np.eye(d) + shift * d * np.diag(np.eye(d)[0])
+
+    monkeypatch.setattr(analysis.dynamics, "steady_state", shifted)
+    assert analysis.NonPositiveStateError in analysis.NUMERICAL_ERRORS
+    if fails:
+        with pytest.raises(analysis.NonPositiveStateError, match="below the floor -1e-07"):
+            steady_point(p)
+    else:
+        steady_point(p)
+
+
 def test_steady_point_takes_no_rate_in_the_lab_frame(monkeypatch):
     # the rate probe is the displaced frame's cavity vacuum; in the lab frame
     # at n_bar = 1 it used to raise ModeNotConvergedError after a full solve

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -80,12 +81,24 @@ def kron_liouvillian(h, collapse):
     return liou
 
 
-def direct_generator(h, collapse):
-    """Reference real generator M = T+ L T, the direct product of the
-    Hermitian basis T and liouvillian_matrix (the oracle for the map
+def direct_generator(h, collapse, basis=None):
+    """Reference real generator M = T+ L T, the direct product of a Hermitian
+    basis T (by default dynamics._hermitian_basis, or the map's own
+    reordering of it) and liouvillian_matrix (the oracle for the map
     assembly of dynamics._generator)."""
-    basis = dynamics._hermitian_basis(h.shape[0])
+    if basis is None:
+        basis = dynamics._hermitian_basis(h.shape[0])
     return (basis.conj().T @ liouvillian_matrix(h, collapse) @ basis).real
+
+
+def map_order(basis):
+    """The order with basis = dynamics._hermitian_basis(d)[:, order], which
+    it asserts: the map's basis only renumbers the Hermitian basis."""
+    nn = basis.shape[0]
+    overlap = (dynamics._hermitian_basis(round(math.sqrt(nn))).conj().T @ basis).toarray()
+    order = np.abs(overlap).argmax(axis=0)
+    assert np.allclose(overlap, np.eye(nn)[:, order], rtol=0.0, atol=1e-15)
+    return order
 
 
 def dense_lu_steady_state(h, collapse):
@@ -739,17 +752,18 @@ def test_mode_survives_a_lucky_breakdown():
 
 
 def test_residual_applies_the_generator():
-    # the steady path's M is Re(T+ L T) of the np.kron generator, and the
-    # S^-1 it returns inverts M with its first row replaced by the trace
+    # the steady path's M is Re(T+ L T) of the np.kron generator in the map's
+    # basis, and the factor's solve inverts M with its first row replaced by
+    # the trace
     rng = np.random.default_rng(7)
     p = reference_params(n_bar=1.0, n_fock=4)
     h, ops = build_model(p)
-    basis, m, inv, rho = dynamics._steady(h, ops, invert=True)
+    basis, m, solve, rho = dynamics._steady(h, ops)
     ref = (basis.conj().T @ kron_liouvillian(h, ops) @ basis).real
     assert np.max(np.abs(m.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
     system = m.toarray()
     system[0] = np.r_[np.ones(8), np.zeros(56)]
-    assert np.max(np.abs(inv @ system - np.eye(64))) <= 1e-12
+    assert np.max(np.abs(solve(system) - np.eye(64))) <= 1e-12
     r = rng.normal(size=ref.shape[0]) + 1j * rng.normal(size=ref.shape[0])
     lam = -1.5 + 2.0j
     expected = np.linalg.norm(ref @ r - lam * r) / max(1.0, np.abs(ref).max())
@@ -780,9 +794,10 @@ def test_generator_map_matches_the_direct_generator(frame, overrides):
     labels = [c.label for c in ops]
     assert ("dephasing" in labels) != ("t2_us" in overrides)
     assert ("qubit_up" in labels) == ("thermal_qubit" in overrides)
-    basis, m = dynamics._generator(h, ops)
-    assert basis is dynamics._hermitian_basis(h.shape[0])
-    ref = direct_generator(h, ops).toarray()
+    basis, m, _ = dynamics._generator(h, ops)
+    d = h.shape[0]
+    assert np.array_equal(map_order(basis)[:d], np.arange(d))  # populations first, in order
+    ref = direct_generator(h, ops, basis).toarray()
     assert np.max(np.abs(m.toarray() - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -792,8 +807,9 @@ def test_generator_map_is_keyed_by_the_collapse_operators():
     for kappa_mhz in (4.3, 1.1):
         p = reference_params(kappa_mhz=kappa_mhz, n_fock=5)
         h, ops = build_model(p)
-        ref = direct_generator(h, ops).toarray()
-        m = dynamics._generator(h, ops)[1].toarray()
+        basis, m, _ = dynamics._generator(h, ops)
+        ref = direct_generator(h, ops, basis).toarray()
+        m = m.toarray()
         assert np.max(np.abs(m - ref)) <= 1e-12 * np.max(np.abs(ref)), kappa_mhz
 
 
@@ -819,7 +835,8 @@ def test_cached_operators_are_read_only():
     dynamics._generator(h, ops)
     gmap = next(reversed(dynamics._MAPS.values()))
     arrays = [basis.data, basis.indices, basis.indptr, gmap.f.data, gmap.f.indices, gmap.f.indptr,
-              gmap.drift, gmap.indices, gmap.indptr,
+              gmap.drift, gmap.indices, gmap.indptr, gmap.basis.data, gmap.basis.indices,
+              gmap.basis.indptr, gmap.offsets,
               *(getattr(space(3), name) for name in ("a", "n", "x", "sx", "sy", "sz", "sp", "sm", "sz_a", "sz_n"))]
     for arr in arrays:
         assert not arr.flags.writeable
@@ -832,8 +849,8 @@ def test_generator_data_is_contiguous_and_matches_the_direct_product():
     # every M @ r; the map's M is assembled as one contiguous float array
     p = reference_params(n_bar=1.0, n_fock=4)
     h, ops = build_model(p)
-    basis, m = dynamics._generator(h, ops)
-    view = direct_generator(h, ops)
+    basis, m, _ = dynamics._generator(h, ops)
+    view = direct_generator(h, ops, basis)
     assert not view.data.flags.c_contiguous
     assert m.data.flags.c_contiguous and m.data.dtype == np.float64
     r = np.random.default_rng(3).normal(size=m.shape[0])
@@ -861,29 +878,98 @@ def test_a_trajectory_and_a_steady_point_share_one_map(frame, monkeypatch):
 
 
 def test_mode_factors_the_steady_system_once(monkeypatch):
-    # the shift-invert step needs S^-1, whose columns also give the steady
-    # state and the degeneracy column, so no LU of S is taken besides it
+    # both paths factor S once, by levels, and the shift-invert steps reuse
+    # that factor's solve: no d^2 x d^2 matrix is inverted or solved densely
     p = cooling_point(0.0, 0.0)
     h, ops = build_model(p)
     n = h.shape[0] ** 2
-    calls = []
+    dense, factors = [], []
 
     def counted(name):
         func = getattr(np.linalg, name)
 
         def wrapper(a, *args):
             if np.shape(a) == (n, n):
-                calls.append(name)
+                dense.append(name)
             return func(a, *args)
         return wrapper
 
     for name in ("solve", "inv"):
         monkeypatch.setattr(np.linalg, name, counted(name))
+    factor = dynamics._block_factor
+    monkeypatch.setattr(dynamics, "_block_factor", lambda *a: factors.append(1) or factor(*a))
     steady_state_and_mode(h, ops, analysis.dressed_probe(p))
-    assert calls == ["inv"]
-    calls.clear()
+    assert dense == [] and len(factors) == 1
     steady_state(h, ops)
-    assert calls == ["solve"]
+    assert dense == [] and len(factors) == 2
+
+
+def level_of(offsets, n):
+    """Level of each of n coordinates from the level offsets."""
+    return np.searchsorted(offsets, np.arange(n), side="right") - 1
+
+
+def assert_block_tridiagonal(h, ops):
+    # every entry of the map's union pattern, and so of M and S at any point
+    # of the map, links coordinates of the same or adjacent levels, and the
+    # populations alone make level 0
+    basis, m, offsets = dynamics._generator(h, ops)
+    gmap = next(reversed(dynamics._MAPS.values()))
+    n, d = m.shape[0], h.shape[0]
+    level = level_of(offsets, n)
+    rows = np.repeat(np.arange(n), np.diff(gmap.indptr))
+    assert offsets[0] == 0 and offsets[1] == d and offsets[-1] == n
+    assert np.all(np.diff(offsets) > 0)
+    assert np.abs(level[rows] - level[gmap.indices]).max() <= 1
+    return offsets
+
+
+@pytest.mark.parametrize("frame", FRAMES)
+@pytest.mark.parametrize("overrides", _MAP_POINTS)
+def test_levels_make_the_steady_system_block_tridiagonal(frame, overrides):
+    p = reference_params(frame=frame, n_fock=6, **overrides)
+    assert_block_tridiagonal(*build_model(p, frame))
+
+
+def test_levels_of_random_patterns_are_block_tridiagonal():
+    rng = np.random.default_rng(11)
+    for d in (2, 3, 5, 6):
+        # a dense pattern reaches every coordinate at once: two levels
+        offsets = assert_block_tridiagonal(random_hamiltonian(rng, d), [random_collapse(rng, d, "dense")])
+        assert len(offsets) == 3
+        for _ in range(5):
+            h = random_hamiltonian(rng, d) * (rng.random((d, d)) < 0.3)
+            h = (h + h.conj().T) / 2
+            assert_block_tridiagonal(h, [random_collapse(rng, d, "single")])
+
+
+# Operating points at which a zero or a resonance removes a term: no qubit
+# relaxation or dephasing, that again with the Rabi drive on resonance and
+# with the cavity drive too, no Rabi drive, no cavity drive, no dispersive
+# shift.
+_EDGE_POINTS = (
+    {"gamma_down": 0.0, "gamma_up": 0.0, "gamma_phi": 0.0},
+    {"gamma_down": 0.0, "gamma_up": 0.0, "gamma_phi": 0.0, "delta_q_prime": 0.0},
+    {"gamma_down": 0.0, "gamma_up": 0.0, "gamma_phi": 0.0, "delta_q_prime": 0.0, "delta_c": 0.0},
+    {"omega_r_rabi": 0.0},
+    {"eps_d": 0.0},
+    {"chi": 0.0},
+)
+
+
+@pytest.mark.parametrize("frame", FRAMES)
+@pytest.mark.parametrize("fields", _EDGE_POINTS)
+def test_block_solve_matches_a_dense_solve(frame, fields):
+    p = dataclasses.replace(reference_params(n_fock=6), **fields)
+    h, ops = build_model(p, frame)
+    d = h.shape[0]
+    _, m, offsets = dynamics._generator(h, ops)
+    system = dynamics._steady_system(m, d)
+    rng = np.random.default_rng(5)
+    b = np.column_stack([np.eye(d * d)[0], rng.normal(size=(d * d, 2))])
+    ref = np.linalg.solve(system, b)
+    got = dynamics._block_factor(system, offsets)(b)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_both_residual_checks_go_through_one_helper(monkeypatch):
@@ -923,7 +1009,7 @@ def test_steady_degenerate_blocks_are_detected():
         ops = [CollapseOp(operator=blocks(), rate=1.0, label="blocks")]
         with pytest.raises(MultipleSteadyStatesError):
             steady_state(h, ops)
-        # the mode path reads the same check off S^-1 instead of the LU
+        # the mode path reads the same check off the same solve
         with pytest.raises(MultipleSteadyStatesError):
             steady_state_and_mode(h, ops, np.diag([1.0, -1.0, 0.0, 0.0]))
 

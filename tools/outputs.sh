@@ -21,15 +21,25 @@
 #                       (one generator builder, CHANGES.md), which sums M's
 #                       entries in another order, these files differ from a
 #                       checkout before it at roundoff only: at most 2.3e-10
-#                       in a column, against the integrator's rtol of 1e-8
+#                       in a column, against the integrator's rtol of 1e-8.
+#                       Since the block-tridiagonal steady solve (CHANGES.md)
+#                       the map numbers M's coordinates by level, which
+#                       moves the undisplaced, displaced and strong files
+#                       again at roundoff: at most 1.0e-9 (n_cav), 1.0e-11
+#                       and 3.0e-10 in a column; evolve_turn_on_n4.csv
+#                       stayed identical
 #   fit.json            exponential fit of the undisplaced trajectory's sx
 #   spectrum.json       dominant frequency of evolve_strong.csv's sx
-#   steady_*.json       steady state in both frames
+#   steady_*.json       steady state in both frames; since the block-
+#                       tridiagonal steady solve they differ from a checkout
+#                       before it by at most 1.9e-14 (displaced <sy>) and
+#                       1.2e-14 (undisplaced <sx>)
 #   rates*.txt          rates at the defaults and at delta_c = +9 MHz
 #   verify.txt          acceptance lines and the exit status; against a
 #                       checkout before the one generator builder only
 #                       criterion 7's max |tr - 1| differs (1.47e-14 there,
-#                       1.55e-14 since)
+#                       1.55e-14 since, 1.69e-14 since the block-tridiagonal
+#                       steady solve)
 # Run it on two checkouts and compare with `diff -r` or `cmp`.
 # Usage: tools/outputs.sh <outdir>    (takes about half a minute)
 set -eu

@@ -20,7 +20,6 @@ __all__ = [
     "ExpFit",
     "BlochVector",
     "FitError",
-    "FitNonConvergedError",
     "NonMonotonicDataError",
     "NoSpectralPeakError",
     "NonPositiveStateError",
@@ -39,10 +38,6 @@ __all__ = [
 
 
 class FitError(RuntimeError):
-    pass
-
-
-class FitNonConvergedError(FitError):
     pass
 
 
@@ -88,30 +83,8 @@ class ExpFit:
     iterations: int
 
 
-def _model(t, y_inf, y_0, rate):
-    return y_inf + (y_0 - y_inf) * np.exp(-rate * t)
-
-
-def _initial_guess(t, y):
-    y_inf = float(y[-1])
-    y_0 = float(y[0])
-    dev = np.abs(y - y_inf)
-    mask = dev > 0.05 * dev.max()
-    if mask.sum() >= 2 and y_0 != y_inf:
-        # log-linear regression on |y - y_inf|
-        slope = np.polyfit(t[mask], np.log(dev[mask]), 1)[0]
-        rate = -float(slope)
-    else:
-        rate = 0.0
-    if not rate > 0:
-        rate = 2.0 / (t[-1] - t[0])
-    return np.array([y_inf, y_0, rate])
-
-
 def _noise_scale(y):
     """Robust per-sample noise from second differences (trend-immune)."""
-    if len(y) < 3:
-        return 0.0
     d2 = y[2:] - 2.0 * y[1:-1] + y[:-2]
     return 1.4826 * float(np.median(np.abs(d2))) / math.sqrt(6.0)
 
@@ -148,77 +121,85 @@ def _series(times, values) -> tuple[np.ndarray, np.ndarray]:
     return t, y
 
 
-# Gauss-Newton iteration budget of fit_exponential.
-_MAX_ITER = 200
+def _projection(s, y, rate):
+    """The least-squares (y_inf, c) of y ~ y_inf + c exp(-rate s) at a fixed
+    rate, in closed form as the regression of y on [1, exp(-rate s)], with
+    its residual sum of squares."""
+    e = np.exp(-rate * s)
+    ec = e - e.mean()
+    yc = y - y.mean()
+    c = float(ec @ yc) / float(ec @ ec)
+    resid = yc - c * ec
+    return float(resid @ resid), float(y.mean() - c * e.mean()), c
+
+
+# Rates per decade of the log grid that fit_exponential scans, and the width
+# in log rate at which its golden-section refinement stops.
+_GRID_PER_DECADE = 10
+_LOG_RATE_TOL = 1e-10
 
 
 def fit_exponential(times, values) -> ExpFit:
-    """Damped Gauss-Newton fit of a single exponential relaxation.
+    """Variable-projection least-squares fit of a single exponential
+    relaxation (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).
+
+    The model is linear in (y_inf, y_0), so at each trial rate they follow
+    in closed form (_projection) and the fit is a search over the rate
+    alone: a scan of a log grid from 0.01 / span to 10 / (smallest step),
+    then golden-section refinement of the best grid cell in log rate.  The
+    times are shifted to start at 0, so a late window cannot underflow the
+    exponential; y_0 is reported at t = 0.  ExpFit.iterations counts the
+    projected residuals evaluated.
 
     Raises ValueError on non-finite, unordered or too few samples,
-    FitNonConvergedError after _MAX_ITER iterations and
-    NonMonotonicDataError when the residual carries structure far above the
-    noise floor (the signature of strong-coupling oscillations).
+    FitError when the best rate lies on the grid's edge or the window
+    covers less than two decay times, and NonMonotonicDataError when the
+    residual carries structure far above the noise floor (the signature of
+    strong-coupling oscillations).
     """
     t, y = _series(times, values)
     if len(t) < 8:
         raise ValueError(f"need at least 8 samples, got {len(t)}")
-    span = t[-1] - t[0]
+    s = t - t[0]
+    span = s[-1]
     y_range = float(y.max() - y.min())
     if y_range == 0:
         raise FitError("flat trajectory: nothing to fit")
 
-    p = _initial_guess(t, y)
-    lam = 1e-3
-    cost = None
-    iterations = 0
-    for iterations in range(1, _MAX_ITER + 1):
-        y_inf, y_0, rate = p
-        e = np.exp(-rate * t)
-        resid = _model(t, y_inf, y_0, rate) - y
-        if cost is None:
-            cost = float(resid @ resid)
-        jac = np.column_stack([1.0 - e, e, -(y_0 - y_inf) * t * e])
-        g = jac.T @ resid
-        hess = jac.T @ jac
-        step = None
-        for _ in range(30):
-            try:
-                delta = np.linalg.solve(hess + lam * np.diag(np.diag(hess)), -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = p + delta
-            # A step to a large negative rate overflows exp; the resulting
-            # inf or nan cost fails the comparison below and is rejected.
-            with np.errstate(over="ignore", invalid="ignore"):
-                trial_resid = _model(t, *trial) - y
-                trial_cost = float(trial_resid @ trial_resid)
-            if trial_cost <= cost:
-                step = delta
-                p = trial
-                cost = trial_cost
-                lam = max(lam / 3.0, 1e-12)
-                break
-            lam *= 10.0
-        if step is None:
-            _reject_structured_residual(cost, y, y_range)
-            raise FitNonConvergedError("damping exhausted without a downhill step")
-        if float(np.linalg.norm(step)) < 1e-10:
-            break
-    else:
-        _reject_structured_residual(cost, y, y_range)
-        raise FitNonConvergedError(f"no convergence after {_MAX_ITER} iterations")
+    evaluated = []  # (residual sum of squares, log rate)
 
-    y_inf, y_0, rate = (float(v) for v in p)
-    if rate <= 0:
-        raise FitError(f"fitted rate {rate:.3e} is not positive")
+    def cost(u):
+        evaluated.append((_projection(s, y, math.exp(u))[0], u))
+        return evaluated[-1][0]
+
+    lo, hi = math.log(0.01 / span), math.log(10.0 / np.diff(s).min())
+    grid = np.linspace(lo, hi, math.ceil((hi - lo) / math.log(10.0) * _GRID_PER_DECADE))
+    best = int(np.argmin([cost(u) for u in grid]))
+    if best in (0, len(grid) - 1):
+        _reject_structured_residual(evaluated[best][0], y, y_range)
+        raise FitError(f"best rate {math.exp(grid[best]):.3g}/us lies on the edge of the scanned grid")
+    a, b = grid[best - 1], grid[best + 1]
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    u, v = b - g * (b - a), a + g * (b - a)
+    fu, fv = cost(u), cost(v)
+    while b - a > _LOG_RATE_TOL:
+        if fu <= fv:
+            b, v, fv = v, u, fu
+            u = b - g * (b - a)
+            fu = cost(u)
+        else:
+            a, u, fu = u, v, fv
+            v = a + g * (b - a)
+            fv = cost(v)
+    rate = math.exp(min(evaluated)[1])
+    cost_min, y_inf, c = _projection(s, y, rate)
     if span < 2.0 / rate:
         raise FitError(
             f"window {span:.3g} us covers less than two decay times of the fitted rate {rate:.3g}/us"
         )
-    rms = _reject_structured_residual(cost, y, y_range)
-    return ExpFit(rate=rate, y_inf=y_inf, y_0=y_0, rms_residual=rms, iterations=iterations)
+    rms = _reject_structured_residual(cost_min, y, y_range)
+    y_0 = y_inf + c * float(np.exp(rate * t[0]))
+    return ExpFit(rate=rate, y_inf=y_inf, y_0=y_0, rms_residual=rms, iterations=len(evaluated))
 
 
 def dominant_frequency(times, values) -> float:

@@ -13,7 +13,6 @@ Hermitian states have real coordinates.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, field
 
@@ -202,34 +201,29 @@ def evolve(
     )
 
 
-@functools.lru_cache(maxsize=8)
 def _hermitian_basis(d: int) -> sp.csc_matrix:
     """Unitary d^2 x d^2 matrix whose columns are vec(G_k) for the orthonormal
     Hermitian basis: the d diagonal units E_aa, then (E_ab + E_ba)/sqrt(2) and
     i (E_ab - E_ba)/sqrt(2) for a < b.  Hermitian states have real coordinates.
-    Made once per d and read-only."""
+    Only map builds call it; each map keeps a read-only copy, reordered."""
     a, b = np.triu_indices(d, 1)
     pair_rows = np.column_stack([a + b * d, b + a * d]).ravel()  # E_ab, E_ba
     s = np.sqrt(0.5)
     rows = np.concatenate([np.arange(d) * (d + 1), pair_rows, pair_rows])
     vals = np.concatenate([np.ones(d), np.full(2 * a.size, s), np.tile([1j * s, -1j * s], a.size)])
     starts = np.concatenate([np.arange(d), d + 2 * np.arange(2 * a.size + 1)])
-    basis = sp.csc_matrix((vals, rows, starts), shape=(d * d, d * d))
-    for arr in (basis.data, basis.indices, basis.indptr):
-        arr.flags.writeable = False
-    return basis
+    return sp.csc_matrix((vals, rows, starts), shape=(d * d, d * d))
 
 
 @dataclass(frozen=True)
 class _GeneratorMap:
-    """M = F x + D on one sparsity pattern (see _generator): F
-    (pattern entries x coordinates) and D (pattern entries) as CSR data, with
-    the pattern's column indices and row pointers, all in the coordinates of
-    basis, the Hermitian basis T reordered by breadth-first level (see
-    _levels), whose level boundaries are offsets.  Every array is read-only."""
+    """M = F [x; 1] on one sparsity pattern (see _generator): F (pattern
+    entries x (coordinates + 1)) as CSR data, with the pattern's column
+    indices and row pointers, all in the coordinates of basis, the Hermitian
+    basis T reordered by breadth-first level (see _levels), whose level
+    boundaries are offsets.  Every array is read-only."""
 
     f: sp.csr_matrix
-    drift: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
     basis: sp.csc_matrix
@@ -239,23 +233,26 @@ class _GeneratorMap:
 def _levels(d: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Breadth-first level of each of the d^2 coordinates over the
     symmetrised pattern with entries (rows, cols), from the d populations at
-    level 0; coordinates that the populations do not reach form one last
-    level.  An entry links coordinates of the same or adjacent levels only,
-    so on any pattern the system is block tridiagonal in the levels."""
+    level 0.  Each component that the populations do not reach is levelled
+    by its own search from its first coordinate, which takes the level that
+    the last search left empty.  An entry links coordinates of the same or
+    adjacent levels only, so on any pattern the system is block tridiagonal
+    in the levels."""
     level = np.full(d * d, -1)
-    level[:d] = 0
-    frontier = level == 0
+    frontier = np.arange(d * d) < d
     k = 0
     while frontier.any():
+        level[frontier] = k
         k += 1
         hit = frontier[rows] | frontier[cols]
         near = np.zeros_like(frontier)
         near[rows[hit]] = True
         near[cols[hit]] = True
         rows, cols = rows[~hit], cols[~hit]  # an entry that met a frontier is spent
-        frontier = near & (level < 0)
-        level[frontier] = k
-    level[level < 0] = k
+        unreached = level < 0
+        frontier = near & unreached
+        if not frontier.any() and unreached.any():
+            frontier[unreached.argmax()] = True  # the next component's seed
     return level
 
 
@@ -264,11 +261,12 @@ def _generator_map(d: int, upper: np.ndarray, collapse: list[CollapseOp]) -> _Ge
 
     With G_t the unit Hermitian terms of H (E_aa, then E_ab + E_ba and
     i (E_ab - E_ba) for each pattern entry a < b), F's column t is M for
-    H = G_t without dissipation and D = Re(T+ L T) for H = 0.  All the G_t's
-    Liouvillians come from one triplet assembly, stacked as row blocks of
-    d^2, and two products with T make every M_t.  The coordinates are then
-    ordered by breadth-first level over the union pattern (see _levels),
-    populations first in their own order, so r[:d] stays the trace."""
+    H = G_t without dissipation, and its last column is M for H = 0.  The
+    G_t's Liouvillians and the dissipator's are stacked as row blocks of d^2
+    in one triplet assembly, and two products with T make every M_t.  The
+    coordinates are then ordered by breadth-first level over the union
+    pattern (see _levels), populations first in their own order, so r[:d]
+    stays the trace."""
     n, nn = upper.size, d * d
     basis = _hermitian_basis(d)
     a, b = np.divmod(upper, d)
@@ -279,11 +277,15 @@ def _generator_map(d: int, upper: np.ndarray, collapse: list[CollapseOp]) -> _Ge
     v = np.concatenate([np.full(d + 2 * n, -1j), np.ones(n), -np.ones(n)])
     term = np.concatenate([diag, d + pairs, d + pairs, d + n + pairs, d + n + pairs])
     rows, cols, vals = _identity_kron_triplets(i, j, v, d, offset=term * nn)
-    k = d + 2 * n
+    k = d + 2 * n + 1
+    dissipator = liouvillian_matrix(np.zeros((d, d)), collapse).tocoo()
+    rows.append(dissipator.row.astype(np.int64) + (k - 1) * nn)
+    cols.append(dissipator.col)
+    vals.append(dissipator.data)
     z = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(k * nn, nn))
     # each stage replaces z, the triplets freed first: the build holds about
     # one stage of the stack at a time
-    del rows, cols, vals
+    del rows, cols, vals, dissipator
     # T+ acts on each block from the left: transpose each block of z T,
     # multiply by conj(T) = (T+)^T, and read M_t^T off each block
     z = (z @ basis).tocoo()
@@ -291,29 +293,22 @@ def _generator_map(d: int, upper: np.ndarray, collapse: list[CollapseOp]) -> _Ge
     z = sp.csr_matrix((z.data, (t * nn + z.col, row)), shape=(k * nn, nn))
     z = (z @ basis.conj()).tocoo()
     t, col = np.divmod(z.row.astype(np.int64), nn)
-    drift = (basis.conj().T @ liouvillian_matrix(np.zeros((d, d)), collapse) @ basis).real.tocoo()
-    keys = np.concatenate([drift.row.astype(np.int64) * nn + drift.col, z.col * nn + col])
-    pattern, where = np.unique(keys, return_inverse=True)
-    # number the coordinates by level and sort the pattern by its new rows
-    rows, cols = np.divmod(pattern, nn)
-    level = _levels(d, rows, cols)
+    # number the coordinates by level, and the pattern's entries by their
+    # renumbered (row, column)
+    level = _levels(d, z.col, col)
     order = np.argsort(level, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(nn)
-    sort = np.argsort(rank[rows] * nn + rank[cols])
-    moved = np.empty_like(sort)
-    moved[sort] = np.arange(sort.size)
-    where = moved[where]
-    pattern_rows, indices = rank[rows[sort]], rank[cols[sort]]
+    pattern, where = np.unique(rank[z.col] * nn + rank[col], return_inverse=True)
+    pattern_rows, indices = np.divmod(pattern, nn)
     out = _GeneratorMap(
-        f=sp.csr_matrix((z.data.real, (where[drift.nnz:], t)), shape=(pattern.size, k)),
-        drift=np.bincount(where[: drift.nnz], weights=drift.data, minlength=pattern.size),
+        f=sp.csr_matrix((z.data.real, (where, t)), shape=(pattern.size, k)),
         indices=indices.astype(np.int32),
         indptr=np.searchsorted(pattern_rows, np.arange(nn + 1)).astype(np.int32),
         basis=basis[:, order],
         offsets=np.searchsorted(level[order], np.arange(level.max() + 2)),
     )
-    for arr in (out.f.data, out.f.indices, out.f.indptr, out.drift, out.indices, out.indptr,
+    for arr in (out.f.data, out.f.indices, out.f.indptr, out.indices, out.indptr,
                 out.basis.data, out.basis.indices, out.basis.indptr, out.offsets):
         arr.flags.writeable = False
     return out
@@ -328,13 +323,14 @@ _MAPS_MAX = 8
 def _generator(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[sp.csc_matrix, sp.csr_matrix, np.ndarray]:
     """The map's basis T (the Hermitian basis of _hermitian_basis, its
     coordinates ordered by level), the sparse real generator M = T+ L T in
-    it, assembled as M = F x(h) + D from a cached map (see _generator_map),
+    it, assembled as M = F [x(h); 1] from a cached map (see _generator_map),
     and the level offsets.  For a Hermitian H, which is checked, L maps
     Hermitian matrices to Hermitian matrices, so M is real.
 
     L is linear in H, and Re(T+ L T) depends on H only through its Hermitian
     part, so with x(h) the coordinates of (h + h+)/2 (its real diagonal, then
-    Re and Im of each nonzero above it) M = sum_t x_t M_t + D.  A sweep's
+    Re and Im of each nonzero above it) M = sum_t x_t M_t + D, D being M at
+    H = 0, which rides as F's last column against x's trailing 1.  A sweep's
     points share d, that pattern and the collapse operators, so the map is
     built once and each point costs one sparse product.  The entries of the
     map's union pattern that are zero at this h are dropped, so M keeps only
@@ -350,8 +346,8 @@ def _generator(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[sp.csc_matrix
     if len(_MAPS) > _MAPS_MAX:
         del _MAPS[next(iter(_MAPS))]
     above = hs.flat[upper]
-    x = np.concatenate([hs.diagonal().real, above.real, above.imag])
-    m = sp.csr_matrix((gmap.f @ x + gmap.drift, gmap.indices, gmap.indptr), shape=(d * d, d * d), copy=True)
+    x = np.concatenate([hs.diagonal().real, above.real, above.imag, [1.0]])
+    m = sp.csr_matrix((gmap.f @ x, gmap.indices, gmap.indptr), shape=(d * d, d * d), copy=True)
     m.eliminate_zeros()  # in place, so on copies of the shared pattern
     return gmap.basis, m, gmap.offsets
 

@@ -106,6 +106,28 @@ def test_fit_rejects_short_window():
         fit_exponential(t, np.exp(-0.5 * t))
 
 
+def test_fit_late_window_keeps_y0_at_time_zero():
+    # the window starts 5 us after t = 0, past several decay times; y_0 is
+    # still the model's value at t = 0, not at the window's start
+    rate = 0.7
+    t = np.linspace(5.0, 5.0 + 8.0 / rate, 121)
+    f = fit_exponential(t, -0.3 + 1.2 * np.exp(-rate * t))
+    assert f.rate == pytest.approx(rate, rel=1e-6)
+    assert f.y_inf == pytest.approx(-0.3, rel=1e-6)
+    assert f.y_0 == pytest.approx(0.9, rel=1e-6)
+
+
+def test_fit_rejects_growth():
+    # no decay rate fits a growing exponential: the best one is the scanned
+    # grid's slowest, or the residual is structured
+    t = np.linspace(0.0, 10.0, 101)
+    with pytest.raises(FitError):
+        fit_exponential(t, np.exp(0.3 * t))
+    t = np.linspace(0.0, 1.0, 101)
+    with pytest.raises(FitError, match="edge"):
+        fit_exponential(t, np.exp(0.3 * t))
+
+
 def test_fit_simulated_cooling_rate():
     p = reference_params(n_bar=1.0)
     total = rates_resonant(p).total

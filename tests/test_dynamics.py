@@ -828,15 +828,12 @@ def test_generator_map_is_built_once_per_pattern(monkeypatch):
 
 
 def test_cached_operators_are_read_only():
-    basis = dynamics._hermitian_basis(6)
-    assert basis is dynamics._hermitian_basis(6)
     p = reference_params(n_fock=3)
     h, ops = build_model(p)
     dynamics._generator(h, ops)
     gmap = next(reversed(dynamics._MAPS.values()))
-    arrays = [basis.data, basis.indices, basis.indptr, gmap.f.data, gmap.f.indices, gmap.f.indptr,
-              gmap.drift, gmap.indices, gmap.indptr, gmap.basis.data, gmap.basis.indices,
-              gmap.basis.indptr, gmap.offsets,
+    arrays = [gmap.f.data, gmap.f.indices, gmap.f.indptr, gmap.indices, gmap.indptr, gmap.basis.data,
+              gmap.basis.indices, gmap.basis.indptr, gmap.offsets,
               *(getattr(space(3), name) for name in ("a", "n", "x", "sx", "sy", "sz", "sp", "sm", "sz_a", "sz_n"))]
     for arr in arrays:
         assert not arr.flags.writeable
@@ -970,6 +967,17 @@ def test_block_solve_matches_a_dense_solve(frame, fields):
     ref = np.linalg.solve(system, b)
     got = dynamics._block_factor(system, offsets)(b)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("frame", FRAMES)
+def test_unreached_components_get_levels_of_their_own(frame):
+    # a zero that decouples coordinates from the populations leaves them to
+    # searches of their own, so no level outgrows the reference point's
+    reference = dynamics._generator(*build_model(reference_params(n_fock=6), frame))[2]
+    for fields in _EDGE_POINTS:
+        p = dataclasses.replace(reference_params(n_fock=6), **fields)
+        offsets = assert_block_tridiagonal(*build_model(p, frame))
+        assert np.diff(offsets).max() <= np.diff(reference).max(), fields
 
 
 def test_both_residual_checks_go_through_one_helper(monkeypatch):

@@ -28,7 +28,12 @@
 #                       again at roundoff: at most 1.0e-9 (n_cav), 1.0e-11
 #                       and 3.0e-10 in a column; evolve_turn_on_n4.csv
 #                       stayed identical
-#   fit.json            exponential fit of the undisplaced trajectory's sx
+#   fit.json            exponential fit of the undisplaced trajectory's sx;
+#                       since the variable-projection fit (CHANGES.md) its
+#                       rate_per_us, y_inf and y_0 differ from a checkout
+#                       before it by 9.2e-10, 6.8e-11 and 3.1e-9 relative,
+#                       and iterations counts projected residuals (110)
+#                       where it counted Gauss-Newton steps (10)
 #   spectrum.json       dominant frequency of evolve_strong.csv's sx
 #   steady_*.json       steady state in both frames; since the block-
 #                       tridiagonal steady solve they differ from a checkout

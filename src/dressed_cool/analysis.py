@@ -13,7 +13,7 @@ import numpy as np
 from . import dynamics, model, rates
 from .integrate import StiffnessError
 from .operators import (
-    expect_real, fock_state, kron, pauli, reduced_qubit, smallest_eigenvalue, space, top_fock_population,
+    expect_real, fock_state, kron, pauli, reduced_qubit, space, top_fock_population,
 )
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "sigma_theta_projection",
     "dressed_probe",
     "steady_point",
+    "steady_points",
     "analytic_point",
 ]
 # compare_sim_analytic and its ComparisonReport are not public: only tests
@@ -148,12 +149,14 @@ def fit_exponential(times, values) -> ExpFit:
     alone: a scan of a log grid from 0.01 / span to 10 / (smallest step),
     then golden-section refinement of the best grid cell in log rate.  The
     times are shifted to start at 0, so a late window cannot underflow the
-    exponential; y_0 is reported at t = 0.  ExpFit.iterations counts the
-    projected residuals evaluated.
+    exponential; y_0 is reported at t = 0, extrapolated back from the
+    window.  ExpFit.iterations counts the projected residuals evaluated.
 
     Raises ValueError on non-finite, unordered or too few samples,
-    FitError when the best rate lies on the grid's edge or the window
-    covers less than two decay times, and NonMonotonicDataError when the
+    FitError when the best rate lies on the grid's edge, the window
+    covers less than two decay times, or the window starts so many decay
+    times after t = 0 that y_0 there is not a finite float (about 709 of
+    them), and NonMonotonicDataError when the
     residual carries structure far above the noise floor (the signature of
     strong-coupling oscillations).
     """
@@ -198,7 +201,13 @@ def fit_exponential(times, values) -> ExpFit:
             f"window {span:.3g} us covers less than two decay times of the fitted rate {rate:.3g}/us"
         )
     rms = _reject_structured_residual(cost_min, y, y_range)
-    y_0 = y_inf + c * float(np.exp(rate * t[0]))
+    with np.errstate(over="ignore"):
+        y_0 = y_inf + c * float(np.exp(rate * t[0]))
+    if not math.isfinite(y_0):
+        raise FitError(
+            f"y_0 at t = 0 overflows: the window starts at t = {t[0]:.3g} us,"
+            f" {rate * t[0]:.3g} decay times of the fitted rate after t = 0"
+        )
     return ExpFit(rate=rate, y_inf=y_inf, y_0=y_0, rms_residual=rms, iterations=len(evaluated))
 
 
@@ -296,34 +305,68 @@ def steady_point(
     p: model.SystemParams, frame: str = "displaced", rate: bool = False
 ) -> tuple[BlochVector, float, float]:
     """The steady state of p in the given frame, as (Bloch vector, population
-    of the cavity's top Fock level, gamma): the one recipe behind every
-    reported steady state.
+    of the cavity's top Fock level, gamma): steady_points of p alone, its
+    error raised."""
+    (point,) = steady_points([p], frame, rate)
+    if isinstance(point, Exception):
+        raise point
+    return point
 
-    The model is solved by dynamics.steady_state, or, when rate is true, by
-    dynamics.steady_state_and_mode on dressed_probe(p), whose mode's decay
-    rate -Re lambda is gamma (NaN otherwise).  That probe holds the cavity
-    vacuum of the displaced frame, which is not the lab frame's cavity
-    state, so a rate in any other frame raises ValueError before anything
-    is built.  A top Fock level past model.TRUNCATION_TOL raises
-    model.TruncationError, and an eigenvalue below POSITIVITY_FLOOR
-    NonPositiveStateError, before the state is reduced."""
+
+def steady_points(ps, frame: str = "displaced", rate: bool = False) -> list:
+    """The steady state of each p in ps in the given frame, in order, as
+    (Bloch vector, population of the cavity's top Fock level, gamma), or
+    the error of NUMERICAL_ERRORS that names why it failed: the one recipe
+    behind every reported steady state.
+
+    The models are solved by one dynamics.steady_states call, which solves
+    the points that share a generator map as one stack, or, when rate is
+    true, point by point by dynamics.steady_state_and_mode on
+    dressed_probe(p), whose mode's decay rate -Re lambda is gamma (NaN
+    otherwise).  That probe holds the cavity vacuum of the displaced frame,
+    which is not the lab frame's cavity state, so a rate in any other frame
+    raises ValueError before anything is built.  A top Fock level past
+    model.TRUNCATION_TOL fails a point with model.TruncationError, and an
+    eigenvalue below POSITIVITY_FLOOR, from one eigvalsh of all the states,
+    with NonPositiveStateError, before the state is reduced.  Any other
+    error is raised."""
     if rate and frame != "displaced":
         raise ValueError(
             f"the rate probe holds the displaced frame's cavity vacuum; no rate in frame {frame!r}"
         )
-    h, collapse = model.build_model(p, frame)
+    models = [model.build_model(p, frame) for p in ps]
     if rate:
-        rho, lam = dynamics.steady_state_and_mode(h, collapse, dressed_probe(p))
-        gamma = -lam.real
+        states, gammas = [], []
+        for p, (h, collapse) in zip(ps, models):
+            try:
+                rho, lam = dynamics.steady_state_and_mode(h, collapse, dressed_probe(p))
+                states.append(rho)
+                gammas.append(-lam.real)
+            except NUMERICAL_ERRORS as exc:
+                states.append(exc)
+                gammas.append(math.nan)
     else:
-        rho, gamma = dynamics.steady_state(h, collapse), math.nan
-    top = model.check_truncation(top_fock_population(rho), p.n_fock)
-    lowest = smallest_eigenvalue(rho)
-    if lowest < POSITIVITY_FLOOR:
-        raise NonPositiveStateError(
-            f"steady state has eigenvalue {lowest:.3e}, below the floor {POSITIVITY_FLOOR:.0e}"
-        )
-    return bloch_vector(rho), top, gamma
+        states, gammas = dynamics.steady_states(models), [math.nan] * len(ps)
+    solved = [rho for rho in states if not isinstance(rho, Exception)]
+    lowest = iter(np.linalg.eigvalsh((np.array(solved) + np.conj(solved).transpose(0, 2, 1)) / 2)[:, 0]
+                  if solved else ())
+    points = []
+    for p, rho, gamma in zip(ps, states, gammas):
+        if isinstance(rho, Exception):
+            points.append(rho)
+            continue
+        low = next(lowest)
+        try:
+            top = model.check_truncation(top_fock_population(rho), p.n_fock)
+            if low < POSITIVITY_FLOOR:
+                raise NonPositiveStateError(
+                    f"steady state has eigenvalue {low:.3e}, below the floor {POSITIVITY_FLOOR:.0e}"
+                )
+        except (model.TruncationError, NonPositiveStateError) as exc:
+            points.append(exc)
+        else:
+            points.append((bloch_vector(rho), top, gamma))
+    return points
 
 
 def analytic_point(p: model.SystemParams) -> tuple[BlochVector, float]:

@@ -13,6 +13,7 @@ Hermitian states have real coordinates.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -30,6 +31,7 @@ __all__ = [
     "ModeNotConvergedError",
     "evolve",
     "steady_state",
+    "steady_states",
     "steady_state_and_mode",
 ]
 # liouvillian_matrix is not public: _generator_map builds the dissipator D
@@ -229,6 +231,26 @@ class _GeneratorMap:
     basis: sp.csc_matrix
     offsets: np.ndarray
 
+    @functools.cached_property
+    def blocks(self) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+        """Each block (i, j) of levels that the steady-state system S (see
+        _block_factor) holds entries in, mapped to the pattern entries
+        there, row 0's left out, and their flat positions in the dense
+        block; built on a steady solve's first use of the map, so a map
+        that only drives trajectories does not hold it."""
+        level = np.repeat(np.arange(self.offsets.size - 1), np.diff(self.offsets))
+        rows = np.repeat(np.arange(level.size), np.diff(self.indptr))
+        entries = np.flatnonzero(rows > 0)  # row 0 of S is the trace
+        row, col = rows[entries], self.indices[entries]
+        width = np.diff(self.offsets)
+        position = (row - self.offsets[level[row]]) * width[level[col]] + col - self.offsets[level[col]]
+        block = level[row] * width.size + level[col]
+        blocks = {divmod(int(b), width.size): (entries[block == b], position[block == b])
+                  for b in np.unique(block)}
+        for arr in (a for pair in blocks.values() for a in pair):
+            arr.flags.writeable = False
+        return blocks
+
 
 def _levels(d: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Breadth-first level of each of the d^2 coordinates over the
@@ -320,6 +342,24 @@ _MAPS: dict[tuple, _GeneratorMap] = {}
 _MAPS_MAX = 8
 
 
+def _map_of(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[tuple, _GeneratorMap, np.ndarray]:
+    """The key of h's map, (d, upper pattern of H, collapse operators), the
+    map, built or taken from the cache, and h's coordinates x(h) on it (see
+    _generator).  A non-Hermitian h raises ValueError."""
+    if hermiticity_residual(h) > 1e-12 * np.abs(h).max(initial=1.0):
+        raise ValueError("Hamiltonian is not Hermitian")
+    d = h.shape[0]
+    hs = 0.5 * (h + h.conj().T)
+    upper = np.flatnonzero(np.triu(hs, 1))
+    key = (d, upper.tobytes(), *((l.shape, l.dtype.str, l.tobytes()) for l in (c.operator for c in collapse)))
+    gmap = _MAPS.pop(key, None) or _generator_map(d, upper, collapse)
+    _MAPS[key] = gmap  # most recently used last
+    if len(_MAPS) > _MAPS_MAX:
+        del _MAPS[next(iter(_MAPS))]
+    above = hs.flat[upper]
+    return key, gmap, np.concatenate([hs.diagonal().real, above.real, above.imag, [1.0]])
+
+
 def _generator(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[sp.csc_matrix, sp.csr_matrix, np.ndarray]:
     """The map's basis T (the Hermitian basis of _hermitian_basis, its
     coordinates ordered by level), the sparse real generator M = T+ L T in
@@ -335,18 +375,8 @@ def _generator(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[sp.csc_matrix
     built once and each point costs one sparse product.  The entries of the
     map's union pattern that are zero at this h are dropped, so M keeps only
     its own nonzeros for the M r products of a trajectory."""
-    if hermiticity_residual(h) > 1e-12 * np.abs(h).max(initial=1.0):
-        raise ValueError("Hamiltonian is not Hermitian")
+    _, gmap, x = _map_of(h, collapse)
     d = h.shape[0]
-    hs = 0.5 * (h + h.conj().T)
-    upper = np.flatnonzero(np.triu(hs, 1))
-    key = (d, upper.tobytes(), *((l.shape, l.dtype.str, l.tobytes()) for l in (c.operator for c in collapse)))
-    gmap = _MAPS.pop(key, None) or _generator_map(d, upper, collapse)
-    _MAPS[key] = gmap  # most recently used last
-    if len(_MAPS) > _MAPS_MAX:
-        del _MAPS[next(iter(_MAPS))]
-    above = hs.flat[upper]
-    x = np.concatenate([hs.diagonal().real, above.real, above.imag, [1.0]])
     m = sp.csr_matrix((gmap.f @ x, gmap.indices, gmap.indptr), shape=(d * d, d * d), copy=True)
     m.eliminate_zeros()  # in place, so on copies of the shared pattern
     return gmap.basis, m, gmap.offsets
@@ -358,10 +388,17 @@ def _generator(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[sp.csc_matrix
 _RESIDUAL_TOL = 1e-9
 
 
-def _residual(m: sp.csr_matrix, r: np.ndarray, lam: complex = 0.0) -> float:
-    """|M r - lam r| / max(1, max|M|) for the generator M.  r is not
-    normalized: a steady state has unit trace and a Ritz vector unit norm."""
-    return float(np.linalg.norm(m @ r - lam * r)) / np.abs(m.data).max(initial=1.0)
+def _residual(m: sp.csr_matrix, r: np.ndarray, lam: complex = 0.0):
+    """|M r - lam r| / max(1, max|M|) for each generator M of a stack and
+    its row of r (n x d^2), m holding the stack's n generators as the blocks
+    of its diagonal, all on one pattern; a single vector r gives a float.
+    r is not normalized: a steady state has unit trace and a Ritz vector
+    unit norm."""
+    rows = np.atleast_2d(r)
+    n = rows.shape[0]
+    out = (m @ rows.ravel() - lam * rows.ravel()).reshape(n, -1)
+    residual = np.linalg.norm(out, axis=1) / np.abs(m.data.reshape(n, -1)).max(axis=1, initial=1.0)
+    return residual if r.ndim > 1 else float(residual[0])
 
 
 # Largest accepted growth |S^-1 q| / |q| max(1, max|M|) of the steady-state
@@ -371,94 +408,175 @@ def _residual(m: sp.csr_matrix, r: np.ndarray, lam: complex = 0.0) -> float:
 _DEGENERACY_TOL = 1e10
 
 
-def _steady_system(m: sp.csr_matrix, d: int) -> np.ndarray:
-    """The dense steady-state system S: M with its first row, the equation
-    for rho[0, 0], replaced by Tr rho (the sum of the diagonal coordinates)."""
-    # a plain densify: the block factor allocates no d^2 x d^2 blocks, so at
-    # d = 16 (ru_minflt over 200 warm calls, in each of four processes)
-    # steady_state takes 0.0 page faults per call and steady_state_and_mode 0.1
-    sys = m.toarray()
-    sys[0, :] = 0.0
-    sys[0, :d] = 1.0
-    return sys
+def _block_factor(gmap: _GeneratorMap, fx: np.ndarray, b: np.ndarray, keep: bool = False):
+    """S^-1 b for each of a stack of n steady-state systems S on one map,
+    and, when keep is true for a stack of one, the solve b -> S^-1 b of its
+    point for further right-hand sides b (d^2 or d^2 x k; None otherwise).
+    S is the generator M, whose entries on the map's pattern are a column
+    of fx (entries x n), with its first row, the equation for rho[0, 0],
+    replaced by Tr rho, the sum of the populations, which make level 0.  b
+    and S^-1 b are n x d^2 x k.
 
+    S is block tridiagonal in the levels, whose diagonal blocks span
+    offsets[i]:offsets[i + 1], and is eliminated by levels (block
+    elimination, Golub & Van Loan 4.5) from the last one up: with A_i, B_i
+    and C_i the diagonal, lower and upper blocks of level i, the Schur
+    complements K_last = A_last and K_i = A_i - W_i B_{i+1}, W_i = C_i
+    K_{i+1}^-1, are inverted with partial pivoting by np.linalg.inv, one
+    level at a time for the whole stack.  Each block is gathered for the
+    stack straight from fx and the map's blocks, so no dense S is formed.
+    b is swept up as the levels are eliminated, y_i = b_i - W_i y_{i+1},
+    and then down, x_i = K_i^-1 (y_i - B_i x_{i-1}).  A_i and C_i are
+    dropped once used, and so is W_i unless keep is true: the factor then
+    holds K_i^-1 and B_{i+1} of every level, 0.14 MiB per point at d = 16,
+    and W_i too, 0.21 MiB in all.  Each point's products and inverses are
+    those it would get alone, so its S^-1 b is the same bit for bit in a
+    stack of any size, and so is the kept solve, which runs on the point's
+    own blocks.  A singular K_i of any point raises np.linalg.LinAlgError
+    for the stack."""
+    offsets = gmap.offsets
+    lv = [slice(p, q) for p, q in zip(offsets[:-1], offsets[1:])]
+    stacked = [(slice(None), level) for level in lv]
+    n, last = fx.shape[1], len(lv) - 1
 
-def _block_factor(s: np.ndarray, offsets: np.ndarray):
-    """The solve b -> S^-1 b of a block-tridiagonal S whose diagonal blocks
-    span offsets[i]:offsets[i + 1] (block elimination, Golub & Van Loan 4.5).
+    def block(i, j):
+        entries, positions = gmap.blocks.get((i, j), (slice(0), slice(0)))
+        out = np.zeros((n, lv[i].stop - lv[i].start, lv[j].stop - lv[j].start))
+        out.reshape(n, -1)[:, positions] = fx[entries].T
+        if i == j == 0:
+            out[:, 0] = 1.0  # the trace row
+        return out
 
-    The levels are eliminated from the last one up: with A_i, B_i and C_i the
-    diagonal, lower and upper blocks of level i, the Schur complements
-    K_last = A_last and K_i = A_i - W_i B_{i+1}, W_i = C_i K_{i+1}^-1, are
-    inverted with partial pivoting by np.linalg.inv, one level at a time.
-    A solve then sweeps y_i = b_i - W_i y_{i+1} up and x_i = K_i^-1 (y_i -
-    B_i x_{i-1}) down.  A singular K_i raises np.linalg.LinAlgError."""
-    lv = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
-    lower = [s[lv[i], lv[i - 1]] for i in range(1, len(lv))]
-    k_inv = [np.linalg.inv(s[lv[-1], lv[-1]])]
-    w = []
-    for i in range(len(lv) - 2, -1, -1):
-        w.append(s[lv[i], lv[i + 1]] @ k_inv[-1])
-        k_inv.append(np.linalg.inv(s[lv[i], lv[i]] - w[-1] @ lower[i]))
-    k_inv.reverse()
-    w.reverse()
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        y = np.array(b, dtype=float)
-        for i in range(len(lv) - 2, -1, -1):
-            y[lv[i]] -= w[i] @ y[lv[i + 1]]
-        y[lv[0]] = k_inv[0] @ y[lv[0]]
-        for i in range(1, len(lv)):
-            y[lv[i]] = k_inv[i] @ (y[lv[i]] - lower[i - 1] @ y[lv[i - 1]])
+    def up(y, w, at):
+        for i in range(last - 1, -1, -1):
+            y[at[i]] -= w[i] @ y[at[i + 1]]
         return y
 
-    return solve
+    def down(y, k_inv, lower, at):
+        y[at[0]] = k_inv[0] @ y[at[0]]
+        for i in range(1, last + 1):
+            y[at[i]] = k_inv[i] @ (y[at[i]] - lower[i - 1] @ y[at[i - 1]])
+        return y
+
+    y = np.array(b, dtype=float)
+    k_inv = [np.linalg.inv(block(last, last))]
+    w, lower = [], []
+    for i in range(last - 1, -1, -1):
+        lower.append(block(i + 1, i))
+        w.append(block(i, i + 1) @ k_inv[-1])
+        y[stacked[i]] -= w[-1] @ y[stacked[i + 1]]  # up, as each W_i is formed
+        schur = block(i, i)
+        schur -= w[-1] @ lower[-1]
+        k_inv.append(np.linalg.inv(schur))
+        del schur  # before the next level's blocks are gathered
+        if not keep:
+            w.pop()
+    for factors in (k_inv, w, lower):
+        factors.reverse()
+    x = down(y, k_inv, lower, stacked)
+    if not keep:
+        return x, None
+    k_inv, w, lower = ([f[0] for f in factors] for factors in (k_inv, w, lower))
+    return x, lambda b: down(up(np.array(b, dtype=float), w, lv), k_inv, lower, lv)
 
 
-def _steady(h: np.ndarray, collapse: list[CollapseOp]):
-    """The steady state of one model with its generator, as (T, M, solve,
-    rho), solve being b -> S^-1 b.
+def _steady(gmap: _GeneratorMap, x: np.ndarray, keep: bool = False):
+    """The steady states of a stack of points on one map, the columns of x
+    holding their coordinates x(h), as (m, solve, states): m holds their
+    generators M (as _residual takes them), solve is b -> S^-1 b for the
+    stack (see _block_factor) when keep is true, and states holds each
+    point's rho, or the MultipleSteadyStatesError that names why it has
+    none.  m and solve are None when the stack's factorisation failed.
 
-    S (see _steady_system) is block tridiagonal in the levels of the map's
-    basis (see _levels) and is factored once by _block_factor; S r = e_0 is
-    solved with it.  r is accepted only if it nulls M to the residual
-    tolerance.  A degenerate null space leaves S singular, which roundoff
-    can hide from the factorisation, so the same solve also gives v = S^-1 q
-    for q_k = cos k and rejects a v that grows past _DEGENERACY_TOL.
-    """
+    The stack's M are assembled as one product F X, and its systems S are
+    factored at once by _block_factor; S r = e_0 is solved with it.  A
+    point's r is accepted only if it nulls M to the residual tolerance.  A
+    degenerate null space leaves S singular, which roundoff can hide from
+    the factorisation, so the same solve also gives v = S^-1 q for q_k =
+    cos k, and a point whose v grows past _DEGENERACY_TOL is rejected.  A
+    singular block of one point stops the stack's factorisation, so the
+    stack is then solved again point by point, and a point that stays
+    singular alone fails.  Beside its factor, a stack of n points holds
+    its n M (n x entries, 27 KiB per point at d = 16), the right-hand
+    sides and solutions (n x d^2 x 2) and its states."""
+    n = x.shape[1]
+    d = gmap.offsets[1]
+    nn, entries = d * d, gmap.indices.size
+    fx = gmap.f @ x
+    rhs = np.zeros((n, nn, 2))
+    rhs[:, 0, 0] = 1.0
+    rhs[:, :, 1] = np.cos(np.arange(nn))
+    try:
+        r, solve = _block_factor(gmap, fx, rhs, keep)
+    except np.linalg.LinAlgError as exc:
+        if n > 1:
+            return None, None, [_steady(gmap, x[:, j:j + 1])[2][0] for j in range(n)]
+        error = MultipleSteadyStatesError(f"singular steady-state system: {exc}")
+        error.__cause__ = exc
+        return None, None, [error]
+
+    m = sp.csr_matrix(
+        (fx.T.ravel(), (gmap.indices + nn * np.arange(n, dtype=np.int32)[:, None]).ravel(),
+         np.append((gmap.indptr[:-1] + entries * np.arange(n, dtype=np.int32)[:, None]).ravel(), n * entries)),
+        shape=(n * nn, n * nn),
+    )
+    growth = np.linalg.norm(r[:, :, 1], axis=1) / np.linalg.norm(rhs[0, :, 1]) * np.abs(fx).max(axis=0, initial=1.0)
+    residual = _residual(m, r[:, :, 0])
+    rhos = (gmap.basis @ r[:, :, 0].T).T.reshape((n, d, d)).transpose(0, 2, 1)
+    states = []
+    for rho, g, res in zip(rhos, growth, residual):
+        if g > _DEGENERACY_TOL:
+            states.append(MultipleSteadyStatesError(
+                f"steady-state system is singular to roundoff (scaled growth {g:.1e}"
+                f" exceeds {_DEGENERACY_TOL:.0e}); the null space is degenerate"
+            ))
+        elif res > _RESIDUAL_TOL:
+            states.append(MultipleSteadyStatesError(
+                f"steady-state residual {res:.3e} exceeds {_RESIDUAL_TOL:.1e};"
+                " the solve does not null the generator"
+            ))
+        else:
+            states.append(rho / np.trace(rho).real)
+    return m, solve, states
+
+
+def _steady_map(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[tuple, _GeneratorMap, np.ndarray]:
+    """_map_of for a steady state, which needs a collapse channel."""
     if not collapse:
         raise ValueError("steady state needs at least one collapse channel")
-    d = h.shape[0]
-    basis, m, offsets = _generator(h, collapse)
-    rhs = np.zeros((d * d, 2))
-    rhs[0, 0] = 1.0
-    rhs[:, 1] = np.cos(np.arange(d * d))
-    try:
-        solve = _block_factor(_steady_system(m, d), offsets)
-        r, v = solve(rhs).T
-    except np.linalg.LinAlgError as exc:
-        raise MultipleSteadyStatesError(f"singular steady-state system: {exc}") from exc
+    return _map_of(h, collapse)
 
-    growth = np.linalg.norm(v) / np.linalg.norm(rhs[:, 1]) * np.abs(m.data).max(initial=1.0)
-    if growth > _DEGENERACY_TOL:
-        raise MultipleSteadyStatesError(
-            f"steady-state system is singular to roundoff (scaled growth {growth:.1e}"
-            f" exceeds {_DEGENERACY_TOL:.0e}); the null space is degenerate"
-        )
-    residual = _residual(m, r)
-    if residual > _RESIDUAL_TOL:
-        raise MultipleSteadyStatesError(
-            f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e};"
-            " the solve does not null the generator"
-        )
-    rho = (basis @ r).reshape((d, d), order="F")
-    return basis, m, solve, rho / np.trace(rho).real
+
+def steady_states(models) -> list:
+    """The steady state of each (H, collapse operators) model, in order, or
+    the MultipleSteadyStatesError that names why it has none.
+
+    The models that share a generator map (see _generator) are solved as
+    one stack by _steady, wherever they stand in the list, by a real
+    block-tridiagonal solve in the Hermitian basis.  A point's products and
+    inverses in a stack are those it gets alone (see _block_factor), so its
+    state does not depend on the stack.  Any other error, such as a
+    non-Hermitian H, is raised."""
+    stacks: dict[tuple, tuple[_GeneratorMap, list, list]] = {}
+    for i, (h, collapse) in enumerate(models):
+        key, gmap, x = _steady_map(h, collapse)
+        stack = stacks.setdefault(key, (gmap, [], []))
+        stack[1].append(i)
+        stack[2].append(x)
+    states: list = [None] * len(models)
+    for gmap, where, xs in stacks.values():
+        for i, state in zip(where, _steady(gmap, np.column_stack(xs))[2]):
+            states[i] = state
+    return states
 
 
 def steady_state(h: np.ndarray, collapse: list[CollapseOp]) -> np.ndarray:
     """Unique steady state by a real block-tridiagonal solve in the
-    Hermitian basis (see _steady)."""
-    return _steady(h, collapse)[3]
+    Hermitian basis: steady_states of one model, its error raised."""
+    (rho,) = steady_states([(h, collapse)])
+    if isinstance(rho, MultipleSteadyStatesError):
+        raise rho
+    return rho
 
 
 # Krylov dimension of the shift-invert Arnoldi iteration in
@@ -490,8 +608,11 @@ def steady_state_and_mode(
     ModeNotConvergedError when the picked Ritz pair misses the residual
     tolerance.
     """
-    basis, m, solve, rho = _steady(h, collapse)
-    d = h.shape[0]
+    _, gmap, x0 = _steady_map(h, collapse)
+    m, solve, (rho,) = _steady(gmap, x0[:, None], keep=True)
+    if isinstance(rho, MultipleSteadyStatesError):
+        raise rho
+    d, basis = h.shape[0], gmap.basis
     x = (basis.conj().T @ np.asarray(probe, dtype=complex).ravel(order="F")).real
     x[:d] -= x[:d].sum() / d
     beta = float(np.linalg.norm(x))

@@ -79,8 +79,9 @@ def test_fit_noise_robustness_monte_carlo():
 
 def test_fit_rejects_oscillation():
     t_short = np.linspace(0.0, 5.0, 200)
-    # A ringing turn-on, as at tilted-axis cooling points: Gauss-Newton tries
-    # steps whose exp overflows, and rejecting them must stay silent.
+    # A ringing turn-on, as at tilted-axis cooling points: the rate scan runs
+    # up to 10 / (smallest step), where exp(-rate s) underflows, and rejecting
+    # the curve must stay silent.
     t_long = np.linspace(0.0, 68.0, 401)
     cases = [
         (t_short, np.cos(2.0 * np.pi * 2.0 * t_short) * np.exp(-0.3 * t_short)),
@@ -115,6 +116,18 @@ def test_fit_late_window_keeps_y0_at_time_zero():
     assert f.rate == pytest.approx(rate, rel=1e-6)
     assert f.y_inf == pytest.approx(-0.3, rel=1e-6)
     assert f.y_0 == pytest.approx(0.9, rel=1e-6)
+
+
+def test_fit_late_window_past_float_range_names_its_start():
+    # a clean rate-8/us relaxation seen over t = 100-102 us fits, but its
+    # y_0 at t = 0 is about exp(800): no float holds it, so the fit fails by
+    # name, without an overflow warning, instead of returning inf
+    t = np.linspace(100.0, 102.0, 201)
+    y = 0.5 + 0.4 * np.exp(-8.0 * (t - 100.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FitError, match="window starts at t = 100 us"):
+            fit_exponential(t, y)
 
 
 def test_fit_rejects_growth():
@@ -295,14 +308,14 @@ def test_steady_point_gates_positivity(monkeypatch, shift, fails):
     # a steady state pushed below criterion 7's floor, at unit trace, fails
     # the point for a named numerical reason; one above it passes
     p = reference_params(n_bar=1.0)
-    solve = dynamics.steady_state
+    solve = dynamics.steady_states
 
-    def shifted(h, ops):
-        rho = solve(h, ops)
+    def shifted(models):
+        (rho,) = solve(models)
         d = rho.shape[0]
-        return rho - shift * np.eye(d) + shift * d * np.diag(np.eye(d)[0])
+        return [rho - shift * np.eye(d) + shift * d * np.diag(np.eye(d)[0])]
 
-    monkeypatch.setattr(analysis.dynamics, "steady_state", shifted)
+    monkeypatch.setattr(analysis.dynamics, "steady_states", shifted)
     assert analysis.NonPositiveStateError in analysis.NUMERICAL_ERRORS
     if fails:
         with pytest.raises(analysis.NonPositiveStateError, match="below the floor -1e-07"):

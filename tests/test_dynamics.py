@@ -758,7 +758,9 @@ def test_residual_applies_the_generator():
     rng = np.random.default_rng(7)
     p = reference_params(n_bar=1.0, n_fock=4)
     h, ops = build_model(p)
-    basis, m, solve, rho = dynamics._steady(h, ops)
+    _, gmap, x = dynamics._steady_map(h, ops)
+    m, solve, (rho,) = dynamics._steady(gmap, x[:, None], keep=True)
+    basis = gmap.basis
     ref = (basis.conj().T @ kron_liouvillian(h, ops) @ basis).real
     assert np.max(np.abs(m.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
     system = m.toarray()
@@ -833,7 +835,7 @@ def test_cached_operators_are_read_only():
     dynamics._generator(h, ops)
     gmap = next(reversed(dynamics._MAPS.values()))
     arrays = [gmap.f.data, gmap.f.indices, gmap.f.indptr, gmap.indices, gmap.indptr, gmap.basis.data,
-              gmap.basis.indices, gmap.basis.indptr, gmap.offsets,
+              gmap.basis.indices, gmap.basis.indptr, gmap.offsets, *(a for pair in gmap.blocks.values() for a in pair),
               *(getattr(space(3), name) for name in ("a", "n", "x", "sx", "sy", "sz", "sp", "sm", "sz_a", "sz_n"))]
     for arr in arrays:
         assert not arr.flags.writeable
@@ -860,16 +862,20 @@ def test_a_trajectory_and_a_steady_point_share_one_map(frame, monkeypatch):
     # evolve takes M from the same cached map as the steady paths, with the
     # zeros of the map's union pattern dropped: exactly the direct product's
     # nonzeros ride along in every M r
-    maps, built = [], []
-    build_map, build = dynamics._generator_map, dynamics._generator
+    maps, looked_up, built = [], [], []
+    build_map, map_of, build = dynamics._generator_map, dynamics._map_of, dynamics._generator
     monkeypatch.setattr(dynamics, "_MAPS", {})
     monkeypatch.setattr(dynamics, "_generator_map", lambda *a: maps.append(1) or build_map(*a))
+    monkeypatch.setattr(dynamics, "_map_of", lambda h, c: looked_up.append(map_of(h, c)) or looked_up[-1])
     monkeypatch.setattr(dynamics, "_generator", lambda h, c: built.append(build(h, c)) or built[-1])
     p = reference_params(n_bar=1.0, n_fock=4)
     h, ops = build_model(p, frame)
     evolve(h, ops, turn_on_state(p, frame), np.linspace(0.0, 0.1, 3))
+    gmap = looked_up[0][1]
+    assert "blocks" not in vars(gmap)  # the steady system's index is built on a steady solve
     steady_state(h, ops)
-    assert len(maps) == 1 and len(built) == 2
+    assert len(maps) == 1 and len(looked_up) == 2 and len(built) == 1
+    assert looked_up[1][1] is gmap and "blocks" in vars(gmap)
     m = built[0][1]
     assert np.count_nonzero(m.data) == m.nnz == direct_generator(h, ops).nnz
 
@@ -960,13 +966,17 @@ def test_block_solve_matches_a_dense_solve(frame, fields):
     p = dataclasses.replace(reference_params(n_fock=6), **fields)
     h, ops = build_model(p, frame)
     d = h.shape[0]
-    _, m, offsets = dynamics._generator(h, ops)
-    system = dynamics._steady_system(m, d)
+    _, m, _ = dynamics._generator(h, ops)
+    system = m.toarray()  # S: M with its first row replaced by the trace
+    system[0] = 0.0
+    system[0, :d] = 1.0
     rng = np.random.default_rng(5)
     b = np.column_stack([np.eye(d * d)[0], rng.normal(size=(d * d, 2))])
     ref = np.linalg.solve(system, b)
-    got = dynamics._block_factor(system, offsets)(b)
-    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    _, gmap, x = dynamics._map_of(h, ops)
+    got, solve = dynamics._block_factor(gmap, gmap.f @ x[:, None], b[None], keep=True)
+    assert np.max(np.abs(got[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(solve(b), got[0])
 
 
 @pytest.mark.parametrize("frame", FRAMES)

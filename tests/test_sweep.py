@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import multiprocessing
 import os
@@ -9,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dressed_cool import __version__, model, sweep
+from dressed_cool import __version__, analysis, cli, model, sweep
 from dressed_cool.config import Config, to_system_params
 from dressed_cool.model import SystemParams, drive_for_photons
 from dressed_cool.rates import rates_general, steady_bloch
@@ -183,9 +184,10 @@ def test_serial_sweep_runs_blas_on_one_thread_and_restores_the_callers(monkeypat
     assert sweep._blas_threads() == before
 
 
-def test_pool_is_capped_at_the_points_and_the_usable_cpus(monkeypatch, pool_sizes):
+def test_pool_is_capped_at_the_stacks_and_the_usable_cpus(monkeypatch, pool_sizes):
     # the caller computes beside a pool one process smaller, so on 4 CPUs
-    # at most 3 pool processes start, and on 1 CPU none
+    # at most 3 pool processes start, and on 1 CPU none; a sweep's tasks
+    # are its stacks of points, the last one possibly short
     monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     base = reference_params()
 
@@ -193,16 +195,17 @@ def test_pool_is_capped_at_the_points_and_the_usable_cpus(monkeypatch, pool_size
         return SweepGrid(power_db=[0.0], detuning=np.arange(points, dtype=float), fixed=base,
                          mode="rates_analytic_map")
 
-    serial = run_sweep(grid(9), workers=1)
+    stack = sweep._STACK
+    serial = run_sweep(grid(9 * stack), workers=1)
     assert pool_sizes == []
-    assert run_sweep(grid(9), workers=5000).rows == serial.rows
-    run_sweep(grid(3), workers=5000)
-    run_sweep(grid(9), workers=0)
+    assert run_sweep(grid(9 * stack), workers=5000).rows == serial.rows
+    run_sweep(grid(2 * stack + 1), workers=5000)
+    run_sweep(grid(9 * stack), workers=0)
     assert pool_sizes == [3, 2, 3]
     # one process computing is the serial path
-    run_sweep(grid(1), workers=5000)
+    run_sweep(grid(stack), workers=5000)
     monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {3}, raising=False)
-    run_sweep(grid(9), workers=5000)
+    run_sweep(grid(9 * stack), workers=5000)
     assert pool_sizes == [3, 2, 3]
 
 
@@ -259,6 +262,78 @@ def test_failed_point_is_isolated():
     assert math.isnan(rows[0].sx)
     assert rows[1].converged
     assert not math.isnan(rows[1].sx)
+
+
+def test_steady_sweep_does_not_depend_on_stacks_or_workers(monkeypatch, tmp_path):
+    # 35 points: not a multiple of the stack size, so the last stack is short
+    monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert 35 % sweep._STACK
+    paths = []
+    for workers in (1, 2):
+        cfg = tmp_path / f"sweep{workers}.json"
+        cfg.write_text(json.dumps({"workers": workers, "power_points": 5, "detuning_points": 7}))
+        paths.append(tmp_path / f"sweep{workers}.csv")
+        assert cli.main(["sweep", "-c", str(cfg), "-o", str(paths[-1]), "--no-timestamp"]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    cfg = Config(power_points=5, detuning_points=7)
+    grid = SweepGrid(power_db=np.linspace(cfg.power_db_min, cfg.power_db_max, 5),
+                     detuning=TWO_PI * np.linspace(cfg.detuning_mhz_min, cfg.detuning_mhz_max, 7),
+                     fixed=to_system_params(cfg))
+    rows = run_sweep(grid).rows
+    assert all(r.converged for r in rows)
+    for r in rows:
+        v = analysis.steady_point(sweep._point_params(grid, r.p_d_db, r.delta_q)[0])[0]
+        assert max(abs(r.sx - v.x), abs(r.sy - v.y), abs(r.sz - v.z)) <= 1e-15
+    for size in (1, 3, 16):
+        monkeypatch.setattr(sweep, "_STACK", size)
+        for r, again in zip(rows, run_sweep(grid).rows):
+            assert max(abs(r.sx - again.sx), abs(r.sy - again.sy), abs(r.sz - again.sz)) <= 1e-15, size
+
+
+def test_failures_stay_with_their_own_point(monkeypatch):
+    # one map for every point: a qubit that only dephases, beside a cavity at
+    # kappa/2pi = 0.2 MHz, with a point driven past n_fock 8's truncation and
+    # one whose Rabi drive is too weak to lift the degeneracy of its populations
+    base = replace(reference_params(kappa_mhz=0.2, delta_c_mhz=0.0, n_fock=8), gamma_down=0.0)
+    grid = SweepGrid(power_db=[-20.0, -10.0, 10.0 * math.log10(3.31)], detuning=[0.0, TWO_PI],
+                     fixed=base, auto_n_fock=False)
+    ps = [sweep._point_params(grid, p_d, dq)[0] for p_d in grid.power_db for dq in grid.detuning[:1]]
+    ps.insert(1, replace(ps[0], omega_r_rabi=1e-30))
+    assert len({analysis.dynamics._map_of(*model.build_model(p))[0] for p in ps}) == 1
+    alone = [analysis.steady_points([p])[0] for p in ps]
+
+    def check(points):
+        assert isinstance(points[1], analysis.dynamics.MultipleSteadyStatesError)
+        assert "degenerate" in str(points[1])
+        assert isinstance(points[3], model.TruncationError)
+        assert "n_fock = 8" in str(points[3])
+        for i in (0, 2):
+            assert points[i][:2] == alone[i][:2]
+
+    check(analysis.steady_points(ps))
+    # a singular block stops a stack's factorisation: the stack is solved
+    # again point by point, with the same outcome for every point
+    inv = np.linalg.inv
+
+    def singular_stack(a):
+        if a.ndim == 3 and a.shape[0] > 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", singular_stack)
+    check(analysis.steady_points(ps))
+    monkeypatch.undo()
+
+    # and a programming error inside the stacked solve is no failed point
+    def broken(*args):
+        raise TypeError("broken factorisation")
+
+    monkeypatch.setattr(analysis.dynamics, "_block_factor", broken)
+    with pytest.raises(TypeError, match="broken factorisation"):
+        analysis.steady_points(ps)
+    with pytest.raises(TypeError, match="broken factorisation"):
+        run_sweep(grid)
 
 
 @pytest.mark.parametrize("mode", ["steady_tomography", "cooling_rate"])

@@ -3,12 +3,14 @@
 
     python3 tools/bench_ab.py --base main --workload steady_map verify --pairs 10 --label mine
     python3 tools/bench_ab.py --base HEAD~1 --workload cooling_map --pairs 1 --seconds 1 --label ci
+    python3 tools/bench_ab.py --base-tree ../base --workload steady_map --label mine
 
 Each pair runs ``python3 bench/run.py --workload W --seconds S --seed N --trace 0``
 once in a checkout of the base ref and once in the working tree, in fresh
 processes, and alternates which side goes first.  The base is checked out
 with ``git worktree add --detach`` into a temporary directory, removed at the
-end.  Writes ``BENCH_<label>.json`` at the working tree's root: every run's
+end, or, with ``--base-tree``, is an existing checkout (a clone, or an
+unpacked ``git archive``, whose commit then reads null).  Writes ``BENCH_<label>.json`` at the working tree's root: every run's
 summary line with the unscaled times and the speed probe's ratios that run.py
 stores beside it, each side's median and quartiles of every end-to-end metric
 and of wall_raw_s and cpu_raw_s, the pairs the change won per metric (by
@@ -46,6 +48,14 @@ _BLAS_PROBE = (
 
 def git(*args: str, cwd: Path = ROOT) -> str:
     return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def commit(tree: Path) -> str | None:
+    """The commit checked out in tree, or None when it is no git checkout."""
+    try:
+        return git("rev-parse", "HEAD", cwd=tree)
+    except subprocess.CalledProcessError:
+        return None
 
 
 def blas_threads(tree: Path) -> int | None:
@@ -115,7 +125,9 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", required=True, help="git ref of the base side")
+    base = parser.add_mutually_exclusive_group(required=True)
+    base.add_argument("--base", help="git ref of the base side, checked out into a temporary worktree")
+    base.add_argument("--base-tree", type=Path, help="an existing checkout of the base side")
     parser.add_argument("--workload", nargs="+", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
@@ -126,8 +138,9 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]} | RAW_METRICS
     tmp = Path(tempfile.mkdtemp(prefix="bench-ab-"))
-    base_tree = tmp / "base"
-    git("worktree", "add", "--detach", str(base_tree), args.base)
+    base_tree = args.base_tree.resolve() if args.base_tree else tmp / "base"
+    if args.base:
+        git("worktree", "add", "--detach", str(base_tree), args.base)
     trees = {"base": base_tree, "change": ROOT}
     ok = True
     try:
@@ -144,7 +157,7 @@ def main(argv=None) -> int:
                 "machine": platform.machine(),
                 "blas_threads": {s: blas_threads(t) for s, t in trees.items()},
             },
-            "base": {"commit": git("rev-parse", "HEAD", cwd=base_tree)},
+            "base": {"commit": commit(base_tree)},
             "change": {"commit": git("rev-parse", "HEAD"),
                        "uncommitted_changes": bool(git("status", "--porcelain"))},
             "workloads": {},
@@ -169,7 +182,8 @@ def main(argv=None) -> int:
                                       for s, q in ratios.items() if q},
             }
     finally:
-        git("worktree", "remove", "--force", str(base_tree))
+        if args.base:
+            git("worktree", "remove", "--force", str(base_tree))
         shutil.rmtree(tmp, ignore_errors=True)
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")

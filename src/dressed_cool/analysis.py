@@ -320,33 +320,23 @@ def steady_points(ps, frame: str = "displaced", rate: bool = False) -> list:
     behind every reported steady state.
 
     The models are solved by one dynamics.steady_states call, which solves
-    the points that share a generator map as one stack, or, when rate is
-    true, point by point by dynamics.steady_state_and_mode on
-    dressed_probe(p), whose mode's decay rate -Re lambda is gamma (NaN
-    otherwise).  That probe holds the cavity vacuum of the displaced frame,
-    which is not the lab frame's cavity state, so a rate in any other frame
-    raises ValueError before anything is built.  A top Fock level past
-    model.TRUNCATION_TOL fails a point with model.TruncationError, and an
-    eigenvalue below POSITIVITY_FLOOR, from one eigvalsh of all the states,
-    with NonPositiveStateError, before the state is reduced.  Any other
-    error is raised."""
+    the points that share a generator map as one stack.  When rate is true,
+    each point carries dressed_probe(p), whose mode's decay rate -Re lambda
+    is gamma (NaN otherwise).  That probe holds the cavity vacuum of the
+    displaced frame, which is not the lab frame's cavity state, so a rate
+    in any other frame raises ValueError before anything is built.  A top
+    Fock level past model.TRUNCATION_TOL fails a point with
+    model.TruncationError, and an eigenvalue below POSITIVITY_FLOOR, from
+    one eigvalsh of all the states, with NonPositiveStateError, before the
+    state is reduced.  Any other error is raised."""
     if rate and frame != "displaced":
         raise ValueError(
             f"the rate probe holds the displaced frame's cavity vacuum; no rate in frame {frame!r}"
         )
     models = [model.build_model(p, frame) for p in ps]
-    if rate:
-        states, gammas = [], []
-        for p, (h, collapse) in zip(ps, models):
-            try:
-                rho, lam = dynamics.steady_state_and_mode(h, collapse, dressed_probe(p))
-                states.append(rho)
-                gammas.append(-lam.real)
-            except NUMERICAL_ERRORS as exc:
-                states.append(exc)
-                gammas.append(math.nan)
-    else:
-        states, gammas = dynamics.steady_states(models), [math.nan] * len(ps)
+    outcomes = dynamics.steady_states(models, [dressed_probe(p) for p in ps] if rate else None)
+    states = [o[0] if isinstance(o, tuple) else o for o in outcomes]
+    gammas = [-o[1].real if isinstance(o, tuple) else math.nan for o in outcomes]
     solved = [rho for rho in states if not isinstance(rho, Exception)]
     lowest = iter(np.linalg.eigvalsh((np.array(solved) + np.conj(solved).transpose(0, 2, 1)) / 2)[:, 0]
                   if solved else ())

@@ -32,7 +32,6 @@ __all__ = [
     "evolve",
     "steady_state",
     "steady_states",
-    "steady_state_and_mode",
 ]
 # liouvillian_matrix is not public: _generator_map builds the dissipator D
 # (H = 0) of every generator with it.  It keeps its unprefixed name only
@@ -388,16 +387,23 @@ def _generator(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[sp.csc_matrix
 _RESIDUAL_TOL = 1e-9
 
 
-def _residual(m: sp.csr_matrix, r: np.ndarray, lam: complex = 0.0):
-    """|M r - lam r| / max(1, max|M|) for each generator M of a stack and
-    its row of r (n x d^2), m holding the stack's n generators as the blocks
-    of its diagonal, all on one pattern; a single vector r gives a float.
-    r is not normalized: a steady state has unit trace and a Ritz vector
-    unit norm."""
+def _residual(gmap: _GeneratorMap, fx: np.ndarray, r: np.ndarray, lam: complex = 0.0):
+    """|M r - lam r| / max(1, max|M|) for each generator M of a stack on one
+    map, whose entries on the map's pattern are a column of fx (entries x
+    n), and its row of r (n x d^2); a single vector r gives a float.  The
+    stack's M are applied as the blocks of one block-diagonal sparse
+    matrix.  r is not normalized: a steady state has unit trace and a Ritz
+    vector unit norm."""
     rows = np.atleast_2d(r)
-    n = rows.shape[0]
+    (entries, n), nn = fx.shape, gmap.indptr.size - 1
+    stack = np.arange(n, dtype=np.int32)[:, None]
+    m = sp.csr_matrix(
+        (fx.T.ravel(), (gmap.indices + nn * stack).ravel(),
+         np.append((gmap.indptr[:-1] + entries * stack).ravel(), n * entries)),
+        shape=(n * nn, n * nn),
+    )
     out = (m @ rows.ravel() - lam * rows.ravel()).reshape(n, -1)
-    residual = np.linalg.norm(out, axis=1) / np.abs(m.data.reshape(n, -1)).max(axis=1, initial=1.0)
+    residual = np.linalg.norm(out, axis=1) / np.abs(fx).max(axis=0, initial=1.0)
     return residual if r.ndim > 1 else float(residual[0])
 
 
@@ -408,14 +414,12 @@ def _residual(m: sp.csr_matrix, r: np.ndarray, lam: complex = 0.0):
 _DEGENERACY_TOL = 1e10
 
 
-def _block_factor(gmap: _GeneratorMap, fx: np.ndarray, b: np.ndarray, keep: bool = False):
-    """S^-1 b for each of a stack of n steady-state systems S on one map,
-    and, when keep is true for a stack of one, the solve b -> S^-1 b of its
-    point for further right-hand sides b (d^2 or d^2 x k; None otherwise).
-    S is the generator M, whose entries on the map's pattern are a column
-    of fx (entries x n), with its first row, the equation for rho[0, 0],
-    replaced by Tr rho, the sum of the populations, which make level 0.  b
-    and S^-1 b are n x d^2 x k.
+def _block_factor(gmap: _GeneratorMap, fx: np.ndarray, b: np.ndarray | None = None) -> tuple:
+    """The factor of a stack of n steady-state systems S on one map, for
+    _block_solve.  S is the generator M, whose entries on the map's pattern
+    are a column of fx (entries x n), with its first row, the equation for
+    rho[0, 0], replaced by Tr rho, the sum of the populations, which make
+    level 0.
 
     S is block tridiagonal in the levels, whose diagonal blocks span
     offsets[i]:offsets[i + 1], and is eliminated by levels (block
@@ -424,171 +428,74 @@ def _block_factor(gmap: _GeneratorMap, fx: np.ndarray, b: np.ndarray, keep: bool
     complements K_last = A_last and K_i = A_i - W_i B_{i+1}, W_i = C_i
     K_{i+1}^-1, are inverted with partial pivoting by np.linalg.inv, one
     level at a time for the whole stack.  Each block is gathered for the
-    stack straight from fx and the map's blocks, so no dense S is formed.
-    b is swept up as the levels are eliminated, y_i = b_i - W_i y_{i+1},
-    and then down, x_i = K_i^-1 (y_i - B_i x_{i-1}).  A_i and C_i are
-    dropped once used, and so is W_i unless keep is true: the factor then
-    holds K_i^-1 and B_{i+1} of every level, 0.14 MiB per point at d = 16,
-    and W_i too, 0.21 MiB in all.  Each point's products and inverses are
-    those it would get alone, so its S^-1 b is the same bit for bit in a
-    stack of any size, and so is the kept solve, which runs on the point's
-    own blocks.  A singular K_i of any point raises np.linalg.LinAlgError
-    for the stack."""
+    stack straight from fx and the map's blocks, so no dense S is formed,
+    and A_i and C_i are dropped once used.  The factor is (K^-1, W, B, at):
+    the stacked K_i^-1, W_i and B_{i+1} of every level, and the slice at[i]
+    of level i's coordinates in a right-hand side.
+
+    Without b the factor keeps every W_i, for any number of right-hand
+    sides: 0.21 MiB per point at d = 16.  With b (n x d^2 x k), each W_i is
+    applied to b in place as it forms, y_i = b_i - W_i y_{i+1}, and
+    dropped, so the factor holds 0.14 MiB per point and _block_solve(factor,
+    b) then only sweeps down: every W_i meets b once, here or there.  Each
+    point's products and inverses are those it would get alone, so its
+    solves are the same bit for bit in a stack of any size, and so are the
+    solves on its own 2-D slices of the factor (f[j] of each stacked
+    array).  A singular K_i of any point raises np.linalg.LinAlgError for
+    the stack."""
     offsets = gmap.offsets
-    lv = [slice(p, q) for p, q in zip(offsets[:-1], offsets[1:])]
-    stacked = [(slice(None), level) for level in lv]
-    n, last = fx.shape[1], len(lv) - 1
+    width = np.diff(offsets)
+    at = [np.s_[..., p:q, :] for p, q in zip(offsets[:-1], offsets[1:])]
+    n, last = fx.shape[1], width.size - 1
 
     def block(i, j):
         entries, positions = gmap.blocks.get((i, j), (slice(0), slice(0)))
-        out = np.zeros((n, lv[i].stop - lv[i].start, lv[j].stop - lv[j].start))
+        out = np.zeros((n, width[i], width[j]))
         out.reshape(n, -1)[:, positions] = fx[entries].T
         if i == j == 0:
             out[:, 0] = 1.0  # the trace row
         return out
 
-    def up(y, w, at):
-        for i in range(last - 1, -1, -1):
-            y[at[i]] -= w[i] @ y[at[i + 1]]
-        return y
-
-    def down(y, k_inv, lower, at):
-        y[at[0]] = k_inv[0] @ y[at[0]]
-        for i in range(1, last + 1):
-            y[at[i]] = k_inv[i] @ (y[at[i]] - lower[i - 1] @ y[at[i - 1]])
-        return y
-
-    y = np.array(b, dtype=float)
     k_inv = [np.linalg.inv(block(last, last))]
     w, lower = [], []
     for i in range(last - 1, -1, -1):
         lower.append(block(i + 1, i))
         w.append(block(i, i + 1) @ k_inv[-1])
-        y[stacked[i]] -= w[-1] @ y[stacked[i + 1]]  # up, as each W_i is formed
         schur = block(i, i)
         schur -= w[-1] @ lower[-1]
         k_inv.append(np.linalg.inv(schur))
         del schur  # before the next level's blocks are gathered
-        if not keep:
-            w.pop()
-    for factors in (k_inv, w, lower):
-        factors.reverse()
-    x = down(y, k_inv, lower, stacked)
-    if not keep:
-        return x, None
-    k_inv, w, lower = ([f[0] for f in factors] for factors in (k_inv, w, lower))
-    return x, lambda b: down(up(np.array(b, dtype=float), w, lv), k_inv, lower, lv)
+        if b is not None:
+            b[at[i]] -= w.pop() @ b[at[i + 1]]  # up, as each W_i is formed
+    for part in (k_inv, w, lower):
+        part.reverse()
+    return k_inv, w, lower, at
 
 
-def _steady(gmap: _GeneratorMap, x: np.ndarray, keep: bool = False):
-    """The steady states of a stack of points on one map, the columns of x
-    holding their coordinates x(h), as (m, solve, states): m holds their
-    generators M (as _residual takes them), solve is b -> S^-1 b for the
-    stack (see _block_factor) when keep is true, and states holds each
-    point's rho, or the MultipleSteadyStatesError that names why it has
-    none.  m and solve are None when the stack's factorisation failed.
-
-    The stack's M are assembled as one product F X, and its systems S are
-    factored at once by _block_factor; S r = e_0 is solved with it.  A
-    point's r is accepted only if it nulls M to the residual tolerance.  A
-    degenerate null space leaves S singular, which roundoff can hide from
-    the factorisation, so the same solve also gives v = S^-1 q for q_k =
-    cos k, and a point whose v grows past _DEGENERACY_TOL is rejected.  A
-    singular block of one point stops the stack's factorisation, so the
-    stack is then solved again point by point, and a point that stays
-    singular alone fails.  Beside its factor, a stack of n points holds
-    its n M (n x entries, 27 KiB per point at d = 16), the right-hand
-    sides and solutions (n x d^2 x 2) and its states."""
-    n = x.shape[1]
-    d = gmap.offsets[1]
-    nn, entries = d * d, gmap.indices.size
-    fx = gmap.f @ x
-    rhs = np.zeros((n, nn, 2))
-    rhs[:, 0, 0] = 1.0
-    rhs[:, :, 1] = np.cos(np.arange(nn))
-    try:
-        r, solve = _block_factor(gmap, fx, rhs, keep)
-    except np.linalg.LinAlgError as exc:
-        if n > 1:
-            return None, None, [_steady(gmap, x[:, j:j + 1])[2][0] for j in range(n)]
-        error = MultipleSteadyStatesError(f"singular steady-state system: {exc}")
-        error.__cause__ = exc
-        return None, None, [error]
-
-    m = sp.csr_matrix(
-        (fx.T.ravel(), (gmap.indices + nn * np.arange(n, dtype=np.int32)[:, None]).ravel(),
-         np.append((gmap.indptr[:-1] + entries * np.arange(n, dtype=np.int32)[:, None]).ravel(), n * entries)),
-        shape=(n * nn, n * nn),
-    )
-    growth = np.linalg.norm(r[:, :, 1], axis=1) / np.linalg.norm(rhs[0, :, 1]) * np.abs(fx).max(axis=0, initial=1.0)
-    residual = _residual(m, r[:, :, 0])
-    rhos = (gmap.basis @ r[:, :, 0].T).T.reshape((n, d, d)).transpose(0, 2, 1)
-    states = []
-    for rho, g, res in zip(rhos, growth, residual):
-        if g > _DEGENERACY_TOL:
-            states.append(MultipleSteadyStatesError(
-                f"steady-state system is singular to roundoff (scaled growth {g:.1e}"
-                f" exceeds {_DEGENERACY_TOL:.0e}); the null space is degenerate"
-            ))
-        elif res > _RESIDUAL_TOL:
-            states.append(MultipleSteadyStatesError(
-                f"steady-state residual {res:.3e} exceeds {_RESIDUAL_TOL:.1e};"
-                " the solve does not null the generator"
-            ))
-        else:
-            states.append(rho / np.trace(rho).real)
-    return m, solve, states
+def _block_solve(factor: tuple, b: np.ndarray) -> np.ndarray:
+    """S^-1 b by a factor of _block_factor, for a stack (b n x d^2 x k), or
+    by one point's 2-D slices of it (b d^2 x k): b swept up through the
+    W_i that the factor kept, y_i = b_i - W_i y_{i+1}, then down, x_i =
+    K_i^-1 (y_i - B_i x_{i-1})."""
+    k_inv, w, lower, at = factor
+    y = np.array(b, dtype=float)
+    for i in range(len(w) - 1, -1, -1):
+        y[at[i]] -= w[i] @ y[at[i + 1]]
+    y[at[0]] = k_inv[0] @ y[at[0]]
+    for i in range(1, len(k_inv)):
+        y[at[i]] = k_inv[i] @ (y[at[i]] - lower[i - 1] @ y[at[i - 1]])
+    return y
 
 
-def _steady_map(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[tuple, _GeneratorMap, np.ndarray]:
-    """_map_of for a steady state, which needs a collapse channel."""
-    if not collapse:
-        raise ValueError("steady state needs at least one collapse channel")
-    return _map_of(h, collapse)
-
-
-def steady_states(models) -> list:
-    """The steady state of each (H, collapse operators) model, in order, or
-    the MultipleSteadyStatesError that names why it has none.
-
-    The models that share a generator map (see _generator) are solved as
-    one stack by _steady, wherever they stand in the list, by a real
-    block-tridiagonal solve in the Hermitian basis.  A point's products and
-    inverses in a stack are those it gets alone (see _block_factor), so its
-    state does not depend on the stack.  Any other error, such as a
-    non-Hermitian H, is raised."""
-    stacks: dict[tuple, tuple[_GeneratorMap, list, list]] = {}
-    for i, (h, collapse) in enumerate(models):
-        key, gmap, x = _steady_map(h, collapse)
-        stack = stacks.setdefault(key, (gmap, [], []))
-        stack[1].append(i)
-        stack[2].append(x)
-    states: list = [None] * len(models)
-    for gmap, where, xs in stacks.values():
-        for i, state in zip(where, _steady(gmap, np.column_stack(xs))[2]):
-            states[i] = state
-    return states
-
-
-def steady_state(h: np.ndarray, collapse: list[CollapseOp]) -> np.ndarray:
-    """Unique steady state by a real block-tridiagonal solve in the
-    Hermitian basis: steady_states of one model, its error raised."""
-    (rho,) = steady_states([(h, collapse)])
-    if isinstance(rho, MultipleSteadyStatesError):
-        raise rho
-    return rho
-
-
-# Krylov dimension of the shift-invert Arnoldi iteration in
-# steady_state_and_mode.
+# Krylov dimension of the shift-invert Arnoldi iteration of _mode.
 _KRYLOV_DIM = 30
 
 
-def steady_state_and_mode(
-    h: np.ndarray, collapse: list[CollapseOp], probe: np.ndarray
-) -> tuple[np.ndarray, complex]:
-    """Steady state and the generator eigenvalue lambda of the mode that
-    carries the Hermitian operator probe, from one generator build.
+def _mode(gmap: _GeneratorMap, fx: np.ndarray, factor: tuple, probe: np.ndarray) -> complex:
+    """The generator eigenvalue lambda of the mode that carries the
+    Hermitian operator probe, at the point whose M has the entries fx (one
+    column; see _residual) and whose S has the factor (its 2-D slices of
+    the stack's factor; see _block_factor).
 
     The decay rate of that mode is -Re lambda.  Of the modes M = sum_k
     lambda_k r_k l_k^T (right and left eigenvectors, l_k . r_k = 1), the one
@@ -596,24 +503,19 @@ def steady_state_and_mode(
     x . exp(M t) x of the probe's traceless part x.
 
     The slow modes are found by shift-invert Arnoldi at 0 from x, each step
-    one solve with the factorisation of S that _steady reads the steady
-    state off, so no inverse is formed.  M is singular (the steady state
-    spans its null space) but maps onto the
-    traceless subspace, where it is invertible: for a traceless y, M^-1 y is
-    the traceless solution of S v = y with y[0] set to 0.  That is exact,
-    because row 0 of a traceless image is minus the sum of the other
-    diagonal rows.  When the Krylov space becomes invariant after j < k
-    steps (a lucky breakdown, as when d^2 - 1 < _KRYLOV_DIM), the j x j
-    Hessenberg's Ritz pairs are exact eigenpairs.  Raises
-    ModeNotConvergedError when the picked Ritz pair misses the residual
-    tolerance.
+    one solve with the factorisation of S that the steady state is read off,
+    so no inverse is formed.  M is singular (the steady state spans its null
+    space) but maps onto the traceless subspace, where it is invertible: for
+    a traceless y, M^-1 y is the traceless solution of S v = y with y[0] set
+    to 0.  That is exact, because row 0 of a traceless image is minus the
+    sum of the other diagonal rows.  When the Krylov space becomes invariant
+    after j < k steps (a lucky breakdown, as when d^2 - 1 < _KRYLOV_DIM),
+    the j x j Hessenberg's Ritz pairs are exact eigenpairs.  Raises
+    ModeNotConvergedError when the probe has no traceless part or the
+    picked Ritz pair misses the residual tolerance.
     """
-    _, gmap, x0 = _steady_map(h, collapse)
-    m, solve, (rho,) = _steady(gmap, x0[:, None], keep=True)
-    if isinstance(rho, MultipleSteadyStatesError):
-        raise rho
-    d, basis = h.shape[0], gmap.basis
-    x = (basis.conj().T @ np.asarray(probe, dtype=complex).ravel(order="F")).real
+    d = gmap.offsets[1]
+    x = (gmap.basis.conj().T @ np.asarray(probe, dtype=complex).ravel(order="F")).real
     x[:d] -= x[:d].sum() / d
     beta = float(np.linalg.norm(x))
     if beta == 0.0:
@@ -623,9 +525,9 @@ def steady_state_and_mode(
     hess = np.zeros((k + 1, k))
     vs[0] = x / beta
     for j in range(k):
-        w = vs[j].copy()
+        w = vs[j, :, None].copy()
         w[0] = 0.0
-        w = solve(w)
+        w = _block_solve(factor, w)[:, 0]
         for _ in range(2):  # Gram-Schmidt, repeated once for orthogonality
             c = vs[: j + 1] @ w
             w -= c @ vs[: j + 1]
@@ -641,9 +543,115 @@ def steady_state_and_mode(
     weight = np.abs(right[0] * np.linalg.inv(right)[:, 0])
     pick = int(np.argmax(weight))
     lam = complex(1.0 / mu[pick])
-    residual = _residual(m, right[:, pick] @ vs[:k], lam)
+    residual = _residual(gmap, fx, right[:, pick] @ vs[:k], lam)
     if residual > _RESIDUAL_TOL:
         raise ModeNotConvergedError(
             f"Ritz residual {residual:.3e} of the probed mode exceeds {_RESIDUAL_TOL:.1e}"
         )
-    return rho, lam
+    return lam
+
+
+def _steady(gmap: _GeneratorMap, x: np.ndarray, probes: list) -> list:
+    """The outcome of each of a stack of points on one map, the columns of
+    x holding their coordinates x(h) and probes their probes (a Hermitian
+    operator or None each): its rho, (rho, lambda) when it has a probe (see
+    _mode), or the MultipleSteadyStatesError or ModeNotConvergedError that
+    names why it failed.
+
+    The stack's M are assembled as one product F X, and its systems S are
+    factored at once by _block_factor; S r = e_0 is solved with it.  A
+    point's r is accepted only if it nulls M to the residual tolerance.  A
+    degenerate null space leaves S singular, which roundoff can hide from
+    the factorisation, so the same solve also gives v = S^-1 q for q_k =
+    cos k, and a point whose v grows past _DEGENERACY_TOL is rejected.  A
+    stack with a probe keeps its W_i for the probes' Arnoldi solves, each
+    on its point's slices of the factor; a stack without one sweeps these
+    two right-hand sides up as the W_i form and drops them.  A singular
+    block of one point stops the stack's factorisation, so the stack is
+    then solved again point by point, and a point that stays singular alone
+    fails.  Beside its factor, a stack of n points holds its n M (n x
+    entries, 27 KiB per point at d = 16), the right-hand sides and
+    solutions (n x d^2 x 2) and its states."""
+    n = x.shape[1]
+    d = gmap.offsets[1]
+    nn = d * d
+    fx = gmap.f @ x
+    q = np.cos(np.arange(nn))
+    rhs = np.zeros((n, nn, 2))
+    rhs[:, 0, 0] = 1.0
+    rhs[:, :, 1] = q
+    probed = any(probe is not None for probe in probes)
+    try:
+        factor = _block_factor(gmap, fx, None if probed else rhs)
+    except np.linalg.LinAlgError as exc:
+        if n > 1:
+            return [_steady(gmap, x[:, j:j + 1], probes[j:j + 1])[0] for j in range(n)]
+        error = MultipleSteadyStatesError(f"singular steady-state system: {exc}")
+        error.__cause__ = exc
+        return [error]
+
+    r = _block_solve(factor, rhs)
+    growth = np.linalg.norm(r[:, :, 1], axis=1) / np.linalg.norm(q) * np.abs(fx).max(axis=0, initial=1.0)
+    residual = _residual(gmap, fx, r[:, :, 0])
+    rhos = (gmap.basis @ r[:, :, 0].T).T.reshape((n, d, d)).transpose(0, 2, 1)
+    outcomes = []
+    for j, (rho, g, res, probe) in enumerate(zip(rhos, growth, residual, probes)):
+        if g > _DEGENERACY_TOL:
+            outcomes.append(MultipleSteadyStatesError(
+                f"steady-state system is singular to roundoff (scaled growth {g:.1e}"
+                f" exceeds {_DEGENERACY_TOL:.0e}); the null space is degenerate"
+            ))
+        elif res > _RESIDUAL_TOL:
+            outcomes.append(MultipleSteadyStatesError(
+                f"steady-state residual {res:.3e} exceeds {_RESIDUAL_TOL:.1e};"
+                " the solve does not null the generator"
+            ))
+        elif probe is None:
+            outcomes.append(rho / np.trace(rho).real)
+        else:
+            point = (*([f[j] for f in part] for part in factor[:3]), factor[3])
+            try:
+                outcomes.append((rho / np.trace(rho).real, _mode(gmap, fx[:, j:j + 1], point, probe)))
+            except ModeNotConvergedError as exc:
+                outcomes.append(exc)
+    return outcomes
+
+
+def steady_states(models, probes=None) -> list:
+    """The outcome of each (H, collapse operators) model, in order: its
+    steady state rho, or (rho, lambda) when probes, one Hermitian operator
+    or None per model, gives it a probe, lambda being the generator
+    eigenvalue of the mode that carries the probe (see _mode), whose decay
+    rate is -Re lambda; or the MultipleSteadyStatesError or
+    ModeNotConvergedError that names why it has none.
+
+    The models that share a generator map (see _generator) are solved as
+    one stack by _steady, wherever they stand in the list, by a real
+    block-tridiagonal solve in the Hermitian basis.  A point's products and
+    inverses in a stack are those it gets alone (see _block_factor), so its
+    outcome does not depend on the stack.  A model without a collapse
+    channel raises ValueError; any other error, such as a non-Hermitian H,
+    is raised."""
+    probes = [None] * len(models) if probes is None else probes
+    stacks: dict[tuple, tuple[_GeneratorMap, list, list]] = {}
+    for i, (h, collapse) in enumerate(models):
+        if not collapse:
+            raise ValueError("steady state needs at least one collapse channel")
+        key, gmap, x = _map_of(h, collapse)
+        stack = stacks.setdefault(key, (gmap, [], []))
+        stack[1].append(i)
+        stack[2].append(x)
+    outcomes: list = [None] * len(models)
+    for gmap, where, xs in stacks.values():
+        for i, outcome in zip(where, _steady(gmap, np.column_stack(xs), [probes[i] for i in where])):
+            outcomes[i] = outcome
+    return outcomes
+
+
+def steady_state(h: np.ndarray, collapse: list[CollapseOp]) -> np.ndarray:
+    """Unique steady state by a real block-tridiagonal solve in the
+    Hermitian basis: steady_states of one model, its error raised."""
+    (rho,) = steady_states([(h, collapse)])
+    if isinstance(rho, MultipleSteadyStatesError):
+        raise rho
+    return rho

@@ -135,23 +135,17 @@ def _evaluate_point(args: tuple[SweepGrid, float, float, float, tuple | Exceptio
     )
 
 
-def _analytic_point(p: model.SystemParams) -> tuple | Exception:
-    try:
-        return analysis.analytic_point(p)
-    except analysis.NUMERICAL_ERRORS as exc:
-        return exc
-
-
 def _evaluate_stack(stack: Sequence[tuple[SweepGrid, float, float]]) -> list[SweepRow]:
-    """The rows of a stack of points of one grid.  steady_tomography solves
-    the stack's steady states together (analysis.steady_points, which
-    stacks the points that share a generator map); cooling_rate and
-    rates_analytic_map evaluate its points one by one."""
+    """The rows of a stack of points of one grid.  steady_tomography and
+    cooling_rate solve the stack's steady states, and cooling_rate its
+    rates, together (analysis.steady_points, which stacks the points that
+    share a generator map); rates_analytic_map evaluates its points one by
+    one."""
     grid = stack[0][0]
     params = [_point_params(grid, p_d_db, delta_q) for _, p_d_db, delta_q in stack]
     ps = [p for p, _ in params]
     if grid.mode == "rates_analytic_map":
-        outcomes = [_analytic_point(p) for p in ps]
+        outcomes = [analysis.analytic_point(p) for p in ps]
     else:
         outcomes = [o if isinstance(o, Exception) else (o[0], o[2])
                     for o in analysis.steady_points(ps, rate=grid.mode == "cooling_rate")]
@@ -306,8 +300,11 @@ def _map_chunk(fn, chunk: Sequence) -> list:
 # points; 2-core x86-64, one BLAS thread) stacks of 6 took 27% off the
 # sweep's wall time against solving point by point (BENCH_stacked_steady.json),
 # and stacks of 8 little more.  A point holds about 0.2 MiB at d = 16 while
-# its stack is solved (see dynamics._block_factor), so larger stacks raise
-# peak memory for no gain: peak RSS rose by 0.75 MiB at 6 and 1.3 MiB at 8.
+# its stack is solved, and 0.07 MiB more in a cooling_rate stack, which keeps
+# every W_i for the Arnoldi solves (see dynamics._block_factor), so larger
+# stacks raise peak memory for no gain: steady_tomography's peak RSS rose by
+# 0.75 MiB at 6 and 1.3 MiB at 8, and cooling_rate's by 1.16 MiB at 6 on the
+# 3x3 grid against point by point (BENCH_one_steady_solve.json).
 _STACK = 6
 
 

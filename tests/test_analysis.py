@@ -291,7 +291,7 @@ def test_steady_point_is_the_gated_solve(frame):
     assert 0.0 < top <= 1e-4
     assert math.isnan(gamma)
     v_mode, _, gamma = steady_point(p, rate=True)
-    rho_mode, lam = dynamics.steady_state_and_mode(*build_model(p), dressed_probe(p))
+    ((rho_mode, lam),) = dynamics.steady_states([build_model(p)], [dressed_probe(p)])
     assert v_mode == bloch_vector(rho_mode)
     assert gamma == -lam.real > 0.0
 
@@ -310,8 +310,8 @@ def test_steady_point_gates_positivity(monkeypatch, shift, fails):
     p = reference_params(n_bar=1.0)
     solve = dynamics.steady_states
 
-    def shifted(models):
-        (rho,) = solve(models)
+    def shifted(models, probes=None):
+        (rho,) = solve(models, probes)
         d = rho.shape[0]
         return [rho - shift * np.eye(d) + shift * d * np.diag(np.eye(d)[0])]
 

@@ -20,7 +20,7 @@ from dressed_cool.dynamics import (
     evolve,
     liouvillian_matrix,
     steady_state,
-    steady_state_and_mode,
+    steady_states,
 )
 from dressed_cool.integrate import StiffnessError, integrate_adaptive
 from dressed_cool.model import (
@@ -583,7 +583,7 @@ def test_non_hermitian_hamiltonian_is_rejected():
     with pytest.raises(ValueError, match="Hamiltonian is not Hermitian"):
         steady_state(h, ops)
     with pytest.raises(ValueError, match="Hamiltonian is not Hermitian"):
-        steady_state_and_mode(h, ops, analysis.dressed_probe(p))
+        steady_states([(h, ops)], [analysis.dressed_probe(p)])
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +662,17 @@ def test_steady_state_leaves_scipy_linalg_unimported():
 
 
 # ---------------------------------------------------------------------------
-# steady_state_and_mode
+# steady_states with a probe
+
+
+def steady_and_mode(h, ops, probe):
+    """(rho, lambda) of one model probed by probe, from steady_states, its
+    error raised."""
+    (outcome,) = steady_states([(h, ops)], [probe])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
 
 # The 3x3 default-range cooling_rate grid (seed 0), and the same grid with
 # both axes shifted by a fraction of a step, as the benchmark's seed 3 draws
@@ -689,7 +699,7 @@ def test_mode_matches_full_eig_oracle(seed):
             p = cooling_point(p_d, dq)
             h, ops = build_model(p)
             probe = analysis.dressed_probe(p)
-            rho, lam = steady_state_and_mode(h, ops, probe)
+            rho, lam = steady_and_mode(h, ops, probe)
             expected, _ = full_eig_mode(h, ops, probe)
             assert lam.real == pytest.approx(expected.real, rel=1e-9), (p_d, dq)
             assert np.array_equal(rho, steady_state(h, ops))
@@ -700,7 +710,7 @@ def test_mode_pick_is_the_dressed_mode_not_the_slowest():
     # complex pair; the dressed-axis relaxation is a faster, real mode
     p = cooling_point(-10.0, -5.0)
     h, ops = build_model(p)
-    _, lam = steady_state_and_mode(h, ops, analysis.dressed_probe(p))
+    _, lam = steady_and_mode(h, ops, analysis.dressed_probe(p))
     _, spectrum = full_eig_mode(h, ops, analysis.dressed_probe(p))
     nonzero = spectrum[np.argsort(-spectrum.real)[1:]]
     slowest = nonzero[0]
@@ -714,7 +724,7 @@ def test_mode_rate_matches_late_window_fit():
     # the full-window fit (0.838 here) is biased low by the cavity ring-up
     # at turn-on; past 0.3 t_max one exponential is left, with the mode's rate
     p = cooling_point(8.0, -5.0)
-    _, lam = steady_state_and_mode(*build_model(p), analysis.dressed_probe(p))
+    _, lam = steady_and_mode(*build_model(p), analysis.dressed_probe(p))
     assert -lam.real == pytest.approx(0.9043, abs=1e-4)
     t_max = 10.0 / rates_general(p).total
     traj = analysis.cooling_trajectory(p, t_max)
@@ -727,10 +737,10 @@ def test_mode_failures_are_named(monkeypatch):
     p = cooling_point(0.0, 0.0)
     h, ops = build_model(p)
     with pytest.raises(ModeNotConvergedError, match="no traceless part"):
-        steady_state_and_mode(h, ops, np.eye(h.shape[0]))
+        steady_and_mode(h, ops, np.eye(h.shape[0]))
     monkeypatch.setattr(dynamics, "_KRYLOV_DIM", 2)
     with pytest.raises(ModeNotConvergedError, match="Ritz residual"):
-        steady_state_and_mode(h, ops, analysis.dressed_probe(p))
+        steady_and_mode(h, ops, analysis.dressed_probe(p))
     grid = sweep.SweepGrid(power_db=[0.0], detuning=[0.0], fixed=p, mode="cooling_rate")
     row = sweep.run_sweep(grid).rows[0]
     assert not row.converged
@@ -744,34 +754,81 @@ def test_mode_survives_a_lucky_breakdown():
     p = reference_params().with_n_fock(2)
     h, ops = build_model(p)
     probe = analysis.dressed_probe(p)
-    rho, lam = steady_state_and_mode(h, ops, probe)
+    rho, lam = steady_and_mode(h, ops, probe)
     expected, _ = full_eig_mode(h, ops, probe)
     assert lam.real == pytest.approx(expected.real, rel=1e-9)
     assert -lam.real == pytest.approx(2.9424, abs=1e-4)
     assert np.array_equal(rho, steady_state(h, ops))
 
 
+def test_probed_points_do_not_depend_on_their_stack(monkeypatch):
+    # six cooling_rate points on one map (n_fock 8): four probed on the
+    # dressed axis, one probed by the identity, which has no traceless part,
+    # and one without a probe; each outcome is the one its point gets alone,
+    # bit for bit, in the stack and when a failed stacked factorisation
+    # sends its points through the point-by-point fallback
+    grid = sweep.SweepGrid(power_db=[-10.0, 0.0, 8.0], detuning=2.0 * math.pi * np.array([-5.0, 15.0]),
+                           fixed=reference_params(n_fock=8), mode="cooling_rate", auto_n_fock=False)
+    ps = [sweep._point_params(grid, p_d, dq)[0] for p_d in grid.power_db for dq in grid.detuning]
+    models = [build_model(p) for p in ps]
+    assert len({dynamics._map_of(*m)[0] for m in models}) == 1
+    probes = [analysis.dressed_probe(p) for p in ps]
+    probes[1], probes[4] = np.eye(16), None
+    alone = [steady_states([m], [probe])[0] for m, probe in zip(models, probes)]
+    assert np.array_equal(alone[4], steady_state(*models[4]))
+
+    def check(outcomes):
+        assert isinstance(outcomes[1], ModeNotConvergedError)
+        assert "no traceless part" in str(outcomes[1])
+        assert np.array_equal(outcomes[4], alone[4])
+        for i in (0, 2, 3, 5):
+            rho, lam = outcomes[i]
+            assert np.array_equal(rho, alone[i][0]) and lam == alone[i][1], i
+            assert np.array_equal(rho, steady_state(*models[i]))
+
+    check(steady_states(models, probes))
+    factor, factors = dynamics._block_factor, []
+
+    def singular_stack(gmap, fx, b=None):
+        factors.append(fx.shape[1])
+        if fx.shape[1] > 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return factor(gmap, fx, b)
+
+    monkeypatch.setattr(dynamics, "_block_factor", singular_stack)
+    outcomes = steady_states(models, probes)
+    assert factors == [6, 1, 1, 1, 1, 1, 1]
+    check(outcomes)
+
+
 def test_residual_applies_the_generator():
-    # the steady path's M is Re(T+ L T) of the np.kron generator in the map's
-    # basis, and the factor's solve inverts M with its first row replaced by
-    # the trace
+    # the steady path's M, the column F x of the map's pattern entries, is
+    # Re(T+ L T) of the np.kron generator in the map's basis, the kept factor
+    # of a point's solve inverts M with its first row replaced by the trace,
+    # and the residual helper applies M to one vector or to a stack's rows
     rng = np.random.default_rng(7)
     p = reference_params(n_bar=1.0, n_fock=4)
     h, ops = build_model(p)
-    _, gmap, x = dynamics._steady_map(h, ops)
-    m, solve, (rho,) = dynamics._steady(gmap, x[:, None], keep=True)
+    _, gmap, x = dynamics._map_of(h, ops)
+    fx = gmap.f @ x[:, None]
+    m = sp.csr_matrix((fx[:, 0], gmap.indices, gmap.indptr), shape=(64, 64)).toarray()
     basis = gmap.basis
     ref = (basis.conj().T @ kron_liouvillian(h, ops) @ basis).real
-    assert np.max(np.abs(m.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
-    system = m.toarray()
+    assert np.max(np.abs(m - ref)) <= 1e-13 * np.max(np.abs(ref))
+    system = m.copy()
     system[0] = np.r_[np.ones(8), np.zeros(56)]
-    assert np.max(np.abs(solve(system) - np.eye(64))) <= 1e-12
+    factor = dynamics._block_factor(gmap, fx)
+    assert np.max(np.abs(dynamics._block_solve(factor, system[None])[0] - np.eye(64))) <= 1e-12
     r = rng.normal(size=ref.shape[0]) + 1j * rng.normal(size=ref.shape[0])
     lam = -1.5 + 2.0j
     expected = np.linalg.norm(ref @ r - lam * r) / max(1.0, np.abs(ref).max())
-    assert dynamics._residual(m, r, lam) == pytest.approx(expected, rel=1e-12)
+    assert dynamics._residual(gmap, fx, r, lam) == pytest.approx(expected, rel=1e-12)
+    pair = dynamics._residual(gmap, np.column_stack([fx, 2.0 * fx]), np.array([r, r]), lam)
+    assert pair[0] == dynamics._residual(gmap, fx, r, lam)
+    assert pair[1] == pytest.approx(np.linalg.norm(2.0 * ref @ r - lam * r) / (2.0 * np.abs(ref).max()), rel=1e-12)
+    rho = steady_state(h, ops)
     x = (basis.conj().T @ rho.ravel(order="F")).real
-    assert dynamics._residual(m, x) <= 1e-14
+    assert dynamics._residual(gmap, fx, x) <= 1e-14
 
 
 # Operating points whose H has different nonzero patterns or whose collapse
@@ -881,10 +938,13 @@ def test_a_trajectory_and_a_steady_point_share_one_map(frame, monkeypatch):
 
 
 def test_mode_factors_the_steady_system_once(monkeypatch):
-    # both paths factor S once, by levels, and the shift-invert steps reuse
-    # that factor's solve: no d^2 x d^2 matrix is inverted or solved densely
+    # a stack is factored once, by levels, with or without probes, and the
+    # shift-invert steps of every probed point reuse that factor: no d^2 x
+    # d^2 matrix is inverted or solved densely
     p = cooling_point(0.0, 0.0)
     h, ops = build_model(p)
+    q = cooling_point(0.0, 5.0)
+    assert dynamics._map_of(h, ops)[0] == dynamics._map_of(*build_model(q))[0]
     n = h.shape[0] ** 2
     dense, factors = [], []
 
@@ -901,10 +961,13 @@ def test_mode_factors_the_steady_system_once(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted(name))
     factor = dynamics._block_factor
     monkeypatch.setattr(dynamics, "_block_factor", lambda *a: factors.append(1) or factor(*a))
-    steady_state_and_mode(h, ops, analysis.dressed_probe(p))
+    steady_and_mode(h, ops, analysis.dressed_probe(p))
     assert dense == [] and len(factors) == 1
-    steady_state(h, ops)
+    outcomes = steady_states([(h, ops), build_model(q)], [analysis.dressed_probe(p), analysis.dressed_probe(q)])
+    assert all(isinstance(o, tuple) for o in outcomes)
     assert dense == [] and len(factors) == 2
+    steady_state(h, ops)
+    assert dense == [] and len(factors) == 3
 
 
 def level_of(offsets, n):
@@ -974,9 +1037,16 @@ def test_block_solve_matches_a_dense_solve(frame, fields):
     b = np.column_stack([np.eye(d * d)[0], rng.normal(size=(d * d, 2))])
     ref = np.linalg.solve(system, b)
     _, gmap, x = dynamics._map_of(h, ops)
-    got, solve = dynamics._block_factor(gmap, gmap.f @ x[:, None], b[None], keep=True)
+    fx = gmap.f @ x[:, None]
+    swept = b[None].copy()  # swept up in place as the factor forms
+    got = dynamics._block_solve(dynamics._block_factor(gmap, fx, swept), swept)
     assert np.max(np.abs(got[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert np.array_equal(solve(b), got[0])
+    # the kept factor solves any right-hand side, for the stack and on its
+    # point's 2-D slices, bit for bit as the factorisation's own solve
+    kept = dynamics._block_factor(gmap, fx)
+    assert np.array_equal(dynamics._block_solve(kept, b[None]), got)
+    point = (*([f[0] for f in part] for part in kept[:3]), kept[3])
+    assert np.array_equal(dynamics._block_solve(point, b), got[0])
 
 
 @pytest.mark.parametrize("frame", FRAMES)
@@ -995,8 +1065,9 @@ def test_both_residual_checks_go_through_one_helper(monkeypatch):
     h, ops = build_model(p)
     calls = []
     residual = dynamics._residual
-    monkeypatch.setattr(dynamics, "_residual", lambda m, r, lam=0.0: calls.append(lam) or residual(m, r, lam))
-    _, lam = steady_state_and_mode(h, ops, analysis.dressed_probe(p))
+    monkeypatch.setattr(dynamics, "_residual",
+                        lambda gmap, fx, r, lam=0.0: calls.append(lam) or residual(gmap, fx, r, lam))
+    _, lam = steady_and_mode(h, ops, analysis.dressed_probe(p))
     assert calls == [0.0, lam]
     monkeypatch.setattr(dynamics, "_RESIDUAL_TOL", -1.0)
     with pytest.raises(MultipleSteadyStatesError, match="steady-state residual"):
@@ -1029,7 +1100,7 @@ def test_steady_degenerate_blocks_are_detected():
             steady_state(h, ops)
         # the mode path reads the same check off the same solve
         with pytest.raises(MultipleSteadyStatesError):
-            steady_state_and_mode(h, ops, np.diag([1.0, -1.0, 0.0, 0.0]))
+            steady_and_mode(h, ops, np.diag([1.0, -1.0, 0.0, 0.0]))
 
 
 def test_steady_matches_long_time_evolve():

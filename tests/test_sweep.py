@@ -301,17 +301,22 @@ def test_failures_stay_with_their_own_point(monkeypatch):
     ps = [sweep._point_params(grid, p_d, dq)[0] for p_d in grid.power_db for dq in grid.detuning[:1]]
     ps.insert(1, replace(ps[0], omega_r_rabi=1e-30))
     assert len({analysis.dynamics._map_of(*model.build_model(p))[0] for p in ps}) == 1
-    alone = [analysis.steady_points([p])[0] for p in ps]
+    # with rate, every point also carries its probe, and the good ones their rate
+    alone = {rate: [analysis.steady_points([p], rate=rate)[0] for p in ps] for rate in (False, True)}
+    assert all(math.isnan(alone[False][i][2]) and alone[True][i][2] > 0.0 for i in (0, 2))
 
-    def check(points):
+    def check(rate):
+        points = analysis.steady_points(ps, rate=rate)
         assert isinstance(points[1], analysis.dynamics.MultipleSteadyStatesError)
         assert "degenerate" in str(points[1])
         assert isinstance(points[3], model.TruncationError)
         assert "n_fock = 8" in str(points[3])
         for i in (0, 2):
-            assert points[i][:2] == alone[i][:2]
+            assert points[i][:2] == alone[rate][i][:2]
+            assert points[i][2] == alone[rate][i][2] if rate else math.isnan(points[i][2])
 
-    check(analysis.steady_points(ps))
+    for rate in (False, True):
+        check(rate)
     # a singular block stops a stack's factorisation: the stack is solved
     # again point by point, with the same outcome for every point
     inv = np.linalg.inv
@@ -322,7 +327,8 @@ def test_failures_stay_with_their_own_point(monkeypatch):
         return inv(a)
 
     monkeypatch.setattr(np.linalg, "inv", singular_stack)
-    check(analysis.steady_points(ps))
+    for rate in (False, True):
+        check(rate)
     monkeypatch.undo()
 
     # and a programming error inside the stacked solve is no failed point
@@ -330,8 +336,9 @@ def test_failures_stay_with_their_own_point(monkeypatch):
         raise TypeError("broken factorisation")
 
     monkeypatch.setattr(analysis.dynamics, "_block_factor", broken)
-    with pytest.raises(TypeError, match="broken factorisation"):
-        analysis.steady_points(ps)
+    for rate in (False, True):
+        with pytest.raises(TypeError, match="broken factorisation"):
+            analysis.steady_points(ps, rate=rate)
     with pytest.raises(TypeError, match="broken factorisation"):
         run_sweep(grid)
 

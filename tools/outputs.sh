@@ -1,50 +1,21 @@
 #!/bin/sh
 # Write the CLI outputs that must stay byte-identical while the numerical
-# method is unchanged, one file each, into <outdir>:
-#   steady_map.csv      default 41x41 steady_tomography sweep, 1 worker
-#   rates_map.csv       default rates_analytic_map sweep
-#   cooling_map.csv     3x3 cooling_rate sweep on the default ranges; its
-#                       gamma_fit column is the spectral rate since the
-#                       cooling-rate method change (CHANGES.md), which also
-#                       added the gamma_fit_method metadata line.  Against a
-#                       checkout from before it, only those differ at points
-#                       that converged on both sides; the other columns stay
-#                       identical.
-#   evolve_*.csv        undisplaced/turn_on and displaced/ground trajectories,
-#                       and evolve_turn_on_n4.csv, displaced turn-on at
-#                       n_bar = 4 over 2 us, whose cutoff the initial state
-#                       sets (n_fock 15 since the state-sized cutoff rule in
-#                       CHANGES.md; 8 before it, with 0.0627 in the top level),
-#                       and evolve_strong.csv, criterion 3's strong-coupling
-#                       run from |g> at kappa/2pi = 0.2 MHz, n_bar = 3.31.
-#                       Since evolve takes its generator from the cached map
-#                       (one generator builder, CHANGES.md), which sums M's
-#                       entries in another order, these files differ from a
-#                       checkout before it at roundoff only: at most 2.3e-10
-#                       in a column, against the integrator's rtol of 1e-8.
-#                       Since the block-tridiagonal steady solve (CHANGES.md)
-#                       the map numbers M's coordinates by level, which
-#                       moves the undisplaced, displaced and strong files
-#                       again at roundoff: at most 1.0e-9 (n_cav), 1.0e-11
-#                       and 3.0e-10 in a column; evolve_turn_on_n4.csv
-#                       stayed identical
-#   fit.json            exponential fit of the undisplaced trajectory's sx;
-#                       since the variable-projection fit (CHANGES.md) its
-#                       rate_per_us, y_inf and y_0 differ from a checkout
-#                       before it by 9.2e-10, 6.8e-11 and 3.1e-9 relative,
-#                       and iterations counts projected residuals (110)
-#                       where it counted Gauss-Newton steps (10)
-#   spectrum.json       dominant frequency of evolve_strong.csv's sx
-#   steady_*.json       steady state in both frames; since the block-
-#                       tridiagonal steady solve they differ from a checkout
-#                       before it by at most 1.9e-14 (displaced <sy>) and
-#                       1.2e-14 (undisplaced <sx>)
-#   rates*.txt          rates at the defaults and at delta_c = +9 MHz
-#   verify.txt          acceptance lines and the exit status; against a
-#                       checkout before the one generator builder only
-#                       criterion 7's max |tr - 1| differs (1.47e-14 there,
-#                       1.55e-14 since, 1.69e-14 since the block-tridiagonal
-#                       steady solve)
+# method is unchanged into <outdir>, beside the <name>.json.in config of each:
+#   steady_map.csv              default 41x41 steady_tomography sweep, 1 worker
+#   rates_map.csv               default rates_analytic_map sweep
+#   cooling_map.csv             3x3 cooling_rate sweep on the default ranges
+#   evolve_undisplaced.csv      lab-frame turn-on trajectory
+#   evolve_displaced.csv        displaced-frame trajectory from |g>
+#   evolve_turn_on_n4.csv       displaced turn-on at n_bar = 4 over 2 us
+#   evolve_strong.csv           criterion 3's strong-coupling run from |g>
+#   fit.json                    exponential fit of evolve_undisplaced.csv's sx
+#   spectrum.json               dominant frequency of evolve_strong.csv's sx
+#   steady_displaced.json       steady state in the displaced frame
+#   steady_undisplaced.json     steady state in the lab frame
+#   rates.txt                   analytic rates at the defaults
+#   rates_blue.txt              analytic rates at delta_c = +9 MHz
+#   verify.txt                  acceptance lines and the exit status
+# How each file moved under a change of numerical method is in CHANGES.md.
 # Run it on two checkouts and compare with `diff -r` or `cmp`.
 # Usage: tools/outputs.sh <outdir>    (takes about half a minute)
 set -eu

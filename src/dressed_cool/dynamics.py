@@ -387,23 +387,26 @@ def _generator(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[sp.csc_matrix
 _RESIDUAL_TOL = 1e-9
 
 
-def _residual(gmap: _GeneratorMap, fx: np.ndarray, r: np.ndarray, lam: complex = 0.0):
+def _residual(gmap: _GeneratorMap, fx: np.ndarray, r: np.ndarray, lam=0.0):
     """|M r - lam r| / max(1, max|M|) for each generator M of a stack on one
     map, whose entries on the map's pattern are a column of fx (entries x
-    n), and its row of r (n x d^2); a single vector r gives a float.  The
-    stack's M are applied as the blocks of one block-diagonal sparse
-    matrix.  r is not normalized: a steady state has unit trace and a Ritz
-    vector unit norm."""
+    n), its row of r (n x d^2) and lam, one number or one per row; a single
+    vector r gives a float.  The stack's M are applied as the blocks of one
+    block-diagonal sparse matrix.  r is not normalized: a steady state has
+    unit trace and a Ritz vector unit norm."""
     rows = np.atleast_2d(r)
     (entries, n), nn = fx.shape, gmap.indptr.size - 1
+    scale = np.abs(fx).max(axis=0, initial=1.0)  # before M, so that |fx| and M are not held at once
     stack = np.arange(n, dtype=np.int32)[:, None]
     m = sp.csr_matrix(
         (fx.T.ravel(), (gmap.indices + nn * stack).ravel(),
          np.append((gmap.indptr[:-1] + entries * stack).ravel(), n * entries)),
         shape=(n * nn, n * nn),
     )
-    out = (m @ rows.ravel() - lam * rows.ravel()).reshape(n, -1)
-    residual = np.linalg.norm(out, axis=1) / np.abs(fx).max(axis=0, initial=1.0)
+    v = rows.ravel()
+    mv = m @ v if np.isrealobj(v) else m @ v.real + 1j * (m @ v.imag)  # M is not cast to complex
+    out = mv.reshape(n, -1) - np.reshape(lam, (-1, 1)) * rows
+    residual = np.linalg.norm(out, axis=1) / scale
     return residual if r.ndim > 1 else float(residual[0])
 
 
@@ -439,13 +442,11 @@ def _block_factor(gmap: _GeneratorMap, fx: np.ndarray, b: np.ndarray | None = No
     dropped, so the factor holds 0.14 MiB per point and _block_solve(factor,
     b) then only sweeps down: every W_i meets b once, here or there.  Each
     point's products and inverses are those it would get alone, so its
-    solves are the same bit for bit in a stack of any size, and so are the
-    solves on its own 2-D slices of the factor (f[j] of each stacked
-    array).  A singular K_i of any point raises np.linalg.LinAlgError for
-    the stack."""
+    solves are the same bit for bit in a stack of any size.  A singular K_i
+    of any point raises np.linalg.LinAlgError for the stack."""
     offsets = gmap.offsets
     width = np.diff(offsets)
-    at = [np.s_[..., p:q, :] for p, q in zip(offsets[:-1], offsets[1:])]
+    at = [np.s_[:, p:q] for p, q in zip(offsets[:-1], offsets[1:])]
     n, last = fx.shape[1], width.size - 1
 
     def block(i, j):
@@ -473,10 +474,12 @@ def _block_factor(gmap: _GeneratorMap, fx: np.ndarray, b: np.ndarray | None = No
 
 
 def _block_solve(factor: tuple, b: np.ndarray) -> np.ndarray:
-    """S^-1 b by a factor of _block_factor, for a stack (b n x d^2 x k), or
-    by one point's 2-D slices of it (b d^2 x k): b swept up through the
-    W_i that the factor kept, y_i = b_i - W_i y_{i+1}, then down, x_i =
-    K_i^-1 (y_i - B_i x_{i-1})."""
+    """S^-1 b for a stack (b n x d^2 x k) by the stack's factor of
+    _block_factor: b swept up through the W_i that the factor kept, y_i =
+    b_i - W_i y_{i+1}, then down, x_i = K_i^-1 (y_i - B_i x_{i-1}).  Each
+    product is a stacked np.matmul, one BLAS call per point on that point's
+    slices, so a point's solution does not depend on the rest of the
+    stack."""
     k_inv, w, lower, at = factor
     y = np.array(b, dtype=float)
     for i in range(len(w) - 1, -1, -1):
@@ -487,75 +490,122 @@ def _block_solve(factor: tuple, b: np.ndarray) -> np.ndarray:
     return y
 
 
-# Krylov dimension of the shift-invert Arnoldi iteration of _mode.
-_KRYLOV_DIM = 30
+# Steps of the shift-invert Arnoldi of _modes after which each live point's
+# picked Ritz pair is checked; the last is the cap.  A check is one stacked
+# eig and residual, which would cost more than it saves at every step.  20
+# steps reproduce the rates of 30 to about 1e-14 at the sweep ranges' d = 16.
+_CHECKPOINTS = (20, 30)
 
 
-def _mode(gmap: _GeneratorMap, fx: np.ndarray, factor: tuple, probe: np.ndarray) -> complex:
-    """The generator eigenvalue lambda of the mode that carries the
-    Hermitian operator probe, at the point whose M has the entries fx (one
-    column; see _residual) and whose S has the factor (its 2-D slices of
-    the stack's factor; see _block_factor).
+def _modes(gmap: _GeneratorMap, fx: np.ndarray, factor: tuple, probes: list) -> list:
+    """For each point of a stack on one map, whose M have the entries fx
+    (one column each; see _residual) and whose S have the factor (see
+    _block_factor): the generator eigenvalue lambda of the mode that carries
+    its Hermitian probe, the ModeNotConvergedError that names why it has
+    none, or None when its probe is None.
 
     The decay rate of that mode is -Re lambda.  Of the modes M = sum_k
     lambda_k r_k l_k^T (right and left eigenvectors, l_k . r_k = 1), the one
     picked has the largest weight |(x . r_k)(l_k . x)| in the autocorrelation
     x . exp(M t) x of the probe's traceless part x.
 
-    The slow modes are found by shift-invert Arnoldi at 0 from x, each step
-    one solve with the factorisation of S that the steady state is read off,
-    so no inverse is formed.  M is singular (the steady state spans its null
+    The slow modes are found by shift-invert Arnoldi at 0 from x, run in
+    lockstep for the stack: each step is one _block_solve of every point's
+    vector with the factorisation of S that the steady state is read off, so
+    no inverse is formed.  M is singular (the steady state spans its null
     space) but maps onto the traceless subspace, where it is invertible: for
     a traceless y, M^-1 y is the traceless solution of S v = y with y[0] set
     to 0.  That is exact, because row 0 of a traceless image is minus the
-    sum of the other diagonal rows.  When the Krylov space becomes invariant
-    after j < k steps (a lucky breakdown, as when d^2 - 1 < _KRYLOV_DIM),
-    the j x j Hessenberg's Ritz pairs are exact eigenpairs.  Raises
-    ModeNotConvergedError when the probe has no traceless part or the
-    picked Ritz pair misses the residual tolerance.
+    sum of the other diagonal rows.  Krylov bases (n x steps + 1 x d^2,
+    sized for the first checkpoint and grown only when a point goes on) and
+    Hessenbergs are stacked, and Gram-Schmidt, applied twice, is a stacked
+    np.matmul.  After each of _CHECKPOINTS steps, a live point's picked
+    Ritz pair is checked by _residual: one that meets the tolerance is done,
+    its lambda frozen; one that misses goes on, and at the cap it raises
+    ModeNotConvergedError.  A point whose Krylov space becomes invariant
+    after its own k steps (a lucky breakdown, as when d^2 - 1 < 20) is
+    checked then and stops, its k x k Hessenberg's Ritz pairs being exact
+    eigenpairs.  A point that is done, or has no vector, is solved as zeros.
+    Every product is per point, so a point's lambda is the one it gets alone,
+    bit for bit.
     """
+    n = fx.shape[1]
     d = gmap.offsets[1]
-    x = (gmap.basis.conj().T @ np.asarray(probe, dtype=complex).ravel(order="F")).real
-    x[:d] -= x[:d].sum() / d
-    beta = float(np.linalg.norm(x))
-    if beta == 0.0:
-        raise ModeNotConvergedError("probe has no traceless part")
-    k = _KRYLOV_DIM
-    vs = np.zeros((k + 1, d * d))
-    hess = np.zeros((k + 1, k))
-    vs[0] = x / beta
-    for j in range(k):
-        w = vs[j, :, None].copy()
-        w[0] = 0.0
-        w = _block_solve(factor, w)[:, 0]
-        for _ in range(2):  # Gram-Schmidt, repeated once for orthogonality
-            c = vs[: j + 1] @ w
-            w -= c @ vs[: j + 1]
-            hess[: j + 1, j] += c
-        hess[j + 1, j] = np.linalg.norm(w)
-        if hess[j + 1, j] <= 1e-12 * np.abs(hess[: j + 1, j]).max():
-            k = j + 1  # the Krylov space is invariant: its Ritz pairs are exact
+    cap = _CHECKPOINTS[-1]
+    vs = np.zeros((n, _CHECKPOINTS[0] + 1, d * d))  # grown if a point goes on
+    hess = np.zeros((n, cap + 1, cap))
+    out: list = [None] * n
+    for p, probe in enumerate(probes):
+        if probe is None:
+            continue
+        x = (gmap.basis.conj().T @ np.asarray(probe, dtype=complex).ravel(order="F")).real
+        x[:d] -= x[:d].sum() / d
+        beta = float(np.linalg.norm(x))
+        if beta == 0.0:
+            out[p] = ModeNotConvergedError("probe has no traceless part")
+        else:
+            vs[p, 0] = x / beta
+    live = np.array([probe is not None and out[p] is None for p, probe in enumerate(probes)])
+
+    def settle(due, k, final):
+        """Check the picked Ritz pair at k steps of each point that is due,
+        and freeze those that pass, or that fail where final is true."""
+        points = np.flatnonzero(due)
+        mu, right = np.linalg.eig(hess[points, :k, :k])
+        # complex whatever the other points' eigenvalues, so that a point's
+        # arithmetic does not depend on its stack
+        mu, right = mu.astype(complex), right.astype(complex)
+        # x is beta times the first Krylov vector, so its weight on Ritz pair
+        # j is beta^2 |right[0, j] left[j, 0]|, with left = right^-1 the dual
+        # vectors
+        weight = np.abs(right[:, 0] * np.linalg.inv(right)[:, :, 0])
+        pick = weight.argmax(axis=1)
+        at = np.arange(points.size)
+        lam = np.zeros(n, complex)
+        lam[points] = 1.0 / mu[at, pick]
+        y = np.zeros((n, 1, k), complex)
+        y[points, 0] = right[at, :, pick]
+        ritz = (y.real @ vs[:, :k] + 1j * (y.imag @ vs[:, :k]))[:, 0]
+        residual = _residual(gmap, fx, ritz, lam)  # 0 for the points not due
+        for p in points:
+            if residual[p] <= _RESIDUAL_TOL:
+                out[p] = complex(lam[p])
+            elif final[p]:
+                out[p] = ModeNotConvergedError(
+                    f"Ritz residual {residual[p]:.3e} of the probed mode exceeds"
+                    f" {_RESIDUAL_TOL:.1e} after {k} Krylov steps"
+                )
+            live[p] = out[p] is None
+
+    for j in range(cap):
+        if not live.any():
             break
-        vs[j + 1] = w / hess[j + 1, j]
-    mu, right = np.linalg.eig(hess[:k, :k])
-    # x is beta times the first Krylov vector, so its weight on Ritz pair j
-    # is beta^2 |right[0, j] left[j, 0]|, with left = right^-1 the dual vectors
-    weight = np.abs(right[0] * np.linalg.inv(right)[:, 0])
-    pick = int(np.argmax(weight))
-    lam = complex(1.0 / mu[pick])
-    residual = _residual(gmap, fx, right[:, pick] @ vs[:k], lam)
-    if residual > _RESIDUAL_TOL:
-        raise ModeNotConvergedError(
-            f"Ritz residual {residual:.3e} of the probed mode exceeds {_RESIDUAL_TOL:.1e}"
-        )
-    return lam
+        if j + 1 == vs.shape[1]:  # a point goes on past the first checkpoint
+            vs = np.concatenate([vs, np.zeros((n, cap - j, d * d))], axis=1)
+        w = np.where(live[:, None, None], vs[:, j, :, None], 0.0)
+        w[:, 0] = 0.0
+        w = _block_solve(factor, w)[:, :, 0]
+        basis = vs[:, : j + 1]
+        for _ in range(2):  # Gram-Schmidt, repeated once for orthogonality
+            c = basis @ w[:, :, None]
+            w -= (c.transpose(0, 2, 1) @ basis)[:, 0]
+            hess[:, : j + 1, j] += c[:, :, 0]
+        hess[:, j + 1, j] = np.sqrt((w[:, None] @ w[:, :, None])[:, 0, 0])
+        # the Krylov space of a point is invariant: its Ritz pairs are exact
+        broke = live & (hess[:, j + 1, j] <= 1e-12 * np.abs(hess[:, : j + 1, j]).max(axis=1))
+        going = live & ~broke
+        vs[going, j + 1] = w[going] / hess[going, j + 1, j, None]
+        due = broke | live if j + 1 in _CHECKPOINTS else broke
+        if due.any():
+            settle(due, j + 1, broke | (j + 1 == cap))
+    return out
 
 
 def _steady(gmap: _GeneratorMap, x: np.ndarray, probes: list) -> list:
     """The outcome of each of a stack of points on one map, the columns of
     x holding their coordinates x(h) and probes their probes (a Hermitian
     operator or None each): its rho, (rho, lambda) when it has a probe (see
-    _mode), or the MultipleSteadyStatesError or ModeNotConvergedError that
+    _modes), or the MultipleSteadyStatesError or ModeNotConvergedError that
     names why it failed.
 
     The stack's M are assembled as one product F X, and its systems S are
@@ -564,14 +614,15 @@ def _steady(gmap: _GeneratorMap, x: np.ndarray, probes: list) -> list:
     degenerate null space leaves S singular, which roundoff can hide from
     the factorisation, so the same solve also gives v = S^-1 q for q_k =
     cos k, and a point whose v grows past _DEGENERACY_TOL is rejected.  A
-    stack with a probe keeps its W_i for the probes' Arnoldi solves, each
-    on its point's slices of the factor; a stack without one sweeps these
-    two right-hand sides up as the W_i form and drops them.  A singular
-    block of one point stops the stack's factorisation, so the stack is
-    then solved again point by point, and a point that stays singular alone
-    fails.  Beside its factor, a stack of n points holds its n M (n x
-    entries, 27 KiB per point at d = 16), the right-hand sides and
-    solutions (n x d^2 x 2) and its states."""
+    stack with a probe keeps its W_i for the lockstep Arnoldi of its points
+    that passed (see _modes), each of whose steps is one solve with the
+    whole factor; a stack without one sweeps these two right-hand sides up
+    as the W_i form and drops them.  A singular block of one point stops
+    the stack's factorisation, so the stack is then solved again point by
+    point, and a point that stays singular alone fails.  Beside its factor,
+    a stack of n points holds its n M (n x entries, 27 KiB per point at d =
+    16), the right-hand sides and solutions (n x d^2 x 2), its states and,
+    when probed, its Krylov bases (42 KiB per point for 20 steps)."""
     n = x.shape[1]
     d = gmap.offsets[1]
     nn = d * d
@@ -595,7 +646,7 @@ def _steady(gmap: _GeneratorMap, x: np.ndarray, probes: list) -> list:
     residual = _residual(gmap, fx, r[:, :, 0])
     rhos = (gmap.basis @ r[:, :, 0].T).T.reshape((n, d, d)).transpose(0, 2, 1)
     outcomes = []
-    for j, (rho, g, res, probe) in enumerate(zip(rhos, growth, residual, probes)):
+    for rho, g, res in zip(rhos, growth, residual):
         if g > _DEGENERACY_TOL:
             outcomes.append(MultipleSteadyStatesError(
                 f"steady-state system is singular to roundoff (scaled growth {g:.1e}"
@@ -606,14 +657,13 @@ def _steady(gmap: _GeneratorMap, x: np.ndarray, probes: list) -> list:
                 f"steady-state residual {res:.3e} exceeds {_RESIDUAL_TOL:.1e};"
                 " the solve does not null the generator"
             ))
-        elif probe is None:
-            outcomes.append(rho / np.trace(rho).real)
         else:
-            point = (*([f[j] for f in part] for part in factor[:3]), factor[3])
-            try:
-                outcomes.append((rho / np.trace(rho).real, _mode(gmap, fx[:, j:j + 1], point, probe)))
-            except ModeNotConvergedError as exc:
-                outcomes.append(exc)
+            outcomes.append(rho / np.trace(rho).real)
+    if probed:
+        solved = [probe if isinstance(o, np.ndarray) else None for o, probe in zip(outcomes, probes)]
+        lams = _modes(gmap, fx, factor, solved)
+        outcomes = [o if lam is None else lam if isinstance(lam, Exception) else (o, lam)
+                    for o, lam in zip(outcomes, lams)]
     return outcomes
 
 
@@ -621,7 +671,7 @@ def steady_states(models, probes=None) -> list:
     """The outcome of each (H, collapse operators) model, in order: its
     steady state rho, or (rho, lambda) when probes, one Hermitian operator
     or None per model, gives it a probe, lambda being the generator
-    eigenvalue of the mode that carries the probe (see _mode), whose decay
+    eigenvalue of the mode that carries the probe (see _modes), whose decay
     rate is -Re lambda; or the MultipleSteadyStatesError or
     ModeNotConvergedError that names why it has none.
 

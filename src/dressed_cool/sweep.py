@@ -299,12 +299,16 @@ def _map_chunk(fn, chunk: Sequence) -> list:
 # solves of steady_tomography: on the default 41x41 grid (one map for all
 # points; 2-core x86-64, one BLAS thread) stacks of 6 took 27% off the
 # sweep's wall time against solving point by point (BENCH_stacked_steady.json),
-# and stacks of 8 little more.  A point holds about 0.2 MiB at d = 16 while
-# its stack is solved, and 0.07 MiB more in a cooling_rate stack, which keeps
-# every W_i for the Arnoldi solves (see dynamics._block_factor), so larger
-# stacks raise peak memory for no gain: steady_tomography's peak RSS rose by
-# 0.75 MiB at 6 and 1.3 MiB at 8, and cooling_rate's by 1.16 MiB at 6 on the
-# 3x3 grid against point by point (BENCH_one_steady_solve.json).
+# and stacks of 8 little more.  A cooling_rate stack runs its points'
+# Arnoldi iterations in lockstep, one stacked solve per step
+# (dynamics._modes; BENCH_lockstep_arnoldi.json).  A point holds about 0.2
+# MiB at d = 16 while its stack is solved, and in a cooling_rate stack 0.07
+# MiB more, which keeps every W_i for the Arnoldi solves (see
+# dynamics._block_factor), and 0.04 MiB for its Krylov basis of 20 steps, so
+# larger stacks raise peak memory for no gain: steady_tomography's peak RSS
+# rose by 0.75 MiB at 6 and 1.3 MiB at 8, and cooling_rate's by 1.16 MiB at 6
+# on the 3x3 grid against point by point (BENCH_one_steady_solve.json), before
+# the Krylov bases were stacked.
 _STACK = 6
 
 

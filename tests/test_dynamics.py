@@ -738,8 +738,8 @@ def test_mode_failures_are_named(monkeypatch):
     h, ops = build_model(p)
     with pytest.raises(ModeNotConvergedError, match="no traceless part"):
         steady_and_mode(h, ops, np.eye(h.shape[0]))
-    monkeypatch.setattr(dynamics, "_KRYLOV_DIM", 2)
-    with pytest.raises(ModeNotConvergedError, match="Ritz residual"):
+    monkeypatch.setattr(dynamics, "_CHECKPOINTS", (2,))
+    with pytest.raises(ModeNotConvergedError, match="Ritz residual .* after 2 Krylov steps"):
         steady_and_mode(h, ops, analysis.dressed_probe(p))
     grid = sweep.SweepGrid(power_db=[0.0], detuning=[0.0], fixed=p, mode="cooling_rate")
     row = sweep.run_sweep(grid).rows[0]
@@ -799,6 +799,55 @@ def test_probed_points_do_not_depend_on_their_stack(monkeypatch):
     outcomes = steady_states(models, probes)
     assert factors == [6, 1, 1, 1, 1, 1, 1]
     check(outcomes)
+
+
+def test_points_that_converge_at_different_checkpoints_share_a_stack(monkeypatch):
+    # with the first Ritz check at step 12, one of these six default-range
+    # points (6 dB, 5 MHz) misses it and goes on to the cap while the other
+    # five are done: the stack's second Ritz check holds that point alone,
+    # and each rate is the one its point gets alone, bit for bit
+    monkeypatch.setattr(dynamics, "_CHECKPOINTS", (12, 30))
+    grid = sweep.SweepGrid(power_db=[-10.0, 6.0], detuning=2.0 * math.pi * np.array([-5.0, 5.0, 15.0]),
+                           fixed=reference_params(), mode="cooling_rate")
+    ps = [sweep._point_params(grid, p_d, dq)[0] for p_d in grid.power_db for dq in grid.detuning]
+    models = [build_model(p) for p in ps]
+    assert len({dynamics._map_of(*m)[0] for m in models}) == 1
+    probes = [analysis.dressed_probe(p) for p in ps]
+    alone = [steady_states([m], [probe])[0] for m, probe in zip(models, probes)]
+    calls = []
+    residual = dynamics._residual
+    monkeypatch.setattr(dynamics, "_residual",
+                        lambda gmap, fx, r, lam=0.0: calls.append(np.count_nonzero(lam)) or residual(gmap, fx, r, lam))
+    outcomes = steady_states(models, probes)
+    assert calls == [0, 6, 1]  # the steady states, then the Ritz pairs checked at 12 and at 30
+    for i, (rho, lam) in enumerate(outcomes):
+        assert np.array_equal(rho, alone[i][0]) and lam == alone[i][1], i
+    rows = sweep.run_sweep(grid).rows
+    assert [row.gamma_fit for row in rows] == [-lam.real for _, lam in alone]
+    assert all(row.converged for row in rows)
+
+
+def test_lucky_breakdowns_inside_a_stack(monkeypatch):
+    # at n_fock 2 every point's traceless space (d^2 - 1 = 15) runs out of
+    # new directions before the first Ritz check at step 20: each point stops
+    # at its own breakdown (four here after 15 steps, two after 16), with the
+    # exact rate, while the others go on
+    grid = sweep.SweepGrid(power_db=[-10.0, 0.0, 8.0], detuning=2.0 * math.pi * np.array([-5.0, 15.0]),
+                           fixed=reference_params(n_fock=2), mode="cooling_rate", auto_n_fock=False)
+    ps = [sweep._point_params(grid, p_d, dq)[0] for p_d in grid.power_db for dq in grid.detuning]
+    models = [build_model(p) for p in ps]
+    assert len({dynamics._map_of(*m)[0] for m in models}) == 1
+    probes = [analysis.dressed_probe(p) for p in ps]
+    alone = [steady_states([m], [probe])[0] for m, probe in zip(models, probes)]
+    solves = []
+    solve = dynamics._block_solve
+    monkeypatch.setattr(dynamics, "_block_solve", lambda factor, b: solves.append(b.shape[0]) or solve(factor, b))
+    outcomes = steady_states(models, probes)
+    assert solves == [6] * len(solves) and len(solves) < 1 + 20  # the steady solve, then the steps
+    for i, ((rho, lam), model, probe) in enumerate(zip(outcomes, models, probes)):
+        assert np.array_equal(rho, alone[i][0]) and lam == alone[i][1], i
+        expected, _ = full_eig_mode(*model, probe)
+        assert lam.real == pytest.approx(expected.real, rel=1e-9), i
 
 
 def test_residual_applies_the_generator():
@@ -1041,12 +1090,10 @@ def test_block_solve_matches_a_dense_solve(frame, fields):
     swept = b[None].copy()  # swept up in place as the factor forms
     got = dynamics._block_solve(dynamics._block_factor(gmap, fx, swept), swept)
     assert np.max(np.abs(got[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
-    # the kept factor solves any right-hand side, for the stack and on its
-    # point's 2-D slices, bit for bit as the factorisation's own solve
+    # the kept factor solves any right-hand side, bit for bit as the
+    # factorisation's own solve
     kept = dynamics._block_factor(gmap, fx)
     assert np.array_equal(dynamics._block_solve(kept, b[None]), got)
-    point = (*([f[0] for f in part] for part in kept[:3]), kept[3])
-    assert np.array_equal(dynamics._block_solve(point, b), got[0])
 
 
 @pytest.mark.parametrize("frame", FRAMES)

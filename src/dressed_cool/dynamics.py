@@ -20,9 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+try:  # the kernel of csr_matrix @ vector (see _matvec)
+    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+except ImportError:  # a scipy that moved it: _matvec falls back on the product
+    _csr_matvec = None
+
 from .integrate import integrate_adaptive
 from .model import CollapseOp
-from .operators import hermiticity_residual, smallest_eigenvalue, top_fock_population
+from .operators import hermiticity_residual, top_fock_population
 
 __all__ = [
     "Trajectory",
@@ -80,6 +85,24 @@ def liouvillian_matrix(h: np.ndarray, collapse: list[CollapseOp]) -> sp.csr_matr
     )
 
 
+def _matvec(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = A x for the CSR matrix A of (data, indices, indptr), written
+    into out and returned: the kernel that csr_matrix @ vector runs, on a
+    zeroed output, so the product is the same bit for bit.  It is called
+    directly because scipy's operator dispatch around it (type and shape
+    checks and a fresh output array) makes A @ x cost 2.2-2.4x the kernel
+    alone for evolve's M at d^2 = 256, where verify's trajectories make
+    most of their generator applications.  The kernel, private to
+    scipy.sparse, computes out += A x with this signature from scipy 1.10
+    on; tests pin it against A @ x, and a scipy without it gets A @ x."""
+    if _csr_matvec is None:
+        out[:] = sp.csr_matrix((data, indices, indptr), shape=(out.size, x.size)) @ x
+        return out
+    out.fill(0.0)
+    _csr_matvec(out.size, x.size, indptr, indices, data, x, out)
+    return out
+
+
 def _identity_kron_triplets(i, j, v, d: int, offset=0):
     """Lists of (row, col, value) triplets of I kron A + conj(A) kron I for
     the d x d matrix A whose nonzeros v sit at (i, j), with offset added to
@@ -107,9 +130,12 @@ class PropagationStats:
     min_eigenvalue: float
 
     def summary(self) -> str:
-        """The stats as the one line that evolve and verify print."""
+        """The stats as the one line that evolve and verify print, with the
+        microseconds per generator application (0 when there was none)."""
+        n = self.generator_applications
+        each = 1e6 * self.wall_s / n if n else 0.0
         return (
-            f"{self.generator_applications} generator applications in {self.wall_s:.3g} s,"
+            f"{n} generator applications in {self.wall_s:.3g} s ({each:.3g} us each),"
             f" top Fock level population at most {self.top_fock_population:.3g}"
         )
 
@@ -172,16 +198,19 @@ def evolve(
     applications = outputs = 0
     trace_dev, min_eig, top = 0.0, np.inf, 0.0
 
+    mr = np.empty(d * d)  # every M r, which integrate_adaptive copies at once
+
     def apply(_t, r):
         nonlocal applications
         applications += 1
-        return m @ r
+        return _matvec(m.indptr, m.indices, m.data, r, mr)
 
     def record(r):
         nonlocal outputs, trace_dev, min_eig, top
         rho = (basis @ r).reshape((d, d), order="F")
         trace_dev = max(trace_dev, abs(r[:d].sum() - 1.0))
-        min_eig = min(min_eig, smallest_eigenvalue(rho))
+        # rho is exactly conjugate-symmetric: eigvalsh needs no symmetrised copy
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(rho)[0]))
         top = max(top, top_fock_population(rho))
         values[outputs] = [w @ r for w in rows]
         outputs += 1
@@ -391,21 +420,22 @@ def _residual(gmap: _GeneratorMap, fx: np.ndarray, r: np.ndarray, lam=0.0):
     """|M r - lam r| / max(1, max|M|) for each generator M of a stack on one
     map, whose entries on the map's pattern are a column of fx (entries x
     n), its row of r (n x d^2) and lam, one number or one per row; a single
-    vector r gives a float.  The stack's M are applied as the blocks of one
-    block-diagonal sparse matrix.  r is not normalized: a steady state has
-    unit trace and a Ritz vector unit norm."""
+    vector r gives a float.  Each point's M is applied by _matvec on the
+    map's pattern, to the real and imaginary parts of a complex r apart, so
+    M is not cast to complex.  r is not normalized: a steady state has unit
+    trace and a Ritz vector unit norm."""
     rows = np.atleast_2d(r)
-    (entries, n), nn = fx.shape, gmap.indptr.size - 1
-    scale = np.abs(fx).max(axis=0, initial=1.0)  # before M, so that |fx| and M are not held at once
-    stack = np.arange(n, dtype=np.int32)[:, None]
-    m = sp.csr_matrix(
-        (fx.T.ravel(), (gmap.indices + nn * stack).ravel(),
-         np.append((gmap.indptr[:-1] + entries * stack).ravel(), n * entries)),
-        shape=(n * nn, n * nn),
-    )
-    v = rows.ravel()
-    mv = m @ v if np.isrealobj(v) else m @ v.real + 1j * (m @ v.imag)  # M is not cast to complex
-    out = mv.reshape(n, -1) - np.reshape(lam, (-1, 1)) * rows
+    n = fx.shape[1]
+    scale = np.abs(fx).max(axis=0, initial=1.0)
+    data = np.ascontiguousarray(fx.T)  # each point's entries in one row
+    parts = [rows] if np.isrealobj(rows) else [rows.real, rows.imag]
+    mv = np.empty((len(parts), *rows.shape))
+    for part, out in zip(parts, mv):
+        part = np.ascontiguousarray(part)
+        for p in range(n):
+            _matvec(gmap.indptr, gmap.indices, data[p], part[p], out[p])
+    mv = mv[0] if len(parts) == 1 else mv[0] + 1j * mv[1]
+    out = mv - np.reshape(lam, (-1, 1)) * rows
     residual = np.linalg.norm(out, axis=1) / scale
     return residual if r.ndim > 1 else float(residual[0])
 

@@ -46,9 +46,18 @@ class StiffnessError(RuntimeError):
         self.time = time
 
 
-def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, rtol: float, atol: float) -> float:
-    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+def _error_norm(err, y0, y1, rtol, atol, scale, ratio) -> float:
+    """RMS of err / (atol + rtol max(|y0|, |y1|)), computed in the work
+    buffers scale (real) and ratio (err's dtype) of err's length by the
+    ufuncs of the allocating formula, in its order, so the norm is that
+    formula's bit for bit."""
+    # ratio.real is a real buffer: the array itself, or a complex one's real part
+    np.maximum(np.abs(y0, out=scale), np.abs(y1, out=ratio.real), out=scale)
+    scale *= rtol
+    scale += atol
+    np.divide(err, scale, out=ratio)
+    np.square(np.abs(ratio, out=scale), out=scale)
+    return float(np.sqrt(scale.mean()))
 
 
 def _initial_step(y0, f0, rtol, atol, span):
@@ -80,7 +89,8 @@ def integrate_adaptive(
     than lose their imaginary part.  The seven stages live in one
     preallocated (7, n) array, and each stage argument and the error
     estimate is one matrix-vector product with a tableau row, written into a
-    preallocated buffer.
+    preallocated buffer; the error norm works in two more, so a step
+    allocates no work array.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
@@ -98,6 +108,10 @@ def integrate_adaptive(
     a, e = _A.astype(y.dtype), _E.astype(y.dtype)
     k = np.empty((7, y.size), dtype=y.dtype)
     y_new, arg, err_vec = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    scale, ratio = np.empty(y.size), np.empty_like(y)  # _error_norm's buffers
+    # stage i's tableau row, the stages before it, its output row and its
+    # time fraction, as views and floats made once
+    stages = [(a[i, :i], k[:i], k[i], float(_C[i])) for i in range(1, 7)]
     # casting="same_kind" raises TypeError, naming both dtypes, where a
     # plain assignment would drop the imaginary part of a complex f
     np.copyto(k[0], f(t, y), casting="same_kind")
@@ -114,18 +128,18 @@ def integrate_adaptive(
             if h_try < 1e-14 * max(abs(t), 1.0):
                 raise StiffnessError(t)
 
-            for i in range(1, 7):
+            for i, (row, before, ki, c) in enumerate(stages, 1):
                 # the last stage's argument already is the order-5 update
                 # (tableau row 7 equals the propagation weights B5)
                 yi = y_new if i == 6 else arg
-                np.dot(a[i, :i], k[:i], out=yi)
+                np.dot(row, before, out=yi)
                 yi *= h_try
                 yi += y
-                np.copyto(k[i], f(t + _C[i] * h_try, yi), casting="same_kind")
+                np.copyto(ki, f(t + c * h_try, yi), casting="same_kind")
             np.dot(e, k, out=err_vec)
             err_vec *= h_try
 
-            err = _error_norm(err_vec, y, y_new, rtol, atol)
+            err = _error_norm(err_vec, y, y_new, rtol, atol, scale, ratio)
             factor = _MAX_FACTOR if err == 0.0 else min(
                 _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2)
             )

@@ -119,10 +119,6 @@ def hermiticity_residual(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def smallest_eigenvalue(rho: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0])
-
-
 def reduced_qubit(rho: np.ndarray) -> np.ndarray:
     """Trace out the cavity factor of a qubit-major composite state."""
     d = rho.shape[0]

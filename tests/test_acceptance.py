@@ -115,6 +115,6 @@ def test_verify_pool_is_capped_at_the_runs_and_the_usable_cpus(monkeypatch, caps
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 18
     assert err[0] == (
-        "trajectory c6 undisplaced: d^2 = 2304, 0 generator applications in 0 s,"
+        "trajectory c6 undisplaced: d^2 = 2304, 0 generator applications in 0 s (0 us each),"
         " top Fock level population at most 0"
     )

@@ -376,6 +376,28 @@ def test_integrator_reduces_each_grid_time_in_order():
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+def test_error_norm_buffers_match_the_allocating_formula():
+    # the buffered norm runs the allocating formula's ufuncs in its order, so
+    # step control is the same bit for bit, for real and complex states
+    def allocating(err, y0, y1, rtol, atol):
+        scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
+        return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+
+    rng = np.random.default_rng(3)
+    for n in (1, 7, 256, 2304):
+        for dtype in (float, complex):
+            for _ in range(20):
+                y0, y1, err = (
+                    (rng.normal(size=n) * 10.0 ** rng.uniform(-14, 2, size=n)).astype(dtype)
+                    + (1j * rng.normal(size=n) if dtype is complex else 0.0)
+                    for _ in range(3)
+                )
+                y0[::5] = 0.0
+                scale, ratio = np.full(n, np.nan), np.full(n, np.nan, dtype=dtype)
+                assert integrate._error_norm(err, y0, y1, 1e-8, 1e-10, scale, ratio) == allocating(
+                    err, y0, y1, 1e-8, 1e-10)
+
+
 # ---------------------------------------------------------------------------
 # evolve
 
@@ -482,6 +504,21 @@ def test_evolve_step_control_is_pinned():
     # accepted and rejected the same steps.
     _, traj = criterion_1_window()
     assert traj.stats.generator_applications == 4877
+
+
+def test_evolve_is_the_integration_of_the_public_sparse_product():
+    # evolve applies M through the kernel of csr_matrix @ vector into a
+    # reused buffer; integrating m @ r itself, with the same reduction, must
+    # give its expectations bit for bit
+    p, traj = criterion_1_window()
+    h, ops = build_model(p)
+    basis, m, _ = dynamics._generator(h, ops)
+    r0 = (basis.conj().T @ turn_on_state(p).ravel(order="F")).real
+    hs = space(p.n_fock)
+    rows = [(basis.T @ op.ravel()).real for op in (hs.sx, hs.sy, hs.sz, hs.n)]
+    ref = np.array(integrate_adaptive(lambda t, r: m @ r, r0, traj.times, reduce=lambda r: [w @ r for w in rows]))
+    for j, name in enumerate(("sx", "sy", "sz", "n_cav")):
+        assert np.array_equal(traj.expectations[name], ref[:, j]), name
 
 
 def test_evolve_stats_count_and_time_the_propagation(monkeypatch):
@@ -907,6 +944,25 @@ def test_generator_map_matches_the_direct_generator(frame, overrides):
     assert np.array_equal(map_order(basis)[:d], np.arange(d))  # populations first, in order
     ref = direct_generator(h, ops, basis).toarray()
     assert np.max(np.abs(m.toarray() - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("frame", FRAMES)
+@pytest.mark.parametrize("overrides", _MAP_POINTS)
+def test_matvec_is_the_sparse_product_bit_for_bit(frame, overrides, monkeypatch):
+    # _matvec calls scipy's private CSR kernel directly: a scipy release
+    # that moves or changes it fails here.  The output buffer is dirty, as
+    # evolve's is after its first application
+    assert dynamics._csr_matvec is not None
+    p = reference_params(frame=frame, n_fock=6, **overrides)
+    _, m, _ = dynamics._generator(*build_model(p, frame))
+    r = np.random.default_rng(5).normal(size=m.shape[0])
+    expected = m @ r
+    out = np.full(m.shape[0], np.nan)
+    assert dynamics._matvec(m.indptr, m.indices, m.data, r, out) is out
+    assert np.array_equal(out, expected)
+    # without the kernel, the public product itself
+    monkeypatch.setattr(dynamics, "_csr_matvec", None)
+    assert np.array_equal(dynamics._matvec(m.indptr, m.indices, m.data, r, np.full_like(out, np.nan)), expected)
 
 
 def test_generator_map_is_keyed_by_the_collapse_operators():

@@ -15,13 +15,17 @@ from dressed_cool.operators import (
     pauli,
     qubit_state,
     reduced_qubit,
-    smallest_eigenvalue,
     top_fock_population,
 )
 
 GROUND = np.array([1.0, 0.0])
 EXCITED = np.array([0.0, 1.0])
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
+
+
+def smallest_eigenvalue(rho: np.ndarray) -> float:
+    """Smallest eigenvalue of rho's Hermitian part."""
+    return float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0])
 
 
 def validate_density_matrix(

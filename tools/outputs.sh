@@ -15,6 +15,9 @@
 #   rates.txt                   analytic rates at the defaults
 #   rates_blue.txt              analytic rates at delta_c = +9 MHz
 #   verify.txt                  acceptance lines and the exit status
+#   verify_trajectories.txt     verify's per-trajectory stderr lines without
+#                               their timings: name, d^2, generator
+#                               applications and top Fock level population
 # How each file moved under a change of numerical method is in CHANGES.md.
 # Run it on two checkouts and compare with `diff -r` or `cmp`.
 # Usage: tools/outputs.sh <outdir>    (takes about half a minute)
@@ -57,6 +60,9 @@ run steady_undisplaced '{"frame": "undisplaced"}' steady -o "$out/steady_undispl
 run rates '{}' rates -o "$out/rates.txt"
 run rates_blue '{"delta_c_mhz": 9}' rates -o "$out/rates_blue.txt"
 status=0
-dc verify > "$out/verify.txt" || status=$?
+dc verify > "$out/verify.txt" 2> "$out/verify.err" || status=$?
 echo "exit=$status" >> "$out/verify.txt"
+# " in 2.61 s (45.7 us each)," -> ","
+grep '^trajectory ' "$out/verify.err" | sed -E 's/ in [^,]* s( \([^)]*\))?,/,/' > "$out/verify_trajectories.txt"
+rm "$out/verify.err"
 echo "wrote $out"

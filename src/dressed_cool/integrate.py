@@ -6,6 +6,12 @@ an optional hook runs after each accepted step, for example to project the
 state back onto a constraint manifold, and another reduces the state at each
 output time, so a caller that needs only a few numbers per output never holds
 the states.
+
+The state and the seven stages share one (8, n) work array, y in row 0 and
+k_0..k_6 in rows 1-7, and each attempt scales the tableau by its step h once,
+into a (7, 8) weight table whose column 0 is 1.  A stage argument
+y + h sum_j a_ij k_j is then one matrix-vector product of a weight row with
+the array's first rows, and the error estimate one of h E with the stages.
 """
 
 from __future__ import annotations
@@ -56,8 +62,9 @@ def _error_norm(err, y0, y1, rtol, atol, scale, ratio) -> float:
     scale *= rtol
     scale += atol
     np.divide(err, scale, out=ratio)
-    np.square(np.abs(ratio, out=scale), out=scale)
-    return float(np.sqrt(scale.mean()))
+    # |x|^2 is x^2 bit for bit for a real x, and the mean is np.mean's sum / n
+    np.square(ratio if ratio.dtype.kind == "f" else np.abs(ratio, out=scale), out=scale)
+    return float(np.sqrt(np.add.reduce(scale) / scale.size))
 
 
 def _initial_step(y0, f0, rtol, atol, span):
@@ -86,9 +93,11 @@ def integrate_adaptive(
     step overwrites: a reduce that keeps it must copy it.  A real y0 is
     integrated in real arithmetic and a complex one in complex arithmetic;
     an f that returns complex values for a real y0 raises TypeError rather
-    than lose their imaginary part.  The seven stages live in one
-    preallocated (7, n) array, and each stage argument and the error
-    estimate is one matrix-vector product with a tableau row, written into a
+    than lose their imaginary part.  y and the stages k_0..k_6 are the rows
+    of one preallocated (8, n) array, and each attempt writes h A into the
+    last seven columns of a (7, 8) weight table whose first column is 1, and
+    h E into a weight row: every stage argument y + h sum_j a_ij k_j and the
+    error estimate is then one matrix-vector product, written into a
     preallocated buffer; the error norm works in two more, so a step
     allocates no work array.
     """
@@ -100,18 +109,28 @@ def integrate_adaptive(
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
 
-    y = np.array(y0, dtype=complex if np.iscomplexobj(y0) else float)
+    dtype = complex if np.iscomplexobj(y0) else float
     t = float(t_grid[0])
     span = float(t_grid[-1] - t_grid[0])
+
+    yk = np.empty((8, np.size(y0)), dtype=dtype)  # y, then the stages k_0..k_6
+    y, k = yk[0], yk[1:]
+    y[...] = y0
     out = [reduce(y)]
 
-    a, e = _A.astype(y.dtype), _E.astype(y.dtype)
-    k = np.empty((7, y.size), dtype=y.dtype)
+    # weights of y (column 0) and of h A (columns 1-7) per stage, and h E
+    w, he = np.zeros((7, 8), dtype=dtype), np.empty(7, dtype=dtype)
+    w[:, 0] = 1.0
     y_new, arg, err_vec = np.empty_like(y), np.empty_like(y), np.empty_like(y)
     scale, ratio = np.empty(y.size), np.empty_like(y)  # _error_norm's buffers
-    # stage i's tableau row, the stages before it, its output row and its
-    # time fraction, as views and floats made once
-    stages = [(a[i, :i], k[:i], k[i], float(_C[i])) for i in range(1, 7)]
+    # stage i's weight row, the rows it weighs (y and the stages before i),
+    # its output row and its time fraction, as views and floats made once;
+    # the last stage's argument is the order-5 update (tableau row 7 equals
+    # the propagation weights B5), so it goes into y_new
+    stages = [
+        (w[i, :i + 1], yk[:i + 1], k[i], float(_C[i]), y_new if i == 6 else arg)
+        for i in range(1, 7)
+    ]
     # casting="same_kind" raises TypeError, naming both dtypes, where a
     # plain assignment would drop the imaginary part of a complex f
     np.copyto(k[0], f(t, y), casting="same_kind")
@@ -128,16 +147,12 @@ def integrate_adaptive(
             if h_try < 1e-14 * max(abs(t), 1.0):
                 raise StiffnessError(t)
 
-            for i, (row, before, ki, c) in enumerate(stages, 1):
-                # the last stage's argument already is the order-5 update
-                # (tableau row 7 equals the propagation weights B5)
-                yi = y_new if i == 6 else arg
+            np.multiply(_A, h_try, out=w[:, 1:])
+            np.multiply(_E, h_try, out=he)
+            for row, before, ki, c, yi in stages:
                 np.dot(row, before, out=yi)
-                yi *= h_try
-                yi += y
                 np.copyto(ki, f(t + c * h_try, yi), casting="same_kind")
-            np.dot(e, k, out=err_vec)
-            err_vec *= h_try
+            np.dot(he, k, out=err_vec)
 
             err = _error_norm(err_vec, y, y_new, rtol, atol, scale, ratio)
             factor = _MAX_FACTOR if err == 0.0 else min(
@@ -147,7 +162,7 @@ def integrate_adaptive(
                 if not clamped:
                     h = h_try * factor
                 t = t + h_try
-                y, y_new = y_new, y
+                y[...] = y_new
                 if post_step is not None:
                     np.copyto(y, post_step(y), casting="same_kind")
                 np.copyto(k[0], f(t, y), casting="same_kind")

@@ -390,7 +390,8 @@ def test_cli_evolve_then_fit(tmp_path, capsys):
     out = capsys.readouterr().out
     assert re.fullmatch(
         rf"wrote 301 samples over [0-9.]+ us to {re.escape(str(traj))}; [0-9]+ generator"
-        r" applications in [0-9.e+-]+ s \([0-9.e+-]+ us each\), top Fock level population at most [0-9.e+-]+"
+        r" applications in [0-9.e+-]+ s \([0-9.e+-]+ us each, [0-9.e+-]+ s reducing\),"
+        r" top Fock level population at most [0-9.e+-]+"
         r" \(tol 1e-04\)\n", out)
     out_json = tmp_path / "fit.json"
     assert main(["fit", "-i", str(traj), "--column", "sx", "-o", str(out_json)]) == 0

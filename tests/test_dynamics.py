@@ -376,6 +376,77 @@ def test_integrator_reduces_each_grid_time_in_order():
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+# Dormand & Prince (1980), as tabulated in Hairer, Norsett & Wanner, Solving
+# ODEs I, sec. II.5: nodes, stage weights row by row, and the order-5 and
+# order-4 propagation weights.
+DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+
+
+def dormand_prince_step(f, t, y, h):
+    """One textbook Dormand-Prince step in allocating arithmetic (the oracle
+    for integrate_adaptive): k_i = f(t + c_i h, y + h (A_i . k)), and
+    returns y + h (B5 . k), the error estimate h ((B5 - B4) . k) and the
+    stage times."""
+    k, times = [], []
+    for c, a in zip(DP_C, DP_A):
+        times.append(t + c * h)
+        k.append(f(times[-1], y + h * (np.array(a) @ np.array(k)) if a else y))
+    k = np.array(k)
+    return y + h * (DP_B5 @ k), h * ((DP_B5 - DP_B4) @ k), times
+
+
+def _forced_van_der_pol(t, y):
+    return np.array([y[1], 0.5 * (1.0 - y[0] ** 2) * y[1] - y[0] + 0.3 * math.cos(2.0 * t)])
+
+
+_ORACLE_SYSTEMS = {
+    "real linear": (-np.eye(4) + 0.5 * np.random.default_rng(1).normal(size=(4, 4)), np.ones(4)),
+    "complex linear": (
+        -0.5 * np.eye(3) + 1j * np.diag([1.0, -2.0, 0.5]) + 0.3 * np.random.default_rng(2).normal(size=(3, 3)),
+        np.array([1.0, 0.5j, -0.25 + 0.5j]),
+    ),
+    "nonlinear": (_forced_van_der_pol, np.array([1.0, 0.5])),
+}
+
+
+@pytest.mark.parametrize("system", sorted(_ORACLE_SYSTEMS))
+def test_integrator_matches_a_textbook_dormand_prince_oracle(system, monkeypatch):
+    # on a grid finer than the natural step every step is clamped to the grid
+    # spacing and accepted, so step control cannot drift and each step can be
+    # laid beside the oracle's: the same stage times, and the state and the
+    # error estimate equal up to the rounding of the stage sums
+    rhs, y0 = _ORACLE_SYSTEMS[system]
+    f = rhs if callable(rhs) else lambda t, y: rhs @ y
+    t_grid = np.linspace(0.0, 1.0, 401)
+    calls, errs = [], []
+    norm = integrate._error_norm
+    monkeypatch.setattr(integrate, "_error_norm", lambda err, *a: errs.append(err.copy()) or norm(err, *a))
+    ys = integrate_adaptive(lambda t, y: calls.append(t) or f(t, y), y0, t_grid)
+    # f at t0, then six stages per attempt and one after each accepted step
+    assert len(calls) == 1 + 7 * (len(t_grid) - 1) and len(errs) == len(t_grid) - 1
+
+    t, y = float(t_grid[0]), y0
+    for j, target in enumerate(t_grid[1:]):
+        h = target - t
+        y, err, times = dormand_prince_step(f, t, y, h)
+        t = t + h
+        assert calls[7 * j: 7 * j + 7] == times[:6] + [t]
+        assert ys[j + 1].dtype == y.dtype
+        assert np.linalg.norm(ys[j + 1] - y) <= 1e-13 * np.linalg.norm(y)
+        assert np.linalg.norm(errs[j] - err) <= 1e-13 * h * np.linalg.norm(y)
+
+
 def test_error_norm_buffers_match_the_allocating_formula():
     # the buffered norm runs the allocating formula's ufuncs in its order, so
     # step control is the same bit for bit, for real and complex states
@@ -500,8 +571,8 @@ def criterion_1_window():
 def test_evolve_step_control_is_pinned():
     # 4877 generator applications: the count of this trajectory with the
     # Dormand-Prince stages summed term by term in Python, before the stages
-    # moved into one (7, n) array.  Equal counts mean the stacked arithmetic
-    # accepted and rejected the same steps.
+    # moved into one array with the state.  Equal counts mean the stacked
+    # arithmetic accepted and rejected the same steps.
     _, traj = criterion_1_window()
     assert traj.stats.generator_applications == 4877
 
@@ -537,6 +608,17 @@ def test_evolve_stats_count_and_time_the_propagation(monkeypatch):
     outer_s = time.perf_counter() - start
     assert traj.stats.generator_applications == len(calls) > 0
     assert inner_s[0] <= traj.stats.wall_s <= outer_s
+
+
+def test_evolve_stats_time_the_reductions_inside_the_propagation():
+    # every grid time is reduced inside the timed propagation, so the
+    # reductions' seconds are positive and at most the propagation's
+    p = reference_params(n_bar=1.0)
+    h, ops = build_model(p)
+    for t_grid in ([0.0, 0.05], np.linspace(0.0, 0.5, 51)):
+        traj = evolve(h, ops, turn_on_state(p), t_grid, observables={"sz": space(p.n_fock).sz})
+        assert 0.0 < traj.stats.reduce_s <= traj.stats.wall_s
+    assert " s reducing)," in traj.stats.summary()
 
 
 def test_evolve_stats_report_the_top_fock_population():

@@ -62,7 +62,7 @@ run rates_blue '{"delta_c_mhz": 9}' rates -o "$out/rates_blue.txt"
 status=0
 dc verify > "$out/verify.txt" 2> "$out/verify.err" || status=$?
 echo "exit=$status" >> "$out/verify.txt"
-# " in 2.61 s (45.7 us each)," -> ","
+# " in 2.61 s (45.7 us each, 0.21 s reducing)," -> ","
 grep '^trajectory ' "$out/verify.err" | sed -E 's/ in [^,]* s( \([^)]*\))?,/,/' > "$out/verify_trajectories.txt"
 rm "$out/verify.err"
 echo "wrote $out"

@@ -326,9 +326,12 @@ def steady_points(ps, frame: str = "displaced", rate: bool = False) -> list:
     displaced frame, which is not the lab frame's cavity state, so a rate
     in any other frame raises ValueError before anything is built.  A top
     Fock level past model.TRUNCATION_TOL fails a point with
-    model.TruncationError, and an eigenvalue below POSITIVITY_FLOOR, from
-    one eigvalsh of all the states, with NonPositiveStateError, before the
-    state is reduced.  Any other error is raised."""
+    model.TruncationError.  The block factorisation of the steady solve
+    does not pivot across levels, so positivity is audited too: an
+    eigenvalue below POSITIVITY_FLOOR, from one eigvalsh of all the states,
+    fails a point with NonPositiveStateError before the state is reduced.
+    dynamics.steady_states forms each state exactly conjugate-symmetric,
+    so eigvalsh takes them as they are.  Any other error is raised."""
     if rate and frame != "displaced":
         raise ValueError(
             f"the rate probe holds the displaced frame's cavity vacuum; no rate in frame {frame!r}"
@@ -338,8 +341,7 @@ def steady_points(ps, frame: str = "displaced", rate: bool = False) -> list:
     states = [o[0] if isinstance(o, tuple) else o for o in outcomes]
     gammas = [-o[1].real if isinstance(o, tuple) else math.nan for o in outcomes]
     solved = [rho for rho in states if not isinstance(rho, Exception)]
-    lowest = iter(np.linalg.eigvalsh((np.array(solved) + np.conj(solved).transpose(0, 2, 1)) / 2)[:, 0]
-                  if solved else ())
+    lowest = iter(np.linalg.eigvalsh(np.array(solved))[:, 0] if solved else ())
     points = []
     for p, rho, gamma in zip(ps, states, gammas):
         if isinstance(rho, Exception):

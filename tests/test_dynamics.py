@@ -133,6 +133,26 @@ def complex_evolve(h, collapse, rho0, t_grid, observables, rtol=1e-8, atol=1e-10
     }
 
 
+def expm_series(h, collapse, rho0, t_grid, observables):
+    """Exact reference series on a uniform t_grid: the dense propagator
+    expm(L dt) of kron_liouvillian over one output step, applied once per
+    output.  Returns each observable's real series."""
+    import scipy.linalg  # for tests only: the package never imports it
+
+    d = h.shape[0]
+    dt = t_grid[1] - t_grid[0]
+    assert np.allclose(np.diff(t_grid), dt, rtol=1e-12, atol=0.0)
+    step = scipy.linalg.expm(kron_liouvillian(h, collapse) * dt)
+    v = np.asarray(rho0, dtype=complex).ravel(order="F")
+    vs = [v]
+    for _ in t_grid[1:]:
+        vs.append(step @ vs[-1])
+    return {
+        name: np.array([expect_real(op, v.reshape((d, d), order="F")) for v in vs])
+        for name, op in observables.items()
+    }
+
+
 def full_eig_mode(h, collapse, probe):
     """Reference mode pick: every eigenpair of M = Re(T+ L T) from a full
     eigendecomposition, weighted by |(x . r_k)(l_k . x)| for the probe's
@@ -646,7 +666,7 @@ def test_evolve_matches_complex_propagation_oracle(n_bar, initial, frame):
     obs = {"sx": hs.sx, "sz": hs.sz, "n_cav": hs.a.conj().T @ hs.a}
     h, ops = build_model(p, frame)
     ref = complex_evolve(h, ops, rho0, traj.times, obs)
-    exact = complex_evolve(h, ops, rho0, traj.times, obs, rtol=1e-12, atol=1e-14)
+    exact = expm_series(h, ops, rho0, traj.times, obs)
     # <sz> turns with the 9 MHz Rabi drive, so over 2 us both paths carry up
     # to ~6e-7 of phase error at these tolerances and differ by up to ~1e-7;
     # the real path must be no less accurate than the complex one
@@ -676,6 +696,19 @@ def test_hermitian_basis_states_are_exactly_hermitian(d):
     r = np.random.default_rng(d).normal(size=d * d)
     rho = (dynamics._hermitian_basis(d) @ r).reshape((d, d), order="F")
     assert np.array_equal(rho, rho.conj().T)
+
+
+@pytest.mark.parametrize("frame", FRAMES)
+def test_steady_states_are_exactly_hermitian(frame):
+    # why analysis.steady_points audits positivity with eigvalsh on the
+    # states themselves: each is T r over its real trace, exactly
+    # conjugate-symmetric, as evolve's are
+    ps = [to_system_params(Config(n_bar=n_bar, delta_q_prime_mhz=dq, frame=frame), steady=True)
+          for n_bar in (0.25, 1.0, 3.0) for dq in (-5.0, 0.0, 4.0)]
+    outcomes = steady_states([build_model(p, frame) for p in ps])
+    for rho in outcomes:
+        assert isinstance(rho, np.ndarray)
+        assert np.array_equal(rho, rho.conj().T)
 
 
 def test_evolve_series_dtype_follows_the_operator():

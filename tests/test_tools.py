@@ -1,9 +1,14 @@
-"""The repository's report scripts under tools/."""
+"""The repository's report scripts under tools/, and the README's references
+into the repository."""
 
 import importlib.util
+import re
 from pathlib import Path
 
-_SPEC = importlib.util.spec_from_file_location("drift", Path(__file__).resolve().parent.parent / "tools" / "drift.py")
+from dressed_cool import cli
+
+_ROOT = Path(__file__).resolve().parent.parent
+_SPEC = importlib.util.spec_from_file_location("drift", _ROOT / "tools" / "drift.py")
 drift = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(drift)
 
@@ -35,3 +40,20 @@ def test_drift_lists_every_file_of_either_directory(tmp_path, capsys):
         f"new.txt: only in {change}",
         "same.txt: identical",
     ]
+
+
+def test_readme_names_only_paths_that_exist():
+    readme = (_ROOT / "README.md").read_text()
+    paths = re.findall(r"`((?:BENCH_[^`\s]*\.json|(?:src|tests|tools)/[^`\s]*))", readme)
+    assert paths
+    # a <placeholder> stands for any name, as * does
+    missing = [path for path in paths if not any(_ROOT.glob(re.sub(r"<[^>]*>", "*", path)))]
+    assert not missing
+
+
+def test_readme_names_every_subcommand_and_tool():
+    readme = (_ROOT / "README.md").read_text()
+    (sub,) = (a for a in cli.build_parser()._actions if a.dest == "command")
+    assert sub.choices
+    assert [name for name in sub.choices if f"dressed-cool {name}" not in readme] == []
+    assert [f.name for f in (_ROOT / "tools").iterdir() if f.is_file() and f"tools/{f.name}" not in readme] == []

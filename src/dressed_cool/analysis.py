@@ -24,6 +24,7 @@ __all__ = [
     "NoSpectralPeakError",
     "NonPositiveStateError",
     "NUMERICAL_ERRORS",
+    "check_positivity",
     "fit_exponential",
     "dominant_frequency",
     "bloch_vector",
@@ -58,6 +59,14 @@ POSITIVITY_FLOOR = -1e-7
 
 class NonPositiveStateError(RuntimeError):
     """A computed state has an eigenvalue below POSITIVITY_FLOOR."""
+
+
+def check_positivity(low: float, what: str) -> None:
+    """Raise NonPositiveStateError, naming what (a steady state, a
+    trajectory state), when low, its smallest eigenvalue, is below
+    POSITIVITY_FLOOR."""
+    if low < POSITIVITY_FLOOR:
+        raise NonPositiveStateError(f"{what} has eigenvalue {low:.3e}, below the floor {POSITIVITY_FLOOR:.0e}")
 
 
 # Failures with a named numerical cause.  A sweep records them as a failed
@@ -350,10 +359,7 @@ def steady_points(ps, frame: str = "displaced", rate: bool = False) -> list:
         low = next(lowest)
         try:
             top = model.check_truncation(top_fock_population(rho), p.n_fock)
-            if low < POSITIVITY_FLOOR:
-                raise NonPositiveStateError(
-                    f"steady state has eigenvalue {low:.3e}, below the floor {POSITIVITY_FLOOR:.0e}"
-                )
+            check_positivity(low, "steady state")
         except (model.TruncationError, NonPositiveStateError) as exc:
             points.append(exc)
         else:

@@ -3,8 +3,8 @@
 Subcommands: rates, evolve, steady, sweep, fit, spectrum, verify.
 Exit codes: 0 success, 1 validation error (bad arguments, config, or input
 files), 2 numerical failure (stiff integration, degenerate steady states,
-unconverged spectral rates, a cavity truncation past its tolerance, failed
-fits or acceptance checks).
+unconverged spectral rates, a cavity truncation past its tolerance, a state
+below the positivity floor, failed fits or acceptance checks).
 """
 
 from __future__ import annotations
@@ -175,6 +175,7 @@ def _cmd_evolve(args) -> int:
 
     stats = traj.stats
     model.check_truncation(stats.top_fock_population, p.n_fock)
+    analysis.check_positivity(stats.min_eigenvalue, "trajectory state")
     out = args.output or "trajectory.csv"
     write_trajectory_csv(traj.times, traj.expectations, _config_metadata(cfg, p), out,
                          no_timestamp=args.no_timestamp)

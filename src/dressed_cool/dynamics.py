@@ -426,25 +426,23 @@ _RESIDUAL_TOL = 1e-9
 def _residual(gmap: _GeneratorMap, fx: np.ndarray, r: np.ndarray, lam=0.0):
     """|M r - lam r| / max(1, max|M|) for each generator M of a stack on one
     map, whose entries on the map's pattern are a column of fx (entries x
-    n), its row of r (n x d^2) and lam, one number or one per row; a single
-    vector r gives a float.  Each point's M is applied by _matvec on the
-    map's pattern, to the real and imaginary parts of a complex r apart, so
-    M is not cast to complex.  r is not normalized: a steady state has unit
-    trace and a Ritz vector unit norm."""
-    rows = np.atleast_2d(r)
+    n), its row of r (n x d^2) and lam, one number or one per row.  Each
+    point's M is applied by _matvec on the map's pattern, to the real and
+    imaginary parts of a complex r apart, so M is not cast to complex.  r
+    is not normalized: a steady state has unit trace and a Ritz vector unit
+    norm."""
     n = fx.shape[1]
     scale = np.abs(fx).max(axis=0, initial=1.0)
     data = np.ascontiguousarray(fx.T)  # each point's entries in one row
-    parts = [rows] if np.isrealobj(rows) else [rows.real, rows.imag]
-    mv = np.empty((len(parts), *rows.shape))
+    parts = [r] if np.isrealobj(r) else [r.real, r.imag]
+    mv = np.empty((len(parts), *r.shape))
     for part, out in zip(parts, mv):
         part = np.ascontiguousarray(part)
         for p in range(n):
             _matvec(gmap.indptr, gmap.indices, data[p], part[p], out[p])
     mv = mv[0] if len(parts) == 1 else mv[0] + 1j * mv[1]
-    out = mv - np.reshape(lam, (-1, 1)) * rows
-    residual = np.linalg.norm(out, axis=1) / scale
-    return residual if r.ndim > 1 else float(residual[0])
+    out = mv - np.reshape(lam, (-1, 1)) * r
+    return np.linalg.norm(out, axis=1) / scale
 
 
 # Largest accepted growth |S^-1 q| / |q| max(1, max|M|) of the steady-state
@@ -561,23 +559,22 @@ def _modes(gmap: _GeneratorMap, fx: np.ndarray, factor: tuple, probes: list) -> 
     space) but maps onto the traceless subspace, where it is invertible: for
     a traceless y, M^-1 y is the traceless solution of S v = y with y[0] set
     to 0.  That is exact, because row 0 of a traceless image is minus the
-    sum of the other diagonal rows.  Krylov bases (n x steps + 1 x d^2,
-    sized for the first checkpoint and grown only when a point goes on) and
-    Hessenbergs are stacked, and Gram-Schmidt, applied twice, is a stacked
-    np.matmul.  After each of _CHECKPOINTS steps, a live point's picked
-    Ritz pair is checked by _residual: one that meets the tolerance is done,
-    its lambda frozen; one that misses goes on, and at the cap it raises
-    ModeNotConvergedError.  A point whose Krylov space becomes invariant
-    after its own k steps (a lucky breakdown, as when d^2 - 1 < 20) is
-    checked then and stops, its k x k Hessenberg's Ritz pairs being exact
-    eigenpairs.  A point that is done, or has no vector, is solved as zeros.
-    Every product is per point, so a point's lambda is the one it gets alone,
-    bit for bit.
+    sum of the other diagonal rows.  Krylov bases (n x cap + 1 x d^2,
+    allocated once) and Hessenbergs are stacked, and Gram-Schmidt, applied
+    twice, is a stacked np.matmul.  After each of _CHECKPOINTS steps, a live
+    point's picked Ritz pair is checked by _residual: one that meets the
+    tolerance is done, its lambda frozen; one that misses goes on, and at
+    the cap it raises ModeNotConvergedError.  A point whose Krylov space
+    becomes invariant after its own k steps (a lucky breakdown, as when d^2
+    - 1 < 20) is checked then and stops, its k x k Hessenberg's Ritz pairs
+    being exact eigenpairs.  A point that is done, or has no vector, is
+    solved as zeros.  Every product is per point, so a point's lambda is the
+    one it gets alone, bit for bit.
     """
     n = fx.shape[1]
     d = gmap.offsets[1]
     cap = _CHECKPOINTS[-1]
-    vs = np.zeros((n, _CHECKPOINTS[0] + 1, d * d))  # grown if a point goes on
+    vs = np.zeros((n, cap + 1, d * d))
     hess = np.zeros((n, cap + 1, cap))
     out: list = [None] * n
     for p, probe in enumerate(probes):
@@ -625,8 +622,6 @@ def _modes(gmap: _GeneratorMap, fx: np.ndarray, factor: tuple, probes: list) -> 
     for j in range(cap):
         if not live.any():
             break
-        if j + 1 == vs.shape[1]:  # a point goes on past the first checkpoint
-            vs = np.concatenate([vs, np.zeros((n, cap - j, d * d))], axis=1)
         w = np.where(live[:, None, None], vs[:, j, :, None], 0.0)
         w[:, 0] = 0.0
         w = _block_solve(factor, w)[:, :, 0]
@@ -667,7 +662,8 @@ def _steady(gmap: _GeneratorMap, x: np.ndarray, probes: list) -> list:
     point, and a point that stays singular alone fails.  Beside its factor,
     a stack of n points holds its n M (n x entries, 27 KiB per point at d =
     16), the right-hand sides and solutions (n x d^2 x 2), its states and,
-    when probed, its Krylov bases (42 KiB per point for 20 steps)."""
+    when probed, its Krylov bases (62 KiB per point for the cap of 30
+    steps)."""
     n = x.shape[1]
     d = gmap.offsets[1]
     nn = d * d

@@ -40,6 +40,9 @@ _E = _A[6] - _B4
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+# Relative and absolute tolerance of the error norm (see _error_norm).
+_RTOL = 1e-8
+_ATOL = 1e-10
 # Step budget of one call; exceeding it raises RuntimeError.
 _MAX_STEPS = 20_000_000
 
@@ -67,8 +70,8 @@ def _error_norm(err, y0, y1, rtol, atol, scale, ratio) -> float:
     return float(np.sqrt(np.add.reduce(scale) / scale.size))
 
 
-def _initial_step(y0, f0, rtol, atol, span):
-    scale = atol + rtol * np.abs(y0)
+def _initial_step(y0, f0, span):
+    scale = _ATOL + _RTOL * np.abs(y0)
     d0 = np.sqrt(np.mean(np.abs(y0 / scale) ** 2))
     d1 = np.sqrt(np.mean(np.abs(f0 / scale) ** 2))
     h0 = 0.01 * d0 / d1 if d0 > 1e-5 and d1 > 1e-5 else 1e-6 * span
@@ -79,8 +82,6 @@ def integrate_adaptive(
     f: Callable[[float, np.ndarray], np.ndarray],
     y0: np.ndarray,
     t_grid: Sequence[float],
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
     post_step: Callable[[np.ndarray], np.ndarray] | None = None,
     reduce: Callable[[np.ndarray], Any] = np.copy,
 ) -> list:
@@ -134,7 +135,7 @@ def integrate_adaptive(
     # casting="same_kind" raises TypeError, naming both dtypes, where a
     # plain assignment would drop the imaginary part of a complex f
     np.copyto(k[0], f(t, y), casting="same_kind")
-    h = _initial_step(y, k[0], rtol, atol, span)
+    h = _initial_step(y, k[0], span)
 
     steps = 0
     for target in t_grid[1:]:
@@ -154,7 +155,7 @@ def integrate_adaptive(
                 np.copyto(ki, f(t + c * h_try, yi), casting="same_kind")
             np.dot(he, k, out=err_vec)
 
-            err = _error_norm(err_vec, y, y_new, rtol, atol, scale, ratio)
+            err = _error_norm(err_vec, y, y_new, _RTOL, _ATOL, scale, ratio)
             factor = _MAX_FACTOR if err == 0.0 else min(
                 _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2)
             )

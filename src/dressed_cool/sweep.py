@@ -115,11 +115,11 @@ def _point_params(grid: SweepGrid, p_d_db: float, delta_q: float) -> tuple[model
     return p, n_bar
 
 
-def _evaluate_point(args: tuple[SweepGrid, float, float, float, tuple | Exception]) -> SweepRow:
-    """The row of one point from (grid, p_d_db, delta_q, n_bar, outcome),
-    the outcome being the point's (Bloch vector, gamma) or the numerical
-    error (analysis.NUMERICAL_ERRORS) that failed it."""
-    grid, p_d_db, delta_q, n_bar, outcome = args
+def _evaluate_point(grid: SweepGrid, p_d_db: float, delta_q: float, n_bar: float,
+                    outcome: tuple | Exception) -> SweepRow:
+    """The row of one point of the grid, the outcome being the point's
+    (Bloch vector, gamma) or the numerical error (analysis.NUMERICAL_ERRORS)
+    that failed it."""
     if isinstance(outcome, Exception):
         v, gamma, converged = _NAN_BLOCH, math.nan, False
     else:
@@ -149,7 +149,7 @@ def _evaluate_stack(stack: Sequence[tuple[SweepGrid, float, float]]) -> list[Swe
     else:
         outcomes = [o if isinstance(o, Exception) else (o[0], o[2])
                     for o in analysis.steady_points(ps, rate=grid.mode == "cooling_rate")]
-    return [_evaluate_point((*task, n_bar, outcome))
+    return [_evaluate_point(*task, n_bar, outcome)
             for task, (_, n_bar), outcome in zip(stack, params, outcomes)]
 
 
@@ -304,7 +304,7 @@ def _map_chunk(fn, chunk: Sequence) -> list:
 # (dynamics._modes; BENCH_lockstep_arnoldi.json).  A point holds about 0.2
 # MiB at d = 16 while its stack is solved, and in a cooling_rate stack 0.07
 # MiB more, which keeps every W_i for the Arnoldi solves (see
-# dynamics._block_factor), and 0.04 MiB for its Krylov basis of 20 steps, so
+# dynamics._block_factor), and 0.06 MiB for its Krylov basis of 30 steps, so
 # larger stacks raise peak memory for no gain: steady_tomography's peak RSS
 # rose by 0.75 MiB at 6 and 1.3 MiB at 8, and cooling_rate's by 1.16 MiB at 6
 # on the 3x3 grid against point by point (BENCH_one_steady_solve.json), before

@@ -7,7 +7,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from dressed_cool import acceptance, model, sweep
+from dressed_cool import acceptance, analysis, dynamics, model, sweep
 from dressed_cool.cli import (
     CSV_COLUMNS,
     main,
@@ -82,13 +82,32 @@ def test_config_rejects_non_finite_numbers():
                 parse_config(f'{{"{key}": {value}}}')
 
 
-def test_config_range_errors_name_the_key():
-    with pytest.raises(ValueError, match="kappa_mhz"):
-        parse_config('{"kappa_mhz": -1}')
-    with pytest.raises(ValueError, match="t2_us"):
-        parse_config('{"t1_us": 5, "t2_us": 11}')
-    with pytest.raises(ValueError, match="theta_deg"):
-        parse_config('{"theta_deg": 200}')
+@pytest.mark.parametrize("key, raw", [
+    pytest.param("kappa_mhz", {"kappa_mhz": -1}, id="kappa_mhz"),
+    pytest.param("n_bar", {"n_bar": -0.5}, id="n_bar"),
+    pytest.param("t1_us", {"t1_us": 0}, id="t1_us"),
+    pytest.param("t2_us", {"t2_us": 0}, id="t2_us-positive"),
+    pytest.param("t2_us", {"t1_us": 5, "t2_us": 11}, id="t2_us-above-2-t1_us"),
+    pytest.param("n_fock", {"n_fock": 1}, id="n_fock"),
+    pytest.param("frame", {"frame": "lab"}, id="frame"),
+    pytest.param("mode", {"mode": "lindblad"}, id="mode"),
+    pytest.param("initial_state", {"initial_state": "sideways"}, id="initial_state"),
+    pytest.param("theta_deg", {"theta_deg": 200}, id="theta_deg"),
+    pytest.param("tomography_scale", {"tomography_scale": 0}, id="tomography_scale"),
+    pytest.param("t_max_us", {"t_max_us": 0}, id="t_max_us"),
+    pytest.param("n_times", {"n_times": 1}, id="n_times"),
+    pytest.param("power_points", {"power_points": 0}, id="power_points"),
+    pytest.param("detuning_points", {"detuning_points": 0}, id="detuning_points"),
+    pytest.param("power_db_max", {"power_db_min": 2.0, "power_db_max": 2.0}, id="power_db_max"),
+    pytest.param("detuning_mhz_max", {"detuning_mhz_min": 3.0, "detuning_mhz_max": -3.0},
+                 id="detuning_mhz_max"),
+    pytest.param("workers", {"workers": -1}, id="workers"),
+])
+def test_config_range_errors_name_the_key(key, raw):
+    # one case per range clause of config._validate, each the only value
+    # out of range
+    with pytest.raises(ValueError, match=re.escape(f"config key {key!r} ")):
+        parse_config(json.dumps(raw))
 
 
 def test_config_frame_error_lists_the_model_frames():
@@ -352,6 +371,23 @@ def test_cli_evolve_sizes_turn_on_and_gates_the_truncation(capsys, tmp_path):
     assert not traj.exists()
 
 
+def test_cli_evolve_gates_positivity(capsys, tmp_path, monkeypatch):
+    # a trajectory whose smallest eigenvalue is below the floor is a
+    # numerical failure, named by that eigenvalue, with no trajectory written
+    times = np.linspace(0.0, 1.0, 3)
+    stats = dynamics.PropagationStats(generator_applications=0, wall_s=0.0, reduce_s=0.0,
+                                      top_fock_population=0.0, max_trace_deviation=0.0,
+                                      min_eigenvalue=-2.5e-6)
+    monkeypatch.setattr(analysis, "config_trajectory",
+                        lambda p, cfg: dynamics.Trajectory(times, stats, {"sx": np.zeros(3)}))
+    cfg, traj = tmp_path / "cfg.json", tmp_path / "traj.csv"
+    cfg.write_text(json.dumps({"t_max_us": 1.0, "n_times": 3}))
+    assert main(["evolve", "-c", str(cfg), "-o", str(traj), "--no-timestamp"]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: trajectory state has eigenvalue -2.500e-06, below the floor -1e-07" in err
+    assert not traj.exists()
+
+
 def test_cli_undisplaced_cutoff_is_judged_by_the_gate_alone(capsys, tmp_path):
     # the lab-frame builder takes the given cutoff without a rule of its own:
     # n_fock 8 at n_bar = 3.6 fails on the truncation gate, with no warning
@@ -476,6 +512,33 @@ def test_cli_sweep_reruns_are_byte_identical(tmp_path, capsys):
     assert main(["sweep", "-c", str(cfg), "-o", str(out1), "--no-timestamp"]) == 0
     assert main(["sweep", "-c", str(cfg), "-o", str(out2), "--no-timestamp"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cli_sweep_applies_the_tomography_scale(tmp_path, capsys):
+    # at tomography_scale 0.8 the state columns of a sweep are 0.8 times the
+    # unscaled run's, every other column is the same, and the metadata
+    # records the scale
+    grid = {
+        "mode": "rates_analytic_map",
+        "power_points": 2, "detuning_points": 2,
+        "power_db_min": -3.0, "power_db_max": 0.0,
+        "detuning_mhz_min": 0.0, "detuning_mhz_max": 5.0,
+    }
+    tables = []
+    for scale in (1.0, 0.8):
+        cfg, out = tmp_path / "cfg.json", tmp_path / f"scale{scale}.csv"
+        cfg.write_text(json.dumps({**grid, "tomography_scale": scale}))
+        assert main(["sweep", "-c", str(cfg), "-o", str(out), "--no-timestamp"]) == 0
+        tables.append(_read_sweep_csv(out))
+    assert "# tomography_scale=0.8\n" in out.read_text()
+    (header, plain), (_, scaled) = tables
+    assert len(plain) == len(scaled) == 4
+    for row, scaled_row in zip(plain, scaled):
+        for name, a, b in zip(header, row, scaled_row):
+            if name in ("sx", "sy", "sz", "s_theta"):
+                assert float(b) == pytest.approx(0.8 * float(a), rel=1e-8, abs=1e-15), name
+            else:
+                assert b == a, name
 
 
 def test_cli_sweep_rejects_a_frame_it_would_ignore(tmp_path, capsys):

@@ -113,11 +113,11 @@ def dense_lu_steady_state(h, collapse):
     return np.linalg.solve(system, rhs).reshape((d, d), order="F")
 
 
-def complex_evolve(h, collapse, rho0, t_grid, observables, rtol=1e-8, atol=1e-10):
+def complex_evolve(h, collapse, rho0, t_grid, observables):
     """Reference propagation of the complex vec(rho) under the Liouvillian,
     projected back onto Hermitian matrices after every accepted step (the
-    oracle for evolve's real Hermitian-basis propagation; the tolerances
-    default to evolve's).  Returns each observable's real series."""
+    oracle for evolve's real Hermitian-basis propagation, at its
+    tolerances).  Returns each observable's real series."""
     d = h.shape[0]
     liou = liouvillian_matrix(h, collapse)
 
@@ -126,7 +126,7 @@ def complex_evolve(h, collapse, rho0, t_grid, observables, rtol=1e-8, atol=1e-10
         return (0.5 * (rho + rho.conj().T)).ravel(order="F")
 
     v0 = np.asarray(rho0, dtype=complex).ravel(order="F")
-    vs = integrate_adaptive(lambda _t, v: liou @ v, v0, t_grid, rtol, atol, post_step=symmetrize)
+    vs = integrate_adaptive(lambda _t, v: liou @ v, v0, t_grid, post_step=symmetrize)
     return {
         name: np.array([expect_real(op, v.reshape((d, d), order="F")) for v in vs])
         for name, op in observables.items()
@@ -314,27 +314,31 @@ def test_integrator_grid_validation():
             integrate_adaptive(f, np.array([1.0 + 0j]), bad)
 
 
-def test_integrator_linear_problem_accuracy():
+def test_integrator_linear_problem_accuracy(monkeypatch):
+    monkeypatch.setattr(integrate, "_RTOL", 1e-10)
+    monkeypatch.setattr(integrate, "_ATOL", 1e-12)
     lam = -1.0 + 2.0j
     f = lambda t, y: lam * y
     t_grid = np.linspace(0.0, 2.0, 9)
-    ys = integrate_adaptive(f, np.array([1.0 + 0j]), t_grid, rtol=1e-10, atol=1e-12)
+    ys = integrate_adaptive(f, np.array([1.0 + 0j]), t_grid)
     for t, y in zip(t_grid, ys):
         assert abs(y[0] - np.exp(lam * t)) <= 1e-8
 
 
-def test_integrator_order_from_step_halving():
+def test_integrator_order_from_step_halving(monkeypatch):
     # global error of the order-5 propagation should drop ~32x per halving;
     # the contract only demands >= 4x for an embedded pair of order >= 4.
     # Tolerances this loose accept every step, so once the step has grown
     # past the grid spacing every step is clamped to the uniform grid.
+    monkeypatch.setattr(integrate, "_RTOL", 1e6)
+    monkeypatch.setattr(integrate, "_ATOL", 1e6)
     lam = -1.0 + 2.0j
     f = lambda t, y: lam * y
     exact = np.exp(lam)
     errs = []
     for n in (21, 41):
         t_grid = np.linspace(0.0, 1.0, n)
-        y = integrate_adaptive(f, np.array([1.0 + 0j]), t_grid, rtol=1e6, atol=1e6)[-1]
+        y = integrate_adaptive(f, np.array([1.0 + 0j]), t_grid)[-1]
         errs.append(abs(y[0] - exact))
     ratio = errs[0] / errs[1]
     assert ratio >= 4.0
@@ -1006,7 +1010,7 @@ def test_residual_applies_the_generator():
     # the steady path's M, the column F x of the map's pattern entries, is
     # Re(T+ L T) of the np.kron generator in the map's basis, the kept factor
     # of a point's solve inverts M with its first row replaced by the trace,
-    # and the residual helper applies M to one vector or to a stack's rows
+    # and the residual helper applies each M of a stack to its row
     rng = np.random.default_rng(7)
     p = reference_params(n_bar=1.0, n_fock=4)
     h, ops = build_model(p)
@@ -1023,13 +1027,13 @@ def test_residual_applies_the_generator():
     r = rng.normal(size=ref.shape[0]) + 1j * rng.normal(size=ref.shape[0])
     lam = -1.5 + 2.0j
     expected = np.linalg.norm(ref @ r - lam * r) / max(1.0, np.abs(ref).max())
-    assert dynamics._residual(gmap, fx, r, lam) == pytest.approx(expected, rel=1e-12)
+    assert dynamics._residual(gmap, fx, r[None], lam)[0] == pytest.approx(expected, rel=1e-12)
     pair = dynamics._residual(gmap, np.column_stack([fx, 2.0 * fx]), np.array([r, r]), lam)
-    assert pair[0] == dynamics._residual(gmap, fx, r, lam)
+    assert pair[0] == dynamics._residual(gmap, fx, r[None], lam)[0]
     assert pair[1] == pytest.approx(np.linalg.norm(2.0 * ref @ r - lam * r) / (2.0 * np.abs(ref).max()), rel=1e-12)
     rho = steady_state(h, ops)
     x = (basis.conj().T @ rho.ravel(order="F")).real
-    assert dynamics._residual(gmap, fx, x) <= 1e-14
+    assert dynamics._residual(gmap, fx, x[None])[0] <= 1e-14
 
 
 # Operating points whose H has different nonzero patterns or whose collapse

@@ -173,9 +173,9 @@ def test_serial_sweep_runs_blas_on_one_thread_and_restores_the_callers(monkeypat
     seen = []
     evaluate = sweep._evaluate_point
 
-    def recording(task):
+    def recording(*args):
         seen.append(sweep._blas_threads())
-        return evaluate(task)
+        return evaluate(*args)
 
     monkeypatch.setattr(sweep, "_evaluate_point", recording)
     before = sweep._blas_threads()

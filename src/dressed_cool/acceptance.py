@@ -29,7 +29,6 @@ from .rates import (
     rates_general,
     rates_resonant,
     rates_sideband_limit,
-    raman_rates,
 )
 from .sweep import SweepGrid, apply_tomography_scale, optimal_theta_detuning, parallel_map, run_sweep
 
@@ -250,16 +249,23 @@ def criterion_6() -> CriterionResult:
     )
     limit_ok = limit_err <= 1e-14
 
-    # Sideband limit with no intrinsic decoherence is the Raman result.
+    # The general rates approach the sideband-limit formulas far detuned
+    # (delta_q' = 30 omega_r) with the cavity on the cooling sideband,
+    # delta_c = -delta_q', which the formulas assume; they differ there by
+    # about (omega_r / delta_q')^2 = 1.1e-3.  At the default delta_c = -9
+    # MHz the formula's gamma_- misses by 7.8 times the general one, so the
+    # check can fail.
     p_sb = to_system_params(
-        Config(n_bar=1.0, delta_q_prime_mhz=15.0, omega_r_mhz=0.5)
+        Config(n_bar=1.0, delta_q_prime_mhz=15.0, omega_r_mhz=0.5, delta_c_mhz=-15.0)
     )
     p_sb = replace(p_sb, gamma_down=0.0, gamma_up=0.0, gamma_phi=0.0)
     sb = rates_sideband_limit(p_sb)
-    rm = raman_rates(p_sb)
-    raman_ok = (
-        sb.gamma_minus == rm.gamma_minus and sb.gamma_plus == rm.gamma_plus
+    exact = rates_general(p_sb)
+    sideband_err = max(
+        _rel_err(sb.gamma_minus, exact.gamma_minus),
+        _rel_err(sb.gamma_plus, exact.gamma_plus),
     )
+    sideband_ok = sideband_err <= 1e-2
 
     # Displaced and lab frames agree on qubit observables and on the field
     # once the coherent offset is added back.
@@ -272,10 +278,10 @@ def criterion_6() -> CriterionResult:
     frame_err = float(max(dx, dz))
     frame_ok = frame_err <= 2e-3 and dfield <= 2e-3
 
-    ok = limit_ok and raman_ok and frame_ok
+    ok = limit_ok and sideband_ok and frame_ok
     detail = (
         f"resonant-limit rel err {limit_err:.2e} (tol 1e-14), "
-        f"raman == sideband: {raman_ok}, "
+        f"sideband-limit rel err {sideband_err:.2e} (tol 1e-2), "
         f"frame mismatch qubit {frame_err:.2e} / field {dfield:.2e} (tol 2e-3)"
     )
     return CriterionResult(6, "limits-and-frame-equivalence", ok, detail)

@@ -12,9 +12,7 @@ import numpy as np
 
 from . import dynamics, model, rates
 from .integrate import StiffnessError
-from .operators import (
-    expect_real, fock_state, kron, pauli, reduced_qubit, space, top_fock_population,
-)
+from .operators import IMAG_TOL, reduced_qubit, space, top_fock_population
 
 __all__ = [
     "ExpFit",
@@ -30,6 +28,7 @@ __all__ = [
     "bloch_vector",
     "sigma_theta_projection",
     "dressed_probe",
+    "dressed_probe_terms",
     "steady_point",
     "steady_points",
     "analytic_point",
@@ -278,17 +277,32 @@ class BlochVector:
         return math.sqrt(self.x ** 2 + self.y ** 2 + self.z ** 2)
 
 
+def _bloch_vectors(rhos: np.ndarray) -> np.ndarray:
+    """The (x, y, z) rows of the qubit Bloch vectors of a stack of composite
+    states (n x d x d), the cavity traced out by operators.reduced_qubit:
+    Tr(sigma rho_q) for sigma = sx, sy and sz, as sums of the reduced
+    state's entries.  Every operation is elementwise over the stack, so a
+    state's row does not depend on its stack.  An expectation whose
+    imaginary part exceeds roundoff (operators.IMAG_TOL, as in
+    operators.expect_real), or a norm above 1 + 1e-9, raises ValueError."""
+    rq = reduced_qubit(rhos)
+    values = np.stack([
+        rq[:, 0, 1] + rq[:, 1, 0],
+        -1j * rq[:, 0, 1] + 1j * rq[:, 1, 0],
+        rq[:, 0, 0] - rq[:, 1, 1],
+    ], axis=1)
+    if np.any(np.abs(values.imag) > IMAG_TOL * np.maximum(1.0, np.abs(values.real))):
+        raise ValueError(f"expectation has imaginary part {np.abs(values.imag).max():.3e}; state not Hermitian?")
+    out = values.real
+    norm = np.sqrt((out ** 2).sum(axis=1))
+    if np.any(norm > 1.0 + 1e-9):
+        raise ValueError(f"Bloch vector norm {norm.max():.6f} exceeds 1")
+    return out
+
+
 def bloch_vector(rho: np.ndarray) -> BlochVector:
     """Qubit Bloch vector of a composite state (cavity traced out)."""
-    rq = reduced_qubit(np.asarray(rho))
-    v = BlochVector(
-        x=expect_real(pauli("x"), rq),
-        y=expect_real(pauli("y"), rq),
-        z=expect_real(pauli("z"), rq),
-    )
-    if v.norm > 1.0 + 1e-9:
-        raise ValueError(f"Bloch vector norm {v.norm:.6f} exceeds 1")
-    return v
+    return BlochVector(*(float(v) for v in _bloch_vectors(np.asarray(rho)[None])[0]))
 
 
 def sigma_theta_projection(v: BlochVector, theta: float) -> float:
@@ -300,14 +314,19 @@ def sigma_theta_projection(v: BlochVector, theta: float) -> float:
     return math.sin(theta) * v.x + math.sin(0.5 * math.pi - theta) * v.z
 
 
+def dressed_probe_terms(p: model.SystemParams) -> tuple[tuple[str, float], ...]:
+    """dressed_probe(p) as (operator name in operators.space(p.n_fock),
+    coefficient) pairs: sin(theta) sx (x) |0><0| + cos(theta) sz (x) |0><0|."""
+    theta = rates.dressed_angle(p)[0]
+    return (("sx_vac", math.sin(theta)), ("sz_vac", math.cos(theta)))
+
+
 def dressed_probe(p: model.SystemParams) -> np.ndarray:
     """sigma_theta x |0><0| (cavity vacuum of the displaced frame) on the
     dressed axis theta of p.  Its generator mode is the qubit's relaxation
     toward the dressed state; weighting by sigma_theta x I instead picks
     cavity modes at some operating points."""
-    theta = rates.dressed_angle(p)[0]
-    sigma_theta = math.sin(theta) * pauli("x") + math.cos(theta) * pauli("z")
-    return kron(sigma_theta, fock_state(p.n_fock, 0))
+    return space(p.n_fock).combine(dressed_probe_terms(p))
 
 
 def steady_point(
@@ -328,42 +347,56 @@ def steady_points(ps, frame: str = "displaced", rate: bool = False) -> list:
     the error of NUMERICAL_ERRORS that names why it failed: the one recipe
     behind every reported steady state.
 
-    The models are solved by one dynamics.steady_states call, which solves
-    the points that share a generator map as one stack.  When rate is true,
-    each point carries dressed_probe(p), whose mode's decay rate -Re lambda
-    is gamma (NaN otherwise).  That probe holds the cavity vacuum of the
-    displaced frame, which is not the lab frame's cavity state, so a rate
-    in any other frame raises ValueError before anything is built.  A top
-    Fock level past model.TRUNCATION_TOL fails a point with
+    Each point reaches one dynamics.steady_states call as coefficients on
+    the operator table (model.build_terms), so no H is built, and the
+    points that share a term table are solved as one stack.  When rate is
+    true, each point carries the terms of dressed_probe(p), whose mode's
+    decay rate -Re lambda is gamma (NaN otherwise).  That probe holds the
+    cavity vacuum of the displaced frame, which is not the lab frame's
+    cavity state, so a rate in any other frame raises ValueError before
+    anything is built.
+
+    The solved states of one cutoff are audited and reduced as one stack
+    (n x d x d): one eigvalsh gives their smallest eigenvalues and one
+    operators.top_fock_population their top Fock populations.  A top Fock
+    level past model.TRUNCATION_TOL fails a point with
     model.TruncationError.  The block factorisation of the steady solve
     does not pivot across levels, so positivity is audited too: an
-    eigenvalue below POSITIVITY_FLOOR, from one eigvalsh of all the states,
-    fails a point with NonPositiveStateError before the state is reduced.
+    eigenvalue below POSITIVITY_FLOOR fails a point with
+    NonPositiveStateError.  The Bloch vectors of the points that pass come
+    from one reduction of their stack, whose rows are bloch_vector's of
+    each state bit for bit, its checks included; no state is traced alone.
     dynamics.steady_states forms each state exactly conjugate-symmetric,
     so eigvalsh takes them as they are.  Any other error is raised."""
     if rate and frame != "displaced":
         raise ValueError(
             f"the rate probe holds the displaced frame's cavity vacuum; no rate in frame {frame!r}"
         )
-    models = [model.build_model(p, frame) for p in ps]
-    outcomes = dynamics.steady_states(models, [dressed_probe(p) for p in ps] if rate else None)
+    models = [model.build_terms(p, frame) for p in ps]
+    outcomes = dynamics.steady_states(models, [dressed_probe_terms(p) for p in ps] if rate else None)
     states = [o[0] if isinstance(o, tuple) else o for o in outcomes]
     gammas = [-o[1].real if isinstance(o, tuple) else math.nan for o in outcomes]
-    solved = [rho for rho in states if not isinstance(rho, Exception)]
-    lowest = iter(np.linalg.eigvalsh(np.array(solved))[:, 0] if solved else ())
-    points = []
-    for p, rho, gamma in zip(ps, states, gammas):
-        if isinstance(rho, Exception):
-            points.append(rho)
-            continue
-        low = next(lowest)
-        try:
-            top = model.check_truncation(top_fock_population(rho), p.n_fock)
-            check_positivity(low, "steady state")
-        except (model.TruncationError, NonPositiveStateError) as exc:
-            points.append(exc)
-        else:
-            points.append((bloch_vector(rho), top, gamma))
+    points: list = list(states)
+    by_dim: dict[int, list[int]] = {}
+    for i, rho in enumerate(states):
+        if not isinstance(rho, Exception):
+            by_dim.setdefault(rho.shape[0], []).append(i)
+    for where in by_dim.values():
+        rhos = np.array([states[i] for i in where])
+        lowest = np.linalg.eigvalsh(rhos)[:, 0]
+        tops = top_fock_population(rhos)
+        passed = []
+        for j, i in enumerate(where):
+            try:
+                model.check_truncation(float(tops[j]), ps[i].n_fock)
+                check_positivity(lowest[j], "steady state")
+            except (model.TruncationError, NonPositiveStateError) as exc:
+                points[i] = exc
+            else:
+                passed.append(j)
+        if passed:
+            for j, v in zip(passed, _bloch_vectors(rhos[passed])):
+                points[where[j]] = (BlochVector(*(float(c) for c in v)), float(tops[j]), gammas[where[j]])
     return points
 
 

@@ -26,8 +26,8 @@ except ImportError:  # a scipy that moved it: _matvec falls back on the product
     _csr_matvec = None
 
 from .integrate import integrate_adaptive
-from .model import CollapseOp
-from .operators import hermiticity_residual, top_fock_population
+from .model import CollapseOp, ModelTerms, channel_ops
+from .operators import hermiticity_residual, space, top_fock_population
 
 __all__ = [
     "Trajectory",
@@ -172,9 +172,18 @@ def evolve(
     w_k = Tr(O G_k); a series is real exactly when w is, as for a Hermitian
     O.  Every observable must be a d x d matrix.  These numbers are read off
     inside the integrator as each grid time is reached, so no state is held
-    unless store_states is true: rho is formed for its smallest eigenvalue
-    and kept only then.  Every trajectory carries what the propagation did,
+    unless store_states is true: rho is formed for its positivity audit and
+    kept only then.  Every trajectory carries what the propagation did,
     its worst trace and positivity deviations among it, as PropagationStats.
+
+    The audit keeps m, the smallest eigenvalue seen so far.  rho - m I is
+    positive definite exactly when every eigenvalue of rho exceeds m, so at
+    each grid time a Cholesky factorisation of rho - m I is tried, and
+    eigvalsh runs only when it fails (and at the first grid time): m is
+    that of an eigvalsh at every grid time.  Roundoff can make a Cholesky
+    fail that should not, which costs one eigvalsh, or succeed when an
+    eigenvalue lies a roundoff of |rho| below m, which misses that new
+    minimum by no more than that roundoff.
     M comes from the map cached per (d, pattern of H, collapse operators),
     so a trajectory and the steady points of the same model share one build.
     The top Fock level's population is read in the qubit-major layout of
@@ -204,6 +213,7 @@ def evolve(
 
     mr = np.empty(d * d)  # every M r, which integrate_adaptive copies at once
     indptr, indices, data = m.indptr, m.indices, m.data
+    eye = np.eye(d)
 
     def apply(_t, r):
         nonlocal applications
@@ -215,9 +225,11 @@ def evolve(
         t0 = time.perf_counter()
         rho = (basis @ r).reshape((d, d), order="F")
         trace_dev = max(trace_dev, abs(r[:d].sum() - 1.0))
-        # rho is exactly conjugate-symmetric: eigvalsh needs no symmetrised copy
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(rho)[0]))
-        top = max(top, top_fock_population(rho))
+        # rho is exactly conjugate-symmetric: neither factorisation needs a
+        # symmetrised copy
+        if min_eig == np.inf or not _exceeds(rho, min_eig, eye):
+            min_eig = min(min_eig, float(np.linalg.eigvalsh(rho)[0]))
+        top = max(top, float(top_fock_population(rho)))
         values[outputs] = [w @ r for w in rows]
         outputs += 1
         if store_states:
@@ -236,6 +248,16 @@ def evolve(
         },
         states=states if store_states else None,
     )
+
+
+def _exceeds(rho: np.ndarray, m: float, eye: np.ndarray) -> bool:
+    """Whether every eigenvalue of the Hermitian rho exceeds m: whether
+    rho - m I, eye being the identity, has a Cholesky factor."""
+    try:
+        np.linalg.cholesky(rho - m * eye)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _hermitian_basis(d: int) -> sp.csc_matrix:
@@ -377,22 +399,107 @@ _MAPS: dict[tuple, _GeneratorMap] = {}
 _MAPS_MAX = 8
 
 
+def _cached(cache: dict, key, build):
+    """cache[key], built by build() when absent, as the most recently used
+    entry of cache, which keeps the _MAPS_MAX most recently used ones."""
+    value = cache.pop(key, None) or build()
+    cache[key] = value  # most recently used last
+    if len(cache) > _MAPS_MAX:
+        del cache[next(iter(cache))]
+    return value
+
+
+def _map_key(d: int, upper: np.ndarray, collapse: list[CollapseOp]) -> tuple:
+    return (d, upper.tobytes(), *((l.shape, l.dtype.str, l.tobytes()) for l in (c.operator for c in collapse)))
+
+
 def _map_of(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[tuple, _GeneratorMap, np.ndarray]:
     """The key of h's map, (d, upper pattern of H, collapse operators), the
     map, built or taken from the cache, and h's coordinates x(h) on it (see
-    _generator).  A non-Hermitian h raises ValueError."""
+    _generator): the path of a model given as matrices.  A non-Hermitian h
+    raises ValueError."""
     if hermiticity_residual(h) > 1e-12 * np.abs(h).max(initial=1.0):
         raise ValueError("Hamiltonian is not Hermitian")
     d = h.shape[0]
     hs = 0.5 * (h + h.conj().T)
     upper = np.flatnonzero(np.triu(hs, 1))
-    key = (d, upper.tobytes(), *((l.shape, l.dtype.str, l.tobytes()) for l in (c.operator for c in collapse)))
-    gmap = _MAPS.pop(key, None) or _generator_map(d, upper, collapse)
-    _MAPS[key] = gmap  # most recently used last
-    if len(_MAPS) > _MAPS_MAX:
-        del _MAPS[next(iter(_MAPS))]
+    key = _map_key(d, upper, collapse)
+    gmap = _cached(_MAPS, key, lambda: _generator_map(d, upper, collapse))
     above = hs.flat[upper]
     return key, gmap, np.concatenate([hs.diagonal().real, above.real, above.imag, [1.0]])
+
+
+@dataclass(frozen=True)
+class _TermTable:
+    """What a model given as ModelTerms needs of its map, found once per
+    (n_fock, names of its nonzero Hamiltonian terms, channels): the map's
+    key and what builds it (d, the upper pattern, which is the union of the
+    terms' patterns, and the collapse operators), and x, whose column k is
+    the coordinates x(O_k) of nonzero term k on the map (see _generator)
+    without the trailing 1.  probes holds the coordinates of each table
+    operator that a probe names, in the map's basis, from its first use."""
+
+    key: tuple
+    d: int
+    upper: np.ndarray
+    collapse: list
+    x: np.ndarray
+    probes: dict = field(default_factory=dict)
+
+    def map(self) -> _GeneratorMap:
+        return _cached(_MAPS, self.key, lambda: _generator_map(self.d, self.upper, self.collapse))
+
+    def coordinates(self, c: np.ndarray) -> np.ndarray:
+        """X = [x c; 1] for the coefficients c (terms x points).  The sum
+        over terms is taken term by term, in the order of the list, as the
+        builders add H = sum c O (operators.HilbertSpace.combine), so each
+        column is x(h) of that h bit for bit, where one BLAS product could
+        fuse or reorder the sums."""
+        out = np.zeros((self.x.shape[0] + 1, c.shape[1]))
+        for k in range(self.x.shape[1]):
+            out[:-1] += np.multiply.outer(self.x[:, k], c[k])
+        out[-1] = 1.0
+        return out
+
+    def probe(self, gmap: _GeneratorMap, terms) -> np.ndarray:
+        """The coordinates of sum c O over the (name, coefficient) pairs of
+        a probe, from the cached coordinates of each O."""
+        hs = space(self.d // 2)
+        out = np.zeros(self.d * self.d)
+        for name, c in terms:
+            if name not in self.probes:
+                self.probes[name] = _coordinates(gmap, getattr(hs, name))
+            out += c * self.probes[name]
+        return out
+
+
+# Term tables by (n_fock, names of the nonzero Hamiltonian terms, channels),
+# least recently used first, as many as maps.
+_TABLES: dict[tuple, _TermTable] = {}
+
+
+def _table_of(n_fock: int, names: tuple, channels: tuple) -> _TermTable:
+    def build():
+        hs = space(n_fock)
+        d = 2 * n_fock
+        ops = [getattr(hs, name) for name in names]
+        pattern = np.zeros((d, d), dtype=bool)
+        for op in ops:
+            pattern |= op != 0
+        upper = np.flatnonzero(np.triu(pattern, 1))
+        collapse = channel_ops(n_fock, channels)
+        x = np.column_stack([np.concatenate([op.diagonal().real, op.flat[upper].real, op.flat[upper].imag])
+                             for op in ops]) if ops else np.zeros((d + 2 * upper.size, 0))
+        x.flags.writeable = False
+        return _TermTable(_map_key(d, upper, collapse), d, upper, collapse, x)
+
+    return _cached(_TABLES, (n_fock, names, channels), build)
+
+
+def _coordinates(gmap: _GeneratorMap, op: np.ndarray) -> np.ndarray:
+    """The real coordinates Tr(G_k O) of a Hermitian operator O in the map's
+    basis T."""
+    return (gmap.basis.conj().T @ np.asarray(op, dtype=complex).ravel(order="F")).real
 
 
 def _generator(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[sp.csc_matrix, sp.csr_matrix, np.ndarray]:
@@ -405,11 +512,15 @@ def _generator(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[sp.csc_matrix
     L is linear in H, and Re(T+ L T) depends on H only through its Hermitian
     part, so with x(h) the coordinates of (h + h+)/2 (its real diagonal, then
     Re and Im of each nonzero above it) M = sum_t x_t M_t + D, D being M at
-    H = 0, which rides as F's last column against x's trailing 1.  A sweep's
-    points share d, that pattern and the collapse operators, so the map is
-    built once and each point costs one sparse product.  The entries of the
-    map's union pattern that are zero at this h are dropped, so M keeps only
-    its own nonzeros for the M r products of a trajectory."""
+    H = 0, which rides as F's last column against x's trailing 1.  H is
+    itself a sum c_k O_k of fixed operators (model.hamiltonian_terms), so
+    x(h) = sum c_k x(O_k): a sweep's points, which share d, that pattern and
+    the collapse operators, reach the steady solve as coefficients on the
+    x(O_k) of a term table (see _TermTable), and only a model given as
+    matrices, as here, has its x(h) read off H.  The map is built once and
+    each point costs one sparse product.  The entries of the map's union
+    pattern that are zero at this h are dropped, so M keeps only its own
+    nonzeros for the M r products of a trajectory."""
     _, gmap, x = _map_of(h, collapse)
     d = h.shape[0]
     m = sp.csr_matrix((gmap.f @ x, gmap.indices, gmap.indptr), shape=(d * d, d * d), copy=True)
@@ -544,8 +655,9 @@ def _modes(gmap: _GeneratorMap, fx: np.ndarray, factor: tuple, probes: list) -> 
     """For each point of a stack on one map, whose M have the entries fx
     (one column each; see _residual) and whose S have the factor (see
     _block_factor): the generator eigenvalue lambda of the mode that carries
-    its Hermitian probe, the ModeNotConvergedError that names why it has
-    none, or None when its probe is None.
+    its Hermitian probe, given by its coordinates in the map's basis, the
+    ModeNotConvergedError that names why it has none, or None when its
+    probe is None.
 
     The decay rate of that mode is -Re lambda.  Of the modes M = sum_k
     lambda_k r_k l_k^T (right and left eigenvectors, l_k . r_k = 1), the one
@@ -580,7 +692,7 @@ def _modes(gmap: _GeneratorMap, fx: np.ndarray, factor: tuple, probes: list) -> 
     for p, probe in enumerate(probes):
         if probe is None:
             continue
-        x = (gmap.basis.conj().T @ np.asarray(probe, dtype=complex).ravel(order="F")).real
+        x = np.array(probe, dtype=float)
         x[:d] -= x[:d].sum() / d
         beta = float(np.linalg.norm(x))
         if beta == 0.0:
@@ -643,10 +755,11 @@ def _modes(gmap: _GeneratorMap, fx: np.ndarray, factor: tuple, probes: list) -> 
 
 def _steady(gmap: _GeneratorMap, x: np.ndarray, probes: list) -> list:
     """The outcome of each of a stack of points on one map, the columns of
-    x holding their coordinates x(h) and probes their probes (a Hermitian
-    operator or None each): its rho, (rho, lambda) when it has a probe (see
-    _modes), or the MultipleSteadyStatesError or ModeNotConvergedError that
-    names why it failed.
+    x holding their coordinates x(h) and probes their probes (the
+    coordinates of a Hermitian operator in the map's basis, or None each):
+    its rho, (rho, lambda) when it has a probe (see _modes), or the
+    MultipleSteadyStatesError or ModeNotConvergedError that names why it
+    failed.
 
     The stack's M are assembled as one product F X, and its systems S are
     factored at once by _block_factor; S r = e_0 is solved with it.  A
@@ -709,33 +822,61 @@ def _steady(gmap: _GeneratorMap, x: np.ndarray, probes: list) -> list:
 
 
 def steady_states(models, probes=None) -> list:
-    """The outcome of each (H, collapse operators) model, in order: its
-    steady state rho, or (rho, lambda) when probes, one Hermitian operator
-    or None per model, gives it a probe, lambda being the generator
-    eigenvalue of the mode that carries the probe (see _modes), whose decay
-    rate is -Re lambda; or the MultipleSteadyStatesError or
-    ModeNotConvergedError that names why it has none.
+    """The outcome of each model, in order: its steady state rho, or (rho,
+    lambda) when probes, one Hermitian probe or None per model, gives it a
+    probe, lambda being the generator eigenvalue of the mode that carries
+    the probe (see _modes), whose decay rate is -Re lambda; or the
+    MultipleSteadyStatesError or ModeNotConvergedError that names why it
+    has none.
 
-    The models that share a generator map (see _generator) are solved as
-    one stack by _steady, wherever they stand in the list, by a real
-    block-tridiagonal solve in the Hermitian basis.  A point's products and
-    inverses in a stack are those it gets alone (see _block_factor), so its
-    outcome does not depend on the stack.  Each rho is T r over its real
-    trace, so it is exactly conjugate-symmetric.  A model without a collapse
-    channel raises ValueError; any other error, such as a non-Hermitian H,
-    is raised."""
+    A model is an (H, collapse operators) pair, whose probe is an operator,
+    or a model.ModelTerms, whose probe is a list of (name, coefficient)
+    pairs on the same operator table.  The H of a pair is checked for
+    Hermiticity and its coordinates x(h) read off (see _map_of).  The
+    coefficients of ModelTerms need neither: the map key and the terms'
+    coordinates x(O_k) are found once per (n_fock, names of its nonzero
+    terms, channels) (see _table_of), and a stack's X is its coefficients
+    on them.  A term whose coefficient is zero is left out of that key, so
+    the undriven point (eps_d = 0) has its own map, with the levels of its
+    own pattern.  A probe's coordinates are the sum of its terms'
+    coordinates, cached per table.
+
+    The models that share a map and the same form (one term table, or
+    pairs) are solved as one stack by _steady, wherever they stand in the
+    list, by a real block-tridiagonal solve in the Hermitian basis.  A
+    point's products and inverses in a stack are those it gets alone (see
+    _block_factor), so its outcome does not depend on the stack, and a
+    ModelTerms point's X is the x(h) of its builder's H bit for bit (see
+    _TermTable.coordinates), so its outcome is that of its pair too.  Each
+    rho is T r over its real trace, so it is exactly conjugate-symmetric.
+    A model without a collapse channel raises ValueError; any other error,
+    such as a non-Hermitian H, is raised."""
     probes = [None] * len(models) if probes is None else probes
-    stacks: dict[tuple, tuple[_GeneratorMap, list, list]] = {}
-    for i, (h, collapse) in enumerate(models):
-        if not collapse:
+    stacks: dict[tuple, tuple] = {}
+    for i, m in enumerate(models):
+        terms = isinstance(m, ModelTerms)
+        if not (m.channels if terms else m[1]):
             raise ValueError("steady state needs at least one collapse channel")
-        key, gmap, x = _map_of(h, collapse)
-        stack = stacks.setdefault(key, (gmap, [], []))
+        if terms:
+            live = [(name, c) for name, c in m.hamiltonian if c != 0.0]
+            key = (m.n_fock, tuple(name for name, _ in live), m.channels)
+            source, point = None, [c for _, c in live]
+        else:
+            key, source, point = _map_of(*m)
+        stack = stacks.setdefault(key, (source, [], []))
         stack[1].append(i)
-        stack[2].append(x)
+        stack[2].append(point)
     outcomes: list = [None] * len(models)
-    for gmap, where, xs in stacks.values():
-        for i, outcome in zip(where, _steady(gmap, np.column_stack(xs), [probes[i] for i in where])):
+    for key, (gmap, where, points) in stacks.items():
+        if gmap is None:
+            table = _table_of(*key)
+            gmap = table.map()
+            x = table.coordinates(np.array(points).reshape(len(points), -1).T)
+            stack_probes = [None if probes[i] is None else table.probe(gmap, probes[i]) for i in where]
+        else:
+            x = np.column_stack(points)
+            stack_probes = [None if probes[i] is None else _coordinates(gmap, probes[i]) for i in where]
+        for i, outcome in zip(where, _steady(gmap, x, stack_probes)):
             outcomes[i] = outcome
     return outcomes
 

@@ -14,12 +14,17 @@ Conventions (all frequencies angular, rad/us; rates 1/us; times us):
 * Undisplaced frame keeps the physical drive eps_d (a+ + a) and bare qubit
   detuning; both builders describe the same operating point, so trajectories
   of qubit observables agree between frames.
+* Each frame's H is a list of real coefficients on fixed operators of the
+  table operators.space(n_fock) (hamiltonian_terms), and each collapse
+  operator sqrt(rate) times one of them (channels); build_terms hands a
+  model to the steady solve in that form, build_model as matrices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,36 +131,53 @@ def coupling_ratio(p: SystemParams) -> float:
     return abs(p.chi) * math.sqrt(n_bar_of(p)) / p.kappa
 
 
-def build_hamiltonian_displaced(p: SystemParams) -> np.ndarray:
-    """Displaced-frame Hamiltonian; the classical drive is folded into a_bar."""
-    hs = space(p.n_fock)
-    a_bar = displacement(p)
+def hamiltonian_terms(p: SystemParams, frame: str = "displaced") -> tuple[tuple[str, float], ...]:
+    """H of p in the given frame as (operator name in operators.space(p.n_fock),
+    real coefficient) pairs, H = sum c O.
+
+    Displaced frame: with a_bar = u + i v, the coupling -chi (conj(a_bar) d +
+    a_bar d+) sz is -chi u sz (d + d+) - chi v sz i (d+ - d), so the terms
+    are n, sz, sx, sz_x, sz_p and sz_n with coefficients -delta_c,
+    -delta_q_prime/2, -omega_r/2, -chi u, -chi v and -chi.  Undisplaced
+    frame: n, sz, sx, sz_n and x with -delta_c, -(delta_q_bare + chi)/2,
+    -omega_r/2, -chi and eps_d, the bare qubit detuning being recovered from
+    delta_q_prime by undoing the Stark shift (2 chi n_bar) and the constant
+    chi offset that the displaced frame absorbs into the qubit frequency, so
+    both frames share one physical operating point.  A term whose
+    coefficient is zero stays in the list."""
+    _check_frame(frame)
+    if frame == "displaced":
+        a_bar = displacement(p)
+        return (
+            ("n", -p.delta_c),
+            ("sz", -0.5 * p.delta_q_prime),
+            ("sx", -0.5 * p.omega_r_rabi),
+            ("sz_x", -p.chi * a_bar.real),
+            ("sz_p", -p.chi * a_bar.imag),
+            ("sz_n", -p.chi),
+        )
+    delta_q_bare = p.delta_q_prime - 2.0 * p.chi * n_bar_of(p) - p.chi
     return (
-        -p.delta_c * hs.n
-        - 0.5 * p.delta_q_prime * hs.sz
-        - 0.5 * p.omega_r_rabi * hs.sx
-        - p.chi * (np.conj(a_bar) * hs.sz_a + a_bar * hs.sz_a.conj().T + hs.sz_n)
+        ("n", -p.delta_c),
+        ("sz", -0.5 * (delta_q_bare + p.chi)),
+        ("sx", -0.5 * p.omega_r_rabi),
+        ("sz_n", -p.chi),
+        ("x", p.eps_d),
     )
+
+
+def build_hamiltonian_displaced(p: SystemParams) -> np.ndarray:
+    """Displaced-frame Hamiltonian, sum c O over hamiltonian_terms(p); the
+    classical drive is folded into a_bar."""
+    return space(p.n_fock).combine(hamiltonian_terms(p, "displaced"))
 
 
 def build_hamiltonian_undisplaced(p: SystemParams) -> np.ndarray:
-    """Lab-drive Hamiltonian with the explicit eps_d (a+ + a) term.
-
-    The bare qubit detuning is recovered from delta_q_prime by undoing the
-    Stark shift (2 chi n_bar) and the constant chi offset that the displaced
-    frame absorbs into the qubit frequency, so both builders share one
-    physical operating point.  Like every builder it takes p.n_fock as
-    given: choose_fock_cutoff sizes a cutoff and check_truncation judges it.
-    """
-    hs = space(p.n_fock)
-    delta_q_bare = p.delta_q_prime - 2.0 * p.chi * n_bar_of(p) - p.chi
-    return (
-        -p.delta_c * hs.n
-        - 0.5 * (delta_q_bare + p.chi) * hs.sz
-        - 0.5 * p.omega_r_rabi * hs.sx
-        - p.chi * hs.sz_n
-        + p.eps_d * hs.x
-    )
+    """Lab-drive Hamiltonian with the explicit eps_d (a+ + a) term, sum c O
+    over hamiltonian_terms(p, "undisplaced").  Like every builder it takes
+    p.n_fock as given: choose_fock_cutoff sizes a cutoff and check_truncation
+    judges it."""
+    return space(p.n_fock).combine(hamiltonian_terms(p, "undisplaced"))
 
 
 @dataclass(frozen=True)
@@ -168,26 +190,33 @@ class CollapseOp:
     label: str
 
 
-def collapse_ops(p: SystemParams, frame: str = "displaced") -> list[CollapseOp]:
-    """Collapse channels [cavity decay, qubit down, qubit up, dephasing].
+def channels(p: SystemParams) -> tuple[tuple[str, float], ...]:
+    """The Lindblad channels of positive rate as (operator name in
+    operators.space(p.n_fock), rate) pairs, in the order cavity decay (a),
+    qubit down (sm), qubit up (sp) and dephasing (sz, at gamma_phi / 2); a
+    channel's collapse operator is sqrt(rate) times its operator.  They are
+    the same in both frames: d and a truncate to the same ladder matrix."""
+    pairs = (("a", p.kappa), ("sm", p.gamma_down), ("sp", p.gamma_up), ("sz", 0.5 * p.gamma_phi))
+    return tuple((name, rate) for name, rate in pairs if rate > 0)
 
-    Zero-rate channels are omitted.  The cavity operator matrix is identical
-    in both frames (d and a truncate to the same ladder matrix); the frame
-    argument only validates intent.
-    """
+
+_CHANNEL_LABELS = {"a": "cavity", "sm": "qubit_down", "sp": "qubit_up", "sz": "dephasing"}
+
+
+def channel_ops(n_fock: int, pairs) -> list[CollapseOp]:
+    """The collapse operators of (name, rate) channel pairs on
+    operators.space(n_fock), each sqrt(rate) times its operator."""
+    hs = space(n_fock)
+    return [CollapseOp(operator=math.sqrt(rate) * getattr(hs, name), rate=rate, label=_CHANNEL_LABELS[name])
+            for name, rate in pairs]
+
+
+def collapse_ops(p: SystemParams, frame: str = "displaced") -> list[CollapseOp]:
+    """Collapse channels [cavity decay, qubit down, qubit up, dephasing] of
+    channels(p); zero-rate channels are omitted.  The frame argument only
+    validates intent."""
     _check_frame(frame)
-    hs = space(p.n_fock)
-    out = []
-    pairs = [
-        (p.kappa, hs.a, "cavity"),
-        (p.gamma_down, hs.sm, "qubit_down"),
-        (p.gamma_up, hs.sp, "qubit_up"),
-        (0.5 * p.gamma_phi, hs.sz, "dephasing"),
-    ]
-    for rate, op, label in pairs:
-        if rate > 0:
-            out.append(CollapseOp(operator=math.sqrt(rate) * op, rate=rate, label=label))
-    return out
+    return channel_ops(p.n_fock, channels(p))
 
 
 def build_model(p: SystemParams, frame: str = "displaced") -> tuple[np.ndarray, list[CollapseOp]]:
@@ -198,6 +227,22 @@ def build_model(p: SystemParams, frame: str = "displaced") -> tuple[np.ndarray, 
     else:
         h = build_hamiltonian_undisplaced(p)
     return h, collapse_ops(p, frame=frame)
+
+
+class ModelTerms(NamedTuple):
+    """A model as coefficients on the operator table operators.space(n_fock):
+    H = sum c O over the (name, coefficient) pairs of hamiltonian, and one
+    collapse operator sqrt(rate) O for each (name, rate) pair of channels."""
+
+    n_fock: int
+    hamiltonian: tuple[tuple[str, float], ...]
+    channels: tuple[tuple[str, float], ...]
+
+
+def build_terms(p: SystemParams, frame: str = "displaced") -> ModelTerms:
+    """The model of build_model(p, frame) as ModelTerms: the form in which a
+    sweep point reaches the steady solve, with no matrix built."""
+    return ModelTerms(p.n_fock, hamiltonian_terms(p, frame), channels(p))
 
 
 # Largest population the cavity's top Fock level may hold in any state of a

@@ -6,7 +6,8 @@ index q * n_fock + m, i.e. full operators are built as kron(qubit_op, cavity_op)
 
 HilbertSpace is the table of one cutoff's composite operators, each built on
 first use and read-only; space(n_fock) is the one shared table per cutoff
-from which the model builders and the observables read them.
+from which the model builders and the observables read them.  A model names
+its operators there: combine sums (name, coefficient) pairs into a matrix.
 """
 
 from __future__ import annotations
@@ -102,13 +103,13 @@ def expectation(op: np.ndarray, rho: np.ndarray) -> complex:
 
 # largest imaginary part of a Hermitian observable's expectation, relative to
 # max(1, |real part|), that expect_real accepts as roundoff
-_IMAG_TOL = 1e-9
+IMAG_TOL = 1e-9
 
 
 def expect_real(op: np.ndarray, rho: np.ndarray) -> float:
     """Expectation of a Hermitian observable; rejects stray imaginary parts."""
     val = expectation(op, rho)
-    if abs(val.imag) > _IMAG_TOL * max(1.0, abs(val.real)):
+    if abs(val.imag) > IMAG_TOL * max(1.0, abs(val.real)):
         raise ValueError(f"expectation has imaginary part {val.imag:.3e}; operator not Hermitian?")
     return val.real
 
@@ -120,21 +121,29 @@ def hermiticity_residual(m: np.ndarray) -> float:
 
 
 def reduced_qubit(rho: np.ndarray) -> np.ndarray:
-    """Trace out the cavity factor of a qubit-major composite state."""
-    d = rho.shape[0]
+    """Trace out the cavity factor of a qubit-major composite state, or of
+    each of a stack of them (... x d x d).  The Fock levels are summed in
+    order, one elementwise sum each, so a state's reduction does not depend
+    on its stack."""
+    d = rho.shape[-1]
     if d % 2:
         raise ValueError("composite dimension must be 2 * n_fock")
     n = d // 2
-    return np.einsum("imjm->ij", rho.reshape(2, n, 2, n))
+    blocks = rho.reshape(*rho.shape[:-2], 2, n, 2, n)
+    out = blocks[..., :, 0, :, 0].copy()
+    for m in range(1, n):
+        out += blocks[..., :, m, :, m]
+    return out
 
 
-def top_fock_population(rho: np.ndarray) -> float:
+def top_fock_population(rho: np.ndarray):
     """Population of the cavity's top Fock level, |g, top> plus |e, top>, in
-    a qubit-major composite state: how close its truncation came to its edge."""
-    d = rho.shape[0]
+    a qubit-major composite state, or in each of a stack of them (... x d x
+    d): how close its truncation came to its edge."""
+    d = rho.shape[-1]
     if d % 2:
         raise ValueError("composite dimension must be 2 * n_fock")
-    return float(rho[d // 2 - 1, d // 2 - 1].real + rho[d - 1, d - 1].real)
+    return rho[..., d // 2 - 1, d // 2 - 1].real + rho[..., d - 1, d - 1].real
 
 
 def _read_only(op: np.ndarray) -> np.ndarray:
@@ -203,6 +212,35 @@ class HilbertSpace:
     def sz_n(self) -> np.ndarray:
         """sz (x) a+a."""
         return _read_only(self.sz @ self.n)
+
+    @functools.cached_property
+    def sz_x(self) -> np.ndarray:
+        """sz (x) (a + a+)."""
+        return _read_only(self.sz_a + self.sz_a.conj().T)
+
+    @functools.cached_property
+    def sz_p(self) -> np.ndarray:
+        """sz (x) i (a+ - a)."""
+        return _read_only(1j * (self.sz_a.conj().T - self.sz_a))
+
+    @functools.cached_property
+    def sx_vac(self) -> np.ndarray:
+        """sx (x) |0><0|."""
+        return _read_only(kron(pauli("x"), fock_state(self.n_fock, 0)))
+
+    @functools.cached_property
+    def sz_vac(self) -> np.ndarray:
+        """sz (x) |0><0|."""
+        return _read_only(kron(pauli("z"), fock_state(self.n_fock, 0)))
+
+    def combine(self, terms) -> np.ndarray:
+        """sum c O over the (name, coefficient) pairs of terms, O the named
+        operator of this table, added in the order of terms."""
+        d = 2 * self.n_fock
+        out = np.zeros((d, d), dtype=complex)
+        for name, c in terms:
+            out += c * getattr(self, name)
+        return out
 
 
 @functools.lru_cache(maxsize=16)

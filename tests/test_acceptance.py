@@ -4,12 +4,13 @@ Each test runs one criterion from the acceptance module and prints its
 summary line, so `pytest -v` shows one pass/fail line per claim.
 """
 
+import functools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from dressed_cool import acceptance, cli, sweep
+from dressed_cool import acceptance, cli, dynamics, sweep
 from dressed_cool.analysis import cooling_trajectory
 from dressed_cool.config import Config, to_system_params
 from dressed_cool.dynamics import PropagationStats
@@ -118,3 +119,20 @@ def test_verify_pool_is_capped_at_the_runs_and_the_usable_cpus(monkeypatch, caps
         "trajectory c6 undisplaced: d^2 = 2304, 0 generator applications in 0 s (0 us each, 0 s reducing),"
         " top Fock level population at most 0"
     )
+
+
+def test_gated_positivity_audit_matches_eigvalsh_at_every_output(monkeypatch):
+    # evolve calls eigvalsh only when a Cholesky of rho - m I fails, m being
+    # the running minimum: on each of verify's six trajectories its minimum
+    # is that of an eigvalsh of every stored state, bit for bit, with
+    # eigvalsh run at a few outputs only
+    stored = functools.partial(dynamics.evolve, store_states=True)
+    monkeypatch.setattr(dynamics, "evolve", stored)
+    monkeypatch.setattr(acceptance, "evolve", stored)
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    for run in acceptance._RUNS:
+        calls.clear()
+        traj = acceptance._trajectory(run)
+        assert 1 <= len(calls) <= len(traj.times) // 10, run[0]
+        assert traj.stats.min_eigenvalue == min(float(eigvalsh(rho)[0]) for rho in traj.states), run[0]

@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from dressed_cool import analysis, dynamics
+from dressed_cool import analysis, dynamics, sweep
 from dressed_cool.analysis import (
     BlochVector,
     FitError,
@@ -30,11 +30,15 @@ from dressed_cool.model import (
     build_hamiltonian_displaced,
     build_hamiltonian_undisplaced,
     build_model,
+    build_terms,
     collapse_ops,
     qubit_axis_state,
     turn_on_state,
 )
-from dressed_cool.operators import HilbertSpace, coherent_vector, kron, qubit_state
+from dressed_cool.operators import (
+    HilbertSpace, coherent_vector, expect_real, kron, pauli, qubit_state, reduced_qubit, top_fock_population,
+)
+from dressed_cool.sweep import SweepGrid
 from dressed_cool.rates import rates_resonant
 
 TWO_PI = 2.0 * math.pi
@@ -294,6 +298,54 @@ def test_steady_point_is_the_gated_solve(frame):
     ((rho_mode, lam),) = dynamics.steady_states([build_model(p)], [dressed_probe(p)])
     assert v_mode == bloch_vector(rho_mode)
     assert gamma == -lam.real > 0.0
+
+
+@pytest.mark.parametrize("frame", FRAMES)
+def test_steady_points_reduce_their_stack_as_each_state_alone(frame):
+    # the stack's one reduction gives each point the Bloch vector and top
+    # Fock population of its own formed state bit for bit, which are those
+    # of operators.expect_real on its reduced state
+    ps = [to_system_params(Config(n_bar=n_bar, delta_q_prime_mhz=dq, frame=frame), steady=True)
+          for n_bar in (0.25, 1.0, 3.0) for dq in (-5.0, 0.0, 4.0)]
+    rhos = dynamics.steady_states([build_terms(p, frame) for p in ps])
+    for rho, (v, top, gamma) in zip(rhos, analysis.steady_points(ps, frame)):
+        assert v == bloch_vector(rho)
+        assert top == top_fock_population(rho)
+        rq = reduced_qubit(rho)
+        assert (v.x, v.y, v.z) == tuple(expect_real(pauli(k), rq) for k in "xyz")
+        assert math.isnan(gamma)
+
+
+def test_bloch_rows_do_not_depend_on_their_stack():
+    # random states of three cutoffs: each row of a stacked reduction is
+    # the state's own, and bloch_vector still rejects a non-Hermitian state
+    rng = np.random.default_rng(5)
+    for n in (2, 8, 15):
+        m = rng.normal(size=(7, 2 * n, 2 * n)) + 1j * rng.normal(size=(7, 2 * n, 2 * n))
+        rhos = m @ m.conj().transpose(0, 2, 1)
+        rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
+        rows = analysis._bloch_vectors(rhos)
+        for rho, row in zip(rhos, rows):
+            rq = reduced_qubit(rho)
+            assert np.array_equal(rq, np.einsum("imjm->ij", rho.reshape(2, n, 2, n)))
+            assert tuple(row) == tuple(expect_real(pauli(k), rq) for k in "xyz")
+            assert np.array_equal(analysis._bloch_vectors(rho[None])[0], row)
+    with pytest.raises(ValueError, match="imaginary part"):
+        bloch_vector(rhos[0] + 1e-3j * np.eye(2 * n, k=n))
+
+
+def test_steady_points_take_a_stack_of_mixed_cutoffs():
+    # on the cavity resonance at kappa/2pi = 0.2 MHz the cutoff grows with
+    # the drive: one stack holds n_fock 8 and 14, each point as it is alone
+    p = to_system_params(Config(kappa_mhz=0.2, delta_c_mhz=0.0))
+    grid = SweepGrid(power_db=[-20.0, -5.0], detuning=[0.0, TWO_PI], fixed=p)
+    ps = [sweep._point_params(grid, p_d, dq)[0] for p_d in grid.power_db for dq in grid.detuning]
+    assert [q.n_fock for q in ps] == [8, 8, 14, 14]
+    for rate in (False, True):
+        points = analysis.steady_points(ps, rate=rate)
+        for q, point in zip(ps, points):
+            assert point[:2] == steady_point(q, rate=rate)[:2]
+    assert all(row.converged for row in sweep.run_sweep(grid).rows)
 
 
 def test_steady_point_gates_a_too_small_cutoff():

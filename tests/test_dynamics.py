@@ -30,6 +30,7 @@ from dressed_cool.model import (
     build_hamiltonian_displaced,
     build_hamiltonian_undisplaced,
     build_model,
+    build_terms,
     collapse_ops,
     displacement,
     qubit_axis_state,
@@ -1192,6 +1193,101 @@ def test_mode_factors_the_steady_system_once(monkeypatch):
     assert dense == [] and len(factors) == 2
     steady_state(h, ops)
     assert dense == [] and len(factors) == 3
+
+
+# ---------------------------------------------------------------------------
+# models as coefficients on the operator table
+
+
+def term_points():
+    """Corners of the default sweep ranges, then an undriven point (eps_d =
+    0) and a point at delta_q' = 0."""
+    grid = sweep.SweepGrid(power_db=[-10.0, 8.0], detuning=2.0 * math.pi * np.array([-5.0, 15.0]),
+                           fixed=reference_params())
+    ps = [sweep._point_params(grid, p_d, dq)[0] for p_d in grid.power_db for dq in grid.detuning]
+    return ps + [dataclasses.replace(ps[0], eps_d=0.0), dataclasses.replace(ps[1], delta_q_prime=0.0)]
+
+
+def table_of(terms):
+    """The term table of a ModelTerms, its zero terms left out, and its
+    nonzero coefficients as one column."""
+    live = [(name, c) for name, c in terms.hamiltonian if c != 0.0]
+    table = dynamics._table_of(terms.n_fock, tuple(name for name, _ in live), terms.channels)
+    return table, np.array([c for _, c in live]).reshape(-1, 1)
+
+
+@pytest.mark.parametrize("frame", FRAMES)
+def test_term_coordinates_are_the_builders_x_of_h(frame):
+    # a point's X from its coefficients is x(h) of the builder's H bit for
+    # bit, on the same map, undriven and at delta_q' = 0 included
+    for p in term_points():
+        terms = build_terms(p, frame)
+        h, ops = build_model(p, frame)
+        assert np.array_equal(h, space(p.n_fock).combine(terms.hamiltonian))
+        assert [c.operator.tobytes() for c in ops] == [
+            (math.sqrt(rate) * getattr(space(p.n_fock), name)).tobytes() for name, rate in terms.channels]
+        key, gmap, x = dynamics._map_of(h, ops)
+        table, c = table_of(terms)
+        assert table.key == key and table.map() is gmap
+        assert np.array_equal(table.coordinates(c)[:, 0], x)
+    undriven = build_terms(term_points()[-2], frame)
+    assert {name for name, c in undriven.hamiltonian if c == 0.0} == (
+        {"sz_x", "sz_p"} if frame == "displaced" else {"x"})
+
+
+def test_undriven_point_gets_its_own_map_in_a_stack(monkeypatch):
+    # the undriven point's zero coupling terms are left out of its key, so a
+    # stack of driven points and it solves on two maps, and each outcome is
+    # the one its point gets alone, and as (H, collapse operators), bit for
+    # bit, with and without probes
+    monkeypatch.setattr(dynamics, "_MAPS", {})
+    monkeypatch.setattr(dynamics, "_TABLES", {})
+    ps = term_points()[:5]
+    models = [build_terms(p) for p in ps]
+    probes = [analysis.dressed_probe_terms(p) for p in ps]
+    outcomes = steady_states(models)
+    assert len(dynamics._TABLES) == 2 and len(dynamics._MAPS) == 2
+    driven, undriven = (table_of(m)[0] for m in models[3:5])
+    assert undriven.upper.size < driven.upper.size
+    probed = steady_states(models, probes)
+    for i, p in enumerate(ps):
+        assert np.array_equal(outcomes[i], steady_states([models[i]])[0]), i
+        assert np.array_equal(outcomes[i], steady_state(*build_model(p))), i
+        (rho, lam), = steady_states([build_model(p)], [analysis.dressed_probe(p)])
+        assert np.array_equal(probed[i][0], rho) and probed[i][1] == lam, i
+    assert len(dynamics._MAPS) == 2
+
+
+def test_probe_terms_give_the_projected_probe():
+    # sin(theta) x(sx (x) |0><0|) + cos(theta) x(sz (x) |0><0|) is the
+    # projected dressed probe bit for bit, with no kron per point
+    for p in term_points():
+        table, _ = table_of(build_terms(p))
+        gmap = table.map()
+        probe = analysis.dressed_probe(p)
+        theta = analysis.rates.dressed_angle(p)[0]
+        sigma = math.sin(theta) * pauli("x") + math.cos(theta) * pauli("z")
+        assert np.array_equal(probe, kron(sigma, fock_state(p.n_fock, 0)))
+        expected = (gmap.basis.conj().T @ probe.ravel(order="F")).real
+        assert np.array_equal(table.probe(gmap, analysis.dressed_probe_terms(p)), expected)
+        assert set(table.probes) == {"sx_vac", "sz_vac"}
+
+
+def test_a_sweep_finds_its_term_table_once(monkeypatch):
+    # the map key and the terms' coordinates are found once per (n_fock,
+    # names of the nonzero terms, channels), not once per point, and no
+    # point forms its H
+    monkeypatch.setattr(dynamics, "_TABLES", {})
+    keys, built = dynamics._map_key, []
+    monkeypatch.setattr(dynamics, "_map_key", lambda *a: built.append(1) or keys(*a))
+    monkeypatch.setattr(dynamics, "_map_of", None)
+    for name in ("build_hamiltonian_displaced", "build_hamiltonian_undisplaced", "build_model"):
+        monkeypatch.setattr(sweep.model, name, None)
+    grid = sweep.SweepGrid(power_db=[-10.0, 0.0, 8.0], detuning=2.0 * math.pi * np.array([-5.0, 5.0, 15.0]),
+                           fixed=reference_params(), mode="cooling_rate")
+    rows = sweep.run_sweep(grid).rows
+    assert all(row.converged for row in rows)
+    assert len(built) == 1 and len(dynamics._TABLES) == 1
 
 
 def level_of(offsets, n):

@@ -32,6 +32,7 @@ from dressed_cool.operators import (
     annihilation,
     expect_real,
     expectation,
+    fock_state,
     identity,
     kron,
     pauli,
@@ -151,7 +152,9 @@ def test_displaced_hamiltonian_diagonal_without_drive():
 
 def _hand_hamiltonian(p: SystemParams, frame: str) -> np.ndarray:
     """Oracle: each frame's H assembled term by term from np.kron, as the
-    builders wrote it before they read the operator table."""
+    paper writes it, with the displaced coupling -chi (conj(a_bar) a + a_bar
+    a+) sz split into its real coefficients -chi Re(a_bar) and -chi
+    Im(a_bar) on sz (x) (a + a+) and sz (x) i (a+ - a)."""
     n = p.n_fock
     a = annihilation(n)
     num = a.conj().T @ a
@@ -159,12 +162,13 @@ def _hand_hamiltonian(p: SystemParams, frame: str) -> np.ndarray:
     sx_cav = np.kron(pauli("x"), identity(n))
     if frame == "displaced":
         a_bar = displacement(p)
-        coupling = np.conj(a_bar) * a + a_bar * a.conj().T + num
         return (
             -p.delta_c * np.kron(identity(2), num)
             - 0.5 * p.delta_q_prime * sz_cav
             - 0.5 * p.omega_r_rabi * sx_cav
-            - p.chi * np.kron(pauli("z"), coupling)
+            + (-p.chi * a_bar.real) * np.kron(pauli("z"), a + a.conj().T)
+            + (-p.chi * a_bar.imag) * np.kron(pauli("z"), 1j * (a.conj().T - a))
+            - p.chi * np.kron(pauli("z"), num)
         )
     delta_q_bare = p.delta_q_prime - 2.0 * p.chi * n_bar_of(p) - p.chi
     return (
@@ -198,10 +202,14 @@ def test_one_operator_table_per_cutoff_serves_both_builders():
             "sm": np.kron(pauli("-"), identity(n)),
             "sz_a": np.kron(pauli("z"), a),
             "sz_n": np.kron(pauli("z"), a.conj().T @ a),
+            "sz_x": np.kron(pauli("z"), a + a.conj().T),
+            "sz_p": np.kron(pauli("z"), 1j * (a.conj().T - a)),
+            "sx_vac": np.kron(pauli("x"), fock_state(n, 0)),
+            "sz_vac": np.kron(pauli("z"), fock_state(n, 0)),
         }
         for name, op in definitions.items():
             assert np.array_equal(getattr(space(n), name), op), name
-    # bit for bit: each entry of the displaced coupling has one nonzero term
+    # bit for bit: the builders add the same products in the same order
     points = [
         dict(n_bar=0.5, delta_q_prime_mhz=-3.0, n_fock=5),
         dict(n_bar=1.0, delta_c_mhz=9.0, n_fock=8),

@@ -13,6 +13,7 @@ import pytest
 from dressed_cool import __version__, analysis, cli, model, sweep
 from dressed_cool.config import Config, to_system_params
 from dressed_cool.model import SystemParams, drive_for_photons
+from dressed_cool.operators import space
 from dressed_cool.rates import rates_general, steady_bloch
 from dressed_cool.sweep import (
     SweepGrid,
@@ -357,28 +358,35 @@ def test_truncated_steady_point_fails(mode):
 
 
 def test_programming_error_is_not_a_failed_point(monkeypatch):
-    # only named numerical failures become NaN rows; a bug must surface
-    def broken(p):
+    # only named numerical failures become NaN rows; a bug must surface.  A
+    # sweep point's model is its coefficient list on the operator table
+    def broken(p, frame="displaced"):
         raise TypeError("broken builder")
 
-    monkeypatch.setattr(sweep.model, "build_hamiltonian_displaced", broken)
+    monkeypatch.setattr(sweep.model, "hamiltonian_terms", broken)
     grid = SweepGrid(power_db=[0.0], detuning=[0.0], fixed=reference_params())
     with pytest.raises(TypeError, match="broken builder"):
         run_sweep(grid, workers=1)
 
 
-def test_non_hermitian_hamiltonian_aborts_the_sweep(monkeypatch):
-    # a non-Hermitian H is a modelling bug, not a failed point
-    build = sweep.model.build_model
-
-    def skewed(p, frame="displaced"):
-        h, ops = build(p, frame)
-        return h + 1e-6 * np.triu(np.ones_like(h), 1), ops
-
-    monkeypatch.setattr(sweep.model, "build_model", skewed)
-    grid = SweepGrid(power_db=[0.0], detuning=[0.0], fixed=reference_params())
-    with pytest.raises(ValueError, match="Hamiltonian is not Hermitian"):
-        run_sweep(grid, workers=1)
+@pytest.mark.parametrize("frame", model.FRAMES)
+def test_sweep_hamiltonian_is_hermitian_by_construction(frame):
+    # a sweep point forms no H, so nothing checks its Hermiticity: it holds
+    # because every operator its terms name is exactly Hermitian and every
+    # coefficient is real, and the builders' H is that sum bit for bit
+    grid = SweepGrid(power_db=[-10.0, 0.0, 8.0], detuning=TWO_PI * np.array([-5.0, 15.0]),
+                     fixed=reference_params())
+    for p_d in grid.power_db:
+        for dq in grid.detuning:
+            p = sweep._point_params(grid, p_d, dq)[0]
+            terms = model.build_terms(p, frame)
+            for name, c in (*terms.hamiltonian, *analysis.dressed_probe_terms(p)):
+                op = getattr(space(p.n_fock), name)
+                assert np.array_equal(op, op.conj().T), name
+                assert isinstance(c, float), name
+            h = model.build_model(p, frame)[0]
+            assert np.array_equal(h, h.conj().T)
+            assert np.array_equal(h, space(p.n_fock).combine(terms.hamiltonian))
 
 
 def test_resolve_workers(monkeypatch):

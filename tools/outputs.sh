@@ -12,6 +12,9 @@
 #   spectrum.json               dominant frequency of evolve_strong.csv's sx
 #   steady_displaced.json       steady state in the displaced frame
 #   steady_undisplaced.json     steady state in the lab frame
+#   steady_undriven.json        steady state of the undriven cavity (n_bar = 0,
+#                               displaced frame), whose eps_d = 0 drops the
+#                               coupling terms and so has a map of its own
 #   rates.txt                   analytic rates at the defaults
 #   rates_blue.txt              analytic rates at delta_c = +9 MHz
 #   verify.txt                  acceptance lines and the exit status
@@ -57,6 +60,7 @@ dc fit -i "$out/evolve_undisplaced.csv" --column sx -o "$out/fit.json"
 dc spectrum -i "$out/evolve_strong.csv" --column sx -o "$out/spectrum.json"
 run steady_displaced '{"frame": "displaced"}' steady -o "$out/steady_displaced.json"
 run steady_undisplaced '{"frame": "undisplaced"}' steady -o "$out/steady_undisplaced.json"
+run steady_undriven '{"n_bar": 0}' steady -o "$out/steady_undriven.json"
 run rates '{}' rates -o "$out/rates.txt"
 run rates_blue '{"delta_c_mhz": 9}' rates -o "$out/rates_blue.txt"
 status=0

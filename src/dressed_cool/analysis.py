@@ -27,7 +27,6 @@ __all__ = [
     "dominant_frequency",
     "bloch_vector",
     "sigma_theta_projection",
-    "dressed_probe",
     "dressed_probe_terms",
     "steady_point",
     "steady_points",
@@ -35,7 +34,7 @@ __all__ = [
 ]
 # compare_sim_analytic and its ComparisonReport are not public: only tests
 # call them.  They stay bound only because bench/spans.py TARGETS names
-# compare_sim_analytic (ROADMAP items 1 and 6).
+# compare_sim_analytic (ROADMAP items 1 and 4).
 
 
 class FitError(RuntimeError):
@@ -283,8 +282,8 @@ def _bloch_vectors(rhos: np.ndarray) -> np.ndarray:
     Tr(sigma rho_q) for sigma = sx, sy and sz, as sums of the reduced
     state's entries.  Every operation is elementwise over the stack, so a
     state's row does not depend on its stack.  An expectation whose
-    imaginary part exceeds roundoff (operators.IMAG_TOL, as in
-    operators.expect_real), or a norm above 1 + 1e-9, raises ValueError."""
+    imaginary part exceeds roundoff (operators.IMAG_TOL times max(1, |real
+    part|)), or a norm above 1 + 1e-9, raises ValueError."""
     rq = reduced_qubit(rhos)
     values = np.stack([
         rq[:, 0, 1] + rq[:, 1, 0],
@@ -315,18 +314,14 @@ def sigma_theta_projection(v: BlochVector, theta: float) -> float:
 
 
 def dressed_probe_terms(p: model.SystemParams) -> tuple[tuple[str, float], ...]:
-    """dressed_probe(p) as (operator name in operators.space(p.n_fock),
-    coefficient) pairs: sin(theta) sx (x) |0><0| + cos(theta) sz (x) |0><0|."""
+    """sigma_theta x |0><0| (cavity vacuum of the displaced frame) on the
+    dressed axis theta of p, as (operator name in operators.space(p.n_fock),
+    coefficient) pairs: sin(theta) sx (x) |0><0| + cos(theta) sz (x) |0><0|.
+    Its generator mode is the qubit's relaxation toward the dressed state;
+    weighting by sigma_theta x I instead picks cavity modes at some
+    operating points."""
     theta = rates.dressed_angle(p)[0]
     return (("sx_vac", math.sin(theta)), ("sz_vac", math.cos(theta)))
-
-
-def dressed_probe(p: model.SystemParams) -> np.ndarray:
-    """sigma_theta x |0><0| (cavity vacuum of the displaced frame) on the
-    dressed axis theta of p.  Its generator mode is the qubit's relaxation
-    toward the dressed state; weighting by sigma_theta x I instead picks
-    cavity modes at some operating points."""
-    return space(p.n_fock).combine(dressed_probe_terms(p))
 
 
 def steady_point(
@@ -350,7 +345,7 @@ def steady_points(ps, frame: str = "displaced", rate: bool = False) -> list:
     Each point reaches one dynamics.steady_states call as coefficients on
     the operator table (model.build_terms), so no H is built, and the
     points that share a term table are solved as one stack.  When rate is
-    true, each point carries the terms of dressed_probe(p), whose mode's
+    true, each point carries the probe dressed_probe_terms(p), whose mode's
     decay rate -Re lambda is gamma (NaN otherwise).  That probe holds the
     cavity vacuum of the displaced frame, which is not the lab frame's
     cavity state, so a rate in any other frame raises ValueError before

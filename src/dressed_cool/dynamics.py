@@ -26,7 +26,7 @@ except ImportError:  # a scipy that moved it: _matvec falls back on the product
     _csr_matvec = None
 
 from .integrate import integrate_adaptive
-from .model import CollapseOp, ModelTerms, channel_ops
+from .model import CollapseOp, channel_ops
 from .operators import hermiticity_residual, space, top_fock_population
 
 __all__ = [
@@ -41,7 +41,7 @@ __all__ = [
 # liouvillian_matrix is not public: _generator_map builds the dissipator D
 # (H = 0) of every generator with it.  It keeps its unprefixed name only
 # because bench/spans.py TARGETS times it under that name (ROADMAP items 1
-# and 6).
+# and 4).
 
 
 class MultipleSteadyStatesError(RuntimeError):
@@ -202,7 +202,7 @@ def evolve(
         if np.shape(op) != (d, d):
             raise ValueError(f"observable {name!r} has shape {np.shape(op)}, not {(d, d)}")
 
-    basis, m, _ = _generator(h, collapse)
+    basis, m = _generator(h, collapse)
     r0 = (basis.conj().T @ np.asarray(rho0, dtype=complex).ravel(order="F")).real
     rows = [basis.T @ np.asarray(op).ravel() for op in observables.values()]
     rows = [w if w.imag.any() else w.real for w in rows]
@@ -409,35 +409,15 @@ def _cached(cache: dict, key, build):
     return value
 
 
-def _map_key(d: int, upper: np.ndarray, collapse: list[CollapseOp]) -> tuple:
-    return (d, upper.tobytes(), *((l.shape, l.dtype.str, l.tobytes()) for l in (c.operator for c in collapse)))
-
-
-def _map_of(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[tuple, _GeneratorMap, np.ndarray]:
-    """The key of h's map, (d, upper pattern of H, collapse operators), the
-    map, built or taken from the cache, and h's coordinates x(h) on it (see
-    _generator): the path of a model given as matrices.  A non-Hermitian h
-    raises ValueError."""
-    if hermiticity_residual(h) > 1e-12 * np.abs(h).max(initial=1.0):
-        raise ValueError("Hamiltonian is not Hermitian")
-    d = h.shape[0]
-    hs = 0.5 * (h + h.conj().T)
-    upper = np.flatnonzero(np.triu(hs, 1))
-    key = _map_key(d, upper, collapse)
-    gmap = _cached(_MAPS, key, lambda: _generator_map(d, upper, collapse))
-    above = hs.flat[upper]
-    return key, gmap, np.concatenate([hs.diagonal().real, above.real, above.imag, [1.0]])
-
-
 @dataclass(frozen=True)
 class _TermTable:
-    """What a model given as ModelTerms needs of its map, found once per
-    (n_fock, names of its nonzero Hamiltonian terms, channels): the map's
-    key and what builds it (d, the upper pattern, which is the union of the
-    terms' patterns, and the collapse operators), and x, whose column k is
-    the coordinates x(O_k) of nonzero term k on the map (see _generator)
-    without the trailing 1.  probes holds the coordinates of each table
-    operator that a probe names, in the map's basis, from its first use."""
+    """What a model H = sum_k c_k O_k needs of its map, built by _table:
+    the map's key and what builds it (d, the upper pattern, which is the
+    union of the terms' patterns, and the collapse operators), and x, whose
+    column k is the coordinates x(O_k) of term k on the map (see
+    _generator) without the trailing 1.  probes holds the coordinates of
+    each operators.space operator that a probe names, in the map's basis,
+    from its first use."""
 
     key: tuple
     d: int
@@ -461,16 +441,31 @@ class _TermTable:
         out[-1] = 1.0
         return out
 
-    def probe(self, gmap: _GeneratorMap, terms) -> np.ndarray:
+    def probe(self, terms) -> np.ndarray:
         """The coordinates of sum c O over the (name, coefficient) pairs of
-        a probe, from the cached coordinates of each O."""
-        hs = space(self.d // 2)
+        a probe, from the cached coordinates Tr(G_k O) of each O in the
+        map's basis T."""
         out = np.zeros(self.d * self.d)
         for name, c in terms:
             if name not in self.probes:
-                self.probes[name] = _coordinates(gmap, getattr(hs, name))
+                op = getattr(space(self.d // 2), name)
+                self.probes[name] = (self.map().basis.conj().T @ op.ravel(order="F")).real
             out += c * self.probes[name]
         return out
+
+
+def _table(d: int, ops: list, collapse: list[CollapseOp]) -> _TermTable:
+    """The term table of the Hermitian d x d terms ops and the collapse
+    operators: the one place a model meets its map."""
+    pattern = np.zeros((d, d), dtype=bool)
+    for op in ops:
+        pattern |= op != 0
+    upper = np.flatnonzero(np.triu(pattern, 1))
+    x = np.column_stack([np.concatenate([op.diagonal().real, op.flat[upper].real, op.flat[upper].imag])
+                         for op in ops]) if ops else np.zeros((d + 2 * upper.size, 0))
+    x.flags.writeable = False
+    key = (d, upper.tobytes(), *((l.shape, l.dtype.str, l.tobytes()) for l in (c.operator for c in collapse)))
+    return _TermTable(key, d, upper, collapse, x)
 
 
 # Term tables by (n_fock, names of the nonzero Hamiltonian terms, channels),
@@ -479,53 +474,48 @@ _TABLES: dict[tuple, _TermTable] = {}
 
 
 def _table_of(n_fock: int, names: tuple, channels: tuple) -> _TermTable:
+    """The cached term table of operators.space(n_fock)'s named terms and
+    the channels' collapse operators."""
     def build():
         hs = space(n_fock)
-        d = 2 * n_fock
-        ops = [getattr(hs, name) for name in names]
-        pattern = np.zeros((d, d), dtype=bool)
-        for op in ops:
-            pattern |= op != 0
-        upper = np.flatnonzero(np.triu(pattern, 1))
-        collapse = channel_ops(n_fock, channels)
-        x = np.column_stack([np.concatenate([op.diagonal().real, op.flat[upper].real, op.flat[upper].imag])
-                             for op in ops]) if ops else np.zeros((d + 2 * upper.size, 0))
-        x.flags.writeable = False
-        return _TermTable(_map_key(d, upper, collapse), d, upper, collapse, x)
+        return _table(2 * n_fock, [getattr(hs, name) for name in names], channel_ops(n_fock, channels))
 
     return _cached(_TABLES, (n_fock, names, channels), build)
 
 
-def _coordinates(gmap: _GeneratorMap, op: np.ndarray) -> np.ndarray:
-    """The real coordinates Tr(G_k O) of a Hermitian operator O in the map's
-    basis T."""
-    return (gmap.basis.conj().T @ np.asarray(op, dtype=complex).ravel(order="F")).real
+def _matrix_table(h: np.ndarray, collapse: list[CollapseOp]) -> _TermTable:
+    """The table of a model given as matrices: one term, (h + h+)/2, whose
+    coefficient is 1.  A non-Hermitian h raises ValueError."""
+    if hermiticity_residual(h) > 1e-12 * np.abs(h).max(initial=1.0):
+        raise ValueError("Hamiltonian is not Hermitian")
+    return _table(h.shape[0], [0.5 * (h + h.conj().T)], collapse)
 
 
-def _generator(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[sp.csc_matrix, sp.csr_matrix, np.ndarray]:
+def _generator(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[sp.csc_matrix, sp.csr_matrix]:
     """The map's basis T (the Hermitian basis of _hermitian_basis, its
-    coordinates ordered by level), the sparse real generator M = T+ L T in
-    it, assembled as M = F [x(h); 1] from a cached map (see _generator_map),
-    and the level offsets.  For a Hermitian H, which is checked, L maps
-    Hermitian matrices to Hermitian matrices, so M is real.
+    coordinates ordered by level) and the sparse real generator M = T+ L T
+    in it, assembled as M = F [x(h); 1] from a cached map (see
+    _generator_map).  For a Hermitian H, which is checked, L maps Hermitian
+    matrices to Hermitian matrices, so M is real.
 
     L is linear in H, and Re(T+ L T) depends on H only through its Hermitian
     part, so with x(h) the coordinates of (h + h+)/2 (its real diagonal, then
     Re and Im of each nonzero above it) M = sum_t x_t M_t + D, D being M at
     H = 0, which rides as F's last column against x's trailing 1.  H is
-    itself a sum c_k O_k of fixed operators (model.hamiltonian_terms), so
-    x(h) = sum c_k x(O_k): a sweep's points, which share d, that pattern and
-    the collapse operators, reach the steady solve as coefficients on the
-    x(O_k) of a term table (see _TermTable), and only a model given as
-    matrices, as here, has its x(h) read off H.  The map is built once and
-    each point costs one sparse product.  The entries of the map's union
-    pattern that are zero at this h are dropped, so M keeps only its own
-    nonzeros for the M r products of a trajectory."""
-    _, gmap, x = _map_of(h, collapse)
+    itself a sum c_k O_k of fixed operators, so x(h) = sum c_k x(O_k) on a
+    term table (see _TermTable), whose X = [x c; 1] is F's right factor;
+    here the table is h's own, of one term (see _matrix_table).  The map is
+    built once per (d, pattern, collapse operators) and each model costs
+    one sparse product.  The entries of the map's union pattern that are
+    zero at this h are dropped, so M keeps only its own nonzeros for the M r
+    products of a trajectory."""
+    table = _matrix_table(h, collapse)
+    gmap = table.map()
     d = h.shape[0]
-    m = sp.csr_matrix((gmap.f @ x, gmap.indices, gmap.indptr), shape=(d * d, d * d), copy=True)
+    m = sp.csr_matrix((gmap.f @ table.coordinates(np.ones((1, 1)))[:, 0], gmap.indices, gmap.indptr),
+                      shape=(d * d, d * d), copy=True)
     m.eliminate_zeros()  # in place, so on copies of the shared pattern
-    return gmap.basis, m, gmap.offsets
+    return gmap.basis, m
 
 
 # Largest accepted scaled residual (see _residual) of a steady state or of
@@ -822,69 +812,59 @@ def _steady(gmap: _GeneratorMap, x: np.ndarray, probes: list) -> list:
 
 
 def steady_states(models, probes=None) -> list:
-    """The outcome of each model, in order: its steady state rho, or (rho,
-    lambda) when probes, one Hermitian probe or None per model, gives it a
-    probe, lambda being the generator eigenvalue of the mode that carries
-    the probe (see _modes), whose decay rate is -Re lambda; or the
+    """The outcome of each model, a model.ModelTerms, in order: its steady
+    state rho, or (rho, lambda) when probes, one probe or None per model,
+    gives it a probe, lambda being the generator eigenvalue of the mode that
+    carries the probe (see _modes), whose decay rate is -Re lambda; or the
     MultipleSteadyStatesError or ModeNotConvergedError that names why it
-    has none.
+    has none.  A probe is a list of (name, coefficient) pairs on the same
+    operator table, sum c O, which must be Hermitian.
 
-    A model is an (H, collapse operators) pair, whose probe is an operator,
-    or a model.ModelTerms, whose probe is a list of (name, coefficient)
-    pairs on the same operator table.  The H of a pair is checked for
-    Hermiticity and its coordinates x(h) read off (see _map_of).  The
-    coefficients of ModelTerms need neither: the map key and the terms'
-    coordinates x(O_k) are found once per (n_fock, names of its nonzero
-    terms, channels) (see _table_of), and a stack's X is its coefficients
-    on them.  A term whose coefficient is zero is left out of that key, so
-    the undriven point (eps_d = 0) has its own map, with the levels of its
-    own pattern.  A probe's coordinates are the sum of its terms'
-    coordinates, cached per table.
+    A model's H is a sum of Hermitian table operators with real
+    coefficients, so it needs no Hermiticity check: the map key and the
+    terms' coordinates x(O_k) are found once per (n_fock, names of its
+    nonzero terms, channels) (see _table_of), and a stack's X is its
+    coefficients on them.  A term whose coefficient is zero is left out of
+    that key, so the undriven point (eps_d = 0) has its own map, with the
+    levels of its own pattern.  A probe's coordinates are the sum of its
+    terms' coordinates, cached per table.
 
-    The models that share a map and the same form (one term table, or
-    pairs) are solved as one stack by _steady, wherever they stand in the
-    list, by a real block-tridiagonal solve in the Hermitian basis.  A
-    point's products and inverses in a stack are those it gets alone (see
-    _block_factor), so its outcome does not depend on the stack, and a
-    ModelTerms point's X is the x(h) of its builder's H bit for bit (see
-    _TermTable.coordinates), so its outcome is that of its pair too.  Each
-    rho is T r over its real trace, so it is exactly conjugate-symmetric.
-    A model without a collapse channel raises ValueError; any other error,
-    such as a non-Hermitian H, is raised."""
+    The models that share a term table are solved as one stack by _steady,
+    wherever they stand in the list, by a real block-tridiagonal solve in
+    the Hermitian basis.  A point's products and inverses in a stack are
+    those it gets alone (see _block_factor), so its outcome does not depend
+    on the stack, and its X is the x(h) of its builder's H bit for bit (see
+    _TermTable.coordinates), so its outcome is that of steady_state on that
+    H too.  Each rho is T r over its real trace, so it is exactly
+    conjugate-symmetric.  A model without a collapse channel raises
+    ValueError; any other error is raised."""
     probes = [None] * len(models) if probes is None else probes
     stacks: dict[tuple, tuple] = {}
     for i, m in enumerate(models):
-        terms = isinstance(m, ModelTerms)
-        if not (m.channels if terms else m[1]):
+        if not m.channels:
             raise ValueError("steady state needs at least one collapse channel")
-        if terms:
-            live = [(name, c) for name, c in m.hamiltonian if c != 0.0]
-            key = (m.n_fock, tuple(name for name, _ in live), m.channels)
-            source, point = None, [c for _, c in live]
-        else:
-            key, source, point = _map_of(*m)
-        stack = stacks.setdefault(key, (source, [], []))
-        stack[1].append(i)
-        stack[2].append(point)
+        live = [(name, c) for name, c in m.hamiltonian if c != 0.0]
+        stack = stacks.setdefault((m.n_fock, tuple(name for name, _ in live), m.channels), ([], []))
+        stack[0].append(i)
+        stack[1].append([c for _, c in live])
     outcomes: list = [None] * len(models)
-    for key, (gmap, where, points) in stacks.items():
-        if gmap is None:
-            table = _table_of(*key)
-            gmap = table.map()
-            x = table.coordinates(np.array(points).reshape(len(points), -1).T)
-            stack_probes = [None if probes[i] is None else table.probe(gmap, probes[i]) for i in where]
-        else:
-            x = np.column_stack(points)
-            stack_probes = [None if probes[i] is None else _coordinates(gmap, probes[i]) for i in where]
-        for i, outcome in zip(where, _steady(gmap, x, stack_probes)):
+    for key, (where, points) in stacks.items():
+        table = _table_of(*key)
+        x = table.coordinates(np.array(points).reshape(len(points), -1).T)
+        stack_probes = [None if probes[i] is None else table.probe(probes[i]) for i in where]
+        for i, outcome in zip(where, _steady(table.map(), x, stack_probes)):
             outcomes[i] = outcome
     return outcomes
 
 
 def steady_state(h: np.ndarray, collapse: list[CollapseOp]) -> np.ndarray:
-    """Unique steady state by a real block-tridiagonal solve in the
-    Hermitian basis: steady_states of one model, its error raised."""
-    (rho,) = steady_states([(h, collapse)])
+    """Unique steady state of a model given as matrices, by the real
+    block-tridiagonal solve of _steady on its one-term table (see
+    _matrix_table), its error raised."""
+    if not collapse:
+        raise ValueError("steady state needs at least one collapse channel")
+    table = _matrix_table(h, collapse)
+    (rho,) = _steady(table.map(), table.coordinates(np.ones((1, 1))), [None])
     if isinstance(rho, MultipleSteadyStatesError):
         raise rho
     return rho

@@ -91,27 +91,10 @@ def qubit_state(ket2: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def expectation(op: np.ndarray, rho: np.ndarray) -> complex:
-    """Tr(op rho).  Complex in general; Hermitian observables report the real part."""
-    op = np.asarray(op)
-    rho = np.asarray(rho)
-    if op.shape != rho.shape:
-        raise ValueError(f"operator shape {op.shape} does not match state shape {rho.shape}")
-    # trace of a product without forming it
-    return complex(np.sum(op.T * rho))
-
-
-# largest imaginary part of a Hermitian observable's expectation, relative to
-# max(1, |real part|), that expect_real accepts as roundoff
+# Largest imaginary part of a Hermitian observable's expectation, relative
+# to max(1, |real part|), accepted as roundoff: a larger one means the state
+# or the observable is not Hermitian (analysis._bloch_vectors).
 IMAG_TOL = 1e-9
-
-
-def expect_real(op: np.ndarray, rho: np.ndarray) -> float:
-    """Expectation of a Hermitian observable; rejects stray imaginary parts."""
-    val = expectation(op, rho)
-    if abs(val.imag) > IMAG_TOL * max(1.0, abs(val.real)):
-        raise ValueError(f"expectation has imaginary part {val.imag:.3e}; operator not Hermitian?")
-    return val.real
 
 
 def hermiticity_residual(m: np.ndarray) -> float:

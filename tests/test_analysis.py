@@ -16,7 +16,6 @@ from dressed_cool.analysis import (
     compare_sim_analytic,
     cooling_trajectory,
     dominant_frequency,
-    dressed_probe,
     fit_exponential,
     sigma_theta_projection,
     steady_point,
@@ -36,10 +35,11 @@ from dressed_cool.model import (
     turn_on_state,
 )
 from dressed_cool.operators import (
-    HilbertSpace, coherent_vector, expect_real, kron, pauli, qubit_state, reduced_qubit, top_fock_population,
+    HilbertSpace, coherent_vector, kron, pauli, qubit_state, reduced_qubit, top_fock_population,
 )
 from dressed_cool.sweep import SweepGrid
 from dressed_cool.rates import rates_resonant
+from test_operators import expect_real
 
 TWO_PI = 2.0 * math.pi
 
@@ -295,7 +295,7 @@ def test_steady_point_is_the_gated_solve(frame):
     assert 0.0 < top <= 1e-4
     assert math.isnan(gamma)
     v_mode, _, gamma = steady_point(p, rate=True)
-    ((rho_mode, lam),) = dynamics.steady_states([build_model(p)], [dressed_probe(p)])
+    ((rho_mode, lam),) = dynamics.steady_states([build_terms(p)], [analysis.dressed_probe_terms(p)])
     assert v_mode == bloch_vector(rho_mode)
     assert gamma == -lam.real > 0.0
 

@@ -30,8 +30,6 @@ from dressed_cool.model import (
 from dressed_cool.operators import (
     HilbertSpace,
     annihilation,
-    expect_real,
-    expectation,
     fock_state,
     identity,
     kron,
@@ -39,7 +37,7 @@ from dressed_cool.operators import (
     space,
     top_fock_population,
 )
-from test_operators import validate_density_matrix
+from test_operators import expect_real, expectation, validate_density_matrix
 
 
 def reference_params(**overrides) -> SystemParams:

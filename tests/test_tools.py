@@ -1,6 +1,7 @@
 """The repository's report scripts under tools/, and the README's references
 into the repository."""
 
+import importlib
 import importlib.util
 import re
 from pathlib import Path
@@ -11,6 +12,9 @@ _ROOT = Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location("drift", _ROOT / "tools" / "drift.py")
 drift = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(drift)
+_SPEC = importlib.util.spec_from_file_location("src_lines", _ROOT / "tools" / "src_lines.py")
+src_lines = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(src_lines)
 
 
 def test_drift_reports_the_largest_difference_at_matching_tokens():
@@ -42,6 +46,18 @@ def test_drift_lists_every_file_of_either_directory(tmp_path, capsys):
     ]
 
 
+def test_src_lines_base_outside_a_git_checkout_is_one_line(tmp_path, monkeypatch, capsys):
+    # a copy of the sources without .git, as git archive leaves
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "m.py").write_text('"""Doc."""\nx = 1  # one\n')
+    monkeypatch.setattr(src_lines, "ROOT", tmp_path)
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    assert src_lines.main([]) == 0
+    assert src_lines.main(["--base", "HEAD"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("src_lines.py: --base needs a git checkout that has HEAD") and err.count("\n") == 1
+
+
 def test_readme_names_only_paths_that_exist():
     readme = (_ROOT / "README.md").read_text()
     paths = re.findall(r"`((?:BENCH_[^`\s]*\.json|(?:src|tests|tools)/[^`\s]*))", readme)
@@ -57,3 +73,21 @@ def test_readme_names_every_subcommand_and_tool():
     assert sub.choices
     assert [name for name in sub.choices if f"dressed-cool {name}" not in readme] == []
     assert [f.name for f in (_ROOT / "tools").iterdir() if f.is_file() and f"tools/{f.name}" not in readme] == []
+
+
+def test_readme_names_only_attributes_that_exist():
+    # every backticked module.attr outside code blocks, call parentheses
+    # stripped, resolves in the package; numpy's (np.) are not the package's
+    readme = re.sub(r"```.*?```", "", (_ROOT / "README.md").read_text(), flags=re.S)
+    names = {m.group(1) for m in re.finditer(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`", readme)}
+    names = sorted(name for name in names if not name.startswith("np."))
+    assert names
+
+    def resolves(name):
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"dressed_cool.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        return obj is not None
+
+    assert [name for name in names if not resolves(name)] == []

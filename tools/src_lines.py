@@ -74,7 +74,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     now = table(tree_sources())
-    base = table(ref_sources(args.base)) if args.base else None
+    try:
+        base = table(ref_sources(args.base)) if args.base else None
+    except subprocess.CalledProcessError as exc:
+        reason = exc.stderr.strip().splitlines()
+        print(f"src_lines.py: --base needs a git checkout that has {args.base}"
+              f"{': ' + reason[-1] if reason else ''}", file=sys.stderr)
+        return 1
     width = max(len(p) for p in [*now, *(base or ())])
     header = f"{'module':{width}s} " + " ".join(f"{k:>9s}" for k in KINDS)
     if base is not None:

@@ -271,10 +271,6 @@ class BlochVector:
     y: float
     z: float
 
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.x ** 2 + self.y ** 2 + self.z ** 2)
-
 
 def _bloch_vectors(rhos: np.ndarray) -> np.ndarray:
     """The (x, y, z) rows of the qubit Bloch vectors of a stack of composite
@@ -344,7 +340,7 @@ def steady_points(ps, frame: str = "displaced", rate: bool = False) -> list:
 
     Each point reaches one dynamics.steady_states call as coefficients on
     the operator table (model.build_terms), so no H is built, and the
-    points that share a term table are solved as one stack.  When rate is
+    points that share a generator map are solved as one stack.  When rate is
     true, each point carries the probe dressed_probe_terms(p), whose mode's
     decay rate -Re lambda is gamma (NaN otherwise).  That probe holds the
     cavity vacuum of the displaced frame, which is not the lab frame's

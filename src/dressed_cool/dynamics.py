@@ -184,8 +184,6 @@ def evolve(
     fail that should not, which costs one eigvalsh, or succeed when an
     eigenvalue lies a roundoff of |rho| below m, which misses that new
     minimum by no more than that roundoff.
-    M comes from the map cached per (d, pattern of H, collapse operators),
-    so a trajectory and the steady points of the same model share one build.
     The top Fock level's population is read in the qubit-major layout of
     operators.py (top_fock_population), so d must be even.
     """
@@ -276,17 +274,48 @@ def _hermitian_basis(d: int) -> sp.csc_matrix:
 
 @dataclass(frozen=True)
 class _GeneratorMap:
-    """M = F [x; 1] on one sparsity pattern (see _generator): F (pattern
-    entries x (coordinates + 1)) as CSR data, with the pattern's column
-    indices and row pointers, all in the coordinates of basis, the Hermitian
-    basis T reordered by breadth-first level (see _levels), whose level
-    boundaries are offsets.  Every array is read-only."""
+    """What a model H = sum_k c_k O_k needs to reach its generators M = F
+    [x c; 1] (see _generator), built by _generator_map: F (pattern entries
+    x (coordinates + 1)) as CSR data, with the pattern's column indices and
+    row pointers, all in the coordinates of basis, the Hermitian basis T
+    reordered by breadth-first level (see _levels), whose level boundaries
+    are offsets; and x, whose column k is the coordinates x(O_k) of term k
+    without the trailing 1.  Every array is read-only.  probes holds the
+    coordinates of each operators.space operator that a probe names, in the
+    map's basis, from its first use."""
 
     f: sp.csr_matrix
     indices: np.ndarray
     indptr: np.ndarray
     basis: sp.csc_matrix
     offsets: np.ndarray
+    x: np.ndarray
+    probes: dict = field(default_factory=dict)
+
+    def coordinates(self, c: np.ndarray) -> np.ndarray:
+        """X = [x c; 1] for the coefficients c (terms x points).  The sum
+        over terms is taken term by term, in the order of the list, as the
+        builders add H = sum c O (operators.HilbertSpace.combine), so each
+        column is x(h) of that h bit for bit, where one BLAS product could
+        fuse or reorder the sums."""
+        out = np.zeros((self.x.shape[0] + 1, c.shape[1]))
+        for k in range(self.x.shape[1]):
+            out[:-1] += np.multiply.outer(self.x[:, k], c[k])
+        out[-1] = 1.0
+        return out
+
+    def probe(self, terms) -> np.ndarray:
+        """The coordinates of sum c O over the (name, coefficient) pairs of
+        a probe, from the cached coordinates Tr(G_k O) of each O in the
+        map's basis T."""
+        d = int(self.offsets[1])
+        out = np.zeros(d * d)
+        for name, c in terms:
+            if name not in self.probes:
+                op = getattr(space(d // 2), name)
+                self.probes[name] = (self.basis.conj().T @ op.ravel(order="F")).real
+            out += c * self.probes[name]
+        return out
 
     @functools.cached_property
     def blocks(self) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
@@ -335,9 +364,11 @@ def _levels(d: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return level
 
 
-def _generator_map(d: int, upper: np.ndarray, collapse: list[CollapseOp]) -> _GeneratorMap:
-    """The map of one (d, upper nonzero pattern of H, collapse operators).
+def _generator_map(d: int, ops: list, collapse: list[CollapseOp]) -> _GeneratorMap:
+    """The map of the Hermitian d x d terms ops and the collapse operators:
+    the one place a model meets its generators.
 
+    The map's pattern is the union of the terms' upper nonzero patterns.
     With G_t the unit Hermitian terms of H (E_aa, then E_ab + E_ba and
     i (E_ab - E_ba) for each pattern entry a < b), F's column t is M for
     H = G_t without dissipation, and its last column is M for H = 0.  The
@@ -346,6 +377,12 @@ def _generator_map(d: int, upper: np.ndarray, collapse: list[CollapseOp]) -> _Ge
     coordinates are then ordered by breadth-first level over the union
     pattern (see _levels), populations first in their own order, so r[:d]
     stays the trace."""
+    union = np.zeros((d, d), dtype=bool)
+    for op in ops:
+        union |= op != 0
+    upper = np.flatnonzero(np.triu(union, 1))
+    x = np.column_stack([np.concatenate([op.diagonal().real, op.flat[upper].real, op.flat[upper].imag])
+                         for op in ops]) if ops else np.zeros((d + 2 * upper.size, 0))
     n, nn = upper.size, d * d
     basis = _hermitian_basis(d)
     a, b = np.divmod(upper, d)
@@ -386,135 +423,53 @@ def _generator_map(d: int, upper: np.ndarray, collapse: list[CollapseOp]) -> _Ge
         indptr=np.searchsorted(pattern_rows, np.arange(nn + 1)).astype(np.int32),
         basis=basis[:, order],
         offsets=np.searchsorted(level[order], np.arange(level.max() + 2)),
+        x=x,
     )
     for arr in (out.f.data, out.f.indices, out.f.indptr, out.indices, out.indptr,
-                out.basis.data, out.basis.indices, out.basis.indptr, out.offsets):
+                out.basis.data, out.basis.indices, out.basis.indptr, out.offsets, out.x):
         arr.flags.writeable = False
     return out
 
 
-# Generator maps by (d, upper pattern of H, collapse operators), least
-# recently used first; a map holds 0.10 MiB at d = 16 and 0.97 MiB at d = 48.
-_MAPS: dict[tuple, _GeneratorMap] = {}
-_MAPS_MAX = 8
+@functools.lru_cache(maxsize=8)
+def _terms_map(n_fock: int, names: tuple, channels: tuple) -> _GeneratorMap:
+    """The map of operators.space(n_fock)'s named terms and the channels'
+    collapse operators, cached per (n_fock, names, channels); a map holds
+    0.10 MiB at d = 16 and 0.97 MiB at d = 48."""
+    hs = space(n_fock)
+    return _generator_map(2 * n_fock, [getattr(hs, name) for name in names], channel_ops(n_fock, channels))
 
 
-def _cached(cache: dict, key, build):
-    """cache[key], built by build() when absent, as the most recently used
-    entry of cache, which keeps the _MAPS_MAX most recently used ones."""
-    value = cache.pop(key, None) or build()
-    cache[key] = value  # most recently used last
-    if len(cache) > _MAPS_MAX:
-        del cache[next(iter(cache))]
-    return value
-
-
-@dataclass(frozen=True)
-class _TermTable:
-    """What a model H = sum_k c_k O_k needs of its map, built by _table:
-    the map's key and what builds it (d, the upper pattern, which is the
-    union of the terms' patterns, and the collapse operators), and x, whose
-    column k is the coordinates x(O_k) of term k on the map (see
-    _generator) without the trailing 1.  probes holds the coordinates of
-    each operators.space operator that a probe names, in the map's basis,
-    from its first use."""
-
-    key: tuple
-    d: int
-    upper: np.ndarray
-    collapse: list
-    x: np.ndarray
-    probes: dict = field(default_factory=dict)
-
-    def map(self) -> _GeneratorMap:
-        return _cached(_MAPS, self.key, lambda: _generator_map(self.d, self.upper, self.collapse))
-
-    def coordinates(self, c: np.ndarray) -> np.ndarray:
-        """X = [x c; 1] for the coefficients c (terms x points).  The sum
-        over terms is taken term by term, in the order of the list, as the
-        builders add H = sum c O (operators.HilbertSpace.combine), so each
-        column is x(h) of that h bit for bit, where one BLAS product could
-        fuse or reorder the sums."""
-        out = np.zeros((self.x.shape[0] + 1, c.shape[1]))
-        for k in range(self.x.shape[1]):
-            out[:-1] += np.multiply.outer(self.x[:, k], c[k])
-        out[-1] = 1.0
-        return out
-
-    def probe(self, terms) -> np.ndarray:
-        """The coordinates of sum c O over the (name, coefficient) pairs of
-        a probe, from the cached coordinates Tr(G_k O) of each O in the
-        map's basis T."""
-        out = np.zeros(self.d * self.d)
-        for name, c in terms:
-            if name not in self.probes:
-                op = getattr(space(self.d // 2), name)
-                self.probes[name] = (self.map().basis.conj().T @ op.ravel(order="F")).real
-            out += c * self.probes[name]
-        return out
-
-
-def _table(d: int, ops: list, collapse: list[CollapseOp]) -> _TermTable:
-    """The term table of the Hermitian d x d terms ops and the collapse
-    operators: the one place a model meets its map."""
-    pattern = np.zeros((d, d), dtype=bool)
-    for op in ops:
-        pattern |= op != 0
-    upper = np.flatnonzero(np.triu(pattern, 1))
-    x = np.column_stack([np.concatenate([op.diagonal().real, op.flat[upper].real, op.flat[upper].imag])
-                         for op in ops]) if ops else np.zeros((d + 2 * upper.size, 0))
-    x.flags.writeable = False
-    key = (d, upper.tobytes(), *((l.shape, l.dtype.str, l.tobytes()) for l in (c.operator for c in collapse)))
-    return _TermTable(key, d, upper, collapse, x)
-
-
-# Term tables by (n_fock, names of the nonzero Hamiltonian terms, channels),
-# least recently used first, as many as maps.
-_TABLES: dict[tuple, _TermTable] = {}
-
-
-def _table_of(n_fock: int, names: tuple, channels: tuple) -> _TermTable:
-    """The cached term table of operators.space(n_fock)'s named terms and
-    the channels' collapse operators."""
-    def build():
-        hs = space(n_fock)
-        return _table(2 * n_fock, [getattr(hs, name) for name in names], channel_ops(n_fock, channels))
-
-    return _cached(_TABLES, (n_fock, names, channels), build)
-
-
-def _matrix_table(h: np.ndarray, collapse: list[CollapseOp]) -> _TermTable:
-    """The table of a model given as matrices: one term, (h + h+)/2, whose
-    coefficient is 1.  A non-Hermitian h raises ValueError."""
+def _matrix_map(h: np.ndarray, collapse: list[CollapseOp]) -> _GeneratorMap:
+    """The map of a model given as matrices, built afresh: one term,
+    (h + h+)/2, whose coefficient is 1.  A non-Hermitian h raises
+    ValueError."""
     if hermiticity_residual(h) > 1e-12 * np.abs(h).max(initial=1.0):
         raise ValueError("Hamiltonian is not Hermitian")
-    return _table(h.shape[0], [0.5 * (h + h.conj().T)], collapse)
+    return _generator_map(h.shape[0], [0.5 * (h + h.conj().T)], collapse)
 
 
 def _generator(h: np.ndarray, collapse: list[CollapseOp]) -> tuple[sp.csc_matrix, sp.csr_matrix]:
     """The map's basis T (the Hermitian basis of _hermitian_basis, its
     coordinates ordered by level) and the sparse real generator M = T+ L T
-    in it, assembled as M = F [x(h); 1] from a cached map (see
-    _generator_map).  For a Hermitian H, which is checked, L maps Hermitian
-    matrices to Hermitian matrices, so M is real.
+    in it, assembled as M = F [x(h); 1] on h's own map (see _matrix_map).
+    For a Hermitian H, which is checked, L maps Hermitian matrices to
+    Hermitian matrices, so M is real.
 
     L is linear in H, and Re(T+ L T) depends on H only through its Hermitian
     part, so with x(h) the coordinates of (h + h+)/2 (its real diagonal, then
     Re and Im of each nonzero above it) M = sum_t x_t M_t + D, D being M at
     H = 0, which rides as F's last column against x's trailing 1.  H is
     itself a sum c_k O_k of fixed operators, so x(h) = sum c_k x(O_k) on a
-    term table (see _TermTable), whose X = [x c; 1] is F's right factor;
-    here the table is h's own, of one term (see _matrix_table).  The map is
-    built once per (d, pattern, collapse operators) and each model costs
-    one sparse product.  The entries of the map's union pattern that are
-    zero at this h are dropped, so M keeps only its own nonzeros for the M r
-    products of a trajectory."""
-    table = _matrix_table(h, collapse)
-    gmap = table.map()
+    map (see _GeneratorMap), whose X = [x c; 1] is F's right factor; here
+    the map is h's own, of one term.  The entries of the map's union pattern
+    that are zero at this h are dropped, so M keeps only its own nonzeros
+    for the M r products of a trajectory."""
+    gmap = _matrix_map(h, collapse)
     d = h.shape[0]
-    m = sp.csr_matrix((gmap.f @ table.coordinates(np.ones((1, 1)))[:, 0], gmap.indices, gmap.indptr),
+    m = sp.csr_matrix((gmap.f @ gmap.coordinates(np.ones((1, 1)))[:, 0], gmap.indices, gmap.indptr),
                       shape=(d * d, d * d), copy=True)
-    m.eliminate_zeros()  # in place, so on copies of the shared pattern
+    m.eliminate_zeros()  # in place, so on copies of the map's read-only pattern
     return gmap.basis, m
 
 
@@ -553,7 +508,7 @@ def _residual(gmap: _GeneratorMap, fx: np.ndarray, r: np.ndarray, lam=0.0):
 _DEGENERACY_TOL = 1e10
 
 
-def _block_factor(gmap: _GeneratorMap, fx: np.ndarray, b: np.ndarray | None = None) -> tuple:
+def _block_factor(gmap: _GeneratorMap, fx: np.ndarray) -> tuple:
     """The factor of a stack of n steady-state systems S on one map, for
     _block_solve.  S is the generator M, whose entries on the map's pattern
     are a column of fx (entries x n), with its first row, the equation for
@@ -570,16 +525,11 @@ def _block_factor(gmap: _GeneratorMap, fx: np.ndarray, b: np.ndarray | None = No
     stack straight from fx and the map's blocks, so no dense S is formed,
     and A_i and C_i are dropped once used.  The factor is (K^-1, W, B, at):
     the stacked K_i^-1, W_i and B_{i+1} of every level, and the slice at[i]
-    of level i's coordinates in a right-hand side.
-
-    Without b the factor keeps every W_i, for any number of right-hand
-    sides: 0.21 MiB per point at d = 16.  With b (n x d^2 x k), each W_i is
-    applied to b in place as it forms, y_i = b_i - W_i y_{i+1}, and
-    dropped, so the factor holds 0.14 MiB per point and _block_solve(factor,
-    b) then only sweeps down: every W_i meets b once, here or there.  Each
-    point's products and inverses are those it would get alone, so its
-    solves are the same bit for bit in a stack of any size.  A singular K_i
-    of any point raises np.linalg.LinAlgError for the stack.
+    of level i's coordinates in a right-hand side.  It solves any number of
+    right-hand sides and holds 0.21 MiB per point at d = 16.  Each point's
+    products and inverses are those it would get alone, so its solves are
+    the same bit for bit in a stack of any size.  A singular K_i of any
+    point raises np.linalg.LinAlgError for the stack.
 
     Only the level blocks K_i are inverted, never S: an explicit inverse of
     S would cost about 3x its LU and be no more accurate (Higham, Accuracy
@@ -610,8 +560,6 @@ def _block_factor(gmap: _GeneratorMap, fx: np.ndarray, b: np.ndarray | None = No
         schur -= w[-1] @ lower[-1]
         k_inv.append(np.linalg.inv(schur))
         del schur  # before the next level's blocks are gathered
-        if b is not None:
-            b[at[i]] -= w.pop() @ b[at[i + 1]]  # up, as each W_i is formed
     for part in (k_inv, w, lower):
         part.reverse()
     return k_inv, w, lower, at
@@ -619,11 +567,10 @@ def _block_factor(gmap: _GeneratorMap, fx: np.ndarray, b: np.ndarray | None = No
 
 def _block_solve(factor: tuple, b: np.ndarray) -> np.ndarray:
     """S^-1 b for a stack (b n x d^2 x k) by the stack's factor of
-    _block_factor: b swept up through the W_i that the factor kept, y_i =
-    b_i - W_i y_{i+1}, then down, x_i = K_i^-1 (y_i - B_i x_{i-1}).  Each
-    product is a stacked np.matmul, one BLAS call per point on that point's
-    slices, so a point's solution does not depend on the rest of the
-    stack."""
+    _block_factor: b swept up through the W_i, y_i = b_i - W_i y_{i+1},
+    then down, x_i = K_i^-1 (y_i - B_i x_{i-1}).  Each product is a stacked
+    np.matmul, one BLAS call per point on that point's slices, so a point's
+    solution does not depend on the rest of the stack."""
     k_inv, w, lower, at = factor
     y = np.array(b, dtype=float)
     for i in range(len(w) - 1, -1, -1):
@@ -756,17 +703,15 @@ def _steady(gmap: _GeneratorMap, x: np.ndarray, probes: list) -> list:
     point's r is accepted only if it nulls M to the residual tolerance.  A
     degenerate null space leaves S singular, which roundoff can hide from
     the factorisation, so the same solve also gives v = S^-1 q for q_k =
-    cos k, and a point whose v grows past _DEGENERACY_TOL is rejected.  A
-    stack with a probe keeps its W_i for the lockstep Arnoldi of its points
-    that passed (see _modes), each of whose steps is one solve with the
-    whole factor; a stack without one sweeps these two right-hand sides up
-    as the W_i form and drops them.  A singular block of one point stops
-    the stack's factorisation, so the stack is then solved again point by
-    point, and a point that stays singular alone fails.  Beside its factor,
-    a stack of n points holds its n M (n x entries, 27 KiB per point at d =
-    16), the right-hand sides and solutions (n x d^2 x 2), its states and,
-    when probed, its Krylov bases (62 KiB per point for the cap of 30
-    steps)."""
+    cos k, and a point whose v grows past _DEGENERACY_TOL is rejected.  The
+    points that passed and have a probe go on to the lockstep Arnoldi of
+    _modes, each of whose steps is one solve with the same factor.  A
+    singular block of one point stops the stack's factorisation, so the
+    stack is then solved again point by point, and a point that stays
+    singular alone fails.  Beside its factor, a stack of n points holds its
+    n M (n x entries, 27 KiB per point at d = 16), the right-hand sides and
+    solutions (n x d^2 x 2), its states and, when probed, its Krylov bases
+    (62 KiB per point for the cap of 30 steps)."""
     n = x.shape[1]
     d = gmap.offsets[1]
     nn = d * d
@@ -775,9 +720,8 @@ def _steady(gmap: _GeneratorMap, x: np.ndarray, probes: list) -> list:
     rhs = np.zeros((n, nn, 2))
     rhs[:, 0, 0] = 1.0
     rhs[:, :, 1] = q
-    probed = any(probe is not None for probe in probes)
     try:
-        factor = _block_factor(gmap, fx, None if probed else rhs)
+        factor = _block_factor(gmap, fx)
     except np.linalg.LinAlgError as exc:
         if n > 1:
             return [_steady(gmap, x[:, j:j + 1], probes[j:j + 1])[0] for j in range(n)]
@@ -803,7 +747,7 @@ def _steady(gmap: _GeneratorMap, x: np.ndarray, probes: list) -> list:
             ))
         else:
             outcomes.append(rho / np.trace(rho).real)
-    if probed:
+    if any(probe is not None for probe in probes):
         solved = [probe if isinstance(o, np.ndarray) else None for o, probe in zip(outcomes, probes)]
         lams = _modes(gmap, fx, factor, solved)
         outcomes = [o if lam is None else lam if isinstance(lam, Exception) else (o, lam)
@@ -821,21 +765,21 @@ def steady_states(models, probes=None) -> list:
     operator table, sum c O, which must be Hermitian.
 
     A model's H is a sum of Hermitian table operators with real
-    coefficients, so it needs no Hermiticity check: the map key and the
-    terms' coordinates x(O_k) are found once per (n_fock, names of its
-    nonzero terms, channels) (see _table_of), and a stack's X is its
+    coefficients, so it needs no Hermiticity check: its map, with the
+    terms' coordinates x(O_k), is built once per (n_fock, names of its
+    nonzero terms, channels) (see _terms_map), and a stack's X is its
     coefficients on them.  A term whose coefficient is zero is left out of
-    that key, so the undriven point (eps_d = 0) has its own map, with the
+    the names, so the undriven point (eps_d = 0) has its own map, with the
     levels of its own pattern.  A probe's coordinates are the sum of its
-    terms' coordinates, cached per table.
+    terms' coordinates, cached per map.
 
-    The models that share a term table are solved as one stack by _steady,
+    The models that share a map are solved as one stack by _steady,
     wherever they stand in the list, by a real block-tridiagonal solve in
     the Hermitian basis.  A point's products and inverses in a stack are
     those it gets alone (see _block_factor), so its outcome does not depend
     on the stack, and its X is the x(h) of its builder's H bit for bit (see
-    _TermTable.coordinates), so its outcome is that of steady_state on that
-    H too.  Each rho is T r over its real trace, so it is exactly
+    _GeneratorMap.coordinates), so its outcome is that of steady_state on
+    that H too.  Each rho is T r over its real trace, so it is exactly
     conjugate-symmetric.  A model without a collapse channel raises
     ValueError; any other error is raised."""
     probes = [None] * len(models) if probes is None else probes
@@ -849,22 +793,22 @@ def steady_states(models, probes=None) -> list:
         stack[1].append([c for _, c in live])
     outcomes: list = [None] * len(models)
     for key, (where, points) in stacks.items():
-        table = _table_of(*key)
-        x = table.coordinates(np.array(points).reshape(len(points), -1).T)
-        stack_probes = [None if probes[i] is None else table.probe(probes[i]) for i in where]
-        for i, outcome in zip(where, _steady(table.map(), x, stack_probes)):
+        gmap = _terms_map(*key)
+        x = gmap.coordinates(np.array(points).reshape(len(points), -1).T)
+        stack_probes = [None if probes[i] is None else gmap.probe(probes[i]) for i in where]
+        for i, outcome in zip(where, _steady(gmap, x, stack_probes)):
             outcomes[i] = outcome
     return outcomes
 
 
 def steady_state(h: np.ndarray, collapse: list[CollapseOp]) -> np.ndarray:
     """Unique steady state of a model given as matrices, by the real
-    block-tridiagonal solve of _steady on its one-term table (see
-    _matrix_table), its error raised."""
+    block-tridiagonal solve of _steady on its one-term map (see
+    _matrix_map), its error raised."""
     if not collapse:
         raise ValueError("steady state needs at least one collapse channel")
-    table = _matrix_table(h, collapse)
-    (rho,) = _steady(table.map(), table.coordinates(np.ones((1, 1))), [None])
+    gmap = _matrix_map(h, collapse)
+    (rho,) = _steady(gmap, gmap.coordinates(np.ones((1, 1))), [None])
     if isinstance(rho, MultipleSteadyStatesError):
         raise rho
     return rho

@@ -182,12 +182,10 @@ def build_hamiltonian_undisplaced(p: SystemParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CollapseOp:
-    """One Lindblad channel: operator already carries sqrt(rate), the rate
-    field records the physical rate unmodified."""
+    """One Lindblad channel: its operator, which already carries sqrt(rate)
+    (the rates are those of channels)."""
 
     operator: np.ndarray
-    rate: float
-    label: str
 
 
 def channels(p: SystemParams) -> tuple[tuple[str, float], ...]:
@@ -200,15 +198,11 @@ def channels(p: SystemParams) -> tuple[tuple[str, float], ...]:
     return tuple((name, rate) for name, rate in pairs if rate > 0)
 
 
-_CHANNEL_LABELS = {"a": "cavity", "sm": "qubit_down", "sp": "qubit_up", "sz": "dephasing"}
-
-
 def channel_ops(n_fock: int, pairs) -> list[CollapseOp]:
     """The collapse operators of (name, rate) channel pairs on
     operators.space(n_fock), each sqrt(rate) times its operator."""
     hs = space(n_fock)
-    return [CollapseOp(operator=math.sqrt(rate) * getattr(hs, name), rate=rate, label=_CHANNEL_LABELS[name])
-            for name, rate in pairs]
+    return [CollapseOp(operator=math.sqrt(rate) * getattr(hs, name)) for name, rate in pairs]
 
 
 def collapse_ops(p: SystemParams, frame: str = "displaced") -> list[CollapseOp]:

@@ -301,14 +301,14 @@ def _map_chunk(fn, chunk: Sequence) -> list:
 # sweep's wall time against solving point by point (BENCH_stacked_steady.json),
 # and stacks of 8 little more.  A cooling_rate stack runs its points'
 # Arnoldi iterations in lockstep, one stacked solve per step
-# (dynamics._modes; BENCH_lockstep_arnoldi.json).  A point holds about 0.2
-# MiB at d = 16 while its stack is solved, and in a cooling_rate stack 0.07
-# MiB more, which keeps every W_i for the Arnoldi solves (see
-# dynamics._block_factor), and 0.06 MiB for its Krylov basis of 30 steps, so
-# larger stacks raise peak memory for no gain: steady_tomography's peak RSS
-# rose by 0.75 MiB at 6 and 1.3 MiB at 8, and cooling_rate's by 1.16 MiB at 6
-# on the 3x3 grid against point by point (BENCH_one_steady_solve.json), before
-# the Krylov bases were stacked.
+# (dynamics._modes; BENCH_lockstep_arnoldi.json).  A point's factor holds
+# 0.21 MiB at d = 16 while its stack is solved, in either mode (see
+# dynamics._block_factor), and a cooling_rate point 0.06 MiB more for its
+# Krylov basis of 30 steps, so larger stacks raise peak memory for no gain:
+# steady_tomography's peak RSS rose by 0.75 MiB at 6 and 1.3 MiB at 8, and
+# cooling_rate's by 1.16 MiB at 6 on the 3x3 grid against point by point
+# (BENCH_one_steady_solve.json, measured while a steady_tomography factor
+# still dropped its W_i and before the Krylov bases were stacked).
 _STACK = 6
 
 

@@ -134,6 +134,12 @@ def test_fit_late_window_past_float_range_names_its_start():
             fit_exponential(t, y)
 
 
+def test_fit_rejects_a_flat_series():
+    t = np.linspace(0.0, 1.0, 20)
+    with pytest.raises(FitError, match="flat trajectory"):
+        fit_exponential(t, np.full(t.size, 0.5))
+
+
 def test_fit_rejects_growth():
     # no decay rate fits a growing exponential: the best one is the scanned
     # grid's slowest, or the residual is structured
@@ -256,7 +262,7 @@ def test_bloch_plus_state_with_coherent_cavity():
     assert v.x == pytest.approx(1.0, abs=1e-12)
     assert v.y == pytest.approx(0.0, abs=1e-12)
     assert v.z == pytest.approx(0.0, abs=1e-12)
-    assert v.norm <= 1.0 + 1e-9
+    assert math.hypot(v.x, v.y, v.z) <= 1.0 + 1e-9
 
 
 def test_bloch_norm_bound_random_states():
@@ -265,7 +271,8 @@ def test_bloch_norm_bound_random_states():
         m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         rho = m @ m.conj().T
         rho /= np.trace(rho)
-        assert bloch_vector(rho).norm <= 1.0 + 1e-9
+        v = bloch_vector(rho)
+        assert math.hypot(v.x, v.y, v.z) <= 1.0 + 1e-9
 
 
 def test_sigma_theta_axes_are_exact():

@@ -36,6 +36,8 @@ def test_empty_config_is_reference_point():
     assert c.t2_us == 10.6
     # serial by default, as run_sweep is
     assert c.workers == 1
+    # null leaves an optional key at its default
+    assert parse_config('{"n_fock": null, "t_max_us": null}') == Config()
 
 
 def test_config_roundtrip_identity():

@@ -301,7 +301,10 @@ def test_failures_stay_with_their_own_point(monkeypatch):
                      fixed=base, auto_n_fock=False)
     ps = [sweep._point_params(grid, p_d, dq)[0] for p_d in grid.power_db for dq in grid.detuning[:1]]
     ps.insert(1, replace(ps[0], omega_r_rabi=1e-30))
-    assert len({analysis.dynamics._matrix_table(*model.build_model(p)).key for p in ps}) == 1
+    terms = [model.build_terms(p) for p in ps]
+    maps = [analysis.dynamics._terms_map(t.n_fock, tuple(name for name, c in t.hamiltonian if c != 0.0), t.channels)
+            for t in terms]
+    assert all(m is maps[0] for m in maps)
     # with rate, every point also carries its probe, and the good ones their rate
     alone = {rate: [analysis.steady_points([p], rate=rate)[0] for p in ps] for rate in (False, True)}
     assert all(math.isnan(alone[False][i][2]) and alone[True][i][2] > 0.0 for i in (0, 2))

@@ -3,7 +3,11 @@ into the repository."""
 
 import importlib
 import importlib.util
+import json
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 from dressed_cool import cli
@@ -56,6 +60,23 @@ def test_src_lines_base_outside_a_git_checkout_is_one_line(tmp_path, monkeypatch
     assert src_lines.main(["--base", "HEAD"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("src_lines.py: --base needs a git checkout that has HEAD") and err.count("\n") == 1
+
+
+def test_bench_ab_outside_a_git_checkout_reads_null_commits(tmp_path, monkeypatch):
+    # a copy of the script and BENCHMARK.json without .git, as git archive
+    # leaves, against a base tree that is no checkout either: no pair runs,
+    # and both sides' commits read null
+    for name in ("tools/bench_ab.py", "BENCHMARK.json"):
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        shutil.copy(_ROOT / name, tmp_path / name)
+    (tmp_path / "base").mkdir()
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    proc = subprocess.run([sys.executable, "tools/bench_ab.py", "--base-tree", "base", "--workload", "verify",
+                           "--pairs", "0", "--label", "copy"], cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads((tmp_path / "BENCH_copy.json").read_text())
+    assert result["base"] == {"commit": None}
+    assert result["change"] == {"commit": None, "uncommitted_changes": None}
 
 
 def test_readme_names_only_paths_that_exist():

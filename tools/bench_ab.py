@@ -10,7 +10,9 @@ once in a checkout of the base ref and once in the working tree, in fresh
 processes, and alternates which side goes first.  The base is checked out
 with ``git worktree add --detach`` into a temporary directory, removed at the
 end, or, with ``--base-tree``, is an existing checkout (a clone, or an
-unpacked ``git archive``, whose commit then reads null).  Writes ``BENCH_<label>.json`` at the working tree's root: every run's
+unpacked ``git archive``, whose commit then reads null, as the working tree's
+commit and uncommitted changes do outside a git checkout).  Writes
+``BENCH_<label>.json`` at the working tree's root: every run's
 summary line with the unscaled times and the speed probe's ratios that run.py
 stores beside it, each side's median and quartiles of every end-to-end metric
 and of wall_raw_s and cpu_raw_s, the pairs the change won per metric (by
@@ -50,10 +52,10 @@ def git(*args: str, cwd: Path = ROOT) -> str:
     return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True, text=True).stdout.strip()
 
 
-def commit(tree: Path) -> str | None:
-    """The commit checked out in tree, or None when it is no git checkout."""
+def git_or_none(*args: str, cwd: Path = ROOT) -> str | None:
+    """git's output in cwd, or None when cwd is no git checkout."""
     try:
-        return git("rev-parse", "HEAD", cwd=tree)
+        return git(*args, cwd=cwd)
     except subprocess.CalledProcessError:
         return None
 
@@ -143,6 +145,7 @@ def main(argv=None) -> int:
         git("worktree", "add", "--detach", str(base_tree), args.base)
     trees = {"base": base_tree, "change": ROOT}
     ok = True
+    status = git_or_none("status", "--porcelain")
     try:
         result = {
             "label": args.label,
@@ -157,9 +160,9 @@ def main(argv=None) -> int:
                 "machine": platform.machine(),
                 "blas_threads": {s: blas_threads(t) for s, t in trees.items()},
             },
-            "base": {"commit": commit(base_tree)},
-            "change": {"commit": git("rev-parse", "HEAD"),
-                       "uncommitted_changes": bool(git("status", "--porcelain"))},
+            "base": {"commit": git_or_none("rev-parse", "HEAD", cwd=base_tree)},
+            "change": {"commit": git_or_none("rev-parse", "HEAD"),
+                       "uncommitted_changes": None if status is None else bool(status)},
             "workloads": {},
         }
         for workload in args.workload:

@@ -68,8 +68,10 @@ _RUNS = (
     # Strong coupling: narrow cavity, n_bar = 3.31, from |g>.  The cutoff is
     # sized for that start (n_fock 8): the cavity begins in the vacuum of
     # its fluctuations, and the 9 MHz detuned drive displaces them by
-    # |beta| = 0.13 only.  The spectral peak is the same to 7 digits from
-    # n_fock 8 to 31, where the top level holds 4.4e-9 and 3.3e-27.
+    # |beta| = 0.13 only, but the coupling ratio of 6 leaves the cutoff to
+    # the linear rule, since the |beta| error law holds in weak coupling
+    # only.  The spectral peak is the same to 7 digits from n_fock 8 to 31,
+    # where the top level holds 4.4e-9 and 3.3e-27.
     ("c3", Config(kappa_mhz=0.2, n_bar=3.31, initial_state="ground", t_max_us=20.0, n_times=2001), False),
     # The displaced run takes its rule cutoff (n_fock 15).
     ("c6 displaced", Config(n_bar=3.6, t_max_us=10.0, n_times=501), True),

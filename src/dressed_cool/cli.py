@@ -10,6 +10,7 @@ below the positivity floor, failed fits or acceptance checks).
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import math
 import sys
@@ -229,6 +230,9 @@ def _cmd_sweep(args) -> int:
     bad = sum(1 for r in table.rows if not r.converged)
     note = f" ({bad} points failed)" if bad else ""
     print(f"wrote {len(table.rows)} rows to {out}{note}")
+    if grid.mode != "rates_analytic_map":  # the analytic rates have no cavity cutoff
+        counts = collections.Counter(r.n_fock for r in table.rows)
+        print("cutoffs: n_fock " + ", ".join(f"{n} x {k}" for n, k in sorted(counts.items())), file=sys.stderr)
     return 0
 
 

@@ -240,15 +240,23 @@ def build_terms(p: SystemParams, frame: str = "displaced") -> ModelTerms:
 
 
 # Largest population the cavity's top Fock level may hold in any state of a
-# run before its truncation counts as failed (TruncationError).  At the
-# displaced-frame validation points of choose_fock_cutoff its cutoffs hold at
-# most 7.3e-5 there (turn-on at n_bar = 1, n_fock 8) and move <sx> by at most
-# 5e-5 against a doubled cutoff; the too-small cutoffs measured, which miss
-# <sx> by 3e-2 or more, hold 3.9e-3 or more.  That bound on <sx> holds in the
-# displaced frame only: a lab-frame turn-on run at n_bar = 3.6 at the lab
-# rule's n_fock 22 holds 2.4e-5 in its top level, under this tolerance, yet
-# misses the displaced run's <sx> by 1.21e-3.
+# run before its truncation counts as failed (TruncationError).  It is a gate
+# against a cutoff far too small, not the accuracy a cutoff is sized for
+# (that is CUTOFF_ERROR_TARGET): the too-small cutoffs measured, which miss
+# <sx> by 3e-2 or more, hold 3.9e-3 or more, while at the displaced-frame
+# validation points of choose_fock_cutoff the chosen cutoffs hold at most
+# 7.3e-5 (turn-on at n_bar = 1, n_fock 8, whose Poisson term sets it) and
+# their steady states at most 1.1e-9.  The lab frame has no error target: a
+# lab-frame turn-on run at n_bar = 3.6 at the lab rule's n_fock 22 holds
+# 2.4e-5 in its top level, under this tolerance, yet misses the displaced
+# run's <sx> by 1.21e-3.
 TRUNCATION_TOL = 1e-4
+
+# Error target of choose_fock_cutoff's displaced-frame steady state: the
+# largest change of any Bloch component against a solve at n_fock + 4.  The
+# cooling_rate rate holds 1e-6 relative at the same cutoffs.  The sweep CSV
+# prints 9 significant digits, so a change of cutoff can show in it.
+CUTOFF_ERROR_TARGET = 1e-7
 
 
 class TruncationError(RuntimeError):
@@ -290,7 +298,22 @@ def choose_fock_cutoff(
 
     * the static displacement |beta| = |chi| sqrt(n_bar) / |delta_c + i
       kappa/2| that the coupling -chi (conj(a_bar) d + a_bar d+) sz gives d
-      for either qubit state, through max(8, ceil(2 |beta| + 6));
+      for either qubit state.  While the cavity decays faster than it
+      exchanges an excitation with the qubit (coupling_ratio below 1/2,
+      which keeps |beta| < 1), the steady state's error falls by a factor
+      of about |beta|^2 per Fock level, as the low Fock weights of the
+      coherent state |beta> do: measured, its Bloch vector misses a solve at
+      n_fock + 4 by at most about 10 |beta|^(2 (n_fock - 1)) at kappa/2pi =
+      4.3 and 10 MHz (up to about 240 times that at 1 MHz).  The cutoff is
+      the smallest that brings that below CUTOFF_ERROR_TARGET, but at least
+      5: fewer levels save little solve time but give the lowest power rows
+      a generator map of their own, which costs more (a fresh 3x3
+      cooling_rate sweep at the default ranges took 0.025 s at cutoffs 4, 5
+      and 7 against 0.019 s at 5, 5 and 7, best of 5).  It never exceeds
+      the linear rule max(8, ceil(2 |beta| + 6)), which alone sizes
+      strong coupling, where the cavity and the qubit exchange an
+      excitation coherently and the |beta| law underestimates the error by
+      up to 1e6;
     * the initial displacement of d: none for the named qubit states and the
       steady state, whose cavity is the vacuum of d, and |a_bar| for
       turn_on, whose cavity is the coherent state -a_bar of d.  That one
@@ -298,16 +321,34 @@ def choose_fock_cutoff(
       at least the smallest whose tail from the top level up is below
       TRUNCATION_TOL.
 
-    The displaced rule is validated by the doubling test (doubling the
-    cutoff moves <sx> by less than 1e-3, and by at most 5e-5 as measured)
-    and by the top level's population staying under TRUNCATION_TOL at
-    criterion 1's three turn-on points (8), criterion 3's ground-state start
-    (8), turn-on at n_bar = 4 and 6.3 (15 and 20), the steady state at
-    delta_c = 0, kappa/2pi = 0.2 MHz, n_bar = 3.31 (31) and every point of
-    the default sweep ranges (8).  The undisplaced rule covers the lab field's coherent amplitude for any
-    start, but that <sx> bound does not carry over to it: a turn-on run at
-    n_bar = 3.6 at its n_fock 22 holds 2.4e-5 in the top level yet misses
-    the displaced run's <sx> by 1.21e-3.
+    The steady-state rule is validated against n_fock + 4, as (cutoff;
+    largest Bloch error, relative cooling_rate rate error): the corners of
+    the default sweep ranges, -10 dB (5; 2.7e-13, 4.3e-13) and 8 dB (7;
+    7.0e-10, 1.4e-9); -1 dB at delta_q' = -5 and 15 MHz (5; 8.0e-10,
+    6.6e-9); 5 dB, 15 MHz (6; 2.0e-10, 2.1e-9); 8 dB, 12 MHz (7; 1.3e-10,
+    2.0e-9); delta_c/2pi = -4 MHz, n_bar = 3 (8; 1.7e-11, 6.3e-11); and,
+    sized by the linear rule, n_bar = 20 (8; 1.0e-9, 5.9e-8), criterion 3's
+    kappa/2pi = 0.2 MHz, n_bar = 3.31 (8; 1.0e-9, 3.8e-8) and kappa/2pi =
+    1 MHz, n_bar = 6.3, 12 MHz (8; 7.8e-11, 1.3e-9).  The default grid
+    takes 5 to 7 and moves by at most 5.4e-8 (rates 2.5e-7) against
+    n_fock 12.  A survey of 432 points (n_bar 0.1 to 40, delta_c/2pi = -9,
+    -4, -2 and 9 MHz, kappa/2pi = 0.2 to 10 MHz) found the rule within
+    the target wherever the linear rule was, but at one weak-coupling
+    point, delta_c/2pi = -4 MHz, kappa/2pi = 1 MHz, n_bar = 0.5, delta_q'
+    = -5 MHz (coupling ratio 0.47, n_fock 6), which misses by 1.03e-7.
+    Trajectories are validated by the doubling
+    test (doubling the cutoff moves <sx> over 2 us by less than 1e-3) and
+    by the top level's population staying under TRUNCATION_TOL, at
+    criterion 1's three turn-on points (6, 7 and 8; <sx> moves by 1.8e-7,
+    9.1e-7 and 1.2e-5), criterion 3's ground-state start (8), turn-on at
+    n_bar = 4 and 6.3 (15 and 20), the default point from |g> and |e> (5;
+    1.5e-9) and 8 dB from |g> (7; 9.7e-10), and for the steady states at
+    criterion 3's point (8) and on the cavity resonance, delta_c = 0,
+    kappa/2pi = 0.2 MHz, n_bar = 3.31 (31).  The undisplaced rule covers
+    the lab field's coherent amplitude for any start, but no error target
+    carries over to it: a turn-on run at n_bar = 3.6 at its n_fock 22 holds
+    2.4e-5 in the top level yet misses the displaced run's <sx> by
+    1.21e-3.
     """
     _check_frame(frame)
     if initial_state is not None and initial_state not in INITIAL_STATES:
@@ -316,7 +357,12 @@ def choose_fock_cutoff(
     if frame == "undisplaced":
         return math.ceil(n_bar + 7.0 * math.sqrt(n_bar) + 5.0)
     beta = abs(p.chi) * math.sqrt(n_bar) / abs(complex(p.delta_c, 0.5 * p.kappa))
-    n_fock = max(8, math.ceil(2.0 * beta + 6.0))
+    linear = max(8, math.ceil(2.0 * beta + 6.0))
+    n_fock = linear
+    if coupling_ratio(p) < 0.5:
+        n_fock = 5
+        while n_fock < linear and 10.0 * beta ** (2 * (n_fock - 1)) > CUTOFF_ERROR_TARGET:
+            n_fock += 1
     if initial_state == "turn_on":
         n_fock = max(n_fock, _poisson_cutoff(n_bar))
     return n_fock

@@ -78,7 +78,8 @@ class SweepGrid:
 class SweepRow:
     """One grid point.  gamma_fit (1/us) is NaN in steady_tomography, the
     analytic total rate in rates_analytic_map, and in cooling_rate the
-    relaxation rate of the dressed mode, read off the generator spectrum."""
+    relaxation rate of the dressed mode, read off the generator spectrum.
+    n_fock is the cavity cutoff of the point's model (no CSV column)."""
 
     p_d_db: float
     delta_q: float
@@ -89,6 +90,7 @@ class SweepRow:
     s_theta: float
     gamma_fit: float
     converged: bool
+    n_fock: int
 
 
 @dataclass
@@ -115,7 +117,7 @@ def _point_params(grid: SweepGrid, p_d_db: float, delta_q: float) -> tuple[model
     return p, n_bar
 
 
-def _evaluate_point(grid: SweepGrid, p_d_db: float, delta_q: float, n_bar: float,
+def _evaluate_point(grid: SweepGrid, p_d_db: float, delta_q: float, n_bar: float, n_fock: int,
                     outcome: tuple | Exception) -> SweepRow:
     """The row of one point of the grid, the outcome being the point's
     (Bloch vector, gamma) or the numerical error (analysis.NUMERICAL_ERRORS)
@@ -132,6 +134,7 @@ def _evaluate_point(grid: SweepGrid, p_d_db: float, delta_q: float, n_bar: float
         s_theta=analysis.sigma_theta_projection(v, grid.theta),
         gamma_fit=gamma,
         converged=converged,
+        n_fock=n_fock,
     )
 
 
@@ -149,8 +152,8 @@ def _evaluate_stack(stack: Sequence[tuple[SweepGrid, float, float]]) -> list[Swe
     else:
         outcomes = [o if isinstance(o, Exception) else (o[0], o[2])
                     for o in analysis.steady_points(ps, rate=grid.mode == "cooling_rate")]
-    return [_evaluate_point(*task, n_bar, outcome)
-            for task, (_, n_bar), outcome in zip(stack, params, outcomes)]
+    return [_evaluate_point(*task, n_bar, p.n_fock, outcome)
+            for task, (p, n_bar), outcome in zip(stack, params, outcomes)]
 
 
 def resolve_workers(requested: int) -> int:
@@ -296,17 +299,20 @@ def _map_chunk(fn, chunk: Sequence) -> list:
 
 
 # Points per stack of a sweep (see run_sweep).  Stacks speed up the steady
-# solves of steady_tomography: on the default 41x41 grid (one map for all
-# points; 2-core x86-64, one BLAS thread) stacks of 6 took 27% off the
-# sweep's wall time against solving point by point (BENCH_stacked_steady.json),
-# and stacks of 8 little more.  A cooling_rate stack runs its points'
-# Arnoldi iterations in lockstep, one stacked solve per step
-# (dynamics._modes; BENCH_lockstep_arnoldi.json).  A point's factor holds
-# 0.21 MiB at d = 16 while its stack is solved, in either mode (see
-# dynamics._block_factor), and a cooling_rate point 0.06 MiB more for its
-# Krylov basis of 30 steps, so larger stacks raise peak memory for no gain:
-# steady_tomography's peak RSS rose by 0.75 MiB at 6 and 1.3 MiB at 8, and
-# cooling_rate's by 1.16 MiB at 6 on the 3x3 grid against point by point
+# solves of steady_tomography: on the default 41x41 grid (then one map at
+# n_fock 8 for all points; 2-core x86-64, one BLAS thread) stacks of 6 took
+# 27% off the sweep's wall time against solving point by point
+# (BENCH_stacked_steady.json), and stacks of 8 little more.  A stack whose
+# points take different cutoffs is solved as one sub-stack per map.  A
+# cooling_rate stack runs its points' Arnoldi iterations in lockstep, one
+# stacked solve per step (dynamics._modes; BENCH_lockstep_arnoldi.json).  A
+# point's factor holds 0.044 MiB at d = 10 and 0.13 MiB at d = 14 (the
+# default grid's cutoffs 5 and 7; 0.21 MiB at d = 16) while its stack is
+# solved, in either mode (see dynamics._block_factor), and a cooling_rate
+# point 23 to 46 KiB more for its Krylov basis of 30 steps, so larger
+# stacks raise peak memory for no gain: at d = 16 steady_tomography's peak
+# RSS rose by 0.75 MiB at 6 and 1.3 MiB at 8, and cooling_rate's by
+# 1.16 MiB at 6 on the 3x3 grid against point by point
 # (BENCH_one_steady_solve.json, measured while a steady_tomography factor
 # still dropped its W_i and before the Krylov bases were stacked).
 _STACK = 6

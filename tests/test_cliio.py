@@ -202,7 +202,7 @@ def test_csv_layout(tmp_path):
         rows=[SweepRow(
             p_d_db=0.0, delta_q=TWO_PI * 0.123456789123, n_bar=1.0,
             sx=0.5, sy=0.0, sz=-0.25, s_theta=0.5,
-            gamma_fit=math.nan, converged=True,
+            gamma_fit=math.nan, converged=True, n_fock=8,
         )],
         metadata={"kappa_mhz": 4.3, "mode": "steady_tomography"},
     )
@@ -331,8 +331,9 @@ def test_cli_steady_json(capsys):
     assert payload["sx"] == pytest.approx(0.9284, abs=2e-3)
     assert abs(payload["sy"]) <= 0.01
     assert payload["tomography_scale"] == 1.0
-    # how close the truncation came to its edge
-    assert payload["n_fock"] == 8
+    # how close the truncation came to its edge; the default point
+    # (|beta| = 0.07) meets the cutoff's error target at n_fock 5
+    assert payload["n_fock"] == 5
     assert 0.0 < payload["top_fock_population"] <= model.TRUNCATION_TOL
 
 
@@ -346,8 +347,8 @@ def test_cli_steady_sizes_for_the_steady_state_and_gates_the_truncation(capsys, 
     err = capsys.readouterr().err
     assert "numerical failure: cavity truncation" in err
     assert "n_fock = 8 holds population 0.0039" in err
-    # criterion 3's detuned drive keeps a trajectory's cutoff at 8 from |g>,
-    # and the steady state's too
+    # criterion 3's strong coupling (coupling ratio 6) leaves a trajectory's
+    # cutoff from |g> to the linear rule, 8, and the steady state's too
     cfg.write_text(json.dumps({"kappa_mhz": 0.2, "n_bar": 3.31, "initial_state": "ground"}))
     assert main(["steady", "-c", str(cfg)]) == 0
     assert json.loads(capsys.readouterr().out)["n_fock"] == 8
@@ -514,6 +515,32 @@ def test_cli_sweep_reruns_are_byte_identical(tmp_path, capsys):
     assert main(["sweep", "-c", str(cfg), "-o", str(out1), "--no-timestamp"]) == 0
     assert main(["sweep", "-c", str(cfg), "-o", str(out2), "--no-timestamp"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cli_sweep_counts_its_points_by_cutoff_on_stderr(tmp_path, capsys, monkeypatch, pool_sizes):
+    # after the CSV, one stderr line counts the points at each cavity
+    # cutoff: the power rows -10, -1 and 8 dB take 5, 5 and 7.  The CSV,
+    # stdout and that line are the same on one worker and on two (three
+    # stacks); a fixed n_fock puts every point at it, and the analytic
+    # rates, which have no cutoff, print no line
+    monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    grid = {"power_points": 3, "detuning_points": 5}
+    runs = []
+    for workers in (1, 2):
+        cfg, out = tmp_path / "cfg.json", tmp_path / f"w{workers}.csv"
+        cfg.write_text(json.dumps({**grid, "workers": workers}))
+        assert main(["sweep", "-c", str(cfg), "-o", str(out), "--no-timestamp"]) == 0
+        captured = capsys.readouterr()
+        runs.append((out.read_bytes(), captured.out.replace(str(out), "<csv>"), captured.err))
+    assert pool_sizes == [1]
+    assert runs[0] == runs[1]
+    assert runs[0][2] == "cutoffs: n_fock 5 x 10, 7 x 5\n"
+    cfg.write_text(json.dumps({**grid, "n_fock": 6}))
+    assert main(["sweep", "-c", str(cfg), "-o", str(out), "--no-timestamp"]) == 0
+    assert capsys.readouterr().err == "cutoffs: n_fock 6 x 15\n"
+    cfg.write_text(json.dumps({**grid, "mode": "rates_analytic_map"}))
+    assert main(["sweep", "-c", str(cfg), "-o", str(out), "--no-timestamp"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_sweep_applies_the_tomography_scale(tmp_path, capsys):

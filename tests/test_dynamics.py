@@ -978,11 +978,12 @@ def test_probed_points_do_not_depend_on_their_stack(monkeypatch):
 
 def test_points_that_converge_at_different_checkpoints_share_a_stack(monkeypatch):
     # with the first Ritz check at step 12, one of these six default-range
-    # points (6 dB, 5 MHz) misses it and goes on to the cap while the other
+    # points (7.5 dB, 5 MHz) misses it and goes on to the cap while the other
     # five are done: the stack's second Ritz check holds that point alone,
-    # and each rate is the one its point gets alone, bit for bit
+    # and each rate is the one its point gets alone, bit for bit.  Both
+    # power rows take one cutoff (n_fock 7), so the six share one map.
     monkeypatch.setattr(dynamics, "_CHECKPOINTS", (12, 30))
-    grid = sweep.SweepGrid(power_db=[-10.0, 6.0], detuning=2.0 * math.pi * np.array([-5.0, 5.0, 15.0]),
+    grid = sweep.SweepGrid(power_db=[7.5, 8.0], detuning=2.0 * math.pi * np.array([-5.0, 5.0, 15.0]),
                            fixed=reference_params(), mode="cooling_rate")
     ps = [sweep._point_params(grid, p_d, dq)[0] for p_d in grid.power_db for dq in grid.detuning]
     models = [build_terms(p) for p in ps]
@@ -1259,18 +1260,21 @@ def test_term_coordinates_are_the_builders_x_of_h(frame):
 
 def test_undriven_point_gets_its_own_map_in_a_stack(monkeypatch):
     # the undriven point's zero coupling terms are left out of its names, so
-    # a stack of driven points and it solves on two maps, and each outcome is
-    # the one its point gets alone, and as (H, collapse operators) on its
-    # one-term map, bit for bit, with and without probes
+    # a stack of driven points and it solves on one map more than the driven
+    # points' cutoffs (the -10 dB corners' 5 and the 8 dB corners' 7), and
+    # each outcome is the one its point gets alone, and as (H, collapse
+    # operators) on its one-term map, bit for bit, with and without probes
     dynamics._terms_map.cache_clear()
     build_map, built = dynamics._generator_map, []
     monkeypatch.setattr(dynamics, "_generator_map", lambda *a: built.append(1) or build_map(*a))
     ps = term_points()[:5]
+    assert [p.n_fock for p in ps] == [5, 5, 7, 7, 5]
     models = [build_terms(p) for p in ps]
     probes = [analysis.dressed_probe_terms(p) for p in ps]
     outcomes = steady_states(models)
-    assert len(built) == 2 and dynamics._terms_map.cache_info().currsize == 2
-    driven, undriven = (map_of(m)[0] for m in models[3:5])
+    assert len(built) == 3 and dynamics._terms_map.cache_info().currsize == 3
+    driven, undriven = (map_of(m)[0] for m in (models[0], models[4]))  # both at n_fock 5
+    assert undriven.offsets[-1] == driven.offsets[-1]
     assert undriven.x.shape[0] < driven.x.shape[0]  # d + 2 entries per pair above the diagonal
     probed = steady_states(models, probes)
     for i, p in enumerate(ps):
@@ -1278,7 +1282,7 @@ def test_undriven_point_gets_its_own_map_in_a_stack(monkeypatch):
         assert np.array_equal(outcomes[i], steady_state(*build_model(p))), i
         rho, lam = matrix_outcome(*build_model(p), dressed_probe(p))
         assert np.array_equal(probed[i][0], rho) and probed[i][1] == lam, i
-    assert dynamics._terms_map.cache_info().misses == 2
+    assert dynamics._terms_map.cache_info().misses == 3
 
 
 def test_probe_terms_give_the_projected_probe():
@@ -1298,7 +1302,8 @@ def test_probe_terms_give_the_projected_probe():
 def test_a_sweep_finds_its_term_table_once(monkeypatch):
     # the map and the terms' coordinates are built once per (n_fock, names
     # of the nonzero terms, channels), not once per point, and no point
-    # forms its H
+    # forms its H: the grid's three power rows take two cutoffs (5 and 7),
+    # and so two maps for nine points
     dynamics._terms_map.cache_clear()
     build_map, built = dynamics._generator_map, []
     monkeypatch.setattr(dynamics, "_generator_map", lambda *a: built.append(1) or build_map(*a))
@@ -1309,7 +1314,8 @@ def test_a_sweep_finds_its_term_table_once(monkeypatch):
                            fixed=reference_params(), mode="cooling_rate")
     rows = sweep.run_sweep(grid).rows
     assert all(row.converged for row in rows)
-    assert len(built) == 1 and dynamics._terms_map.cache_info().currsize == 1
+    assert {row.n_fock for row in rows} == {5, 7}
+    assert len(built) == 2 and dynamics._terms_map.cache_info().currsize == 2
 
 
 def level_of(offsets, n):

@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dressed_cool.analysis import cooling_trajectory
+from dressed_cool.analysis import cooling_trajectory, steady_point
 from dressed_cool.config import Config, to_system_params
 from dressed_cool.model import (
+    CUTOFF_ERROR_TARGET,
     TRUNCATION_TOL,
     TWO_PI,
     FRAMES,
@@ -22,6 +23,7 @@ from dressed_cool.model import (
     check_truncation,
     choose_fock_cutoff,
     collapse_ops,
+    coupling_ratio,
     displacement,
     drive_for_photons,
     n_bar_of,
@@ -38,6 +40,7 @@ from dressed_cool.operators import (
     space,
     top_fock_population,
 )
+from dressed_cool.sweep import SweepGrid, _point_params
 from test_operators import expect_real, expectation, validate_density_matrix
 
 
@@ -365,20 +368,30 @@ def test_dephasing_rate_from_coherence_times():
 
 
 def test_choose_fock_cutoff_reference_values():
-    assert choose_fock_cutoff(reference_params(n_bar=0.0, n_fock=2), "displaced") == 8
+    # an undriven cavity leaves d in its vacuum: the fewest levels the rule
+    # gives, 5, hold it exactly
+    assert choose_fock_cutoff(reference_params(n_bar=0.0, n_fock=2), "displaced") == 5
     p = reference_params(n_bar=3.6, n_fock=2)
     assert choose_fock_cutoff(p, "undisplaced") == 22
-    weak = choose_fock_cutoff(reference_params(n_bar=1.0, n_fock=2), "displaced")
-    assert 8 <= weak <= 10
-    # criterion 3's point: the detuned drive barely displaces the vacuum of d
+    # the default point, |beta| = 0.07: the error target needs 5 levels
+    assert choose_fock_cutoff(reference_params(n_bar=1.0, n_fock=2), "displaced") == 5
+    # criterion 3's point is strongly coupled (coupling ratio 6): the linear
+    # rule sizes it, for the steady state and from |g> alike, as it sizes
+    # every point whose coupling ratio is 1/2 or more, where the |beta|
+    # error law does not hold
     c3 = reference_params(kappa_mhz=0.2, n_bar=3.31, n_fock=2)
     assert choose_fock_cutoff(c3, initial_state="ground") == 8
     assert choose_fock_cutoff(c3) == 8
+    for where in ({"kappa_mhz": 0.2, "n_bar": 3.31}, {"kappa_mhz": 1.0, "n_bar": 6.3}, {"n_bar": 20.0}):
+        strong = reference_params(n_fock=2, **where)
+        assert coupling_ratio(strong) >= 0.5
+        assert choose_fock_cutoff(strong) == linear_cutoff(strong) == 8
     # turn-on starts d in the coherent state -a_bar: its Poisson tail sets it
     assert choose_fock_cutoff(reference_params(n_bar=4.0, n_fock=2), initial_state="turn_on") >= 15
     assert choose_fock_cutoff(reference_params(n_bar=6.3, n_fock=2), initial_state="turn_on") >= 20
-    for n_bar in (0.25, 0.5, 1.0):  # criterion 1's points
-        assert choose_fock_cutoff(reference_params(n_bar=n_bar, n_fock=2), initial_state="turn_on") == 8
+    c1 = [choose_fock_cutoff(reference_params(n_bar=n_bar, n_fock=2), initial_state="turn_on")
+          for n_bar in (0.25, 0.5, 1.0)]  # criterion 1's points
+    assert c1 == [6, 7, 8]
     # on the cavity resonance the static displacement is large: no shrinking
     resonant = reference_params(kappa_mhz=0.2, n_bar=3.31, delta_c_mhz=0.0, n_fock=2)
     for start in (None, *INITIAL_STATES):
@@ -389,13 +402,71 @@ def test_choose_fock_cutoff_reference_values():
         choose_fock_cutoff(p, initial_state="sideways")
 
 
-def test_choose_fock_cutoff_keeps_the_default_sweep_ranges_at_8():
+def default_sweep_rows() -> list[list[SystemParams]]:
+    """The points of the default 41x41 sweep with their chosen cutoffs, one
+    list per power row."""
     c = Config()
-    for p_d_db in np.linspace(c.power_db_min, c.power_db_max, c.power_points):
-        n_bar = 10.0 ** (p_d_db / 10.0)
-        for dq in np.linspace(c.detuning_mhz_min, c.detuning_mhz_max, c.detuning_points):
-            p = reference_params(n_bar=n_bar, delta_q_prime_mhz=dq, n_fock=2)
-            assert choose_fock_cutoff(p) == 8
+    grid = SweepGrid(power_db=np.linspace(c.power_db_min, c.power_db_max, c.power_points),
+                     detuning=TWO_PI * np.linspace(c.detuning_mhz_min, c.detuning_mhz_max, c.detuning_points),
+                     fixed=reference_params())
+    return [[_point_params(grid, p_d, dq)[0] for dq in grid.detuning] for p_d in grid.power_db]
+
+
+def linear_cutoff(p: SystemParams) -> int:
+    """Oracle: the displaced rule before the error target, max(8, ceil(2
+    |beta| + 6)), an upper bound on every displaced steady-state cutoff."""
+    beta = abs(p.chi) * math.sqrt(n_bar_of(p)) / abs(complex(p.delta_c, 0.5 * p.kappa))
+    return max(8, math.ceil(2.0 * beta + 6.0))
+
+
+def test_choose_fock_cutoff_sizes_the_default_sweep_ranges_by_power_row():
+    # |beta| grows with the drive power only, so each power row shares one
+    # cutoff, and the cutoffs rise from 5 at -10 dB to 7 at 8 dB, on 29, 9
+    # and 3 rows; none exceeds the linear rule's 8
+    per_row = []
+    for row in default_sweep_rows():
+        cutoffs = {p.n_fock for p in row}
+        assert len(cutoffs) == 1
+        per_row.append(cutoffs.pop())
+        assert all(p.n_fock == choose_fock_cutoff(p) <= linear_cutoff(p) == 8 for p in row)
+    assert per_row == sorted(per_row)
+    assert [per_row.count(n) for n in (5, 6, 7)] == [29, 9, 3]
+
+
+# Steady-state points at which the displaced cutoff is held to its error
+# target: the corners of the default sweep ranges, then (config overrides)
+# points from the default grid's low, middle and top power rows, criterion
+# 3's narrow cavity, a narrow cavity at n_bar = 6.3, a strong drive, and a
+# cavity drive closer to resonance
+_TARGET_POINTS = [
+    *(pytest.param(corner, id=f"corner-{corner}") for corner in ("low-left", "low-right", "top-left", "top-right")),
+    *(pytest.param({"n_bar": 0.1, "delta_q_prime_mhz": dq}, id=f"-10dB-{dq}MHz") for dq in (-5.0, 12.0)),
+    *(pytest.param({"n_bar": 10.0 ** -0.1, "delta_q_prime_mhz": dq}, id=f"-1dB-{dq}MHz") for dq in (-5.0, 15.0)),
+    pytest.param({"n_bar": 10.0 ** 0.5, "delta_q_prime_mhz": 15.0}, id="5dB-15MHz"),
+    pytest.param({"n_bar": 10.0 ** 0.8, "delta_q_prime_mhz": 12.0}, id="8dB-12MHz"),
+    pytest.param({"kappa_mhz": 0.2, "n_bar": 3.31}, id="c3"),
+    pytest.param({"kappa_mhz": 1.0, "n_bar": 6.3, "delta_q_prime_mhz": 12.0}, id="kappa1-n6.3"),
+    pytest.param({"n_bar": 20.0}, id="n20"),
+    pytest.param({"delta_c_mhz": -4.0, "n_bar": 3.0}, id="delta_c-4MHz"),
+]
+
+
+@pytest.mark.parametrize("where", _TARGET_POINTS)
+def test_steady_cutoff_meets_its_error_target(where):
+    # at the chosen cutoff the steady state's Bloch vector is within
+    # CUTOFF_ERROR_TARGET of a solve at n_fock + 4, and the cooling_rate
+    # rate within 1e-6 relative; the cutoff never exceeds the linear rule
+    if isinstance(where, str):
+        rows = default_sweep_rows()
+        p = {"low-left": rows[0][0], "low-right": rows[0][-1], "top-left": rows[-1][0],
+             "top-right": rows[-1][-1]}[where]
+    else:
+        p = reference_params(**where)
+    n = choose_fock_cutoff(p)
+    assert n <= linear_cutoff(p)
+    (v, _, gamma), (v_ref, _, gamma_ref) = (steady_point(p.with_n_fock(k), rate=True) for k in (n, n + 4))
+    assert max(abs(v.x - v_ref.x), abs(v.y - v_ref.y), abs(v.z - v_ref.z)) <= CUTOFF_ERROR_TARGET
+    assert abs(gamma - gamma_ref) <= 1e-6 * abs(gamma_ref)
 
 
 @pytest.mark.parametrize("n_bar", [0.0, 0.25, 1.0, 4.0, 6.3, 30.0])
@@ -407,7 +478,7 @@ def test_turn_on_cutoff_holds_its_coherent_state(n_bar):
     assert tail < TRUNCATION_TOL
     p = reference_params(n_bar=n_bar, n_fock=n)
     assert top_fock_population(turn_on_state(p)) < TRUNCATION_TOL
-    if n > 8:
+    if n > choose_fock_cutoff(p):  # the Poisson term sets it
         lower = 1.0 - sum(math.exp(-n_bar) * n_bar ** k / math.factorial(k) for k in range(n - 2))
         assert lower >= TRUNCATION_TOL
 
@@ -451,13 +522,17 @@ def _sparse_steady(p: SystemParams) -> np.ndarray:
 
 
 # (config, start) of each doubling-test point: criterion 1's three turn-on
-# runs, criterion 3's ground-state start, turn-on at n_bar = 4 and 6.3, and
-# the steady states at criterion 3's point and on the cavity resonance
+# runs, criterion 3's ground-state start, turn-on at n_bar = 4 and 6.3, the
+# default point from |g> and |e> and the top default power row from |g> (n_fock
+# 5, 5 and 7), and the steady states at criterion 3's point and on the
+# cavity resonance
 _DOUBLING_POINTS = [
     *(pytest.param({"n_bar": n}, "turn_on", id=f"c1-n{n}") for n in (0.25, 0.5, 1.0)),
     pytest.param({"kappa_mhz": 0.2, "n_bar": 3.31}, "ground", id="c3"),
     pytest.param({"n_bar": 4.0}, "turn_on", id="turn_on-n4"),
     pytest.param({"n_bar": 6.3}, "turn_on", id="turn_on-n6.3"),
+    *(pytest.param({}, start, id=f"default-{start}") for start in ("ground", "excited")),
+    pytest.param({"n_bar": 10.0 ** 0.8}, "ground", id="8dB-ground"),
     pytest.param({"kappa_mhz": 0.2, "n_bar": 3.31}, None, id="c3-steady"),
     pytest.param({"kappa_mhz": 0.2, "n_bar": 3.31, "delta_c_mhz": 0.0}, None, id="resonant-steady"),
 ]

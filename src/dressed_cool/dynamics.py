@@ -14,6 +14,7 @@ Hermitian states have real coordinates.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -25,7 +26,7 @@ try:  # the kernel of csr_matrix @ vector (see _matvec)
 except ImportError:  # a scipy that moved it: _matvec falls back on the product
     _csr_matvec = None
 
-from .integrate import integrate_adaptive
+from .integrate import StiffnessError, checked_grid, integrate_adaptive
 from .model import CollapseOp, channel_ops
 from .operators import hermiticity_residual, space, top_fock_population
 
@@ -115,31 +116,45 @@ def _identity_kron_triplets(i, j, v, d: int, offset=0):
 
 @dataclass(frozen=True)
 class PropagationStats:
-    """What one evolve call did: its generator applications (M r products),
-    the wall seconds of its propagation, including the per-output
-    reductions done inside it, and of those reductions alone (rho = T r, its
+    """What one evolve call did: its propagator ("Runge-Kutta" or
+    "Krylov"; see evolve), its generator applications (M r products), the
+    wall seconds of its propagation, including the per-output reductions
+    done inside it, and of those reductions alone (rho = T r, its
     eigenvalues, the top Fock population and the observables), the largest
     population of the cavity's top Fock level at any grid time, which shows
     how close the truncation came to its edge, and the worst trace deviation
-    |tr rho - 1| and smallest eigenvalue of rho over the grid times.
+    |tr rho - 1| and smallest eigenvalue of rho over the grid times.  A
+    Krylov run also counts its accepted and rejected exponential steps and
+    gives its Krylov dimension; a Runge-Kutta run leaves them 0.
     Hermiticity holds by construction (see evolve)."""
 
+    propagator: str
     generator_applications: int
     wall_s: float
     reduce_s: float
     top_fock_population: float
     max_trace_deviation: float
     min_eigenvalue: float
+    steps_accepted: int = 0
+    steps_rejected: int = 0
+    krylov_dim: int = 0
 
     def summary(self) -> str:
-        """The stats as the one line that evolve and verify print, with the
-        microseconds of wall_s per generator application (0 when there was
-        none) and the seconds of wall_s that the per-output reductions took."""
+        """The stats as the one line that evolve and verify print: the
+        propagator (with a Krylov run's dimension), the microseconds of
+        wall_s per generator application (0 when there was none), the
+        seconds of wall_s that the per-output reductions took and a Krylov
+        run's step counts."""
         n = self.generator_applications
         each = 1e6 * self.wall_s / n if n else 0.0
+        name = self.propagator
+        steps = ""
+        if self.krylov_dim:
+            name += f" (dimension {self.krylov_dim})"
+            steps = f" {self.steps_accepted} steps accepted and {self.steps_rejected} rejected,"
         return (
-            f"{n} generator applications in {self.wall_s:.3g} s"
-            f" ({each:.3g} us each, {self.reduce_s:.3g} s reducing),"
+            f"{name}: {n} generator applications in {self.wall_s:.3g} s"
+            f" ({each:.3g} us each, {self.reduce_s:.3g} s reducing),{steps}"
             f" top Fock level population at most {self.top_fock_population:.3g}"
         )
 
@@ -170,11 +185,15 @@ def evolve(
     state rho = T r is exactly conjugate-symmetric.  At each grid time r
     gives the trace, sum r[:d], and each observable, <O> = w . r with
     w_k = Tr(O G_k); a series is real exactly when w is, as for a Hermitian
-    O.  Every observable must be a d x d matrix.  These numbers are read off
-    inside the integrator as each grid time is reached, so no state is held
-    unless store_states is true: rho is formed for its positivity audit and
-    kept only then.  Every trajectory carries what the propagation did,
-    its worst trace and positivity deviations among it, as PropagationStats.
+    O.  Every observable must be a d x d matrix.  A generator of fewer than
+    _KRYLOV_CROSSOVER coordinates (d^2) is integrated by the Dormand-Prince
+    pair of integrate_adaptive, a larger one by the Krylov exponential
+    steps of _krylov_propagate; both apply M by _matvec.  These numbers are
+    read off inside the propagation as each grid time is reached, so no
+    state is held unless store_states is true: rho is formed for its
+    positivity audit and kept only then.  Every trajectory carries what the
+    propagation did, its worst trace and positivity deviations among it, as
+    PropagationStats.
 
     The audit keeps m, the smallest eigenvalue seen so far.  rho - m I is
     positive definite exactly when every eigenvalue of rho exceeds m, so at
@@ -209,14 +228,14 @@ def evolve(
     applications = outputs = 0
     trace_dev, min_eig, top, reduce_s = 0.0, np.inf, 0.0, 0.0
 
-    mr = np.empty(d * d)  # every M r, which integrate_adaptive copies at once
+    mr = np.empty(d * d)  # every Runge-Kutta M r, which integrate_adaptive copies at once
     indptr, indices, data = m.indptr, m.indices, m.data
     eye = np.eye(d)
 
-    def apply(_t, r):
+    def apply(r, out=mr):
         nonlocal applications
         applications += 1
-        return _matvec(indptr, indices, data, r, mr)
+        return _matvec(indptr, indices, data, r, out)
 
     def record(r):
         nonlocal outputs, trace_dev, min_eig, top, reduce_s
@@ -235,17 +254,141 @@ def evolve(
         reduce_s += time.perf_counter() - t0
 
     start = time.perf_counter()
-    integrate_adaptive(apply, r0, t_grid, reduce=record)
+    if d * d >= _KRYLOV_CROSSOVER:
+        steps = _krylov_propagate(apply, r0, t_grid, record, float(abs(m).sum(axis=1).max()))
+        propagator, extra = "Krylov", (*steps, _KRYLOV_DIM)
+    else:
+        integrate_adaptive(lambda _t, r: apply(r), r0, t_grid, reduce=record)
+        propagator, extra = "Runge-Kutta", ()
     wall_s = time.perf_counter() - start
     return Trajectory(
         times=np.asarray(t_grid, dtype=float),
-        stats=PropagationStats(applications, wall_s, reduce_s, top, trace_dev, min_eig),
+        stats=PropagationStats(propagator, applications, wall_s, reduce_s, top, trace_dev, min_eig, *extra),
         expectations={
             name: np.ascontiguousarray(values[:, j] if np.iscomplexobj(w) else values[:, j].real)
             for j, (name, w) in enumerate(zip(observables, rows))
         },
         states=states if store_states else None,
     )
+
+
+# Generators of at least this many coordinates (d^2) are propagated by
+# Krylov exponential steps (_krylov_propagate), smaller ones by Runge-Kutta.
+_KRYLOV_CROSSOVER = 676
+# Krylov dimension m of each exponential step.
+_KRYLOV_DIM = 20
+# Largest accepted local error of a Krylov step, per unit time (us) of the step.
+_KRYLOV_TOL = 1e-10
+
+
+def _krylov_propagate(apply, r0: np.ndarray, t_grid, reduce, anorm: float) -> tuple[int, int]:
+    """Propagate dr/dt = M r from r0 over t_grid by Krylov exponential
+    steps, calling reduce(r) at each grid time, r0 first; apply(x, out)
+    writes M x into out, and anorm is |M|_inf.  Returns the accepted and
+    rejected steps.
+
+    A step of length tau from r (Sidje, Expokit, ACM TOMS 24, 130 (1998))
+    builds the Arnoldi basis V of the Krylov space of M and r, m =
+    _KRYLOV_DIM vectors and one more, with its Hessenberg H, by
+    _arnoldi_step, and takes r <- |r| V exp(tau H) e_1.  exp(tau H) is that
+    of the (m + 2) x (m + 2) augmented Hessenberg, whose last column pair
+    gives Saad's a posteriori estimate of the step's error (Saad, SIAM J.
+    Numer. Anal. 29, 209 (1992)); a step is accepted when that estimate is
+    at most 1.2 tau _KRYLOV_TOL and retried shorter otherwise, and the next
+    step's length follows from it.  Steps run across grid times, cut only
+    at the last: each grid time inside a step is read off the same basis,
+    as |r| V exp(s H) e_1 at its offset s into the step.  When the next
+    Arnoldi vector is at the level of the steps' roundoff and error against
+    |M| (see _BREAKDOWN), the Krylov space is invariant and exp(s H) e_1
+    exact for any s, so the step runs to the next grid time: once r has
+    reached its steady state, M r is at that level, and each output takes
+    one M r.  The small exponentials are _expm's."""
+    t_grid = checked_grid(t_grid)
+    m = _KRYLOV_DIM
+    vs = np.zeros((1, m + 1, r0.size))
+    hess = np.zeros((1, m + 2, m + 2))
+    w = np.empty((1, r0.size))
+    r = np.array(r0, dtype=float)
+    reduce(r)
+    # Expokit's first step, for |r| = 1
+    fact = ((m + 1) / math.e) ** (m + 1) * math.sqrt(2 * math.pi * (m + 1))
+    tau = (fact * _KRYLOV_TOL / (4 * anorm)) ** (1 / m) / anorm
+    t, end, i = t_grid[0], t_grid[-1], 1  # t_grid[i] is the next grid time
+    accepted = rejected = 0
+    while i < t_grid.size:
+        accepted += 1
+        beta = float(np.linalg.norm(r))
+        vs[0, 0] = r / beta
+        hess.fill(0.0)
+        for j in range(m):
+            apply(vs[0, j], w[0])
+            if _arnoldi_step(vs, hess, w, j, anorm)[0]:
+                r = beta * (_expm((t_grid[i] - t) * hess[0, : j + 1, : j + 1])[:, 0] @ vs[0, : j + 1])
+                t = t_grid[i]
+                i += 1
+                reduce(r)
+                break
+        else:
+            hess[0, m + 1, m] = 1.0
+            avnorm = float(np.linalg.norm(apply(vs[0, m], w[0])))
+            while True:
+                step = min(tau, end - t)
+                e = _expm(step * hess[0])
+                p1, p2 = abs(e[m, 0]) * beta, abs(e[m + 1, 0]) * beta * avnorm
+                if p1 > p2:
+                    err, order = (p2 if p1 > 10 * p2 else p1 * p2 / (p1 - p2)), m
+                else:
+                    err, order = p1, m - 1
+                # the next length, from the estimate floored at the roundoff
+                # of the new r, so that it grows by a bounded factor
+                grown = 0.9 * step * (step * _KRYLOV_TOL / max(err, beta * _EPS)) ** (1 / order)
+                if err <= 1.2 * step * _KRYLOV_TOL:
+                    break
+                rejected += 1
+                tau = grown
+                if tau < 1e-14 * max(abs(t), 1.0):
+                    raise StiffnessError(t)
+            if step < end - t:
+                tau = grown
+            stop = end if step == end - t else t + step
+            for s in t_grid[i:np.searchsorted(t_grid, stop, side="right")] - t:
+                reduce(beta * (_expm(s * hess[0])[: m + 1, 0] @ vs[0]))
+                i += 1
+            r = beta * (e[: m + 1, 0] @ vs[0])
+            t = stop
+    return accepted, rejected
+
+
+_EPS = np.finfo(float).eps
+
+# Coefficients b_0..b_13 of the [13/13] Pade approximant of exp, and the
+# largest 1-norm at which it is accurate to double precision unscaled
+# (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), table 2.3).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+           129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+           40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a small dense real matrix by the [13/13] Pade approximant
+    with scaling and squaring (Higham 2005): a is scaled by 2^-s to a
+    1-norm of at most _THETA13, and the approximant squared s times.  It
+    is numpy-only, since scipy.linalg would load a second OpenBLAS."""
+    norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > _THETA13 else 0
+    a = a / 2.0 ** s
+    b = _PADE13
+    eye = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    out = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        out = out @ out
+    return out
 
 
 def _exceeds(rho: np.ndarray, m: float, eye: np.ndarray) -> bool:
@@ -581,6 +724,38 @@ def _block_solve(factor: tuple, b: np.ndarray) -> np.ndarray:
     return y
 
 
+# An Arnoldi process breaks down (its Krylov space is invariant) when the
+# norm of its next vector, before normalisation, is at most this fraction of
+# the operator's scale (see _arnoldi_step).  Against |M| (_krylov_propagate),
+# settled criterion-6 states at d^2 = 576 to 2304 read 1.8e-14 to 9.4e-13
+# without the test: the floor that the Krylov steps' roundoff and error
+# leave.
+_BREAKDOWN = 1e-12
+
+
+def _arnoldi_step(vs: np.ndarray, hess: np.ndarray, w: np.ndarray, j: int, scale=None) -> np.ndarray:
+    """Step j of a stack of Arnoldi processes, one per row: each new vector
+    w[p] (n x d^2, the operator applied to the Krylov vector vs[p, j]) is
+    orthogonalised in place against vs[p, : j + 1] by Gram-Schmidt, applied
+    twice, as stacked np.matmul products, so each point's arithmetic is its
+    own; the coefficients go into column j of its Hessenberg hess[p], and
+    |w[p]| below them.  Returns which Krylov spaces broke down: those whose
+    |w[p]| is at most _BREAKDOWN times scale, by default the largest
+    coefficient |hess[p, : j + 1, j]|.  Each other point's w[p] / |w[p]|
+    becomes its vector vs[p, j + 1].  _modes (a stack of points) and
+    _krylov_propagate (one state, scale |M|) run on it."""
+    basis = vs[:, : j + 1]
+    for _ in range(2):  # Gram-Schmidt, repeated once for orthogonality
+        c = basis @ w[:, :, None]
+        w -= (c.transpose(0, 2, 1) @ basis)[:, 0]
+        hess[:, : j + 1, j] += c[:, :, 0]
+    norm = hess[:, j + 1, j]
+    norm[:] = np.sqrt((w[:, None] @ w[:, :, None])[:, 0, 0])
+    broke = norm <= _BREAKDOWN * (np.abs(hess[:, : j + 1, j]).max(axis=1) if scale is None else scale)
+    np.divide(w, norm[:, None], out=vs[:, j + 1], where=~broke[:, None])
+    return broke
+
+
 # Steps of the shift-invert Arnoldi of _modes after which each live point's
 # picked Ritz pair is checked; the last is the cap.  A check is one stacked
 # eig and residual, which would cost more than it saves at every step.  20
@@ -609,8 +784,8 @@ def _modes(gmap: _GeneratorMap, fx: np.ndarray, factor: tuple, probes: list) -> 
     a traceless y, M^-1 y is the traceless solution of S v = y with y[0] set
     to 0.  That is exact, because row 0 of a traceless image is minus the
     sum of the other diagonal rows.  Krylov bases (n x cap + 1 x d^2,
-    allocated once) and Hessenbergs are stacked, and Gram-Schmidt, applied
-    twice, is a stacked np.matmul.  After each of _CHECKPOINTS steps, a live
+    allocated once) and Hessenbergs are stacked, and each step orthogonalises
+    by the shared _arnoldi_step.  After each of _CHECKPOINTS steps, a live
     point's picked Ritz pair is checked by _residual: one that meets the
     tolerance is done, its lambda frozen; one that misses goes on, and at
     the cap it raises ModeNotConvergedError.  A point whose Krylov space
@@ -674,16 +849,8 @@ def _modes(gmap: _GeneratorMap, fx: np.ndarray, factor: tuple, probes: list) -> 
         w = np.where(live[:, None, None], vs[:, j, :, None], 0.0)
         w[:, 0] = 0.0
         w = _block_solve(factor, w)[:, :, 0]
-        basis = vs[:, : j + 1]
-        for _ in range(2):  # Gram-Schmidt, repeated once for orthogonality
-            c = basis @ w[:, :, None]
-            w -= (c.transpose(0, 2, 1) @ basis)[:, 0]
-            hess[:, : j + 1, j] += c[:, :, 0]
-        hess[:, j + 1, j] = np.sqrt((w[:, None] @ w[:, :, None])[:, 0, 0])
         # the Krylov space of a point is invariant: its Ritz pairs are exact
-        broke = live & (hess[:, j + 1, j] <= 1e-12 * np.abs(hess[:, : j + 1, j]).max(axis=1))
-        going = live & ~broke
-        vs[going, j + 1] = w[going] / hess[going, j + 1, j, None]
+        broke = live & _arnoldi_step(vs, hess, w, j)
         due = broke | live if j + 1 in _CHECKPOINTS else broke
         if due.any():
             settle(due, j + 1, broke | (j + 1 == cap))

@@ -78,6 +78,19 @@ def _initial_step(y0, f0, span):
     return min(h0, 0.1 * span)
 
 
+def checked_grid(t_grid: Sequence[float]) -> np.ndarray:
+    """t_grid as a float array, which must be finite, strictly increasing
+    and hold at least an initial and one output time (ValueError)."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or len(t_grid) < 2:
+        raise ValueError("t_grid needs at least an initial and one output time")
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError("t_grid must be finite")
+    if np.any(np.diff(t_grid) <= 0):
+        raise ValueError("t_grid must be strictly increasing")
+    return t_grid
+
+
 def integrate_adaptive(
     f: Callable[[float, np.ndarray], np.ndarray],
     y0: np.ndarray,
@@ -102,14 +115,7 @@ def integrate_adaptive(
     preallocated buffer; the error norm works in two more, so a step
     allocates no work array.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 2:
-        raise ValueError("t_grid needs at least an initial and one output time")
-    if not np.all(np.isfinite(t_grid)):
-        raise ValueError("t_grid must be finite")
-    if np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be strictly increasing")
-
+    t_grid = checked_grid(t_grid)
     dtype = complex if np.iscomplexobj(y0) else float
     t = float(t_grid[0])
     span = float(t_grid[-1] - t_grid[0])

@@ -104,17 +104,21 @@ _NAN_BLOCH = analysis.BlochVector(math.nan, math.nan, math.nan)
 
 
 def _point_params(grid: SweepGrid, p_d_db: float, delta_q: float) -> tuple[model.SystemParams, float]:
+    """The parameters of one point of the grid, built once with its cutoff,
+    and its n_bar."""
     n_bar = 10.0 ** (p_d_db / 10.0)
     base = grid.fixed
     eps_d = model.drive_for_photons(n_bar, base.delta_c, base.kappa)
-    p = replace(
-        base,
-        eps_d=eps_d,
-        delta_q_prime=delta_q + 2.0 * base.chi * n_bar,
-    )
-    if grid.auto_n_fock:
-        p = p.with_n_fock(model.choose_fock_cutoff(p))
-    return p, n_bar
+    n_fock = _row_cutoff(base, eps_d) if grid.auto_n_fock else base.n_fock
+    return replace(base, eps_d=eps_d, delta_q_prime=delta_q + 2.0 * base.chi * n_bar, n_fock=n_fock), n_bar
+
+
+@functools.lru_cache(maxsize=64)
+def _row_cutoff(base: model.SystemParams, eps_d: float) -> int:
+    """The steady-state cutoff of the power row of drive eps_d on base:
+    model.choose_fock_cutoff reads the drive, not the qubit detuning or the
+    cutoff, so the points of one row share it."""
+    return model.choose_fock_cutoff(replace(base, eps_d=eps_d))
 
 
 def _evaluate_point(grid: SweepGrid, p_d_db: float, delta_q: float, n_bar: float, n_fock: int,

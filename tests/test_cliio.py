@@ -378,7 +378,7 @@ def test_cli_evolve_gates_positivity(capsys, tmp_path, monkeypatch):
     # a trajectory whose smallest eigenvalue is below the floor is a
     # numerical failure, named by that eigenvalue, with no trajectory written
     times = np.linspace(0.0, 1.0, 3)
-    stats = dynamics.PropagationStats(generator_applications=0, wall_s=0.0, reduce_s=0.0,
+    stats = dynamics.PropagationStats(propagator="Runge-Kutta", generator_applications=0, wall_s=0.0, reduce_s=0.0,
                                       top_fock_population=0.0, max_trace_deviation=0.0,
                                       min_eigenvalue=-2.5e-6)
     monkeypatch.setattr(analysis, "config_trajectory",
@@ -428,7 +428,7 @@ def test_cli_evolve_then_fit(tmp_path, capsys):
     assert main(["evolve", "-c", str(cfg), "-o", str(traj), "--no-timestamp"]) == 0
     out = capsys.readouterr().out
     assert re.fullmatch(
-        rf"wrote 301 samples over [0-9.]+ us to {re.escape(str(traj))}; [0-9]+ generator"
+        rf"wrote 301 samples over [0-9.]+ us to {re.escape(str(traj))}; Runge-Kutta: [0-9]+ generator"
         r" applications in [0-9.e+-]+ s \([0-9.e+-]+ us each, [0-9.e+-]+ s reducing\),"
         r" top Fock level population at most [0-9.e+-]+"
         r" \(tol 1e-04\)\n", out)

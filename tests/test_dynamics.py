@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import re
@@ -710,6 +711,119 @@ def test_evolve_long_run_conservation():
     assert c.min_eigenvalue >= -1e-7
 
 
+# ---------------------------------------------------------------------------
+# Krylov propagation
+
+
+def krylov_run():
+    """Criterion 6's displaced point (n_bar = 3.6, n_fock 15, d^2 = 900,
+    from the turn-on state), at or above the Krylov crossover: its model,
+    start and the observables <sx>, <sz>."""
+    p = to_system_params(Config(n_bar=3.6))
+    assert (2 * p.n_fock) ** 2 == 900 >= dynamics._KRYLOV_CROSSOVER
+    hs = space(p.n_fock)
+    return (*build_model(p), turn_on_state(p)), {"sx": hs.sx, "sz": hs.sz}
+
+
+# A short window, before the state settles, and one over which it reaches
+# its steady state, where the Krylov spaces break down after one vector.
+_KRYLOV_WINDOWS = {"short": (0.5, 51), "steady": (10.0, 51)}
+
+
+@functools.lru_cache(maxsize=None)
+def krylov_reference(window: str):
+    """The dense expm_series of krylov_run over a window of _KRYLOV_WINDOWS,
+    computed once for the tests that share it."""
+    model, obs = krylov_run()
+    t_grid = np.linspace(0.0, *_KRYLOV_WINDOWS[window])
+    return t_grid, expm_series(*model, t_grid, obs)
+
+
+def deviation(traj, ref) -> float:
+    return max(float(np.max(np.abs(traj.expectations[k] - series))) for k, series in ref.items())
+
+
+# Largest deviation of the Krylov series from the dense exponential: measured
+# 1.5e-14 (short) and 1.4e-11 (steady) with the default constants, against
+# 1.8e-8 and 1.7e-8 for Runge-Kutta's.
+_KRYLOV_BOUND = {"short": 1e-13, "steady": 1e-10}
+
+
+@pytest.mark.parametrize("window", sorted(_KRYLOV_WINDOWS))
+def test_krylov_matches_a_dense_exponential_per_output(window, monkeypatch):
+    model, obs = krylov_run()
+    t_grid, ref = krylov_reference(window)
+    expm, sizes = dynamics._expm, []
+    monkeypatch.setattr(dynamics, "_expm", lambda a: sizes.append(a.shape[0]) or expm(a))
+    traj = evolve(*model, t_grid, obs)
+    assert traj.stats.propagator == "Krylov"
+    assert deviation(traj, ref) <= _KRYLOV_BOUND[window]
+    # a happy breakdown after one vector is a 1 x 1 exponential
+    assert (sizes.count(1) > len(t_grid) // 2) == (window == "steady")
+    # the bound is tighter than Runge-Kutta's own deviation
+    monkeypatch.setattr(dynamics, "_KRYLOV_CROSSOVER", 10**9)
+    rk = evolve(*model, t_grid, obs)
+    assert rk.stats.propagator == "Runge-Kutta"
+    assert deviation(rk, ref) > 100 * _KRYLOV_BOUND[window]
+
+
+def test_krylov_retries_a_rejected_step_shorter(monkeypatch):
+    # the first step's error estimate is inflated to |r|: it is rejected, and
+    # the next exponential retries it on the same basis, shorter; the
+    # trajectory keeps its accuracy
+    model, obs = krylov_run()
+    t_grid, ref = krylov_reference("short")
+    expm, args = dynamics._expm, []
+
+    def first_rejected(a):
+        args.append(a.copy())
+        out = expm(a)
+        if len(args) == 1:
+            out[-2:, 0] = 1.0
+        return out
+
+    monkeypatch.setattr(dynamics, "_expm", first_rejected)
+    traj = evolve(*model, t_grid, obs)
+    assert traj.stats.steps_rejected >= 1
+    shorter = args[1][1, 0] / args[0][1, 0]
+    assert 0.0 < shorter < 1.0
+    assert np.allclose(args[1], shorter * args[0], rtol=1e-12, atol=0.0)
+    assert deviation(traj, ref) <= _KRYLOV_BOUND["short"]
+    c = traj.stats
+    summary = c.summary()
+    assert summary.startswith(f"Krylov (dimension {dynamics._KRYLOV_DIM}): {c.generator_applications}"
+                              " generator applications in ")
+    assert f" {c.steps_accepted} steps accepted and {c.steps_rejected} rejected, top Fock" in summary
+
+
+def test_evolve_takes_krylov_steps_from_the_crossover_up():
+    # the cutoff just below the crossover still integrates by Runge-Kutta
+    n_at = math.ceil(math.sqrt(dynamics._KRYLOV_CROSSOVER) / 2)
+    assert (2 * n_at - 2) ** 2 < dynamics._KRYLOV_CROSSOVER <= (2 * n_at) ** 2
+    for n_fock, propagator in ((n_at - 1, "Runge-Kutta"), (n_at, "Krylov")):
+        p = to_system_params(Config(n_bar=3.6, n_fock=n_fock))
+        traj = evolve(*build_model(p), turn_on_state(p), [0.0, 0.01])
+        assert traj.stats.propagator == propagator
+        assert (traj.stats.krylov_dim > 0) == (propagator == "Krylov")
+
+
+@pytest.mark.parametrize("norm", [1e-3, 1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3])
+def test_pade_exponential_matches_scipy(norm):
+    import scipy.linalg  # for tests only: the package never imports it
+
+    # a dense matrix, and a Hessenberg whose eigenvalues lie in the left
+    # half-plane (Gershgorin), as a dissipative generator's Ritz values do;
+    # exp(a)'s condition grows with |a|, and so does the bound (measured
+    # 6.7e-16 at norm 1, 2.1e-14 at 10 and 9.3e-13 at 1e3)
+    rng = np.random.default_rng(round(math.log10(norm)) + 3)
+    hess = np.triu(rng.normal(size=(22, 22)), -1)
+    hess -= np.abs(hess).sum(axis=1).max() * np.eye(22)
+    for a in (rng.normal(size=(22, 22)), hess):
+        a *= norm / np.abs(a).sum(axis=0).max()
+        ref = scipy.linalg.expm(a)
+        assert np.max(np.abs(dynamics._expm(a) - ref)) <= 1e-14 * max(1.0, norm) * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 16, 48, 62])
 def test_hermitian_basis_states_are_exactly_hermitian(d):
     # why evolve needs no Hermiticity audit: any real coordinates give an
@@ -821,15 +935,20 @@ def test_steady_matches_dense_lu_oracle():
 def test_steady_state_leaves_scipy_linalg_unimported():
     # scipy.linalg and scipy.sparse.linalg each cost more resident memory than
     # the steady-state path may add; the dense real solve and the Arnoldi
-    # iteration of a cooling_rate point need neither
+    # iteration of a cooling_rate point need neither, nor does a trajectory
+    # at the Krylov crossover, whose small exponentials are dynamics._expm's
     code = (
-        "import sys\n"
+        "import math, sys\n"
         "import dressed_cool.cli\n"
         "from dressed_cool import config, dynamics, model, sweep\n"
         "p = config.to_system_params(config.Config())\n"
         "dynamics.steady_state(model.build_hamiltonian_displaced(p), model.collapse_ops(p))\n"
         "grid = sweep.SweepGrid(power_db=[0.0], detuning=[0.0], fixed=p, mode='cooling_rate')\n"
         "assert sweep.run_sweep(grid).rows[0].converged\n"
+        "n = math.ceil(math.sqrt(dynamics._KRYLOV_CROSSOVER) / 2)\n"
+        "q = config.to_system_params(config.Config(n_bar=3.6, n_fock=n))\n"
+        "traj = dynamics.evolve(*model.build_model(q), model.turn_on_state(q), [0.0, 0.05])\n"
+        "assert traj.stats.propagator == 'Krylov'\n"
         "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules))\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")

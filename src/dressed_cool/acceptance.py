@@ -59,10 +59,10 @@ _C1_N_BARS = (0.25, 0.5, 1.0)
 # field).  With field set it records <sx>, <sz> and <a> from the turn-on
 # state (criterion 6); otherwise it is analysis.config_trajectory.  Longest
 # first, as verify's per-trajectory stderr lines time them (one process, one
-# BLAS thread: 0.83-0.97 s for the lab run's Krylov steps, then 0.46-0.48,
-# 0.28-0.31, 0.21, 0.14 and 0.10 s), so that the pool's processes start the
+# BLAS thread, best of five: 0.77 s for the lab run's Krylov steps, then
+# 0.44, 0.23, 0.21, 0.14 and 0.10 s), so that the pool's processes start the
 # long runs and the caller ends on the short ones.  The lab run is less than
-# half of the 2.2 s they sum to, so on two workers no run alone sets the
+# half of the 1.9 s they sum to, so on two workers no run alone sets the
 # makespan.
 _RUNS = (
     # The lab run takes n_fock 24, above its rule's 22: at 22 the frames

@@ -124,9 +124,9 @@ class PropagationStats:
     population of the cavity's top Fock level at any grid time, which shows
     how close the truncation came to its edge, and the worst trace deviation
     |tr rho - 1| and smallest eigenvalue of rho over the grid times.  A
-    Krylov run also counts its accepted and rejected exponential steps and
-    gives its Krylov dimension; a Runge-Kutta run leaves them 0.
-    Hermiticity holds by construction (see evolve)."""
+    Krylov run also counts its accepted and rejected exponential steps; a
+    Runge-Kutta run leaves them 0.  Hermiticity holds by construction (see
+    evolve)."""
 
     propagator: str
     generator_applications: int
@@ -137,11 +137,10 @@ class PropagationStats:
     min_eigenvalue: float
     steps_accepted: int = 0
     steps_rejected: int = 0
-    krylov_dim: int = 0
 
     def summary(self) -> str:
         """The stats as the one line that evolve and verify print: the
-        propagator (with a Krylov run's dimension), the microseconds of
+        propagator (with the Krylov dimension), the microseconds of
         wall_s per generator application (0 when there was none), the
         seconds of wall_s that the per-output reductions took and a Krylov
         run's step counts."""
@@ -149,8 +148,8 @@ class PropagationStats:
         each = 1e6 * self.wall_s / n if n else 0.0
         name = self.propagator
         steps = ""
-        if self.krylov_dim:
-            name += f" (dimension {self.krylov_dim})"
+        if self.propagator == "Krylov":
+            name += f" (dimension {_KRYLOV_DIM})"
             steps = f" {self.steps_accepted} steps accepted and {self.steps_rejected} rejected,"
         return (
             f"{name}: {n} generator applications in {self.wall_s:.3g} s"
@@ -256,7 +255,7 @@ def evolve(
     start = time.perf_counter()
     if d * d >= _KRYLOV_CROSSOVER:
         steps = _krylov_propagate(apply, r0, t_grid, record, float(abs(m).sum(axis=1).max()))
-        propagator, extra = "Krylov", (*steps, _KRYLOV_DIM)
+        propagator, extra = "Krylov", steps
     else:
         integrate_adaptive(lambda _t, r: apply(r), r0, t_grid, reduce=record)
         propagator, extra = "Runge-Kutta", ()
@@ -273,10 +272,11 @@ def evolve(
 
 
 # Generators of at least this many coordinates (d^2) are propagated by
-# Krylov exponential steps (_krylov_propagate), smaller ones by Runge-Kutta.
-_KRYLOV_CROSSOVER = 676
+# Krylov exponential steps (_krylov_propagate), smaller ones by Runge-Kutta;
+# tools/crossover.py measures where.
+_KRYLOV_CROSSOVER = 784
 # Krylov dimension m of each exponential step.
-_KRYLOV_DIM = 20
+_KRYLOV_DIM = 25
 # Largest accepted local error of a Krylov step, per unit time (us) of the step.
 _KRYLOV_TOL = 1e-10
 
@@ -296,13 +296,18 @@ def _krylov_propagate(apply, r0: np.ndarray, t_grid, reduce, anorm: float) -> tu
     Numer. Anal. 29, 209 (1992)); a step is accepted when that estimate is
     at most 1.2 tau _KRYLOV_TOL and retried shorter otherwise, and the next
     step's length follows from it.  Steps run across grid times, cut only
-    at the last: each grid time inside a step is read off the same basis,
-    as |r| V exp(s H) e_1 at its offset s into the step.  When the next
-    Arnoldi vector is at the level of the steps' roundoff and error against
-    |M| (see _BREAKDOWN), the Krylov space is invariant and exp(s H) e_1
-    exact for any s, so the step runs to the next grid time: once r has
-    reached its steady state, M r is at that level, and each output takes
-    one M r.  The small exponentials are _expm's."""
+    at the last: the grid times inside a step are read off the same basis,
+    as |r| V exp(s H) e_1 at their offsets s into the step (_exp_columns).
+
+    The Arnoldi process breaks down at vector j + 1 when its residual w,
+    the part of M v_j outside the basis, is small against |M| (see
+    _BREAKDOWN) and drops out at no more than _KRYLOV_TOL per unit time:
+    |r| |w| <= _KRYLOV_TOL bounds the rate at which the error of |r| V
+    exp(s H) e_1 grows, for any s.  Such a step runs to the last grid time
+    without an error estimate.  Once r has reached its steady state to
+    within that rate, the space breaks down after one vector, and v_0 . M
+    v_0, below the rate too, is dropped, so that r, and its trace, stay as
+    they are.  The small exponentials are _expm's."""
     t_grid = checked_grid(t_grid)
     m = _KRYLOV_DIM
     vs = np.zeros((1, m + 1, r0.size))
@@ -314,26 +319,29 @@ def _krylov_propagate(apply, r0: np.ndarray, t_grid, reduce, anorm: float) -> tu
     fact = ((m + 1) / math.e) ** (m + 1) * math.sqrt(2 * math.pi * (m + 1))
     tau = (fact * _KRYLOV_TOL / (4 * anorm)) ** (1 / m) / anorm
     t, end, i = t_grid[0], t_grid[-1], 1  # t_grid[i] is the next grid time
+    slack = 8 * _EPS * max(abs(t), abs(end))  # the grid times' own rounding
     accepted = rejected = 0
     while i < t_grid.size:
         accepted += 1
         beta = float(np.linalg.norm(r))
         vs[0, 0] = r / beta
         hess.fill(0.0)
+        # the breakdown test: |w| <= _BREAKDOWN min(|M|, _KRYLOV_TOL / (_BREAKDOWN |r|))
+        scale = min(anorm, _KRYLOV_TOL / (_BREAKDOWN * beta))
         for j in range(m):
             apply(vs[0, j], w[0])
-            if _arnoldi_step(vs, hess, w, j, anorm)[0]:
-                r = beta * (_expm((t_grid[i] - t) * hess[0, : j + 1, : j + 1])[:, 0] @ vs[0, : j + 1])
-                t = t_grid[i]
-                i += 1
-                reduce(r)
+            if _arnoldi_step(vs, hess, w, j, scale)[0]:
+                k, h, stop = j + 1, hess[0, : j + 1, : j + 1], end
+                if k == 1 and beta * abs(h[0, 0]) <= _KRYLOV_TOL:
+                    h = np.zeros((1, 1))
                 break
         else:
-            hess[0, m + 1, m] = 1.0
+            k, h = m + 1, hess[0]
+            h[m + 1, m] = 1.0
             avnorm = float(np.linalg.norm(apply(vs[0, m], w[0])))
             while True:
                 step = min(tau, end - t)
-                e = _expm(step * hess[0])
+                e = _expm(step * h)
                 p1, p2 = abs(e[m, 0]) * beta, abs(e[m + 1, 0]) * beta * avnorm
                 if p1 > p2:
                     err, order = (p2 if p1 > 10 * p2 else p1 * p2 / (p1 - p2)), m
@@ -351,12 +359,32 @@ def _krylov_propagate(apply, r0: np.ndarray, t_grid, reduce, anorm: float) -> tu
             if step < end - t:
                 tau = grown
             stop = end if step == end - t else t + step
-            for s in t_grid[i:np.searchsorted(t_grid, stop, side="right")] - t:
-                reduce(beta * (_expm(s * hess[0])[: m + 1, 0] @ vs[0]))
-                i += 1
             r = beta * (e[: m + 1, 0] @ vs[0])
-            t = stop
+        last = np.searchsorted(t_grid, stop, side="right")
+        for y in _exp_columns(h, t_grid[i:last] - t, slack):
+            reduce(beta * (y[:k] @ vs[0, :k]))
+        t, i = stop, last
     return accepted, rejected
+
+
+def _exp_columns(h: np.ndarray, offsets: np.ndarray, slack: float) -> list:
+    """exp(s h) e_1 for each of the increasing offsets s.  When they lie
+    within slack of an even spacing s_0 + j delta, each is exp(delta h)
+    applied to the one before, one small product instead of one _expm
+    each."""
+    if offsets.size == 0:
+        return []
+    y = _expm(offsets[0] * h)[:, 0]
+    if offsets.size == 1:
+        return [y]
+    n = offsets.size
+    delta = (offsets[-1] - offsets[0]) / (n - 1)
+    if np.max(np.abs(offsets[0] + delta * np.arange(n) - offsets)) > slack:
+        return [y, *(_expm(s * h)[:, 0] for s in offsets[1:])]
+    power, out = _expm(delta * h), [y]
+    for _ in range(n - 1):
+        out.append(power @ out[-1])
+    return out
 
 
 _EPS = np.finfo(float).eps
@@ -726,10 +754,9 @@ def _block_solve(factor: tuple, b: np.ndarray) -> np.ndarray:
 
 # An Arnoldi process breaks down (its Krylov space is invariant) when the
 # norm of its next vector, before normalisation, is at most this fraction of
-# the operator's scale (see _arnoldi_step).  Against |M| (_krylov_propagate),
-# settled criterion-6 states at d^2 = 576 to 2304 read 1.8e-14 to 9.4e-13
-# without the test: the floor that the Krylov steps' roundoff and error
-# leave.
+# the operator's scale (see _arnoldi_step).  _krylov_propagate's scale is
+# |M|, capped so that the test also meets _KRYLOV_TOL; at criterion 6's |M|
+# of 1.2e3 to 3.8e3 the cap sets it.
 _BREAKDOWN = 1e-12
 
 

@@ -726,7 +726,7 @@ def krylov_run():
 
 
 # A short window, before the state settles, and one over which it reaches
-# its steady state, where the Krylov spaces break down after one vector.
+# its steady state, where the Krylov space breaks down after one vector.
 _KRYLOV_WINDOWS = {"short": (0.5, 51), "steady": (10.0, 51)}
 
 
@@ -744,27 +744,56 @@ def deviation(traj, ref) -> float:
 
 
 # Largest deviation of the Krylov series from the dense exponential: measured
-# 1.5e-14 (short) and 1.4e-11 (steady) with the default constants, against
+# 1.1e-14 (short) and 6.7e-14 (steady) with the default constants, against
 # 1.8e-8 and 1.7e-8 for Runge-Kutta's.
-_KRYLOV_BOUND = {"short": 1e-13, "steady": 1e-10}
+_KRYLOV_BOUND = {"short": 1e-13, "steady": 1e-12}
 
 
 @pytest.mark.parametrize("window", sorted(_KRYLOV_WINDOWS))
 def test_krylov_matches_a_dense_exponential_per_output(window, monkeypatch):
     model, obs = krylov_run()
     t_grid, ref = krylov_reference(window)
-    expm, sizes = dynamics._expm, []
-    monkeypatch.setattr(dynamics, "_expm", lambda a: sizes.append(a.shape[0]) or expm(a))
+    columns, steps = dynamics._exp_columns, []
+    monkeypatch.setattr(dynamics, "_exp_columns",
+                        lambda h, offsets, slack: steps.append((h.shape[0], offsets.size))
+                        or columns(h, offsets, slack))
     traj = evolve(*model, t_grid, obs)
     assert traj.stats.propagator == "Krylov"
     assert deviation(traj, ref) <= _KRYLOV_BOUND[window]
-    # a happy breakdown after one vector is a 1 x 1 exponential
-    assert (sizes.count(1) > len(t_grid) // 2) == (window == "steady")
+    assert sum(n for _, n in steps) == len(t_grid) - 1
+    # once settled, a breakdown after one vector runs to the last grid time,
+    # and r, with its trace, stays as it is
+    assert (steps[-1][0] == 1 and steps[-1][1] > len(t_grid) // 3) == (window == "steady")
+    assert all(k == dynamics._KRYLOV_DIM + 2 for k, _ in steps[:-1])
+    assert traj.stats.max_trace_deviation <= 1e-13
     # the bound is tighter than Runge-Kutta's own deviation
     monkeypatch.setattr(dynamics, "_KRYLOV_CROSSOVER", 10**9)
     rk = evolve(*model, t_grid, obs)
     assert rk.stats.propagator == "Runge-Kutta"
     assert deviation(rk, ref) > 100 * _KRYLOV_BOUND[window]
+
+
+@pytest.mark.parametrize("delta, vectors", [(5e-11, 1), (5e-10, 2)])
+def test_krylov_breakdown_is_accepted_only_within_the_tolerance(delta, vectors, monkeypatch):
+    # M = diag(0, -1, -1000) from r = (1, delta, 0): M r = (0, -delta, 0) is
+    # below _BREAKDOWN |M| = 1e-9 either way.  A residual below
+    # _KRYLOV_TOL / |r| ends the basis after one vector, and r stays; a
+    # larger one would grow the error faster than the tolerance allows, so
+    # the basis goes on to the invariant space of two vectors, where it is
+    # exact.  The step runs to the last grid time either way.
+    mat = np.diag([0.0, -1.0, -1000.0])
+    t_grid = np.linspace(0.0, 10.0, 11)
+    columns, sizes, states = dynamics._exp_columns, [], []
+    monkeypatch.setattr(dynamics, "_exp_columns",
+                        lambda h, offsets, slack: sizes.append(h.shape[0]) or columns(h, offsets, slack))
+    steps = dynamics._krylov_propagate(lambda x, out: np.matmul(mat, x, out=out), np.array([1.0, delta, 0.0]),
+                                       t_grid, lambda r: states.append(r.copy()), 1000.0)
+    assert steps == (1, 0)
+    assert sizes == [vectors]
+    err = np.abs(np.array(states) - [[1.0, delta * math.exp(-t), 0.0] for t in t_grid]).max(axis=1)
+    assert np.all(err <= dynamics._KRYLOV_TOL * t_grid + 1e-16)
+    if vectors == 2:
+        assert err.max() <= 1e-14  # measured 1.1e-15
 
 
 def test_krylov_retries_a_rejected_step_shorter(monkeypatch):
@@ -804,7 +833,24 @@ def test_evolve_takes_krylov_steps_from_the_crossover_up():
         p = to_system_params(Config(n_bar=3.6, n_fock=n_fock))
         traj = evolve(*build_model(p), turn_on_state(p), [0.0, 0.01])
         assert traj.stats.propagator == propagator
-        assert (traj.stats.krylov_dim > 0) == (propagator == "Krylov")
+        assert (traj.stats.steps_accepted > 0) == (propagator == "Krylov")
+
+
+@pytest.mark.parametrize("offsets", [np.linspace(0.3, 2.0, 18), np.geomspace(0.01, 2.0, 18)])
+def test_exp_columns_match_scipy_on_even_and_uneven_offsets(offsets, monkeypatch):
+    import scipy.linalg  # for tests only: the package never imports it
+
+    # evenly spaced offsets take two small exponentials and powers of the
+    # second, uneven ones one exponential each; both match the direct one
+    # (measured 9.5e-15 and 8.9e-16 of the largest entry)
+    rng = np.random.default_rng(7)
+    h = np.triu(rng.normal(size=(27, 27)), -1) - 8.0 * np.eye(27)
+    expm, calls = dynamics._expm, []
+    monkeypatch.setattr(dynamics, "_expm", lambda a: calls.append(a) or expm(a))
+    got = dynamics._exp_columns(h, offsets, 8 * np.finfo(float).eps * 2.0)
+    assert len(calls) == (2 if np.allclose(np.diff(offsets), offsets[1] - offsets[0]) else len(offsets))
+    ref = [scipy.linalg.expm(s * h)[:, 0] for s in offsets]
+    assert max(np.max(np.abs(g - r)) for g, r in zip(got, ref)) <= 1e-13 * max(np.max(np.abs(r)) for r in ref)
 
 
 @pytest.mark.parametrize("norm", [1e-3, 1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3])

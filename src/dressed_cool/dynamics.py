@@ -307,7 +307,8 @@ def _krylov_propagate(apply, r0: np.ndarray, t_grid, reduce, anorm: float) -> tu
     without an error estimate.  Once r has reached its steady state to
     within that rate, the space breaks down after one vector, and v_0 . M
     v_0, below the rate too, is dropped, so that r, and its trace, stay as
-    they are.  The small exponentials are _expm's."""
+    they are; a zero r or M breaks down at its first vector, and r stays
+    too.  The small exponentials are _expm's."""
     t_grid = checked_grid(t_grid)
     m = _KRYLOV_DIM
     vs = np.zeros((1, m + 1, r0.size))
@@ -315,19 +316,19 @@ def _krylov_propagate(apply, r0: np.ndarray, t_grid, reduce, anorm: float) -> tu
     w = np.empty((1, r0.size))
     r = np.array(r0, dtype=float)
     reduce(r)
-    # Expokit's first step, for |r| = 1
+    # Expokit's first step, for |r| = 1 (a zero M never takes one)
     fact = ((m + 1) / math.e) ** (m + 1) * math.sqrt(2 * math.pi * (m + 1))
-    tau = (fact * _KRYLOV_TOL / (4 * anorm)) ** (1 / m) / anorm
+    tau = (fact * _KRYLOV_TOL / (4 * anorm)) ** (1 / m) / anorm if anorm else math.inf
     t, end, i = t_grid[0], t_grid[-1], 1  # t_grid[i] is the next grid time
     slack = 8 * _EPS * max(abs(t), abs(end))  # the grid times' own rounding
     accepted = rejected = 0
     while i < t_grid.size:
         accepted += 1
         beta = float(np.linalg.norm(r))
-        vs[0, 0] = r / beta
+        vs[0, 0] = r / beta if beta else r
         hess.fill(0.0)
         # the breakdown test: |w| <= _BREAKDOWN min(|M|, _KRYLOV_TOL / (_BREAKDOWN |r|))
-        scale = min(anorm, _KRYLOV_TOL / (_BREAKDOWN * beta))
+        scale = min(anorm, _KRYLOV_TOL / (_BREAKDOWN * beta)) if beta else anorm
         for j in range(m):
             apply(vs[0, j], w[0])
             if _arnoldi_step(vs, hess, w, j, scale)[0]:
@@ -368,22 +369,19 @@ def _krylov_propagate(apply, r0: np.ndarray, t_grid, reduce, anorm: float) -> tu
 
 
 def _exp_columns(h: np.ndarray, offsets: np.ndarray, slack: float) -> list:
-    """exp(s h) e_1 for each of the increasing offsets s.  When they lie
-    within slack of an even spacing s_0 + j delta, each is exp(delta h)
-    applied to the one before, one small product instead of one _expm
-    each."""
-    if offsets.size == 0:
-        return []
-    y = _expm(offsets[0] * h)[:, 0]
-    if offsets.size == 1:
-        return [y]
-    n = offsets.size
-    delta = (offsets[-1] - offsets[0]) / (n - 1)
-    if np.max(np.abs(offsets[0] + delta * np.arange(n) - offsets)) > slack:
-        return [y, *(_expm(s * h)[:, 0] for s in offsets[1:])]
-    power, out = _expm(delta * h), [y]
-    for _ in range(n - 1):
-        out.append(power @ out[-1])
+    """exp(s h) e_1 for each of the increasing offsets s, each the one
+    before (e_1 at s = 0) times exp(g h), g being the gap between them.
+    _expm runs again only when g differs by more than slack from the gap it
+    last ran for, so an evenly spaced grid takes at most two small
+    exponentials and an uneven one at most one per offset."""
+    out, y, before, gap = [], np.eye(h.shape[0])[:, 0], 0.0, math.inf
+    for s in offsets:
+        if abs(s - before - gap) > slack:
+            gap = s - before
+            power = _expm(gap * h)
+        y = power @ y
+        out.append(y)
+        before = s
     return out
 
 

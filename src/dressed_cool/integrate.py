@@ -1,4 +1,4 @@
-"""Adaptive embedded Runge-Kutta integration for real or complex ODE systems.
+"""Adaptive embedded Runge-Kutta integration for real ODE systems.
 
 Dormand-Prince 5(4) pair with standard step-size control.  Steps are clamped
 so every requested output time is hit exactly (no dense-output interpolation),
@@ -57,16 +57,14 @@ class StiffnessError(RuntimeError):
 
 def _error_norm(err, y0, y1, rtol, atol, scale, ratio) -> float:
     """RMS of err / (atol + rtol max(|y0|, |y1|)), computed in the work
-    buffers scale (real) and ratio (err's dtype) of err's length by the
-    ufuncs of the allocating formula, in its order, so the norm is that
-    formula's bit for bit."""
-    # ratio.real is a real buffer: the array itself, or a complex one's real part
-    np.maximum(np.abs(y0, out=scale), np.abs(y1, out=ratio.real), out=scale)
+    buffers scale and ratio of err's length by the ufuncs of the allocating
+    formula, in its order, so the norm is that formula's bit for bit."""
+    np.maximum(np.abs(y0, out=scale), np.abs(y1, out=ratio), out=scale)
     scale *= rtol
     scale += atol
     np.divide(err, scale, out=ratio)
     # |x|^2 is x^2 bit for bit for a real x, and the mean is np.mean's sum / n
-    np.square(ratio if ratio.dtype.kind == "f" else np.abs(ratio, out=scale), out=scale)
+    np.square(ratio, out=scale)
     return float(np.sqrt(np.add.reduce(scale) / scale.size))
 
 
@@ -104,32 +102,32 @@ def integrate_adaptive(
     time.  reduce is called once per grid time, in order, starting with y0;
     by default it copies, so the list holds the solution at each time.  The
     array it is passed is the integrator's working buffer, which the next
-    step overwrites: a reduce that keeps it must copy it.  A real y0 is
-    integrated in real arithmetic and a complex one in complex arithmetic;
-    an f that returns complex values for a real y0 raises TypeError rather
-    than lose their imaginary part.  y and the stages k_0..k_6 are the rows
-    of one preallocated (8, n) array, and each attempt writes h A into the
-    last seven columns of a (7, 8) weight table whose first column is 1, and
-    h E into a weight row: every stage argument y + h sum_j a_ij k_j and the
-    error estimate is then one matrix-vector product, written into a
-    preallocated buffer; the error norm works in two more, so a step
-    allocates no work array.
+    step overwrites: a reduce that keeps it must copy it.  The arithmetic
+    is real: a complex y0, or an f that returns complex values, raises
+    TypeError rather than lose the imaginary part.  y and the stages
+    k_0..k_6 are the rows of one preallocated (8, n) array, and each attempt
+    writes h A into the last seven columns of a (7, 8) weight table whose
+    first column is 1, and h E into a weight row: every stage argument
+    y + h sum_j a_ij k_j and the error estimate is then one matrix-vector
+    product, written into a preallocated buffer; the error norm works in two
+    more, so a step allocates no work array.
     """
     t_grid = checked_grid(t_grid)
-    dtype = complex if np.iscomplexobj(y0) else float
     t = float(t_grid[0])
     span = float(t_grid[-1] - t_grid[0])
 
-    yk = np.empty((8, np.size(y0)), dtype=dtype)  # y, then the stages k_0..k_6
+    yk = np.empty((8, np.size(y0)))  # y, then the stages k_0..k_6
     y, k = yk[0], yk[1:]
-    y[...] = y0
+    # casting="same_kind" raises TypeError, naming both dtypes, where a
+    # plain assignment would drop the imaginary part of a complex y0 or f
+    np.copyto(y, y0, casting="same_kind")
     out = [reduce(y)]
 
     # weights of y (column 0) and of h A (columns 1-7) per stage, and h E
-    w, he = np.zeros((7, 8), dtype=dtype), np.empty(7, dtype=dtype)
+    w, he = np.zeros((7, 8)), np.empty(7)
     w[:, 0] = 1.0
     y_new, arg, err_vec = np.empty_like(y), np.empty_like(y), np.empty_like(y)
-    scale, ratio = np.empty(y.size), np.empty_like(y)  # _error_norm's buffers
+    scale, ratio = np.empty_like(y), np.empty_like(y)  # _error_norm's buffers
     # stage i's weight row, the rows it weighs (y and the stages before i),
     # its output row and its time fraction, as views and floats made once;
     # the last stage's argument is the order-5 update (tableau row 7 equals
@@ -138,8 +136,6 @@ def integrate_adaptive(
         (w[i, :i + 1], yk[:i + 1], k[i], float(_C[i]), y_new if i == 6 else arg)
         for i in range(1, 7)
     ]
-    # casting="same_kind" raises TypeError, naming both dtypes, where a
-    # plain assignment would drop the imaginary part of a complex f
     np.copyto(k[0], f(t, y), casting="same_kind")
     h = _initial_step(y, k[0], span)
 

@@ -115,22 +115,41 @@ def dense_lu_steady_state(h, collapse):
     return np.linalg.solve(system, rhs).reshape((d, d), order="F")
 
 
-def complex_evolve(h, collapse, rho0, t_grid, observables):
-    """Reference propagation of the complex vec(rho) under the Liouvillian,
-    projected back onto Hermitian matrices after every accepted step (the
-    oracle for evolve's real Hermitian-basis propagation, at its
-    tolerances).  Returns each observable's real series."""
+def real_form(a):
+    """The real form [[Re a, -Im a], [Im a, Re a]] of a complex matrix a
+    (dense, sparse or a scalar), which acts on the halves [Re y; Im y] of y
+    as a acts on y."""
+    if sp.issparse(a):
+        return sp.bmat([[a.real, -a.imag], [a.imag, a.real]], format="csr")
+    a = np.atleast_2d(a)
+    return np.block([[a.real, -a.imag], [a.imag, a.real]])
+
+
+def halves(v):
+    """The real halves [Re v; Im v] of a complex vector v."""
+    return np.concatenate([v.real, v.imag])
+
+
+def halves_evolve(h, collapse, rho0, t_grid, observables):
+    """Reference propagation of vec(rho) under the Liouvillian, as its real
+    and imaginary halves under its real form, projected back onto Hermitian
+    matrices after every accepted step (the oracle for evolve's real
+    Hermitian-basis propagation, at its tolerances).  Returns each
+    observable's real series."""
     d = h.shape[0]
-    liou = liouvillian_matrix(h, collapse)
+    liou = real_form(liouvillian_matrix(h, collapse))
 
-    def symmetrize(v):
-        rho = v.reshape((d, d), order="F")
-        return (0.5 * (rho + rho.conj().T)).ravel(order="F")
+    def density(u):
+        return (u[: d * d] + 1j * u[d * d:]).reshape((d, d), order="F")
 
-    v0 = np.asarray(rho0, dtype=complex).ravel(order="F")
-    vs = integrate_adaptive(lambda _t, v: liou @ v, v0, t_grid, post_step=symmetrize)
+    def symmetrize(u):
+        rho = density(u)
+        return halves((0.5 * (rho + rho.conj().T)).ravel(order="F"))
+
+    u0 = halves(np.asarray(rho0, dtype=complex).ravel(order="F"))
+    us = integrate_adaptive(lambda _t, u: liou @ u, u0, t_grid, post_step=symmetrize)
     return {
-        name: np.array([expect_real(op, v.reshape((d, d), order="F")) for v in vs])
+        name: np.array([expect_real(op, density(u)) for u in us])
         for name, op in observables.items()
     }
 
@@ -322,25 +341,26 @@ def test_liouvillian_trace_left_null_vector():
 def test_integrator_grid_validation():
     f = lambda t, y: -y
     with pytest.raises(ValueError):
-        integrate_adaptive(f, np.array([1.0 + 0j]), [0.0])
+        integrate_adaptive(f, np.array([1.0]), [0.0])
     with pytest.raises(ValueError):
-        integrate_adaptive(f, np.array([1.0 + 0j]), [0.0, 1.0, 1.0])
+        integrate_adaptive(f, np.array([1.0]), [0.0, 1.0, 1.0])
     # np.diff(t_grid) <= 0 is False for NaN, so the ordering check alone
     # would pass these grids and return copies of y0
     for bad in ([0.0, math.nan, 1.0], [0.0, 1.0, math.inf], [math.nan, 1.0]):
         with pytest.raises(ValueError, match="finite"):
-            integrate_adaptive(f, np.array([1.0 + 0j]), bad)
+            integrate_adaptive(f, np.array([1.0]), bad)
 
 
 def test_integrator_linear_problem_accuracy(monkeypatch):
     monkeypatch.setattr(integrate, "_RTOL", 1e-10)
     monkeypatch.setattr(integrate, "_ATOL", 1e-12)
+    # y' = lam y for a complex lam, as the real halves of y
     lam = -1.0 + 2.0j
-    f = lambda t, y: lam * y
+    f = lambda t, y: real_form(lam) @ y
     t_grid = np.linspace(0.0, 2.0, 9)
-    ys = integrate_adaptive(f, np.array([1.0 + 0j]), t_grid)
+    ys = integrate_adaptive(f, np.array([1.0, 0.0]), t_grid)
     for t, y in zip(t_grid, ys):
-        assert abs(y[0] - np.exp(lam * t)) <= 1e-8
+        assert abs(complex(*y) - np.exp(lam * t)) <= 1e-8
 
 
 def test_integrator_order_from_step_halving(monkeypatch):
@@ -351,13 +371,13 @@ def test_integrator_order_from_step_halving(monkeypatch):
     monkeypatch.setattr(integrate, "_RTOL", 1e6)
     monkeypatch.setattr(integrate, "_ATOL", 1e6)
     lam = -1.0 + 2.0j
-    f = lambda t, y: lam * y
+    f = lambda t, y: real_form(lam) @ y
     exact = np.exp(lam)
     errs = []
     for n in (21, 41):
         t_grid = np.linspace(0.0, 1.0, n)
-        y = integrate_adaptive(f, np.array([1.0 + 0j]), t_grid)[-1]
-        errs.append(abs(y[0] - exact))
+        y = integrate_adaptive(f, np.array([1.0, 0.0]), t_grid)[-1]
+        errs.append(abs(complex(*y) - exact))
     ratio = errs[0] / errs[1]
     assert ratio >= 4.0
     assert ratio == pytest.approx(32.0, rel=0.3)
@@ -373,6 +393,9 @@ def test_integrator_rejects_a_complex_rhs_of_a_real_state():
     # the real stage array would silently drop the imaginary part
     with pytest.raises(TypeError, match="complex128.*float64"):
         integrate_adaptive(lambda t, y: 1j * y, np.array([1.0]), [0.0, 1.0])
+    # and the real state array that of a complex state
+    with pytest.raises(TypeError, match="complex128.*float64"):
+        integrate_adaptive(lambda t, y: -y, np.array([1.0 + 0j]), [0.0, 1.0])
     calls = []
 
     def late(t, y):  # complex only from the first stage on
@@ -388,15 +411,15 @@ def test_integrator_stiffness_error_reports_time():
     # quadratic blowup reaches a pole at t = 1; the step collapses there
     f = lambda t, y: y * y
     with pytest.raises(StiffnessError) as info:
-        integrate_adaptive(f, np.array([1.0 + 0j]), [0.0, 2.0])
+        integrate_adaptive(f, np.array([1.0]), [0.0, 2.0])
     assert 0.9 <= info.value.time <= 1.1
 
 
 def test_integrator_step_budget(monkeypatch):
     monkeypatch.setattr(integrate, "_MAX_STEPS", 3)
-    f = lambda t, y: 1j * y
+    f = lambda t, y: real_form(1j) @ y
     with pytest.raises(RuntimeError, match="exceeded 3 integration steps"):
-        integrate_adaptive(f, np.array([1.0 + 0j]), [0.0, 1.0])
+        integrate_adaptive(f, np.array([1.0, 0.0]), [0.0, 1.0])
 
 
 def test_integrator_reduces_each_grid_time_in_order():
@@ -454,9 +477,12 @@ def _forced_van_der_pol(t, y):
 
 _ORACLE_SYSTEMS = {
     "real linear": (-np.eye(4) + 0.5 * np.random.default_rng(1).normal(size=(4, 4)), np.ones(4)),
+    # a complex linear system as the real halves of its state, none of them
+    # zero (a zero entry would shrink the initial step below the grid's)
     "complex linear": (
-        -0.5 * np.eye(3) + 1j * np.diag([1.0, -2.0, 0.5]) + 0.3 * np.random.default_rng(2).normal(size=(3, 3)),
-        np.array([1.0, 0.5j, -0.25 + 0.5j]),
+        real_form(-0.5 * np.eye(3) + 1j * np.diag([1.0, -2.0, 0.5])
+                  + 0.3 * np.random.default_rng(2).normal(size=(3, 3))),
+        halves(np.array([1.0 + 0.25j, 0.25 + 0.5j, -0.25 + 0.5j])),
     ),
     "nonlinear": (_forced_van_der_pol, np.array([1.0, 0.5])),
 }
@@ -491,24 +517,19 @@ def test_integrator_matches_a_textbook_dormand_prince_oracle(system, monkeypatch
 
 def test_error_norm_buffers_match_the_allocating_formula():
     # the buffered norm runs the allocating formula's ufuncs in its order, so
-    # step control is the same bit for bit, for real and complex states
+    # step control is the same bit for bit
     def allocating(err, y0, y1, rtol, atol):
         scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
         return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
 
     rng = np.random.default_rng(3)
     for n in (1, 7, 256, 2304):
-        for dtype in (float, complex):
-            for _ in range(20):
-                y0, y1, err = (
-                    (rng.normal(size=n) * 10.0 ** rng.uniform(-14, 2, size=n)).astype(dtype)
-                    + (1j * rng.normal(size=n) if dtype is complex else 0.0)
-                    for _ in range(3)
-                )
-                y0[::5] = 0.0
-                scale, ratio = np.full(n, np.nan), np.full(n, np.nan, dtype=dtype)
-                assert integrate._error_norm(err, y0, y1, 1e-8, 1e-10, scale, ratio) == allocating(
-                    err, y0, y1, 1e-8, 1e-10)
+        for _ in range(20):
+            y0, y1, err = (rng.normal(size=n) * 10.0 ** rng.uniform(-14, 2, size=n) for _ in range(3))
+            y0[::5] = 0.0
+            scale, ratio = np.full(n, np.nan), np.full(n, np.nan)
+            assert integrate._error_norm(err, y0, y1, 1e-8, 1e-10, scale, ratio) == allocating(
+                err, y0, y1, 1e-8, 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -687,11 +708,11 @@ def test_evolve_matches_complex_propagation_oracle(n_bar, initial, frame):
     hs = HilbertSpace(p.n_fock)
     obs = {"sx": hs.sx, "sz": hs.sz, "n_cav": hs.a.conj().T @ hs.a}
     h, ops = build_model(p, frame)
-    ref = complex_evolve(h, ops, rho0, traj.times, obs)
+    ref = halves_evolve(h, ops, rho0, traj.times, obs)
     exact = expm_series(h, ops, rho0, traj.times, obs)
     # <sz> turns with the 9 MHz Rabi drive, so over 2 us both paths carry up
     # to ~6e-7 of phase error at these tolerances and differ by up to ~1e-7;
-    # the real path must be no less accurate than the complex one
+    # the Hermitian-basis path must be no less accurate than the halves one
     for name, series in exact.items():
         err = np.max(np.abs(traj.expectations[name] - series))
         assert err <= min(1e-6, np.max(np.abs(ref[name] - series))), name
@@ -836,19 +857,65 @@ def test_evolve_takes_krylov_steps_from_the_crossover_up():
         assert (traj.stats.steps_accepted > 0) == (propagator == "Krylov")
 
 
-@pytest.mark.parametrize("offsets", [np.linspace(0.3, 2.0, 18), np.geomspace(0.01, 2.0, 18)])
+def crossover_pair(monkeypatch, h, ops, rho0, t_grid, obs):
+    """evolve's Krylov trajectory of a model at or above the crossover, and
+    Runge-Kutta's of the same input, the reference."""
+    krylov = evolve(h, ops, rho0, t_grid, obs)
+    monkeypatch.setattr(dynamics, "_KRYLOV_CROSSOVER", 10**9)
+    rk = evolve(h, ops, rho0, t_grid, obs)
+    assert (krylov.stats.propagator, rk.stats.propagator) == ("Krylov", "Runge-Kutta")
+    return krylov, rk
+
+
+def test_krylov_keeps_a_state_under_a_zero_generator(monkeypatch):
+    # |M| = 0 would divide Expokit's first step length; M = 0 breaks down at
+    # its first vector instead, and the state stays, as under Runge-Kutta
+    d = round(math.sqrt(dynamics._KRYLOV_CROSSOVER))
+    rho0 = np.diag(np.arange(1.0, d + 1.0)) / (d * (d + 1) / 2)
+    obs = {"diag": np.diag(np.arange(d, dtype=float))}
+    krylov, rk = crossover_pair(monkeypatch, np.zeros((d, d)), [], rho0, [0.0, 1.0], obs)
+    for name, series in rk.expectations.items():
+        assert np.array_equal(series, np.full(2, series[0])), name
+        assert np.array_equal(krylov.expectations[name], series), name
+    assert krylov.stats.steps_accepted == 1
+
+
+def test_krylov_keeps_a_zero_state(monkeypatch):
+    # a zero r would divide its normalisation and the breakdown scale; it
+    # breaks down at its first vector instead, and stays zero, as under
+    # Runge-Kutta (criterion 6's model at the cutoff of the crossover)
+    p = to_system_params(Config(n_bar=3.6, n_fock=14))
+    d = 2 * p.n_fock
+    assert d * d == dynamics._KRYLOV_CROSSOVER
+    hs = space(p.n_fock)
+    krylov, rk = crossover_pair(monkeypatch, *build_model(p), np.zeros((d, d)), np.linspace(0.0, 1.0, 6),
+                                {"sx": hs.sx, "sz": hs.sz})
+    for name, series in rk.expectations.items():
+        assert np.array_equal(series, np.zeros(6)), name
+        assert np.array_equal(krylov.expectations[name], series), name
+    assert krylov.stats.max_trace_deviation == rk.stats.max_trace_deviation == 1.0
+
+
+@pytest.mark.parametrize("offsets", [
+    np.linspace(0.3, 2.0, 18),
+    np.geomspace(0.01, 2.0, 18),
+    np.concatenate([np.linspace(0.3, 1.0, 8), np.linspace(1.2, 2.0, 5)]),  # the spacing changes once
+])
 def test_exp_columns_match_scipy_on_even_and_uneven_offsets(offsets, monkeypatch):
     import scipy.linalg  # for tests only: the package never imports it
 
-    # evenly spaced offsets take two small exponentials and powers of the
-    # second, uneven ones one exponential each; both match the direct one
-    # (measured 9.5e-15 and 8.9e-16 of the largest entry)
+    # each column is the one before times the exponential of their gap, the
+    # first gap being the first offset, so a small exponential runs once per
+    # run of equal gaps: two for the evenly spaced offsets, three when the
+    # spacing changes once, one per offset for uneven ones; all match the
+    # direct one (measured 9.5e-15, 8.4e-16 and 9.5e-15 of the largest entry)
     rng = np.random.default_rng(7)
     h = np.triu(rng.normal(size=(27, 27)), -1) - 8.0 * np.eye(27)
     expm, calls = dynamics._expm, []
     monkeypatch.setattr(dynamics, "_expm", lambda a: calls.append(a) or expm(a))
     got = dynamics._exp_columns(h, offsets, 8 * np.finfo(float).eps * 2.0)
-    assert len(calls) == (2 if np.allclose(np.diff(offsets), offsets[1] - offsets[0]) else len(offsets))
+    gaps = np.diff(offsets, prepend=0.0)
+    assert len(calls) == 1 + np.count_nonzero(~np.isclose(gaps[1:], gaps[:-1], rtol=1e-12, atol=0.0))
     ref = [scipy.linalg.expm(s * h)[:, 0] for s in offsets]
     assert max(np.max(np.abs(g - r)) for g, r in zip(got, ref)) <= 1e-13 * max(np.max(np.abs(r)) for r in ref)
 

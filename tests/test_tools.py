@@ -74,7 +74,11 @@ def test_bench_ab_outside_a_git_checkout_reads_null_commits(tmp_path, monkeypatc
     proc = subprocess.run([sys.executable, "tools/bench_ab.py", "--base-tree", "base", "--workload", "verify",
                            "--pairs", "0", "--label", "copy"], cwd=tmp_path, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads((tmp_path / "BENCH_copy.json").read_text())
+    # the result goes into the ignored .bench_out/, not beside committed files
+    out = tmp_path / ".bench_out" / "BENCH_copy.json"
+    assert proc.stdout.strip().endswith(f"wrote {out}")
+    assert not list(tmp_path.glob("BENCH_*.json"))
+    result = json.loads(out.read_text())
     assert result["base"] == {"commit": None}
     assert result["change"] == {"commit": None, "uncommitted_changes": None}
 

@@ -12,14 +12,16 @@ with ``git worktree add --detach`` into a temporary directory, removed at the
 end, or, with ``--base-tree``, is an existing checkout (a clone, or an
 unpacked ``git archive``, whose commit then reads null, as the working tree's
 commit and uncommitted changes do outside a git checkout).  Writes
-``BENCH_<label>.json`` at the working tree's root: every run's
-summary line with the unscaled times and the speed probe's ratios that run.py
-stores beside it, each side's median and quartiles of every end-to-end metric
-and of wall_raw_s and cpu_raw_s, the pairs the change won per metric (by
-BENCHMARK.json's direction, ties counting for neither side), each side's
-range of probe_quiet_ratio over all repetitions, the CPUs in the affinity
-mask and the BLAS thread count in force in each checkout.  Exits 1 when a
-run fails or reports an incorrect result, 0 otherwise.
+``.bench_out/BENCH_<label>.json`` in the working tree, a directory git
+ignores, and prints its path; copy it to the root to commit it.  It holds
+every run's summary line with the unscaled times and the speed probe's
+ratios that run.py stores beside it, each side's median and quartiles of
+every end-to-end metric and of wall_raw_s and cpu_raw_s, the pairs the
+change won per metric (by BENCHMARK.json's direction, ties counting for
+neither side), each side's range of probe_quiet_ratio over all
+repetitions, the CPUs in the affinity mask and the BLAS thread count in
+force in each checkout.  Exits 1 when a run fails or reports an incorrect
+result, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -188,7 +190,8 @@ def main(argv=None) -> int:
         if args.base:
             git("worktree", "remove", "--force", str(base_tree))
         shutil.rmtree(tmp, ignore_errors=True)
-    out = ROOT / f"BENCH_{args.label}.json"
+    out = ROOT / ".bench_out" / f"BENCH_{args.label}.json"
+    out.parent.mkdir(exist_ok=True)
     out.write_text(json.dumps(result, indent=1) + "\n")
     for workload, w in result["workloads"].items():
         for name, m in w["summary"].items():

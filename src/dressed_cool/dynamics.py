@@ -123,9 +123,9 @@ class PropagationStats:
     eigenvalues, the top Fock population and the observables), the largest
     population of the cavity's top Fock level at any grid time, which shows
     how close the truncation came to its edge, and the worst trace deviation
-    |tr rho - 1| and smallest eigenvalue of rho over the grid times.  A
-    Krylov run also counts its accepted and rejected exponential steps; a
-    Runge-Kutta run leaves them 0.  Hermiticity holds by construction (see
+    |tr rho - 1| and smallest eigenvalue of rho over the grid times, and
+    the steps the propagator accepted and rejected (Dormand-Prince steps or
+    Krylov exponential steps).  Hermiticity holds by construction (see
     evolve)."""
 
     propagator: str
@@ -135,25 +135,24 @@ class PropagationStats:
     top_fock_population: float
     max_trace_deviation: float
     min_eigenvalue: float
-    steps_accepted: int = 0
-    steps_rejected: int = 0
+    steps_accepted: int
+    steps_rejected: int
 
     def summary(self) -> str:
         """The stats as the one line that evolve and verify print: the
         propagator (with the Krylov dimension), the microseconds of
         wall_s per generator application (0 when there was none), the
-        seconds of wall_s that the per-output reductions took and a Krylov
-        run's step counts."""
+        seconds of wall_s that the per-output reductions took and the step
+        counts."""
         n = self.generator_applications
         each = 1e6 * self.wall_s / n if n else 0.0
         name = self.propagator
-        steps = ""
         if self.propagator == "Krylov":
             name += f" (dimension {_KRYLOV_DIM})"
-            steps = f" {self.steps_accepted} steps accepted and {self.steps_rejected} rejected,"
         return (
             f"{name}: {n} generator applications in {self.wall_s:.3g} s"
-            f" ({each:.3g} us each, {self.reduce_s:.3g} s reducing),{steps}"
+            f" ({each:.3g} us each, {self.reduce_s:.3g} s reducing),"
+            f" {self.steps_accepted} steps accepted and {self.steps_rejected} rejected,"
             f" top Fock level population at most {self.top_fock_population:.3g}"
         )
 
@@ -254,15 +253,13 @@ def evolve(
 
     start = time.perf_counter()
     if d * d >= _KRYLOV_CROSSOVER:
-        steps = _krylov_propagate(apply, r0, t_grid, record, float(abs(m).sum(axis=1).max()))
-        propagator, extra = "Krylov", steps
+        propagator, steps = "Krylov", _krylov_propagate(apply, r0, t_grid, record, float(abs(m).sum(axis=1).max()))
     else:
-        integrate_adaptive(lambda _t, r: apply(r), r0, t_grid, reduce=record)
-        propagator, extra = "Runge-Kutta", ()
+        propagator, steps = "Runge-Kutta", integrate_adaptive(lambda _t, r: apply(r), r0, t_grid, reduce=record)
     wall_s = time.perf_counter() - start
     return Trajectory(
         times=np.asarray(t_grid, dtype=float),
-        stats=PropagationStats(propagator, applications, wall_s, reduce_s, top, trace_dev, min_eig, *extra),
+        stats=PropagationStats(propagator, applications, wall_s, reduce_s, top, trace_dev, min_eig, *steps),
         expectations={
             name: np.ascontiguousarray(values[:, j] if np.iscomplexobj(w) else values[:, j].real)
             for j, (name, w) in enumerate(zip(observables, rows))

@@ -5,7 +5,8 @@ so every requested output time is hit exactly (no dense-output interpolation),
 an optional hook runs after each accepted step, for example to project the
 state back onto a constraint manifold, and another reduces the state at each
 output time, so a caller that needs only a few numbers per output never holds
-the states.
+the states.  A call returns the steps it accepted and rejected, as
+dynamics._krylov_propagate does.
 
 The state and the seven stages share one (8, n) work array, y in row 0 and
 k_0..k_6 in rows 1-7, and each attempt scales the tableau by its step h once,
@@ -43,7 +44,8 @@ _MAX_FACTOR = 5.0
 # Relative and absolute tolerance of the error norm (see _error_norm).
 _RTOL = 1e-8
 _ATOL = 1e-10
-# Step budget of one call; exceeding it raises RuntimeError.
+# Step attempts (accepted and rejected) of one call; exceeding it raises
+# RuntimeError.
 _MAX_STEPS = 20_000_000
 
 
@@ -94,15 +96,17 @@ def integrate_adaptive(
     y0: np.ndarray,
     t_grid: Sequence[float],
     post_step: Callable[[np.ndarray], np.ndarray] | None = None,
-    reduce: Callable[[np.ndarray], Any] = np.copy,
-) -> list:
-    """Integrate y' = f(t, y) and return reduce(y) at each time in t_grid.
+    # The default keeps nothing: only bench/test_bench.py calls without a
+    # reduce, to count steps, until ROADMAP item 1a releases that pin.
+    reduce: Callable[[np.ndarray], Any] = lambda y: None,
+) -> tuple[int, int]:
+    """Integrate y' = f(t, y), calling reduce(y) at each time in t_grid, and
+    return the accepted and rejected steps.
 
     t_grid must be finite and strictly increasing; t_grid[0] is the initial
-    time.  reduce is called once per grid time, in order, starting with y0;
-    by default it copies, so the list holds the solution at each time.  The
-    array it is passed is the integrator's working buffer, which the next
-    step overwrites: a reduce that keeps it must copy it.  The arithmetic
+    time.  reduce is called once per grid time, in order, starting with y0.
+    The array it is passed is the integrator's working buffer, which the
+    next step overwrites: a reduce that keeps it must copy it.  The arithmetic
     is real: a complex y0, or an f that returns complex values, raises
     TypeError rather than lose the imaginary part.  y and the stages
     k_0..k_6 are the rows of one preallocated (8, n) array, and each attempt
@@ -121,7 +125,7 @@ def integrate_adaptive(
     # casting="same_kind" raises TypeError, naming both dtypes, where a
     # plain assignment would drop the imaginary part of a complex y0 or f
     np.copyto(y, y0, casting="same_kind")
-    out = [reduce(y)]
+    reduce(y)
 
     # weights of y (column 0) and of h A (columns 1-7) per stage, and h E
     w, he = np.zeros((7, 8)), np.empty(7)
@@ -139,12 +143,12 @@ def integrate_adaptive(
     np.copyto(k[0], f(t, y), casting="same_kind")
     h = _initial_step(y, k[0], span)
 
-    steps = 0
+    attempts = rejected = 0
     for target in t_grid[1:]:
         while t < target - 1e-14 * max(1.0, abs(target)):
-            steps += 1
-            if steps > _MAX_STEPS:
-                raise RuntimeError(f"exceeded {_MAX_STEPS} integration steps")
+            attempts += 1
+            if attempts > _MAX_STEPS:
+                raise RuntimeError(f"exceeded {_MAX_STEPS} step attempts")
             clamped = h > target - t
             h_try = target - t if clamped else h
             if h_try < 1e-14 * max(abs(t), 1.0):
@@ -170,6 +174,7 @@ def integrate_adaptive(
                     np.copyto(y, post_step(y), casting="same_kind")
                 np.copyto(k[0], f(t, y), casting="same_kind")
             else:
+                rejected += 1
                 h = h_try * min(1.0, factor)
-        out.append(reduce(y))
-    return out
+        reduce(y)
+    return attempts - rejected, rejected

@@ -319,6 +319,13 @@ def _map_chunk(fn, chunk: Sequence) -> list:
 # 1.16 MiB at 6 on the 3x3 grid against point by point
 # (BENCH_one_steady_solve.json, measured while a steady_tomography factor
 # still dropped its W_i and before the Krylov bases were stacked).
+# Every figure above was measured when all default points solved at
+# n_fock 8.  At the default grid's cutoffs now (n_fock 5, 6 and 7 at 1189,
+# 369 and 123 points), tools/stack_scan.py finds larger stacks faster, with
+# the same CSVs: medians of 5 runs at stacks 6, 12 and 16 were 0.41, 0.35
+# and 0.35 s for steady_tomography and 1.32, 0.97 and 0.93 s for
+# cooling_rate (2-core x86-64, one BLAS thread).  Their peak memory is
+# not measured yet.
 _STACK = 6
 
 

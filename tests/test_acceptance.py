@@ -105,7 +105,7 @@ def test_a_programming_error_in_a_worker_is_no_fail_line(monkeypatch, capsys):
 def test_verify_pool_is_capped_at_the_runs_and_the_usable_cpus(monkeypatch, capsys, pool_sizes):
     # verify computes in its own process beside a pool one process smaller,
     # min(6, CPUs) processes in all
-    fake = SimpleNamespace(stats=PropagationStats("Runge-Kutta", 0, 0.0, 0.0, 0.0, 0.0, 0.0))
+    fake = SimpleNamespace(stats=PropagationStats("Runge-Kutta", 0, 0.0, 0.0, 0.0, 0.0, 0.0, 3, 1))
     monkeypatch.setattr(acceptance, "_trajectory", lambda run: fake)
     monkeypatch.setattr(acceptance, "_CRITERIA", ())
     for cpus in (8, 2, 1):
@@ -117,7 +117,7 @@ def test_verify_pool_is_capped_at_the_runs_and_the_usable_cpus(monkeypatch, caps
     assert len(err) == 18
     assert err[0] == (
         "trajectory c6 undisplaced: d^2 = 2304, Runge-Kutta: 0 generator applications in 0 s (0 us each,"
-        " 0 s reducing),"
+        " 0 s reducing), 3 steps accepted and 1 rejected,"
         " top Fock level population at most 0"
     )
 

@@ -380,7 +380,7 @@ def test_cli_evolve_gates_positivity(capsys, tmp_path, monkeypatch):
     times = np.linspace(0.0, 1.0, 3)
     stats = dynamics.PropagationStats(propagator="Runge-Kutta", generator_applications=0, wall_s=0.0, reduce_s=0.0,
                                       top_fock_population=0.0, max_trace_deviation=0.0,
-                                      min_eigenvalue=-2.5e-6)
+                                      min_eigenvalue=-2.5e-6, steps_accepted=0, steps_rejected=0)
     monkeypatch.setattr(analysis, "config_trajectory",
                         lambda p, cfg: dynamics.Trajectory(times, stats, {"sx": np.zeros(3)}))
     cfg, traj = tmp_path / "cfg.json", tmp_path / "traj.csv"
@@ -430,6 +430,7 @@ def test_cli_evolve_then_fit(tmp_path, capsys):
     assert re.fullmatch(
         rf"wrote 301 samples over [0-9.]+ us to {re.escape(str(traj))}; Runge-Kutta: [0-9]+ generator"
         r" applications in [0-9.e+-]+ s \([0-9.e+-]+ us each, [0-9.e+-]+ s reducing\),"
+        r" [0-9]+ steps accepted and [0-9]+ rejected,"
         r" top Fock level population at most [0-9.e+-]+"
         r" \(tol 1e-04\)\n", out)
     out_json = tmp_path / "fit.json"

@@ -16,6 +16,12 @@ _ROOT = Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location("drift", _ROOT / "tools" / "drift.py")
 drift = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(drift)
+_SPEC = importlib.util.spec_from_file_location("bench_ab", _ROOT / "tools" / "bench_ab.py")
+bench_ab = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_ab)
+_SPEC = importlib.util.spec_from_file_location("stack_scan", _ROOT / "tools" / "stack_scan.py")
+stack_scan = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(stack_scan)
 _SPEC = importlib.util.spec_from_file_location("src_lines", _ROOT / "tools" / "src_lines.py")
 src_lines = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(src_lines)
@@ -65,22 +71,45 @@ def test_src_lines_base_outside_a_git_checkout_is_one_line(tmp_path, monkeypatch
 def test_bench_ab_outside_a_git_checkout_reads_null_commits(tmp_path, monkeypatch):
     # a copy of the script and BENCHMARK.json without .git, as git archive
     # leaves, against a base tree that is no checkout either: no pair runs,
-    # and both sides' commits read null
+    # and both sides' commits read null, in either mode
     for name in ("tools/bench_ab.py", "BENCHMARK.json"):
         (tmp_path / name).parent.mkdir(exist_ok=True)
         shutil.copy(_ROOT / name, tmp_path / name)
     (tmp_path / "base").mkdir()
     monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
-    proc = subprocess.run([sys.executable, "tools/bench_ab.py", "--base-tree", "base", "--workload", "verify",
-                           "--pairs", "0", "--label", "copy"], cwd=tmp_path, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    # the result goes into the ignored .bench_out/, not beside committed files
-    out = tmp_path / ".bench_out" / "BENCH_copy.json"
-    assert proc.stdout.strip().endswith(f"wrote {out}")
-    assert not list(tmp_path.glob("BENCH_*.json"))
-    result = json.loads(out.read_text())
-    assert result["base"] == {"commit": None}
-    assert result["change"] == {"commit": None, "uncommitted_changes": None}
+    for mode, workload in ((["--workload", "verify"], "verify"), (["--suite"], "tier1")):
+        proc = subprocess.run([sys.executable, "tools/bench_ab.py", "--base-tree", "base", *mode,
+                               "--pairs", "0", "--label", "copy"], cwd=tmp_path, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        # the result goes into the ignored .bench_out/, not beside committed files
+        out = tmp_path / ".bench_out" / "BENCH_copy.json"
+        assert proc.stdout.strip().endswith(f"wrote {out}")
+        assert not list(tmp_path.glob("BENCH_*.json"))
+        result = json.loads(out.read_text())
+        assert result["base"] == {"commit": None}
+        assert result["change"] == {"commit": None, "uncommitted_changes": None}
+        assert list(result["workloads"]) == [workload]
+
+
+def test_bench_ab_suite_run_counts_passed_and_failed_tests(tmp_path):
+    # a tree whose suite has one passing and one failing test, and no src/
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_one.py").write_text("def test_pass():\n    pass\n\n\n"
+                                                    "def test_fail():\n    assert False\n")
+    run = bench_ab.suite_run(tmp_path)
+    assert (run["exit"], run["passed"], run["failed"], run["correct"]) == (1, 1, 1, False)
+    assert run["metrics"]["wall_s"] == run["elapsed_s"] > 0.0
+    assert "`tools/bench_ab.py --suite`" in (_ROOT / "README.md").read_text()
+
+
+def test_stack_scan_times_every_size_and_finds_the_same_csv(capsys):
+    assert stack_scan.main(["--modes", "steady_tomography", "--points", "3", "--runs", "2",
+                            "--stacks", "1", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("steady_tomography 3x3: cutoffs: n_fock ")
+    assert [line.split()[:3] for line in lines[1:]] == [["steady_tomography", "stack", "1"],
+                                                        ["steady_tomography", "stack", "4"]]
+    assert all(line.endswith("over 2 runs") for line in lines[1:])
 
 
 def test_readme_names_only_paths_that_exist():

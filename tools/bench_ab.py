@@ -4,10 +4,13 @@
     python3 tools/bench_ab.py --base main --workload steady_map verify --pairs 10 --label mine
     python3 tools/bench_ab.py --base HEAD~1 --workload cooling_map --pairs 1 --seconds 1 --label ci
     python3 tools/bench_ab.py --base-tree ../base --workload steady_map --label mine
+    python3 tools/bench_ab.py --base main --suite --pairs 5 --label suite
 
 Each pair runs ``python3 bench/run.py --workload W --seconds S --seed N --trace 0``
 once in a checkout of the base ref and once in the working tree, in fresh
-processes, and alternates which side goes first.  The base is checked out
+processes, and alternates which side goes first.  With --suite, each pair
+runs the tier-1 test suite (SUITE_COMMAND) instead, as the one workload
+"tier1"; --seconds and --seed do not apply.  The base is checked out
 with ``git worktree add --detach`` into a temporary directory, removed at the
 end, or, with ``--base-tree``, is an existing checkout (a clone, or an
 unpacked ``git archive``, whose commit then reads null, as the working tree's
@@ -20,8 +23,10 @@ every end-to-end metric and of wall_raw_s and cpu_raw_s, the pairs the
 change won per metric (by BENCHMARK.json's direction, ties counting for
 neither side), each side's range of probe_quiet_ratio over all
 repetitions, the CPUs in the affinity mask and the BLAS thread count in
-force in each checkout.  Exits 1 when a run fails or reports an incorrect
-result, 0 otherwise.
+force in each checkout.  A suite run instead holds its wall seconds and
+the tests it passed and failed (errors among them), and its summary is
+that of wall_s.  Exits 1 when a run fails or reports an incorrect result
+(for the suite: any test failed), 0 otherwise.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -66,6 +72,25 @@ def blas_threads(tree: Path) -> int | None:
     out = subprocess.run([sys.executable, "-c", _BLAS_PROBE], cwd=tree, capture_output=True, text=True)
     value = out.stdout.strip()
     return int(value) if out.returncode == 0 and value.isdigit() else None
+
+
+# The tier-1 command of ROADMAP.md, which suite_run runs.
+SUITE_COMMAND = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
+
+
+def suite_run(tree: Path) -> dict:
+    """One run of the tier-1 suite in tree: its wall seconds, and the tests
+    it passed and failed as the closing line of pytest -q counts them."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed|error)", lines[-1] if lines else "")}
+    passed, failed = counts.get("passed", 0), counts.get("failed", 0) + counts.get("error", 0)
+    return {"exit": proc.returncode, "elapsed_s": wall, "correct": proc.returncode == 0 and passed > 0,
+            "passed": passed, "failed": failed, "metrics": {"wall_s": wall}}
 
 
 # Unscaled medians that bench/run.py keeps in its result file, not in its
@@ -132,15 +157,23 @@ def main(argv=None) -> int:
     base = parser.add_mutually_exclusive_group(required=True)
     base.add_argument("--base", help="git ref of the base side, checked out into a temporary worktree")
     base.add_argument("--base-tree", type=Path, help="an existing checkout of the base side")
-    parser.add_argument("--workload", nargs="+", required=True)
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--workload", nargs="+")
+    mode.add_argument("--suite", action="store_true", help="time the tier-1 test suite instead")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--label", required=True)
     args = parser.parse_args(argv)
 
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]} | RAW_METRICS
+    if args.suite:
+        command, better = SUITE_COMMAND, {"wall_s": "lower"}
+        jobs = {"tier1": suite_run}
+    else:
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        command = "python3 bench/run.py --workload W --seconds S --seed N --trace 0"
+        better = {m["name"]: m["better"] for m in spec["end_to_end"]} | RAW_METRICS
+        jobs = {w: lambda tree, w=w: bench_run(tree, w, args.seconds, args.seed) for w in args.workload}
     tmp = Path(tempfile.mkdtemp(prefix="bench-ab-"))
     base_tree = args.base_tree.resolve() if args.base_tree else tmp / "base"
     if args.base:
@@ -151,7 +184,7 @@ def main(argv=None) -> int:
     try:
         result = {
             "label": args.label,
-            "command": "python3 bench/run.py --workload W --seconds S --seed N --trace 0",
+            "command": command,
             "seconds": args.seconds,
             "seed": args.seed,
             "pairs": args.pairs,
@@ -167,13 +200,12 @@ def main(argv=None) -> int:
                        "uncommitted_changes": None if status is None else bool(status)},
             "workloads": {},
         }
-        for workload in args.workload:
+        for workload, job in jobs.items():
             runs = []
             for pair in range(args.pairs):
                 order = ("base", "change") if pair % 2 == 0 else ("change", "base")
                 for side in order:
-                    run = {"pair": pair, "side": side,
-                           **bench_run(trees[side], workload, args.seconds, args.seed)}
+                    run = {"pair": pair, "side": side, **job(trees[side])}
                     ok = ok and run["exit"] == 0 and run.get("correct", False)
                     runs.append(run)
                     wall = run.get("metrics", {}).get("wall_s")

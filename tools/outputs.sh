@@ -20,7 +20,8 @@
 #   verify.txt                  acceptance lines and the exit status
 #   verify_trajectories.txt     verify's per-trajectory stderr lines without
 #                               their timings: name, d^2, generator
-#                               applications and top Fock level population
+#                               applications, steps accepted and rejected
+#                               and top Fock level population
 # How each file moved under a change of numerical method is in CHANGES.md.
 # Run it on two checkouts and compare with `diff -r` or `cmp`.
 # Usage: tools/outputs.sh <outdir>    (takes about half a minute)

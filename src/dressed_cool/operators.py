@@ -4,9 +4,11 @@ All operators are plain complex numpy arrays.  The composite Hilbert space is
 ordered qubit-major: a basis state |q, m> (qubit level q, Fock level m) sits at
 index q * n_fock + m, i.e. full operators are built as kron(qubit_op, cavity_op).
 
-HilbertSpace is the table of one cutoff's composite operators, each built on
-first use and read-only; space(n_fock) is the one shared table per cutoff
-from which the model builders and the observables read them.  A model names
+Every composite operator the package names is a qubit factor (x) a cavity
+factor, declared once in OPERATORS; HilbertSpace builds that table for one
+cutoff by the one rule kron(qubit factor, cavity factor), each operator
+read-only, and space(n_fock) is the one shared table per cutoff from which
+the model builders and the observables read them.  A model names
 its operators there: combine sums (name, coefficient) pairs into a matrix.
 """
 
@@ -129,92 +131,51 @@ def top_fock_population(rho: np.ndarray):
     return rho[..., d // 2 - 1, d // 2 - 1].real + rho[..., d - 1, d - 1].real
 
 
-def _read_only(op: np.ndarray) -> np.ndarray:
-    op.flags.writeable = False
-    return op
+def _one(a: np.ndarray) -> np.ndarray:
+    return identity(len(a))
+
+
+def _vac(a: np.ndarray) -> np.ndarray:
+    """|0><0|."""
+    return fock_state(len(a), 0)
+
+
+# The operator table: each composite operator by name, as its qubit factor
+# (a pauli label, or "1" for the identity) and its cavity factor (a function
+# of the truncated annihilator a).
+OPERATORS = {
+    "a": ("1", lambda a: a),
+    "n": ("1", lambda a: a.conj().T @ a),
+    "x": ("1", lambda a: a + a.conj().T),
+    "sx": ("x", _one),
+    "sy": ("y", _one),
+    "sz": ("z", _one),
+    "sp": ("+", _one),
+    "sm": ("-", _one),
+    "sz_n": ("z", lambda a: a.conj().T @ a),
+    "sz_x": ("z", lambda a: a + a.conj().T),
+    "sz_p": ("z", lambda a: 1j * (a.conj().T - a)),
+    "sx_vac": ("x", _vac),
+    "sz_vac": ("z", _vac),
+}
 
 
 @dataclass(frozen=True)
 class HilbertSpace:
     """The qubit (x) cavity product space of one cutoff (qubit index major)
-    and the table of its composite operators, each built on first use and
-    then cached read-only."""
+    and its operators: each entry of OPERATORS, built once as kron(qubit
+    factor, cavity factor) and held read-only as the attribute of its name."""
 
     n_fock: int
 
     def __post_init__(self):
         if self.n_fock < 2:
             raise ValueError("n_fock must be at least 2")
-
-    def qubit(self, op2: np.ndarray) -> np.ndarray:
-        return kron(op2, identity(self.n_fock))
-
-    def cavity(self, opn: np.ndarray) -> np.ndarray:
-        return kron(identity(2), opn)
-
-    @functools.cached_property
-    def a(self) -> np.ndarray:
-        return _read_only(self.cavity(annihilation(self.n_fock)))
-
-    @functools.cached_property
-    def n(self) -> np.ndarray:
-        """The photon number a+a."""
-        return _read_only(self.a.conj().T @ self.a)
-
-    @functools.cached_property
-    def x(self) -> np.ndarray:
-        """a + a+."""
-        return _read_only(self.a + self.a.conj().T)
-
-    @functools.cached_property
-    def sx(self) -> np.ndarray:
-        return _read_only(self.qubit(pauli("x")))
-
-    @functools.cached_property
-    def sy(self) -> np.ndarray:
-        return _read_only(self.qubit(pauli("y")))
-
-    @functools.cached_property
-    def sz(self) -> np.ndarray:
-        return _read_only(self.qubit(pauli("z")))
-
-    @functools.cached_property
-    def sp(self) -> np.ndarray:
-        return _read_only(self.qubit(pauli("+")))
-
-    @functools.cached_property
-    def sm(self) -> np.ndarray:
-        return _read_only(self.qubit(pauli("-")))
-
-    @functools.cached_property
-    def sz_a(self) -> np.ndarray:
-        """sz (x) a."""
-        return _read_only(kron(pauli("z"), annihilation(self.n_fock)))
-
-    @functools.cached_property
-    def sz_n(self) -> np.ndarray:
-        """sz (x) a+a."""
-        return _read_only(self.sz @ self.n)
-
-    @functools.cached_property
-    def sz_x(self) -> np.ndarray:
-        """sz (x) (a + a+)."""
-        return _read_only(self.sz_a + self.sz_a.conj().T)
-
-    @functools.cached_property
-    def sz_p(self) -> np.ndarray:
-        """sz (x) i (a+ - a)."""
-        return _read_only(1j * (self.sz_a.conj().T - self.sz_a))
-
-    @functools.cached_property
-    def sx_vac(self) -> np.ndarray:
-        """sx (x) |0><0|."""
-        return _read_only(kron(pauli("x"), fock_state(self.n_fock, 0)))
-
-    @functools.cached_property
-    def sz_vac(self) -> np.ndarray:
-        """sz (x) |0><0|."""
-        return _read_only(kron(pauli("z"), fock_state(self.n_fock, 0)))
+        a = annihilation(self.n_fock)
+        for name, (qubit, cavity) in OPERATORS.items():
+            op = kron(identity(2) if qubit == "1" else pauli(qubit), cavity(a))
+            op.flags.writeable = False
+            object.__setattr__(self, name, op)
 
     def combine(self, terms) -> np.ndarray:
         """sum c O over the (name, coefficient) pairs of terms, O the named

@@ -20,10 +20,11 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.constants import hbar as HBAR_SI
-from scipy.constants import k as KB_SI
-
 from .model import SystemParams, n_bar_of
+
+# The SI constants by their exact 2019 definitions (h and k_B are fixed).
+HBAR_SI = 6.62607015e-34 / (2.0 * math.pi)  # J s
+KB_SI = 1.380649e-23  # J/K
 
 __all__ = [
     "RatePair",

@@ -1399,7 +1399,7 @@ def test_cached_operators_are_read_only():
     arrays = [gmap.f.data, gmap.f.indices, gmap.f.indptr, gmap.indices, gmap.indptr, gmap.basis.data,
               gmap.basis.indices, gmap.basis.indptr, gmap.offsets, gmap.x,
               *(a for pair in gmap.blocks.values() for a in pair),
-              *(getattr(space(3), name) for name in ("a", "n", "x", "sx", "sy", "sz", "sp", "sm", "sz_a", "sz_n"))]
+              *(getattr(space(3), name) for name in ("a", "n", "x", "sx", "sy", "sz", "sp", "sm", "sz_n"))]
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dressed_cool.analysis import cooling_trajectory, steady_point
+from dressed_cool import acceptance, analysis
+from dressed_cool.analysis import cooling_trajectory, dressed_probe_terms, steady_point
 from dressed_cool.config import Config, to_system_params
 from dressed_cool.model import (
     CUTOFF_ERROR_TARGET,
@@ -26,11 +27,13 @@ from dressed_cool.model import (
     coupling_ratio,
     displacement,
     drive_for_photons,
+    hamiltonian_terms,
     n_bar_of,
     qubit_axis_state,
     turn_on_state,
 )
 from dressed_cool.operators import (
+    OPERATORS,
     HilbertSpace,
     annihilation,
     fock_state,
@@ -67,7 +70,7 @@ def build_effective_jc(p: SystemParams) -> np.ndarray:
     a = annihilation(p.n_fock)
     a_bar = displacement(p)
     return (
-        -p.delta_c * hs.cavity(a.conj().T @ a)
+        -p.delta_c * np.kron(identity(2), a.conj().T @ a)
         - 0.5 * p.omega_r_rabi * hs.sz
         - p.chi * (np.conj(a_bar) * kron(pauli("+"), a) + a_bar * kron(pauli("-"), a.conj().T))
     )
@@ -202,7 +205,6 @@ def test_one_operator_table_per_cutoff_serves_both_builders():
             "sz": np.kron(pauli("z"), identity(n)),
             "sp": np.kron(pauli("+"), identity(n)),
             "sm": np.kron(pauli("-"), identity(n)),
-            "sz_a": np.kron(pauli("z"), a),
             "sz_n": np.kron(pauli("z"), a.conj().T @ a),
             "sz_x": np.kron(pauli("z"), a + a.conj().T),
             "sz_p": np.kron(pauli("z"), 1j * (a.conj().T - a)),
@@ -221,6 +223,43 @@ def test_one_operator_table_per_cutoff_serves_both_builders():
         p = reference_params(**point)
         assert np.array_equal(build_hamiltonian_displaced(p), _hand_hamiltonian(p, "displaced"))
         assert np.array_equal(build_hamiltonian_undisplaced(p), _hand_hamiltonian(p, "undisplaced"))
+
+
+class _NameRecorder:
+    """A HilbertSpace that records the name of every operator read from it."""
+
+    def __init__(self, hs: HilbertSpace, names: set):
+        self._hs, self._names = hs, names
+
+    def __getattr__(self, name):
+        self._names.add(name)
+        return getattr(self._hs, name)
+
+
+def test_the_operator_table_is_the_package_vocabulary(monkeypatch):
+    # a HilbertSpace holds exactly the table's operators, and no method builds one
+    assert set(vars(HilbertSpace(4))) - {"n_fock"} == set(OPERATORS)
+    assert {k for k in vars(HilbertSpace) if not k.startswith("_")} == {"combine"}
+    names = set()
+    for thermal in (False, True):
+        for n_bar in (0.0, 1.0):
+            p = reference_params(n_bar=n_bar, n_fock=4, thermal_qubit=thermal)
+            for frame in FRAMES:
+                names.update(name for name, _ in hamiltonian_terms(p, frame))
+            names.update(name for name, _ in channels(p))
+            names.update(name for name, _ in dressed_probe_terms(p))
+    read = set()
+
+    def recorder(n_fock):
+        return _NameRecorder(space(n_fock), read)
+
+    monkeypatch.setattr(analysis, "space", recorder)
+    monkeypatch.setattr(acceptance, "space", recorder)
+    p = reference_params(n_fock=4)
+    cooling_trajectory(p, 0.01, n_times=2)
+    acceptance._trajectory(("field", Config(n_fock=4, t_max_us=0.01, n_times=2), True))
+    # every name the package reads is a table entry, and every entry is read
+    assert names | read == set(OPERATORS), (names | read) ^ set(OPERATORS)
 
 
 def test_undisplaced_block_structure_without_coupling():
@@ -269,7 +308,7 @@ def test_effective_jc_conserves_excitation_number():
     p = reference_params(n_bar=3.31, n_fock=10)
     h = build_effective_jc(p)
     hs = HilbertSpace(p.n_fock)
-    num = hs.cavity(annihilation(p.n_fock).conj().T @ annihilation(p.n_fock)) + hs.sp @ hs.sm
+    num = np.kron(identity(2), annihilation(p.n_fock).conj().T @ annihilation(p.n_fock)) + hs.sp @ hs.sm
     assert np.max(np.abs(h @ num - num @ h)) <= 1e-12
 
 

@@ -3,7 +3,10 @@ and the package root holds only __version__ and the submodules."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -49,3 +52,17 @@ def test_steady_states_come_from_the_analysis_recipe():
     for name in ("sweep", "cli"):
         assert set(_package_imports(by_name[name])) & {"dynamics", "operators"} == set(), name
     assert _package_imports(by_name["acceptance"]).get("dynamics") == {"evolve"}
+
+
+def test_the_cli_leaves_scipy_constants_unimported():
+    # hbar and k_B are defined exactly in rates; scipy.constants would only
+    # add to every CLI start
+    code = (
+        "import sys\n"
+        "import dressed_cool.cli, dressed_cool.acceptance\n"
+        "print('scipy.constants' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
